@@ -204,20 +204,24 @@ def measure(name, scale):
     # Per-matrix autotuned configuration vs the default dispatch.
     tune_result = tune_matrix(coo, repeats=2)
     cfg = tune_result.config
-    executor = spasm.apply_tuned(cfg)
+    tuned_plan = ExecutionPlan.build(spasm, index=cfg.index,
+                                     precision=cfg.precision)
+    knobs = dict(jobs=cfg.jobs, backend=cfg.pinned_backend())
+    block = cfg.batch_block or None
     tuned_agree = bool(
-        np.array_equal(executor.spmv(x), reference)
-        and np.array_equal(executor.spmv_batch(xs), batch_ref)
+        np.array_equal(tuned_plan.spmv(x, **knobs), reference)
+        and np.array_equal(
+            tuned_plan.spmv_batch(xs, block_size=block, **knobs),
+            batch_ref)
     )
     tuned_s, tuned_default_s = best_of_pair(
-        lambda: executor.spmv(x),
+        lambda: tuned_plan.spmv(x, **knobs),
         lambda: plan.spmv(x),
     )
     tuned_batch_s, default_batch_s = best_of_pair(
-        lambda: executor.spmv_batch(xs),
+        lambda: tuned_plan.spmv_batch(xs, block_size=block, **knobs),
         lambda: plan.spmv_batch(xs),
     )
-    spasm.apply_tuned(None)
 
     return {
         "matrix": name,
@@ -350,10 +354,10 @@ def test_exec_plan_speedup(benchmark):
                 f"{r['matrix']}: backend {name!r} diverges bitwise "
                 "from the gather reference"
             )
-        # The tuned executor is a dispatch optimization, never a
-        # numeric change: bitwise at every scale.
+        # Tuned knobs are a dispatch choice, never a numeric
+        # change: bitwise at every scale.
         assert r["tuned"]["agree"], (
-            f"{r['matrix']}: tuned executor diverges bitwise from "
+            f"{r['matrix']}: tuned knobs diverge bitwise from "
             "the naive reference"
         )
     # Timing gates apply at >=1e6 nnz (smoke runs stay noise-immune).

@@ -71,9 +71,8 @@ KERNEL_BODIES = frozenset({
 })
 
 #: Modules whose *purpose* is timing: the autotuner measures candidate
-#: kernels with the wall clock, and its executor exposes ``spmv``-named
-#: wrappers that only delegate to the plan engine.  Kernel-clock
-#: findings there would all be false positives.
+#: kernels with the wall clock.  Kernel-clock findings there would all
+#: be false positives.
 TIMING_MODULE_PREFIXES = ("repro/tune/",)
 
 #: Wall-clock reads banned inside kernel bodies.

@@ -373,8 +373,8 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return 1
     if args.tuned and args.engine != "plan":
-        print("error: --tuned requires --engine plan (the tuned "
-              "executor replaces the plan dispatch path)",
+        print("error: --tuned requires --engine plan (the record's "
+              "layout and knobs apply to the plan dispatch)",
               file=sys.stderr)
         return 1
     if args.tuned and (backend is not None
@@ -385,7 +385,8 @@ def cmd_run(args) -> int:
         return 1
 
     tuned_result = None
-    executor = None
+    block_size = None
+    compiler = make_compiler(args)
     if args.tuned:
         from repro.pipeline.cache import ArtifactCache
         from repro.tune import tune_matrix
@@ -395,10 +396,7 @@ def cmd_run(args) -> int:
         )
         tuned_result = tune_matrix(coo, cache=tune_cache,
                                    seed=args.seed)
-        compiler = make_compiler(args)
         compiler.tuned = tuned_result.config
-    else:
-        compiler = make_compiler(args)
     program = compiler.compile(coo)
     spasm = program.spasm
     write_trace(args, program)
@@ -406,24 +404,24 @@ def cmd_run(args) -> int:
     x = rng.random(spasm.shape[1])
 
     precision = args.precision
+    index = None
     if args.tuned:
+        # The record's knobs are the plain dispatch arguments.
         tuned_cfg = tuned_result.config
-        executor = spasm.apply_tuned(tuned_cfg)
-        plan = executor.plan
-        precision = tuned_cfg.precision
-        jobs = executor.jobs
-    elif precision == "float32":
+        index, precision = tuned_cfg.index, tuned_cfg.precision
+        backend = tuned_cfg.pinned_backend()
+        jobs = tuned_cfg.jobs
+        block_size = tuned_cfg.batch_block or None
+    if index is not None or precision == "float32":
         from repro.exec.plan import ExecutionPlan
 
-        plan = ExecutionPlan.build(spasm, precision="float32")
+        plan = ExecutionPlan.build(spasm, index=index,
+                                   precision=precision)
     else:
         plan = spasm.plan()
 
     reference = spasm.spmv_naive(x)
-    if executor is not None:
-        got = executor.spmv(x)
-    else:
-        got = plan.spmv(x, jobs=jobs, backend=backend)
+    got = plan.spmv(x, jobs=jobs, backend=backend)
     if precision == "float32":
         agree = bool(np.allclose(got, reference,
                                  rtol=1e-5, atol=1e-8))
@@ -447,12 +445,10 @@ def cmd_run(args) -> int:
             rng.random((args.batch, spasm.shape[1]))
         )
         batch_ref = np.stack([spasm.spmv_naive(row) for row in xs])
-        if executor is not None:
+        if args.engine == "plan":
             def step():
-                return executor.spmv_batch(xs)
-        elif args.engine == "plan":
-            def step():
-                return plan.spmv_batch(xs, jobs=jobs, backend=backend)
+                return plan.spmv_batch(xs, jobs=jobs, backend=backend,
+                                       block_size=block_size)
         elif args.engine == "guarded":
             def step():
                 return guard.spmv_batch(xs, jobs=jobs)
@@ -471,9 +467,6 @@ def cmd_run(args) -> int:
             print("error: batched and per-query engines diverge",
                   file=sys.stderr)
             return 1
-    elif executor is not None:
-        def step():
-            return executor.spmv(x)
     elif args.engine == "plan":
         def step():
             return plan.spmv(x, jobs=jobs, backend=backend)
@@ -502,13 +495,9 @@ def cmd_run(args) -> int:
     else:
         from repro.exec import resolve_backend
 
-        if executor is not None:
-            backend_name = executor.backend_name
-            jobs_eff = executor.jobs
-        else:
-            backend_name = resolve_backend(backend, plan=plan,
-                                           op="spmv").name
-            jobs_eff = jobs if jobs is not None else plan._auto_jobs()
+        backend_name = resolve_backend(backend, plan=plan,
+                                       op="spmv").name
+        jobs_eff = jobs if jobs is not None else plan._auto_jobs()
         layout = f"{plan.cols.dtype.name}/{plan.vals.dtype.name}"
     resolved = {
         "engine": args.engine,
@@ -549,8 +538,7 @@ def cmd_run(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0
 
-    jobs_note = (f"auto({jobs_eff})" if jobs is None and not args.tuned
-                 else str(jobs_eff))
+    jobs_note = f"auto({jobs_eff})" if jobs is None else str(jobs_eff)
     print(f"matrix:   {args.matrix} shape={spasm.shape} "
           f"nnz={spasm.source_nnz}")
     if args.engine == "naive":

@@ -278,38 +278,6 @@ class SpasmMatrix:
         self._plan = built
         return built
 
-    def apply_tuned(self, config, cache=None):
-        """Pin execution to a persisted tuning record.
-
-        ``config`` is a :class:`~repro.tune.TunedConfig` (typically
-        from :func:`repro.tune.tune_matrix` or
-        :func:`repro.tune.load_tuned`).  Builds the plan in the tuned
-        array layout (persisted through ``cache`` when given),
-        installs a :class:`~repro.tune.TunedExecutor` — backend
-        resolved, scratch prepared, shard grid frozen once — and makes
-        :meth:`spmv`/:meth:`spmm`/:meth:`spmv_batch` route through it
-        whenever the caller leaves ``jobs``/``backend`` unspecified
-        (explicit arguments still win).  Returns the executor.
-        ``apply_tuned(None)`` clears the pin.
-        """
-        if config is None:
-            self.__dict__.pop("_tuned", None)
-            return None
-        from repro.exec.plan import ExecutionPlan
-        from repro.tune.executor import TunedExecutor
-
-        if config.precision == "float64" and (
-                self.plan(cache).cols.dtype.name == config.index):
-            plan = self.plan(cache)
-        else:
-            plan = ExecutionPlan.build(
-                self, cache=cache, index=config.index,
-                precision=config.precision,
-            )
-        executor = TunedExecutor(plan, config)
-        self._tuned = executor
-        return executor
-
     def spmv(self, x: np.ndarray, y: Optional[np.ndarray] = None,
              jobs: Optional[int] = None,
              backend: Optional[str] = None) -> np.ndarray:
@@ -320,15 +288,11 @@ class SpasmMatrix:
         never re-expand the stream.  ``jobs=None`` lets the plan's
         slots-per-worker heuristic choose; ``backend`` names the kernel
         engine (``None`` negotiates); any combination is bitwise
-        identical.  After :meth:`apply_tuned`, unspecified knobs route
-        through the pinned executor instead (still bitwise identical).
-        The un-compiled reference path survives as :meth:`spmv_naive`;
-        the hardware functional simulator in :mod:`repro.hw` must
-        agree with both (padding slots multiply by zero and vanish).
+        identical.  The un-compiled reference path survives as
+        :meth:`spmv_naive`; the hardware functional simulator in
+        :mod:`repro.hw` must agree with both (padding slots multiply by
+        zero and vanish).
         """
-        tuned = self.__dict__.get("_tuned")
-        if tuned is not None and jobs is None and backend is None:
-            return tuned.spmv(x, y=y)
         return self.plan().spmv(x, y=y, jobs=jobs, backend=backend)
 
     def spmm(self, x_block: np.ndarray,
@@ -343,9 +307,6 @@ class SpasmMatrix:
         :func:`repro.hw.perf_model.perf_breakdown_spmm` models.  The
         un-compiled reference survives as :meth:`spmm_naive`.
         """
-        tuned = self.__dict__.get("_tuned")
-        if tuned is not None and jobs is None and backend is None:
-            return tuned.spmm(x_block, y_block=y_block)
         return self.plan().spmm(
             x_block, y_block=y_block, jobs=jobs, backend=backend
         )
@@ -358,9 +319,6 @@ class SpasmMatrix:
         ``xs`` is ``(n_queries, ncols)``; row ``i`` of the result is
         bitwise identical to ``spmv(xs[i])``.
         """
-        tuned = self.__dict__.get("_tuned")
-        if tuned is not None and jobs is None and backend is None:
-            return tuned.spmv_batch(xs)
         return self.plan().spmv_batch(xs, jobs=jobs, backend=backend)
 
     def spmv_naive(self, x: np.ndarray,

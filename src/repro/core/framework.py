@@ -244,16 +244,7 @@ class SpasmCompiler:
                 "otherwise"
             )
         if tuned is not None and tuned is not True and backend is None:
-            # Pin the plan to the tuned backend when this process can
-            # actually dispatch it; a record tuned on another machine
-            # (e.g. with numba) degrades to auto negotiation.
-            from repro.exec.backends.registry import get_backend
-
-            try:
-                if get_backend(tuned.backend).is_available():
-                    self.backend = tuned.backend
-            except KeyError:
-                pass
+            self.backend = tuned.pinned_backend()
         if portfolio_strategy not in self.PORTFOLIO_STRATEGIES:
             raise ValueError(
                 f"unknown portfolio strategy {portfolio_strategy!r}; "

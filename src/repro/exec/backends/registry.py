@@ -36,6 +36,15 @@ AUTO = "auto"
 
 _REGISTRY: Dict[str, ExecutionBackend] = {}
 
+#: Bumped by every register/unregister, so callers that memoize a
+#: negotiation result (the plan's dispatch memo) can tell it is stale.
+_GENERATION = 0
+
+
+def registry_generation() -> int:
+    """Counter of registry changes since import (memo invalidation)."""
+    return _GENERATION
+
 
 def register_backend(backend: ExecutionBackend,
                      replace: bool = False) -> ExecutionBackend:
@@ -45,6 +54,7 @@ def register_backend(backend: ExecutionBackend,
     a taken name raises unless ``replace=True`` (the escape hatch for
     tests and external engines shadowing a shipped backend).
     """
+    global _GENERATION
     name = backend.name
     if not name or name == AUTO:
         raise ValueError(f"invalid backend name {name!r}")
@@ -54,12 +64,15 @@ def register_backend(backend: ExecutionBackend,
             "(pass replace=True to shadow it)"
         )
     _REGISTRY[name] = backend
+    _GENERATION += 1
     return backend
 
 
 def unregister_backend(name: str) -> None:
     """Remove a registered backend (test/extension cleanup)."""
+    global _GENERATION
     _REGISTRY.pop(name, None)
+    _GENERATION += 1
 
 
 def get_backend(name: str) -> ExecutionBackend:

@@ -61,7 +61,11 @@ import numpy as np
 
 from repro.exec.backends.base import ExecutionBackend
 from repro.exec.backends.csr import counting_sort_rows
-from repro.exec.backends.registry import resolve_backend
+from repro.exec.backends.registry import (
+    AUTO,
+    registry_generation,
+    resolve_backend,
+)
 
 #: Stage name used for persisted plan artifacts (``plan-<key>.npz``
 #: entries in a :class:`repro.pipeline.cache.ArtifactCache`).
@@ -405,9 +409,10 @@ class ExecutionPlan:
     checksum: str = ""
     build_ms: float = dataclasses.field(default=0.0, compare=False)
     #: Lazily derived kernel state (per-slot rows, widened gather
-    #: indices, the CSR indptr).  Never persisted, never checksummed,
-    #: rebuilt from the four executable arrays on first use.
-    _scratch: Dict[str, Any] = dataclasses.field(
+    #: indices, the CSR indptr) and the dispatch memo.  Never
+    #: persisted, never checksummed, rebuilt from the four executable
+    #: arrays on first use.
+    _scratch: Dict[Any, Any] = dataclasses.field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -725,7 +730,7 @@ class ExecutionPlan:
         )
 
     def release_scratch(self) -> None:
-        """Drop prepared backend scratch and runtime pins.
+        """Drop prepared backend scratch, the dispatch memo and pins.
 
         The serving layer's plan registry calls this when it evicts a
         plan under memory pressure: backend ``prepare`` state (dense
@@ -863,9 +868,36 @@ class ExecutionPlan:
         key = f"backend::{engine.name}"
         state = self._scratch.get(key)
         if state is None:
-            state = engine.prepare(self)
-            self._scratch[key] = state
+            # setdefault: racing first calls agree on one state object,
+            # so a fault flipped into it reaches every later dispatch.
+            state = self._scratch.setdefault(key, engine.prepare(self))
         return state
+
+    def _dispatch(self, backend: Union[None, str, ExecutionBackend],
+                  op: str) -> Tuple[ExecutionBackend, Any]:
+        """The engine ``backend`` resolves to for ``op``, and its state.
+
+        Negotiation sorts the registry and checks capabilities on
+        every call, which costs a sizeable share of a small kernel.
+        Its answer depends only on this plan's layout and the registry,
+        so it is memoized in scratch per (request, op) and re-resolved
+        once :func:`~repro.exec.backends.registry.registry_generation`
+        moves on (a backend was registered or unregistered) or
+        :meth:`release_scratch` cleared it.  The state is the same
+        object :meth:`_backend_state` hands out, so fault injection
+        through that path lands in what the next dispatch reads.
+        """
+        if backend == AUTO:
+            backend = None
+        key = ("dispatch", backend, op)
+        generation = registry_generation()
+        memo = self._scratch.get(key)
+        if memo is not None and memo[0] == generation:
+            return memo[1], memo[2]
+        engine = resolve_backend(backend, plan=self, op=op)
+        state = self._backend_state(engine)
+        self._scratch[key] = (generation, engine, state)
+        return engine, state
 
     # ------------------------------------------------------------------
     # sharding
@@ -874,12 +906,12 @@ class ExecutionPlan:
     def _auto_jobs(self) -> int:
         """Worker count the slots-per-worker heuristic picks.
 
-        A persisted :class:`~repro.tune.TunedConfig` override
-        (:meth:`override_auto_jobs`) wins outright; otherwise the
-        static slots-per-worker threshold proposes a count which is
-        then clamped by the *measured* per-dispatch overhead — a shard
-        only earns a thread when its estimated kernel time dominates
-        one pool round-trip by :data:`SHARD_OVERHEAD_MARGIN`.
+        A runtime pin (:meth:`override_auto_jobs`) wins outright;
+        otherwise the static slots-per-worker threshold proposes a
+        count which is then clamped by the *measured* per-dispatch
+        overhead — a shard only earns a thread when its estimated
+        kernel time dominates one pool round-trip by
+        :data:`SHARD_OVERHEAD_MARGIN`.
         """
         tuned = self._scratch.get("tuned_jobs")
         if tuned is not None:
@@ -897,14 +929,13 @@ class ExecutionPlan:
         return jobs
 
     def override_auto_jobs(self, jobs: Optional[int]) -> None:
-        """Pin the ``jobs=None`` auto heuristic to a tuned worker count.
+        """Pin the ``jobs=None`` auto heuristic to a fixed worker count.
 
-        Installed when a persisted :class:`~repro.tune.TunedConfig` is
-        applied to this plan's matrix: the measured-best shard count
-        overrides the static slots-per-worker threshold for every
-        subsequent auto-mode dispatch.  ``None`` clears the override.
-        Explicit ``jobs=N`` arguments still win (tests and fault
-        campaigns force shard grids), and every count remains bitwise
+        The pinned count overrides the static slots-per-worker
+        threshold for every subsequent auto-mode dispatch — how the
+        chaos campaign drives callers that pass no ``jobs`` onto the
+        shard path.  ``None`` clears the override.  Explicit ``jobs=N``
+        arguments still win, and every count remains bitwise
         identical.  Stored in the non-persisted scratch dict, so cached
         plan artifacts never bake in a machine-specific count.
         """
@@ -960,14 +991,13 @@ class ExecutionPlan:
         every float64-claiming backend accumulates each segment
         left-to-right in the same order.
         """
-        engine = resolve_backend(backend, plan=self, op="spmv")
+        engine, state = self._dispatch(backend, "spmv")
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.shape[1],):
             raise ValueError(
                 f"x of shape {x.shape} incompatible with {self.shape}"
             )
         out = np.zeros(self.shape[0], dtype=np.float64)
-        state = self._backend_state(engine)
         jobs_eff = self._auto_jobs() if jobs is None else int(jobs)
         shards = self.shard_bounds(jobs_eff)
         if len(shards) == 1:
@@ -1022,7 +1052,7 @@ class ExecutionPlan:
         independent of ``jobs`` and bitwise column-equal to the
         unbatched engine.
         """
-        engine = resolve_backend(backend, plan=self, op="spmm")
+        engine, state = self._dispatch(backend, "spmm")
         x_block = np.ascontiguousarray(x_block, dtype=np.float64)
         if x_block.ndim != 2 or x_block.shape[0] != self.shape[1]:
             raise ValueError(
@@ -1030,7 +1060,7 @@ class ExecutionPlan:
                 f"{self.shape}"
             )
         out = self._blocked_dispatch(
-            engine, engine.spmm, x_block, jobs, block_size
+            engine.spmm, state, x_block, jobs, block_size
         )
         if y_block is not None:
             y_block = np.asarray(y_block, dtype=np.float64)
@@ -1042,8 +1072,8 @@ class ExecutionPlan:
             out += y_block
         return out
 
-    def _blocked_dispatch(self, engine: ExecutionBackend,
-                          kernel: Any, x_block: np.ndarray,
+    def _blocked_dispatch(self, kernel: Any, state: Any,
+                          x_block: np.ndarray,
                           jobs: Optional[int],
                           block_size: Optional[int]) -> np.ndarray:
         """Shared block/shard driver for the multi-vector entry points.
@@ -1056,7 +1086,6 @@ class ExecutionPlan:
         """
         n_vectors = x_block.shape[1]
         out = np.zeros((self.shape[0], n_vectors), dtype=np.float64)
-        state = self._backend_state(engine)
         if block_size is None:
             block_size = max(
                 1, SPMM_BLOCK_ELEMS // max(self.n_slots, 1)
@@ -1114,7 +1143,7 @@ class ExecutionPlan:
         with a batch-specialized kernel (the default delegates to their
         ``spmm``).
         """
-        engine = resolve_backend(backend, plan=self, op="spmv_batch")
+        engine, state = self._dispatch(backend, "spmv_batch")
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.shape[1]:
             raise ValueError(
@@ -1126,7 +1155,7 @@ class ExecutionPlan:
         # Contiguity only on both transposes: the dispatch pins the
         # value dtype itself and yt already carries the output dtype.
         yt = self._blocked_dispatch(
-            engine, engine.spmv_batch,
+            engine.spmv_batch, state,
             np.ascontiguousarray(xs.T),  # lint: allow(exec.implicit-dtype)
             jobs, block_size,
         )

@@ -300,7 +300,7 @@ class ExecutionGuard:
         self.spasm = spasm
         self.config = config or GuardConfig()
         self.cache = cache
-        self.log = log or ResilienceLog()
+        self.log = log if log is not None else ResilienceLog()
         self.backend = backend
         self.expected_digest = stream_digest(spasm)
         self._rng = np.random.default_rng(seed)

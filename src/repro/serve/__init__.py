@@ -14,7 +14,7 @@ degrade service predictably instead of corrupting it:
 * :class:`AdmissionController` — bounded per-plan queues with load
   shedding (structured ``queue_full`` / ``overload`` / ``deadline``
   reasons) and round-robin fairness;
-* :class:`DegradationLadder` — tuned → auto → narrow-batch → naive,
+* :class:`DegradationLadder` — tuned → narrow-batch → naive,
   hysteretic, every transition a structured
   :class:`~repro.resilience.guard.ResilienceEvent`;
 * :class:`SpmvServer` — worker threads executing coalesced batches

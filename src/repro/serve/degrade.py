@@ -4,12 +4,11 @@ When queues back up, the server steps down a ladder of service
 levels, trading per-request optimality for throughput headroom, one
 rung at a time:
 
-1. ``tuned``  — tuned backend pin honoured, full batch window.
-2. ``auto``   — tuned pin dropped; the engine's automatic backend
-   choice avoids a mis-tuned pin amplifying an overload.
-3. ``narrow`` — batch coalescing window shrunk so per-request latency
+1. ``tuned``  — the guarded plan path (with the matrix's tuned knobs
+   when it has a record), full batch window.
+2. ``narrow`` — batch coalescing window shrunk so per-request latency
    (and deadline exposure) drops at the cost of peak throughput.
-4. ``naive``  — the guarded plan path is bypassed for the naive
+3. ``naive``  — the guarded plan path is bypassed for the naive
    reference kernel: slowest, but verified by construction and
    immune to plan/backend-state corruption — the rung of last resort
    during a fault storm.
@@ -36,8 +35,6 @@ class ServiceLevel:
     """One rung of the ladder."""
 
     name: str
-    #: Honour a matrix's tuned backend pin.
-    use_tuned: bool
     #: Execute through the naive reference kernel instead of the
     #: guarded plan path.
     naive: bool
@@ -47,10 +44,9 @@ class ServiceLevel:
 
 #: The ladder, best service first.
 LEVELS: Tuple[ServiceLevel, ...] = (
-    ServiceLevel("tuned", use_tuned=True, naive=False, batch_window=32),
-    ServiceLevel("auto", use_tuned=False, naive=False, batch_window=32),
-    ServiceLevel("narrow", use_tuned=False, naive=False, batch_window=4),
-    ServiceLevel("naive", use_tuned=False, naive=True, batch_window=1),
+    ServiceLevel("tuned", naive=False, batch_window=32),
+    ServiceLevel("narrow", naive=False, batch_window=4),
+    ServiceLevel("naive", naive=True, batch_window=1),
 )
 
 
@@ -70,7 +66,7 @@ class DegradationLadder:
                 f"need 0 <= restore_at <= degrade_at, got "
                 f"restore_at={restore_at} degrade_at={degrade_at}"
             )
-        self.log = log or ResilienceLog()
+        self.log = log if log is not None else ResilienceLog()
         self.degrade_at = float(degrade_at)
         self.restore_at = float(restore_at)
         self.hold = int(hold)
@@ -134,7 +130,6 @@ class DegradationLadder:
                 "level": lvl.name,
                 "level_index": self._level,
                 "batch_window": lvl.batch_window,
-                "use_tuned": lvl.use_tuned,
                 "naive": lvl.naive,
                 "transitions": int(self.transitions),
                 "degrade_at": self.degrade_at,

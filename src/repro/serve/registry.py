@@ -14,7 +14,7 @@ Eviction is safe while requests are executing — an entry with leases
 outstanding (``in_flight > 0``) is never evicted, and a
 :class:`Lease` snapshots the guard/tuned handles under the registry
 lock so a concurrent evict-or-replace can never yank state mid-call.
-Every eviction and warmup is logged as a structured
+Every eviction is counted and logged as a structured
 :class:`~repro.resilience.guard.ResilienceEvent` on the shared log.
 """
 
@@ -116,9 +116,10 @@ class PlanRegistry:
     ----------
     cache:
         Optional :class:`~repro.pipeline.cache.ArtifactCache`; plans
-        persist into it on first build (so re-warming is a load) and
-        :func:`~repro.tune.load_tuned` records found under a
-        registered matrix's digest pin the tuned backend.
+        persist into it on first build (so re-warming is a load), and
+        a :func:`~repro.tune.load_tuned` record found under a
+        registered matrix's digest when its entry warms sets the
+        entry guard's backend and the shard count of its calls.
     byte_budget:
         Cap on the summed ``plan.nbytes`` of hot entries; ``None`` is
         unbounded.  The budget is enforced on every acquire; entries
@@ -128,8 +129,8 @@ class PlanRegistry:
         :class:`~repro.resilience.guard.GuardConfig` for per-entry
         guards (default :data:`SERVE_GUARD`).
     log:
-        Shared :class:`~repro.resilience.guard.ResilienceLog`; evict/
-        warm incidents and every guard incident land here.
+        Shared :class:`~repro.resilience.guard.ResilienceLog`; evict
+        events and every guard incident land here.
     seed:
         Base seed; entry guards derive their oracle seeds from it.
     """
@@ -142,7 +143,7 @@ class PlanRegistry:
         self.cache = cache
         self.byte_budget = int(byte_budget) if byte_budget else None
         self.guard_config = guard_config or SERVE_GUARD
-        self.log = log or ResilienceLog()
+        self.log = log if log is not None else ResilienceLog()
         self.seed = int(seed)
         self._lock = threading.RLock()
         self._entries: Dict[str, PlanEntry] = {}
@@ -197,7 +198,7 @@ class PlanRegistry:
         """
         with self._lock:
             entry = self._entry(name)
-            self._make_cold(entry, reason="stream replaced")
+            self._make_cold(entry)
             entry.spasm = spasm
             return entry
 
@@ -213,17 +214,6 @@ class PlanRegistry:
         """
         warmed, tuned = [], []
         with self._lock:
-            if self.cache is not None:
-                # One directory scan instead of a per-entry cache
-                # probe: pin every registered matrix whose digest was
-                # ever tuned against this cache.
-                from repro.tune import list_tuned
-
-                records = list_tuned(self.cache)
-                for entry in self._entries.values():
-                    if (entry.tuned is None
-                            and entry.digest in records):
-                        entry.tuned = records[entry.digest]
             for entry in self._entries.values():
                 if not entry.hot:
                     self._warm(entry)
@@ -280,7 +270,11 @@ class PlanRegistry:
             entry = self._entry(name)
             if entry.in_flight > 0:
                 return False
-            self._make_cold(entry, reason="explicit evict")
+            if entry.hot:
+                self._evict(entry, "explicit evict")
+            else:
+                # Still drop any plan built outside the registry.
+                self._make_cold(entry)
             return True
 
     def stats(self) -> Dict[str, Any]:
@@ -316,7 +310,8 @@ class PlanRegistry:
 
             entry.tuned = load_tuned(self.cache, entry.digest)
         backend = (
-            entry.tuned.backend if entry.tuned is not None else None
+            entry.tuned.pinned_backend() if entry.tuned is not None
+            else None
         )
         self._guard_seq += 1
         entry.guard = ExecutionGuard(
@@ -327,7 +322,7 @@ class PlanRegistry:
         entry.hot = True
         entry.warms += 1
 
-    def _make_cold(self, entry: PlanEntry, reason: str) -> None:
+    def _make_cold(self, entry: PlanEntry) -> None:
         """Drop an entry's resident execution state."""
         plan = entry.spasm.__dict__.get("_plan")
         if plan is not None:
@@ -367,14 +362,15 @@ class PlanRegistry:
                     ),
                 ))
                 return
-            victim = victims[0]
-            self._make_cold(victim, reason="byte budget")
-            victim.evictions += 1
-            self.evicted_total += 1
-            self.log.record(ResilienceEvent(
-                kind="evict", surface="registry", action="evict",
-                detail=(
-                    f"evicted plan {victim.name!r} "
-                    f"(LRU, budget {self.byte_budget} bytes)"
-                ),
-            ))
+            self._evict(victims[0],
+                        f"LRU, budget {self.byte_budget} bytes")
+
+    def _evict(self, entry: PlanEntry, why: str) -> None:
+        """Make an entry cold, count it and log one ``evict`` event."""
+        self._make_cold(entry)
+        entry.evictions += 1
+        self.evicted_total += 1
+        self.log.record(ResilienceEvent(
+            kind="evict", surface="registry", action="evict",
+            detail=f"evicted plan {entry.name!r} ({why})",
+        ))

@@ -280,7 +280,7 @@ class SpmvServer:
                 if level.naive:
                     ys = self._run_naive(lease, live)
                 else:
-                    ys = self._run_guarded(lease, live, level, deadline)
+                    ys = self._run_guarded(lease, live, deadline)
         except IntegrityError as exc:
             for req in live:
                 self._resolve(req, STATUS_FAILED, None,
@@ -321,29 +321,18 @@ class SpmvServer:
             )
         return [lease.spasm.spmv_naive(req.x) for req in live]
 
-    def _run_guarded(self, lease: Any, live: List[ServeRequest],
-                     level: ServiceLevel,
+    @staticmethod
+    def _run_guarded(lease: Any, live: List[ServeRequest],
                      deadline: Optional[Deadline]) -> List[np.ndarray]:
-        """Dispatch through the guard at the requested service level.
-
-        The tuned backend pin is honoured only on the ``tuned`` rung;
-        the pin toggle is safe because the caller holds the plan's
-        execution lock.
-        """
+        """Dispatch through the guard (built with the record's backend)
+        with the tuned shard count when the matrix has a record."""
         guard = lease.guard
-        tuned = lease.tuned if level.use_tuned else None
-        jobs = tuned.jobs if tuned is not None else None
-        pinned = guard.backend
-        guard.backend = tuned.backend if tuned is not None else None
-        try:
-            if len(live) == 1:
-                return [guard.spmv(live[0].x, jobs=jobs,
-                                   deadline=deadline)]
-            xs = np.stack([req.x for req in live])
-            ys = guard.spmv_batch(xs, jobs=jobs, deadline=deadline)
-            return [ys[i] for i in range(len(live))]
-        finally:
-            guard.backend = pinned
+        jobs = lease.tuned.jobs if lease.tuned is not None else None
+        if len(live) == 1:
+            return [guard.spmv(live[0].x, jobs=jobs, deadline=deadline)]
+        xs = np.stack([req.x for req in live])
+        ys = guard.spmv_batch(xs, jobs=jobs, deadline=deadline)
+        return [ys[i] for i in range(len(live))]
 
     # -- helpers --------------------------------------------------------
 

@@ -14,29 +14,24 @@ the loop, in the AlphaSparse per-matrix-specialization direction:
 * :class:`TunedConfig` is the persisted winner, stored in the
   :class:`~repro.pipeline.cache.ArtifactCache` keyed on the matrix
   content digest with a :data:`TUNER_VERSION` invalidation field —
-  re-tuning an unchanged matrix is a cache hit, not a re-search;
-* :class:`TunedExecutor` pins a plan to its record: backend resolved,
-  scratch prepared and the shard grid frozen once, then every call
-  dispatches straight into the kernel — bitwise identical to the
-  untuned engine on the same plan.
+  re-tuning an unchanged matrix is a cache hit, not a re-search.
 
-Records are transparently reused by
-:class:`~repro.core.framework.SpasmCompiler` (``tuned=``),
-:meth:`repro.core.format.SpasmMatrix.apply_tuned`, and the CLI
-(``python -m repro tune`` / ``python -m repro run --tuned``).  See
-``docs/TUNING.md``.
+A record applies as the plain ``backend=``/``jobs=``/``block_size=``
+arguments every plan entry point takes (bitwise identical to the
+defaults).  Records are reused by
+:class:`~repro.core.framework.SpasmCompiler` (``tuned=``), the serving
+registry, and the CLI (``python -m repro tune`` /
+``python -m repro run --tuned``).  See ``docs/TUNING.md``.
 """
 
 from repro.tune.config import (
     TUNED_STAGE,
     TUNER_VERSION,
     TunedConfig,
-    list_tuned,
     load_tuned,
     store_tuned,
     tuned_cache_key,
 )
-from repro.tune.executor import TunedExecutor
 from repro.tune.search import Trial, TuneResult, tune_matrix
 
 __all__ = [
@@ -45,8 +40,6 @@ __all__ = [
     "Trial",
     "TuneResult",
     "TunedConfig",
-    "TunedExecutor",
-    "list_tuned",
     "load_tuned",
     "store_tuned",
     "tune_matrix",

@@ -51,9 +51,9 @@ class TunedConfig:
     Execution knobs (``index``/``precision``/``backend``/``jobs``/
     ``batch_block``) drive dispatch: they are bitwise-safe by the
     engine's own invariants (every float64 backend, layout and shard
-    grid accumulates segments in the same order), so
-    :class:`~repro.tune.executor.TunedExecutor` pins them without
-    further ceremony.
+    grid accumulates segments in the same order), so callers pass them
+    straight to the plan's ``backend=``/``jobs=``/``block_size=``
+    arguments (the backend through :meth:`pinned_backend`).
     """
 
     matrix_digest: str
@@ -80,6 +80,21 @@ class TunedConfig:
         if self.spmv_ms <= 0.0:
             return 1.0
         return self.default_spmv_ms / self.spmv_ms
+
+    def pinned_backend(self) -> Optional[str]:
+        """The record's backend if this process can dispatch it.
+
+        ``None`` (auto negotiation) when the name is not registered
+        here or its dependency is missing: a record tuned on a host
+        with numba must still run without it.
+        """
+        from repro.exec.backends.registry import get_backend
+
+        try:
+            available = get_backend(self.backend).is_available()
+        except KeyError:
+            return None
+        return self.backend if available else None
 
     @property
     def layout(self) -> str:
@@ -151,36 +166,6 @@ def store_tuned(cache: ArtifactCache, config: TunedConfig) -> None:
                                    dtype=np.int64)},
         meta=config.as_dict(),
     )
-
-
-def list_tuned(cache: ArtifactCache) -> Dict[str, TunedConfig]:
-    """Every valid persisted tuning record, keyed by matrix digest.
-
-    The serving layer's warmup path uses this to pin tuned execution
-    for any registered matrix that was ever tuned against this cache,
-    without knowing the digests up front.  Records that fail to load
-    (corrupt, foreign version) are skipped — :func:`load_tuned`
-    already applies the quarantine policy.
-    """
-    prefix = f"{TUNED_STAGE}-"
-    records: Dict[str, TunedConfig] = {}
-    for name in cache.entries():
-        if not (name.startswith(prefix) and name.endswith(".npz")):
-            continue
-        key = name[len(prefix):-len(".npz")]
-        entry = cache.load(TUNED_STAGE, key)
-        if entry is None:
-            continue
-        try:
-            config = TunedConfig.from_meta(entry.meta)
-        except ValueError:
-            continue
-        if config.tuner_version != TUNER_VERSION:
-            continue
-        if tuned_cache_key(config.matrix_digest) != key:
-            continue
-        records[config.matrix_digest] = config
-    return records
 
 
 def load_tuned(cache: ArtifactCache,

@@ -47,7 +47,6 @@ from repro.tune.config import (
     load_tuned,
     store_tuned,
 )
-from repro.tune.executor import TunedExecutor
 
 #: Structural survivors the model pass hands to measurement (the
 #: default structure is always measured on top of these).
@@ -366,17 +365,14 @@ def tune_matrix(coo: COOMatrix, *,
         tuner_version=TUNER_VERSION,
     )
     # The headline numbers time what a caller actually gets: the
-    # pinned TunedExecutor against the untuned dispatch path, on the
-    # same plan, interleaved.
-    executor = TunedExecutor(plan, config)
+    # record's knobs as plain arguments against the default dispatch,
+    # interleaved.
+    tuned_backend = config.pinned_backend()
     tuned_ms, default_ms = _best_of_pair(
-        lambda: executor.spmv(x),
-        lambda: default_plan.spmv(x, jobs=None, backend=None),
+        lambda: plan.spmv(x, jobs=config.jobs, backend=tuned_backend),
+        lambda: default_plan.spmv(x),
         max(repeats, 3), inner,
     )
-    # Leave no machine pins behind on plans callers may share.
-    plan.override_auto_jobs(None)
-    default_plan.override_auto_jobs(None)
     config = dataclasses.replace(config, spmv_ms=tuned_ms,
                                  default_spmv_ms=default_ms)
     if cache is not None:

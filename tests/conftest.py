@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.exec import (
+    BackendCapabilities,
+    ExecutionBackend,
+    register_backend,
+    unregister_backend,
+)
 from repro.matrix.coo import COOMatrix
 
 
@@ -49,3 +55,53 @@ def random_structured_coo(rng, n=64, kind="mixed"):
     if not dense.any():
         dense[0, 0] = 1.0
     return COOMatrix.from_dense(dense)
+
+
+class FailingBackend(ExecutionBackend):
+    """Claims everything, executes nothing — proves the guard ladder
+    survives a backend whose kernels always blow up."""
+
+    name = "failing"
+    priority = 99
+
+    def capabilities(self):
+        return BackendCapabilities(
+            index_dtypes=("int32", "int64"),
+            value_dtypes=("float32", "float64"),
+        )
+
+    def prepare(self, plan):
+        return None
+
+    def spmv(self, plan, state, x, out, lo, hi):
+        raise RuntimeError("injected kernel failure")
+
+    def spmm(self, plan, state, xb, out, j0, j1, lo, hi):
+        raise RuntimeError("injected kernel failure")
+
+
+class UnavailableBackend(FailingBackend):
+    """Registered, but its dependency is missing in this process."""
+
+    name = "unavailable"
+    priority = 0
+
+    def requires(self):
+        return "a-missing-package"
+
+
+@pytest.fixture
+def failing_backend():
+    """:class:`FailingBackend`, registered for the test's duration
+    (its priority makes auto negotiation pick it)."""
+    backend = register_backend(FailingBackend())
+    yield backend
+    unregister_backend(backend.name)
+
+
+@pytest.fixture
+def unavailable_backend():
+    """:class:`UnavailableBackend`, registered for the test."""
+    backend = register_backend(UnavailableBackend())
+    yield backend
+    unregister_backend(backend.name)

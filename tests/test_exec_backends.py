@@ -16,10 +16,8 @@ from hypothesis import strategies as st
 
 from repro.core import candidate_portfolios, encode_spasm
 from repro.exec import (
-    BackendCapabilities,
     BackendCapabilityError,
     BackendUnavailable,
-    ExecutionBackend,
     ExecutionPlan,
     available_backends,
     csr_kernels_available,
@@ -29,6 +27,7 @@ from repro.exec import (
     resolve_backend,
     unregister_backend,
 )
+from repro.exec.backends.gather import GatherBackend
 from repro.exec.backends.numba_jit import numba_available
 from repro.matrix.coo import COOMatrix
 from repro.resilience import (
@@ -37,7 +36,7 @@ from repro.resilience import (
     GuardConfig,
     IntegrityError,
 )
-from tests.conftest import random_structured_coo
+from tests.conftest import FailingBackend, random_structured_coo
 
 #: Every storable plan layout; each backend participates in the
 #: parity sweep exactly where its declared capabilities claim it.
@@ -193,10 +192,10 @@ class TestRegistry:
         assert get_backend("gather") is gather
 
     def test_invalid_names_rejected(self):
-        class Nameless(_FailingBackend):
+        class Nameless(FailingBackend):
             name = ""
 
-        class Reserved(_FailingBackend):
+        class Reserved(FailingBackend):
             name = "auto"
 
         for bad in (Nameless(), Reserved()):
@@ -204,7 +203,7 @@ class TestRegistry:
                 register_backend(bad)
 
     def test_unregister_then_reregister(self):
-        failing = _FailingBackend()
+        failing = FailingBackend()
         register_backend(failing)
         try:
             assert get_backend("failing") is failing
@@ -260,36 +259,6 @@ class TestRegistry:
 
 
 # -- guard fallback through a hostile backend --------------------------
-
-
-class _FailingBackend(ExecutionBackend):
-    """Claims everything, executes nothing — proves the guard ladder
-    survives a backend whose kernels always blow up."""
-
-    name = "failing"
-    priority = 99
-
-    def capabilities(self):
-        return BackendCapabilities(
-            index_dtypes=("int32", "int64"),
-            value_dtypes=("float32", "float64"),
-        )
-
-    def prepare(self, plan):
-        return None
-
-    def spmv(self, plan, state, x, out, lo, hi):
-        raise RuntimeError("injected kernel failure")
-
-    def spmm(self, plan, state, xb, out, j0, j1, lo, hi):
-        raise RuntimeError("injected kernel failure")
-
-
-@pytest.fixture
-def failing_backend():
-    backend = register_backend(_FailingBackend())
-    yield backend
-    unregister_backend(backend.name)
 
 
 class TestGuardWithFailingBackend:
@@ -380,3 +349,71 @@ class TestBackendStateFaults:
         indptr = plan._scratch["backend::csr"]
         fresh = get_backend("csr").prepare(plan)
         assert not np.array_equal(indptr, fresh)
+
+
+# -- the plan's dispatch memo ------------------------------------------
+
+
+class _CountingBackend(GatherBackend):
+    """The gather kernels under a higher priority, counting calls."""
+
+    name = "counting"
+    priority = 99
+
+    def __init__(self):
+        self.calls = 0
+
+    def spmv(self, plan, state, x, out, lo, hi):
+        self.calls += 1
+        super().spmv(plan, state, x, out, lo, hi)
+
+
+class TestDispatchMemo:
+    def test_registering_redirects_auto_then_unregister_restores(
+        self, rng
+    ):
+        spasm = encode(integer_coo(rng, 64))
+        plan = spasm.plan()
+        x = np.random.default_rng(3).random(plan.shape[1])
+        clean = plan.spmv(x)  # memoizes the auto resolution
+        auto = resolve_backend(None, plan=plan, op="spmv")
+        counting = register_backend(_CountingBackend())
+        try:
+            assert np.array_equal(plan.spmv(x), clean)
+            assert counting.calls == 1
+        finally:
+            unregister_backend(counting.name)
+        assert np.array_equal(plan.spmv(x), clean)
+        assert counting.calls == 1
+        assert plan._dispatch(None, "spmv")[0] is auto
+
+    def test_auto_and_none_share_one_entry(self, rng):
+        __, plan = build_plan(rng)
+        engine, state = plan._dispatch(None, "spmv")
+        again = plan._dispatch("auto", "spmv")
+        assert again[0] is engine and again[1] is state
+
+    def test_flip_lands_in_state_the_memo_hands_out(self, rng):
+        spasm = encode(integer_coo(rng, 64))
+        plan = spasm.plan()
+        x = np.random.default_rng(13).random(plan.shape[1])
+        clean = plan.spmv(x, backend="gather")  # memoized dispatch
+        FaultInjector(seed=21).flip_backend_state(plan, "gather")
+        engine, state = plan._dispatch("gather", "spmv")
+        assert state is plan._backend_state(engine)
+        try:
+            corrupted = plan.spmv(x, backend="gather")
+        except (IndexError, ValueError):
+            corrupted = None
+        if corrupted is not None:
+            assert not np.array_equal(corrupted, clean)
+
+    def test_release_scratch_drops_the_memo(self, rng):
+        __, plan = build_plan(rng)
+        x = np.random.default_rng(5).random(plan.shape[1])
+        clean = plan.spmv(x, backend="gather")
+        state = plan._dispatch("gather", "spmv")[1]
+        plan.release_scratch()
+        assert not plan._scratch
+        assert plan._dispatch("gather", "spmv")[1] is not state
+        assert np.array_equal(plan.spmv(x, backend="gather"), clean)

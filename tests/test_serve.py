@@ -21,7 +21,7 @@ from repro.resilience import (
     run_chaos_campaign,
 )
 from repro.resilience.chaos import render_chaos_report
-from repro.resilience.guard import ExecutionGuard, GuardConfig
+from repro.resilience.guard import ExecutionGuard, GuardConfig, ResilienceLog
 from repro.serve import (
     LEVELS,
     AdmissionConfig,
@@ -188,6 +188,27 @@ class TestPlanRegistry:
         registry.release(lease)
         assert entry.in_flight == 0
 
+    def test_empty_shared_log_is_kept(self, rng):
+        log = ResilienceLog()  # empty, hence falsy
+        registry = PlanRegistry(log=log)
+        registry.register("a", spasm=make_spasm(rng))
+        assert registry.log is log
+        assert registry._entries["a"].guard.log is log
+        assert DegradationLadder(log=log).log is log
+
+    def test_explicit_evict_counted_and_logged(self, rng):
+        registry = PlanRegistry()
+        entry = registry.register("a", spasm=make_spasm(rng))
+        assert registry.evict("a") is True
+        assert entry.evictions == 1
+        assert registry.stats()["evicted_total"] == 1
+        assert [(e.kind, e.action) for e in registry.log.events] == \
+            [("evict", "evict")]
+        # Evicting a cold entry drops nothing, so counts nothing.
+        assert registry.evict("a") is True
+        assert registry.stats()["evicted_total"] == 1
+        assert len(registry.log) == 1
+
     def test_evict_refused_while_leased(self, rng):
         registry = PlanRegistry()
         registry.register("a", spasm=make_spasm(rng))
@@ -278,6 +299,36 @@ class TestPlanRegistry:
         assert summary["tuned"] == ["a"]
         assert cold.tuned is not None
         assert cold.guard.backend == "csr"
+
+    def test_unavailable_tuned_backend_is_not_pinned(
+        self, rng, tmp_path, unavailable_backend
+    ):
+        from repro.pipeline.cache import matrix_digest
+        from repro.tune import TunedConfig, store_tuned
+
+        coo = random_structured_coo(rng, 96, "mixed")
+        cache = ArtifactCache(tmp_path)
+        store_tuned(cache, TunedConfig(
+            matrix_digest=matrix_digest(coo), portfolio="default",
+            tile_size=32, index="int32", precision="float64",
+            backend=unavailable_backend.name, jobs=1, batch_block=8,
+            structure_bitwise=False, spmv_ms=0.1,
+            default_spmv_ms=0.2, batch_qps=10.0,
+            default_batch_qps=5.0, model_cycles=100,
+            candidates_total=4, candidates_measured=4,
+        ))
+        with serve_matrices({"a": coo}, cache=cache,
+                            workers=1) as server:
+            entry = server.registry._entries["a"]
+            assert entry.tuned is not None
+            assert entry.guard.backend is None
+            xs = rng.standard_normal((4, coo.shape[1]))
+            responses = [server.query("a", x) for x in xs]
+            plan = entry.spasm.plan()
+            for x, r in zip(xs, responses):
+                assert r.ok and r.level == "tuned"
+                assert np.array_equal(r.y, plan.spmv(x))
+            assert len(server.log) == 0  # zero incidents
 
     def test_evict_while_executing_race(self, rng):
         """Threaded stress: queries race the byte-budget evictor and a
@@ -432,16 +483,16 @@ class TestDegradationLadder:
     def test_degrades_one_rung_per_observation(self):
         ladder = DegradationLadder()
         names = [ladder.observe(1.0).name for _ in range(5)]
-        assert names == ["auto", "narrow", "naive", "naive", "naive"]
-        assert ladder.transitions == 3
+        assert names == ["narrow", "naive", "naive", "naive", "naive"]
+        assert ladder.transitions == 2
 
     def test_restore_needs_sustained_calm(self):
         ladder = DegradationLadder(hold=3)
         ladder.observe(1.0)
-        assert ladder.level.name == "auto"
+        assert ladder.level.name == "narrow"
         ladder.observe(0.0)
         ladder.observe(0.0)
-        assert ladder.level.name == "auto"  # hold not met yet
+        assert ladder.level.name == "narrow"  # hold not met yet
         ladder.observe(0.0)
         assert ladder.level.name == "tuned"
 
@@ -452,7 +503,7 @@ class TestDegradationLadder:
         ladder.observe(0.1)
         ladder.observe(0.5)  # sawtooth back into the dead band
         ladder.observe(0.1)
-        assert ladder.level.name == "auto"  # calm streak was broken
+        assert ladder.level.name == "narrow"  # calm streak was broken
         ladder.observe(0.1)
         assert ladder.level.name == "tuned"
 
@@ -475,8 +526,8 @@ class TestDegradationLadder:
 
     def test_ladder_shape(self):
         assert [lvl.name for lvl in LEVELS] == \
-            ["tuned", "auto", "narrow", "naive"]
-        assert LEVELS[0].use_tuned and not LEVELS[0].naive
+            ["tuned", "narrow", "naive"]
+        assert not LEVELS[0].naive
         assert LEVELS[-1].naive and LEVELS[-1].batch_window == 1
 
 
@@ -581,6 +632,23 @@ class TestSpmvServer:
         assert health["status"] == "ok"
         assert health["level"] == "tuned"
         assert health["hot_bytes"] > 0
+
+    def test_guard_incidents_reach_server_stats(self, rng,
+                                                failing_backend):
+        coo = random_structured_coo(rng, 64, "mixed")
+        with serve_matrices({"m": coo}, workers=1) as server:
+            entry = server.registry._entries["m"]
+            assert entry.guard.log is server.log
+            assert server.ladder.log is server.log
+            x = rng.standard_normal(coo.shape[1])
+            response = server.query("m", x)
+            # Auto negotiation picks the hostile backend; the guard
+            # falls back to the naive engine and says so.
+            assert response.ok
+            assert np.array_equal(response.y, entry.spasm.spmv_naive(x))
+            counts = server.stats()["resilience"]
+            assert counts.get("fallback", 0) >= 1
+            assert counts.get("detect", 0) >= 1
 
     def test_serve_matrices_one_call_setup(self, rng, tmp_path):
         coo = random_structured_coo(rng, 64, "mixed")

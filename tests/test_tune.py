@@ -10,13 +10,13 @@ import pytest
 import repro.exec.plan as plan_mod
 from repro.cli import main
 from repro.core import SpasmCompiler
+from repro.exec import ExecutionPlan
 from repro.pipeline import ArtifactCache, matrix_digest
 from repro.resilience import ExecutionGuard
 from repro.tune import (
     TUNED_STAGE,
     TUNER_VERSION,
     TunedConfig,
-    TunedExecutor,
     load_tuned,
     store_tuned,
     tune_matrix,
@@ -153,70 +153,64 @@ class TestTuneMatrix:
 
     def test_tuned_result_bitwise_equal_to_default(self, coo, rng):
         result = tune_matrix(coo, repeats=1)
+        cfg = result.config
         default = SpasmCompiler(build_plan=True).compile(coo)
         spasm = default.spasm
-        executor = spasm.apply_tuned(result.config)
+        plan = ExecutionPlan.build(spasm, index=cfg.index,
+                                   precision=cfg.precision)
         x = rng.random(spasm.shape[1])
-        expected = default.plan.spmv(x)
-        assert np.array_equal(executor.spmv(x), expected)
-        assert np.array_equal(spasm.spmv(x), expected)
+        got = plan.spmv(x, jobs=cfg.jobs, backend=cfg.pinned_backend())
+        assert np.array_equal(got, default.plan.spmv(x))
 
     def test_no_lingering_jobs_pin(self, coo):
-        # tune_matrix pins shard counts while measuring; the pins must
-        # not leak into plans the caller keeps using.
+        # Tuning must leave no shard-count pin on plans the caller
+        # keeps using.
         tune_matrix(coo, repeats=1)
         plan = SpasmCompiler(build_plan=True).compile(coo).plan
         assert "tuned_jobs" not in plan._scratch
 
 
 class TestTunedExecutor:
+    """A record's knobs applied as the plan's plain arguments."""
+
     @pytest.fixture
     def program(self, coo):
         return SpasmCompiler(build_plan=True).compile(coo)
 
     def test_batch_and_spmm_routing(self, program, rng):
-        spasm = program.spasm
-        config = make_config(matrix_digest="ignored",
-                             batch_block=8, structure_bitwise=False)
-        executor = spasm.apply_tuned(config)
+        spasm, plan = program.spasm, program.plan
+        cfg = make_config(batch_block=8)
         xs = np.ascontiguousarray(rng.random((5, spasm.shape[1])))
-        expected = program.plan.spmv_batch(xs)
-        assert np.array_equal(executor.spmv_batch(xs), expected)
-        assert np.array_equal(spasm.spmv_batch(xs), expected)
+        assert np.array_equal(
+            plan.spmv_batch(xs, jobs=cfg.jobs,
+                            block_size=cfg.batch_block,
+                            backend=cfg.pinned_backend()),
+            spasm.spmv_batch(xs))
         dense = np.ascontiguousarray(rng.random((spasm.shape[1], 3)))
-        assert np.array_equal(spasm.spmm(dense),
-                              program.plan.spmm(dense))
+        assert np.array_equal(
+            plan.spmm(dense, jobs=cfg.jobs, block_size=cfg.batch_block,
+                      backend=cfg.pinned_backend()),
+            spasm.spmm(dense))
 
-    def test_explicit_args_bypass_pin(self, program, rng):
-        spasm = program.spasm
-        spasm.apply_tuned(make_config())
-        x = rng.random(spasm.shape[1])
-        pinned = spasm.spmv(x)
-        explicit = spasm.spmv(x, jobs=1)
-        assert np.array_equal(pinned, explicit)
-
-    def test_apply_tuned_none_clears(self, program, rng):
-        spasm = program.spasm
-        spasm.apply_tuned(make_config())
-        assert spasm.__dict__.get("_tuned") is not None
-        spasm.apply_tuned(None)
-        assert spasm.__dict__.get("_tuned") is None
-
-    def test_unknown_backend_falls_back_to_auto(self, program, rng):
-        executor = TunedExecutor(
-            program.plan, make_config(backend="no-such-backend")
-        )
-        x = rng.random(program.spasm.shape[1])
-        assert np.array_equal(executor.spmv(x),
-                              program.plan.spmv(x))
+    def test_unknown_backend_falls_back_to_auto(self, program, rng,
+                                                 unavailable_backend):
+        assert make_config(backend="gather").pinned_backend() == "gather"
+        for name in ("no-such-backend", unavailable_backend.name):
+            cfg = make_config(backend=name)
+            assert cfg.pinned_backend() is None
+            x = rng.random(program.spasm.shape[1])
+            assert np.array_equal(
+                program.plan.spmv(x, backend=cfg.pinned_backend()),
+                program.spasm.spmv_naive(x))
 
     def test_y_accumulation(self, program, rng):
-        spasm = program.spasm
-        executor = spasm.apply_tuned(make_config())
-        x = rng.random(spasm.shape[1])
-        y = rng.random(spasm.shape[0])
-        expected = program.plan.spmv(x) + y
-        assert np.allclose(executor.spmv(x, y=y.copy()), expected)
+        plan = program.plan
+        cfg = make_config()
+        x = rng.random(plan.shape[1])
+        y = rng.random(plan.shape[0])
+        got = plan.spmv(x, y=y.copy(), jobs=cfg.jobs,
+                        backend=cfg.pinned_backend())
+        assert np.array_equal(got, plan.spmv(x) + y)
 
 
 class TestCompilerTunedReuse:
