@@ -13,7 +13,7 @@ lint:
 	mypy src/repro/verify src/repro/pipeline src/repro/exec \
 	    src/repro/analyze src/repro/tune src/repro/core/encoding.py
 
-# Static analysis gate: prove the six plan safety obligations over the
+# Static analysis gate: prove the five plan safety obligations over the
 # whole synth suite (exit 1 on any refuted proof; JSON archived as a CI
 # artifact) and run the AST determinism/safety self-lint against the
 # checked-in baseline (exit 1 on any new finding).

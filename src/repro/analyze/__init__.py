@@ -5,14 +5,16 @@
 * **Symbolic plan analysis** (:mod:`repro.analyze.symbolic`) — an
   abstract-interpretation pass over compiled
   :class:`~repro.exec.plan.ExecutionPlan` artifacts that, without
-  executing a single SpMV, proves or refutes the six safety
+  executing a single SpMV, proves or refutes the five safety
   obligations the unchecked fast-path kernels rely on: index-width
   safety (with a certified symbolic bound), segment coverage
-  (write-exactly-once), shard race-freedom, memory-image bounds,
-  guard/verifier policy consistency, and backend-capability coverage
-  (every dispatchable op resolves inside a registered backend's
-  declared capability envelope).  Refuted obligations surface as
-  ``analyze.*`` diagnostics through :mod:`repro.verify`.
+  (write-exactly-once), shard race-freedom, memory-image bounds, and
+  backend-capability coverage (every dispatchable op resolves inside
+  a registered backend's declared capability envelope).  The first
+  two adapt the plan contract of :mod:`repro.exec.policy`, the rules
+  the guard's pre-dispatch ``validate()`` enforces.  Refuted
+  obligations surface as ``analyze.*`` diagnostics through
+  :mod:`repro.verify`.
 * **Codebase lint** (:mod:`repro.analyze.lints`) — a custom AST
   checker enforcing the repository's determinism/safety discipline
   (no unseeded randomness, no clocks in kernel bodies, no silent
@@ -38,16 +40,13 @@ from repro.analyze.symbolic import (
     REFUTED,
     SKIPPED,
     AnalysisReport,
-    IndexWidthCertificate,
     Obligation,
     OBLIGATION_IDS,
     analyze_plan,
     analyze_program,
-    certify_index_width,
     check_backend_capability,
     check_image_bounds,
     check_index_width,
-    check_policy_consistency,
     check_segment_coverage,
     check_shard_disjointness,
 )
@@ -68,16 +67,13 @@ __all__ = [
     "REFUTED",
     "SKIPPED",
     "AnalysisReport",
-    "IndexWidthCertificate",
     "Obligation",
     "OBLIGATION_IDS",
     "analyze_plan",
     "analyze_program",
-    "certify_index_width",
     "check_backend_capability",
     "check_image_bounds",
     "check_index_width",
-    "check_policy_consistency",
     "check_segment_coverage",
     "check_shard_disjointness",
     "LINT_IDS",

@@ -6,7 +6,7 @@ trust the plan arrays completely, and the compact int32 layout makes
 index overflow a real hazard class.  This module is the static
 counterpart of that trust — an abstract-interpretation pass over the
 plan arrays that, without executing a single SpMV, *proves* (or
-refutes, with a pinpointed witness) the six obligations every
+refutes, with a pinpointed witness) the five obligations every
 dispatch relies on:
 
 ``index_width``
@@ -14,16 +14,15 @@ dispatch relies on:
     ``x``, segment rows, cumulative slot offsets up to ``n_slots`` —
     is representable in the chosen index dtype, with in-range values.
     The proof carries a **certified symbolic bound** ("this layout is
-    safe up to N slots / rows / columns"), so
-    :func:`repro.exec.plan.index_dtype_for` decisions are certified
-    rather than heuristic; :func:`certify_index_width` is pure symbolic
-    arithmetic over extents and is usable without allocating any array.
+    safe up to N slots / rows / columns") from
+    :func:`repro.exec.policy.certify_index_width`, the same certificate
+    :func:`repro.exec.policy.index_dtype_for` decides by.
 ``coverage``
     The reduceat/bincount segmentation writes each output row exactly
-    once: the segment pointers partition the slot stream with no gaps
-    or overlaps, segment rows are strictly increasing and in range,
-    and rows without a segment are written exactly once by the
-    zero-initialization of the output buffer.
+    once: the segment pointers partition the slot stream into
+    non-empty runs with no gaps or overlaps, segment rows are strictly
+    increasing and in range, and rows without a segment are written
+    exactly once by the zero-initialization of the output buffer.
 ``shards``
     Row-block shard grids have provably disjoint write sets for every
     worker count: the partition covers all segments exactly once and
@@ -36,12 +35,6 @@ dispatch relies on:
     the descriptor tables imply, so the round-robin cursors of
     :func:`repro.hw.memory_image.unpack_images` can never read past a
     region, and the descriptor totals account for every group.
-``policy``
-    The dtype/checksum policy enforced by
-    :meth:`~repro.exec.plan.ExecutionPlan.validate` (the guard's
-    pre-dispatch check) and the ``plan.*`` rules of
-    :mod:`repro.verify` agree — the two rule sources are cross-checked
-    so guard and verifier can never silently drift.
 ``backend``
     Every op the plan can be asked to run (``spmv``/``spmm``/
     ``spmv_batch``) resolves to a registered, available kernel backend
@@ -51,6 +44,12 @@ dispatch relies on:
     silently mis-execute, with a witness naming the backend and the
     offending dtype/op.
 
+The ``index_width`` and ``coverage`` obligations are adapters over the
+plan contract of :mod:`repro.exec.policy` — the very rules
+:meth:`~repro.exec.plan.ExecutionPlan.validate` and the resilience
+guard enforce before dispatch — so a proof and a pre-dispatch check
+can never disagree.
+
 Refuted obligations surface as ``analyze.*`` diagnostics through
 :mod:`repro.verify.analyze_rules`; :func:`analyze_plan` is the direct
 entry point and :func:`analyze_program` the whole-artifact one.
@@ -59,98 +58,21 @@ entry point and :func:`analyze_program` the whole-artifact one.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
+from repro.exec.policy import Finding, certify_index_width, plan_findings
 
 #: Obligation verdicts.
 PROVED = "proved"
 REFUTED = "refuted"
 SKIPPED = "skipped"
 
-#: The six obligation classes, report order.
-OBLIGATION_IDS = (
-    "index_width", "coverage", "shards", "image", "policy", "backend",
-)
-
-#: Value dtypes the analyzer's policy table accepts — cross-checked
-#: against ``repro.exec.plan`` in :func:`check_policy_consistency` so
-#: an extension of one table without the other refutes ``policy``.
-POLICY_INDEX_DTYPES = ("int32", "int64")
-POLICY_VALUE_DTYPES = ("float32", "float64")
+#: The five obligation classes, report order.
+OBLIGATION_IDS = ("index_width", "coverage", "shards", "image", "backend")
 
 #: Default worker counts the shard obligation quantifies over (the
 #: plan's own auto pick is always added).
 DEFAULT_JOBS_GRID = (1, 2, 3, 4, 7, 8, 16)
-
-
-@dataclasses.dataclass(frozen=True)
-class IndexWidthCertificate:
-    """The symbolic outcome of the index-width proof.
-
-    Pure arithmetic over extents — no arrays are touched — so
-    certificates for ``_INT32_MAX``-adjacent synthetic plans cost
-    nothing to derive (the boundary tests construct them directly).
-
-    Attributes
-    ----------
-    dtype:
-        The index dtype under certification (``"int32"``/``"int64"``).
-    capacity:
-        Largest value the dtype represents.
-    extent:
-        The plan's governing extent: ``max(nrows, ncols, n_slots)``
-        (``seg_starts`` holds offsets up to ``n_slots``, so the slot
-        count competes with the shape).
-    safe:
-        Whether every derivable index fits the dtype.
-    headroom:
-        ``capacity - extent`` (negative exactly when unsafe).
-    compact_sufficient:
-        Whether the compact int32 layout would already suffice — by
-        construction this flips exactly where
-        :func:`repro.exec.plan.index_dtype_for` flips.
-    """
-
-    dtype: str
-    capacity: int
-    extent: int
-    safe: bool
-    headroom: int
-    compact_sufficient: bool
-
-    def bound(self) -> str:
-        """Human rendering of the certified bound."""
-        return (
-            f"{self.dtype} layout certified for extents up to "
-            f"{self.capacity} (plan extent {self.extent}, headroom "
-            f"{self.headroom})"
-        )
-
-
-def certify_index_width(shape: Tuple[int, int], n_slots: int,
-                        dtype: Any) -> IndexWidthCertificate:
-    """Symbolically certify an index layout for the given extents.
-
-    ``shape``/``n_slots`` describe the plan abstractly; no arrays are
-    required, so boundary cases near ``2**31 - 1`` can be certified
-    without allocating anything.  The verdict flips exactly where
-    :func:`repro.exec.plan.index_dtype_for` switches to int64.
-    """
-    dt = np.dtype(dtype)
-    if dt.kind != "i":
-        raise ValueError(f"not an index dtype: {dt}")
-    capacity = int(np.iinfo(dt).max)
-    extent = max(int(shape[0]), int(shape[1]), int(n_slots))
-    int32_capacity = int(np.iinfo(np.int32).max)
-    return IndexWidthCertificate(
-        dtype=dt.name,
-        capacity=capacity,
-        extent=extent,
-        safe=extent <= capacity,
-        headroom=capacity - extent,
-        compact_sufficient=extent <= int32_capacity,
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -293,9 +215,16 @@ class AnalysisReport:
         )
 
 
-def _first_violation(mask: np.ndarray) -> int:
-    """Index of the first True entry of a violation mask."""
-    return int(np.flatnonzero(mask)[0])
+def _refuted(oid: str, finding: Finding) -> "Obligation":
+    """Refute ``oid`` with a plan-contract finding and its witness."""
+    details: Dict[str, Any] = {}
+    statement = finding.message
+    if finding.witness is not None:
+        details["witness"] = finding.witness
+    if finding.value is not None:
+        details["value"] = finding.value
+        statement += f" ({finding.witness} = {finding.value})"
+    return Obligation(oid, REFUTED, statement, details=details)
 
 
 # ---------------------------------------------------------------------
@@ -305,57 +234,18 @@ def _first_violation(mask: np.ndarray) -> int:
 def check_index_width(plan: Any) -> Obligation:
     """Prove every derivable index is representable and in range.
 
-    Two layers: the *symbolic* layer certifies the layout from extents
-    alone (:func:`certify_index_width` — the bound that makes
-    ``index_dtype_for`` decisions certified), and the *concrete* layer
-    checks the actual arrays against the ranges the symbolic layer
-    assumed (gather indices inside ``[0, ncols)``, a single index
-    dtype across all three index arrays).
+    Refutes with the plan contract's first ``index_width`` finding
+    (:func:`repro.exec.policy.plan_findings`: one supported index
+    dtype across all three index arrays, an extent the dtype's
+    certificate covers, gather indices inside ``[0, ncols)``);
+    otherwise proves with the certified bound of
+    :func:`repro.exec.policy.certify_index_width`.
     """
     oid = "index_width"
-    if plan.cols.dtype != plan.seg_starts.dtype or (
-        plan.cols.dtype != plan.seg_rows.dtype
-    ):
-        return Obligation(
-            oid, REFUTED,
-            f"index arrays disagree on width: cols={plan.cols.dtype.name}, "
-            f"seg_starts={plan.seg_starts.dtype.name}, "
-            f"seg_rows={plan.seg_rows.dtype.name}",
-            details={"witness": "dtype"},
-        )
-    try:
-        cert = certify_index_width(
-            plan.shape, plan.n_slots, plan.cols.dtype
-        )
-    except ValueError:
-        return Obligation(
-            oid, REFUTED,
-            f"{plan.cols.dtype.name} is not an index dtype",
-            details={"witness": "dtype"},
-        )
-    if not cert.safe:
-        return Obligation(
-            oid, REFUTED,
-            f"{cert.dtype} cannot address this plan: extent "
-            f"{cert.extent} exceeds capacity {cert.capacity} "
-            f"(overflow by {-cert.headroom})",
-            bound=cert.bound(),
-            details={"capacity": cert.capacity, "extent": cert.extent},
-        )
-    if plan.n_slots:
-        cols = plan.cols
-        bad = (cols < 0) | (cols >= plan.shape[1])
-        if bad.any():
-            i = _first_violation(bad)
-            return Obligation(
-                oid, REFUTED,
-                f"gather index cols[{i}] = {int(cols[i])} outside "
-                f"[0, {plan.shape[1]}): the unchecked gather would "
-                "read out of bounds",
-                bound=cert.bound(),
-                details={"witness": f"cols[{i}]",
-                         "value": int(cols[i])},
-            )
+    findings = plan_findings(plan, (oid,))
+    if findings:
+        return _refuted(oid, findings[0])
+    cert = certify_index_width(plan.shape, plan.n_slots, plan.cols.dtype)
     return Obligation(
         oid, PROVED,
         f"every gather/scatter index and segment offset fits "
@@ -378,87 +268,25 @@ def check_segment_coverage(plan: Any) -> Obligation:
     """Prove the segmentation writes each output row exactly once.
 
     The kernels zero-initialize the output and then write exactly one
-    reduced value per segment, so write-exactly-once is equivalent to:
-    segment pointers partition ``[0, n_slots)`` (start at 0, strictly
-    increase, never pass the stream) and segment rows are strictly
-    increasing inside ``[0, nrows)`` (each row owns at most one
-    segment).  Rows without a segment keep their initialization write.
+    reduced value per segment, so write-exactly-once is the plan
+    contract's ``coverage`` invariant: segment pointers partition
+    ``[0, n_slots)`` into non-empty runs and segment rows strictly
+    increase inside ``[0, nrows)``.  Rows without a segment keep
+    their initialization write.
     """
     oid = "coverage"
+    findings = plan_findings(plan, (oid,))
+    if findings:
+        return _refuted(oid, findings[0])
     nrows = int(plan.shape[0])
-    n_slots = plan.n_slots
     n_segments = plan.n_segments
-    if n_segments == 0:
-        if n_slots == 0:
-            return Obligation(
-                oid, PROVED,
-                f"empty plan: all {nrows} output rows are written "
-                "exactly once by zero-initialization",
-            )
-        return Obligation(
-            oid, REFUTED,
-            f"{n_slots} slots but no segment to reduce them into "
-            "(the whole stream would be dropped)",
-            details={"witness": "seg_starts"},
-        )
-    starts = plan.seg_starts
-    rows = plan.seg_rows
-    if starts.shape != rows.shape:
-        return Obligation(
-            oid, REFUTED,
-            f"seg_starts/seg_rows shape mismatch: {starts.shape} vs "
-            f"{rows.shape}",
-            details={"witness": "shape"},
-        )
-    if int(starts[0]) != 0:
-        return Obligation(
-            oid, REFUTED,
-            f"seg_starts[0] = {int(starts[0])}: slots before the "
-            "first segment would never be reduced (gap)",
-            details={"witness": "seg_starts[0]"},
-        )
-    gaps = np.diff(starts) <= 0
-    if gaps.any():
-        i = _first_violation(gaps)
-        return Obligation(
-            oid, REFUTED,
-            f"seg_starts[{i + 1}] = {int(starts[i + 1])} does not "
-            f"advance past seg_starts[{i}] = {int(starts[i])}: "
-            "segments overlap or run empty",
-            details={"witness": f"seg_starts[{i + 1}]"},
-        )
-    if int(starts[-1]) >= n_slots:
-        return Obligation(
-            oid, REFUTED,
-            f"seg_starts[{n_segments - 1}] = {int(starts[-1])} points "
-            f"past the {n_slots}-slot stream",
-            details={"witness": f"seg_starts[{n_segments - 1}]"},
-        )
-    dup = np.diff(rows) <= 0
-    if dup.any():
-        i = _first_violation(dup)
-        return Obligation(
-            oid, REFUTED,
-            f"seg_rows[{i + 1}] = {int(rows[i + 1])} does not exceed "
-            f"seg_rows[{i}] = {int(rows[i])}: a row would be written "
-            "twice (or rows out of order)",
-            details={"witness": f"seg_rows[{i + 1}]"},
-        )
-    if int(rows[0]) < 0 or int(rows[-1]) >= nrows:
-        witness = 0 if int(rows[0]) < 0 else n_segments - 1
-        return Obligation(
-            oid, REFUTED,
-            f"seg_rows[{witness}] = {int(rows[witness])} outside "
-            f"[0, {nrows}): the scatter would write out of bounds",
-            details={"witness": f"seg_rows[{witness}]"},
-        )
     return Obligation(
         oid, PROVED,
-        f"{n_segments} segments partition all {n_slots} slots with no "
-        f"gaps or overlaps; each of the {nrows} output rows is "
-        f"written exactly once ({nrows - n_segments} by "
+        f"{n_segments} segments partition all {plan.n_slots} slots "
+        f"with no gaps or overlaps; each of the {nrows} output rows "
+        f"is written exactly once ({nrows - n_segments} by "
         "zero-initialization)",
-        details={"segments": n_segments, "slots": n_slots},
+        details={"segments": n_segments, "slots": plan.n_slots},
     )
 
 
@@ -645,103 +473,7 @@ def check_image_bounds(image: Optional[Any], k: int = 4,
 
 
 # ---------------------------------------------------------------------
-# obligation (e): policy consistency
-# ---------------------------------------------------------------------
-
-def check_policy_consistency(plan: Any) -> Obligation:
-    """Cross-check the guard's and the verifier's rule sources.
-
-    Three independently maintained policies must agree on every plan:
-
-    * :meth:`ExecutionPlan.validate` (what the resilience guard runs
-      before dispatch) and the ``plan.integrity`` verify rule must
-      report the *same* problem set;
-    * the dtype tables of :mod:`repro.exec.plan` and the analyzer's
-      own policy tables must be identical;
-    * the ``plan.layout`` advisory must fire exactly when the
-      index-width certificate says the compact layout suffices but
-      the plan is wide.
-
-    Any disagreement means guard and verifier have drifted — a plan
-    one of them passes could be dispatched while the other would have
-    rejected it.
-    """
-    oid = "policy"
-    from repro.exec import plan as plan_mod
-    from repro.verify.rules import REGISTRY, VerifyContext
-
-    mismatches: List[str] = []
-
-    exec_index = tuple(dt.name for dt in plan_mod._INDEX_DTYPES)
-    exec_value = tuple(dt.name for dt in plan_mod._VALUE_DTYPES)
-    if exec_index != POLICY_INDEX_DTYPES:
-        mismatches.append(
-            f"index dtype policy drift: exec allows {exec_index}, "
-            f"analyzer certifies {POLICY_INDEX_DTYPES}"
-        )
-    if exec_value != POLICY_VALUE_DTYPES:
-        mismatches.append(
-            f"value dtype policy drift: exec allows {exec_value}, "
-            f"analyzer certifies {POLICY_VALUE_DTYPES}"
-        )
-
-    guard_problems = list(plan.validate())
-    ctx = VerifyContext(plan=plan)
-    integrity = REGISTRY.get("plan.integrity")
-    if integrity is None:
-        mismatches.append(
-            "verifier has no plan.integrity rule to mirror validate()"
-        )
-    else:
-        verifier_problems = [
-            d.message for d in integrity.check(ctx)
-        ]
-        if verifier_problems != guard_problems:
-            mismatches.append(
-                "guard validate() and plan.integrity diverge: "
-                f"guard={guard_problems!r}, "
-                f"verifier={verifier_problems!r}"
-            )
-
-    layout = REGISTRY.get("plan.layout")
-    if layout is None:
-        mismatches.append("verifier has no plan.layout advisory")
-    elif plan.cols.dtype.kind == "i":
-        cert = certify_index_width(
-            plan.shape, plan.n_slots, plan.cols.dtype
-        )
-        should_fire = bool(
-            cert.compact_sufficient
-            and plan.cols.dtype != np.dtype(np.int32)
-        )
-        fires = bool(list(layout.check(ctx)))
-        if fires != should_fire:
-            mismatches.append(
-                f"plan.layout advisory fires={fires} but the "
-                f"certificate implies {should_fire} "
-                f"(compact_sufficient={cert.compact_sufficient})"
-            )
-
-    if mismatches:
-        return Obligation(
-            oid, REFUTED,
-            "; ".join(mismatches),
-            details={"mismatches": mismatches},
-        )
-    return Obligation(
-        oid, PROVED,
-        "guard validate(), the plan.* verify rules and the dtype "
-        "policy tables agree on this plan (no guard/verifier drift)",
-        details={
-            "guard_problems": len(guard_problems),
-            "index_dtypes": list(exec_index),
-            "value_dtypes": list(exec_value),
-        },
-    )
-
-
-# ---------------------------------------------------------------------
-# obligation (f): backend capability
+# obligation (e): backend capability
 # ---------------------------------------------------------------------
 
 def check_backend_capability(plan: Any,
@@ -823,7 +555,6 @@ def analyze_plan(plan: Any,
         check_segment_coverage(plan),
         check_shard_disjointness(plan, jobs_grid=jobs_grid),
         check_image_bounds(image, k=k, spasm=spasm),
-        check_policy_consistency(plan),
         check_backend_capability(plan, backend=backend),
     ]
     return AnalysisReport(obligations=obligations, matrix=matrix)
@@ -838,7 +569,7 @@ def analyze_program(program: Any,
 
     Builds (or adopts) the program's execution plan, packs the HBM
     memory images for the selected hardware configuration when
-    ``with_image`` and discharges all six obligation classes.
+    ``with_image`` and discharges all five obligation classes.
     """
     spasm = program.spasm
     plan = program.plan if program.plan is not None else spasm.plan()

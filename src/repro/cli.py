@@ -1070,9 +1070,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--no-spy", action="store_true",
                          help="skip the spy plot")
     analyze.add_argument("--proofs", action="store_true",
-                         help="prove the six plan safety obligations "
+                         help="prove the five plan safety obligations "
                               "(index width, coverage, shards, image, "
-                              "policy, backend) symbolically instead "
+                              "backend) symbolically instead "
                               "of the pattern report; a refuted "
                               "obligation exits 1")
     analyze.add_argument("--self", dest="self_lint",

@@ -642,11 +642,8 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
         # on the shared pool: hashlib releases the GIL.
         import time as _time
 
-        from repro.exec.plan import (
-            ExecutionPlan,
-            digest_async,
-            index_dtype_for,
-        )
+        from repro.exec.plan import ExecutionPlan, digest_async
+        from repro.exec.policy import index_dtype_for
 
         t0 = _time.perf_counter()
         digest = digest_async(spasm)

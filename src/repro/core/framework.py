@@ -206,7 +206,7 @@ class SpasmCompiler:
         :attr:`SpasmProgram.plan`.
     analyze:
         Append the :class:`~repro.pipeline.passes.AnalyzePass`: each
-        compile symbolically proves the six plan safety obligations
+        compile symbolically proves the five plan safety obligations
         (:mod:`repro.analyze`) and raises
         :class:`~repro.core.format.FormatError` on any refutation.
         Implies plan construction; with ``cache_dir`` the proof is

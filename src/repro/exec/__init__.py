@@ -22,6 +22,9 @@ Plans are content-keyed (:func:`stream_digest`), cached lazily on the
 matrix, optionally persisted through the pipeline's artifact cache, and
 executable on a thread pool in deterministic row-block shards
 (``plan.spmv(x, jobs=N)`` is bitwise identical for every ``N``).
+What makes a plan safe to dispatch — the dtype tables, the int32
+extent rule and the plan invariants — is decided in one place,
+:mod:`repro.exec.policy`.
 """
 
 from repro.exec.backends import (
@@ -43,11 +46,10 @@ from repro.exec.plan import (
     PLAN_STAGE,
     digest_async,
     dispatch_overhead_s,
-    index_dtype_for,
-    plan_checksum,
     set_shard_fault_hook,
     stream_digest,
 )
+from repro.exec.policy import index_dtype_for, plan_checksum
 
 __all__ = [
     "BackendCapabilities",

@@ -66,6 +66,7 @@ from repro.exec.backends.registry import (
     registry_generation,
     resolve_backend,
 )
+from repro.exec.policy import check_layout, plan_checksum, plan_findings
 
 #: Stage name used for persisted plan artifacts (``plan-<key>.npz``
 #: entries in a :class:`repro.pipeline.cache.ArtifactCache`).
@@ -100,14 +101,6 @@ SHARD_OVERHEAD_MARGIN = 8.0
 #: absorbs the rest.
 EST_SECONDS_PER_SLOT = 2e-9
 
-#: Index dtypes a plan may store (narrow whenever it fits).
-_INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
-
-#: Value dtypes a plan may store (float32 only behind explicit opt-in).
-_VALUE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-_INT32_MAX = int(np.iinfo(np.int32).max)
-
 _POOL: Optional[ThreadPoolExecutor] = None
 _POOL_LOCK = threading.Lock()
 
@@ -132,47 +125,6 @@ def set_shard_fault_hook(
     previous = _SHARD_HOOK
     _SHARD_HOOK = hook
     return previous
-
-
-def index_dtype_for(shape: Tuple[int, int], n_slots: int) -> np.dtype:
-    """The narrowest supported index dtype able to address a plan.
-
-    int32 covers shape extents *and* the slot count (``seg_starts``
-    holds offsets up to ``n_slots``); anything larger falls back to
-    int64.
-    """
-    hi = max(int(shape[0]), int(shape[1]), int(n_slots))
-    return np.dtype(np.int32 if hi <= _INT32_MAX else np.int64)
-
-
-def plan_checksum(cols: np.ndarray, vals: np.ndarray,
-                  seg_starts: np.ndarray, seg_rows: np.ndarray,
-                  shape: Tuple[int, int]) -> str:
-    """SHA-256 over a plan's executable arrays *and their dtypes*.
-
-    Computed once at build time and carried on the plan; re-computing
-    it (:meth:`ExecutionPlan.validate`) catches any post-build
-    corruption of the gather indices, values or segment pointers.  The
-    dtype tags make an int32 plan and an int64 plan of the same stream
-    distinct artifacts — a cache load can never silently up- or
-    down-cast without tripping validation.
-    """
-    h = hashlib.sha256()
-    h.update(
-        repr(
-            (
-                (int(shape[0]), int(shape[1])),
-                (cols.dtype.str, vals.dtype.str,
-                 seg_starts.dtype.str, seg_rows.dtype.str),
-            )
-        ).encode()
-    )
-    for arr in (cols, vals, seg_starts, seg_rows):
-        # Hash through the buffer protocol — same bytes as tobytes()
-        # for a C-contiguous array, without materializing a copy.  The
-        # checksum must hash each array in its own dtype.
-        h.update(np.ascontiguousarray(arr).data)  # lint: allow(exec.implicit-dtype)
-    return h.hexdigest()
 
 
 def _join_shards(futures: Sequence["Future[None]"]) -> None:
@@ -455,11 +407,14 @@ class ExecutionPlan:
         if digest is None:
             digest = stream_digest(spasm)
         key = _plan_cache_key(digest, index, precision)
-        if cache is not None:
-            cached = cls._from_cache(spasm, cache, digest, key=key,
-                                     index=index, precision=precision)
-            if cached is not None:
-                return cached
+        entry = None if cache is None else cache.load(PLAN_STAGE, key)
+        if entry is not None:
+            try:
+                return cls.from_entry(entry, digest, spasm.shape,
+                                      index=index, precision=precision)
+            except ValueError as exc:
+                # Quarantined with the reason: never consulted again.
+                cache.quarantine(PLAN_STAGE, key, reason=str(exc))
         # The compile re-reads the stored arrays after the digest did.
         # A concurrent in-place mutation landing between the two reads
         # (a fault striking a live serving stream) would label a
@@ -482,7 +437,7 @@ class ExecutionPlan:
                 "being compiled; refusing to label the result"
             )
         if cache is not None:
-            plan._to_cache(cache, key=key)
+            cache.store(PLAN_STAGE, key, *plan.to_entry())
         return plan
 
     @classmethod
@@ -511,7 +466,7 @@ class ExecutionPlan:
         """
         t0 = time.perf_counter() if started is None else started
         shape = (int(shape[0]), int(shape[1]))
-        # Index dtype selection happens below via index_dtype_for;
+        # Index dtype selection happens below via check_layout;
         # forcing one here would copy compact int32 encoder output.
         rows = np.asarray(rows).reshape(-1)  # lint: allow(exec.implicit-dtype)
         cols = np.asarray(cols).reshape(-1)  # lint: allow(exec.implicit-dtype)
@@ -525,21 +480,8 @@ class ExecutionPlan:
             kept_vals = vals[keep]
         n_slots = int(kept_rows.size)
 
-        index_dt = (np.dtype(index) if index is not None
-                    else index_dtype_for(shape, n_slots))
-        if index_dt not in _INDEX_DTYPES:
-            raise ValueError(f"unsupported index dtype {index_dt}")
-        if index_dt == np.dtype(np.int32) and max(
-            shape[0], shape[1], n_slots
-        ) > _INT32_MAX:
-            raise ValueError(
-                f"int32 indices cannot address a "
-                f"{shape[0]}x{shape[1]} plan with {n_slots} slots"
-            )
-        value_dt = (np.dtype(precision) if precision is not None
-                    else np.dtype(np.float64))
-        if value_dt not in _VALUE_DTYPES:
-            raise ValueError(f"unsupported value dtype {value_dt}")
+        index_dt, value_dt = check_layout(index, precision, shape,
+                                          n_slots)
 
         # The row sort is a stable counting sort when SciPy is around:
         # ``coo_tocsr`` (:func:`repro.exec.backends.csr
@@ -611,85 +553,14 @@ class ExecutionPlan:
             started=started,
         )
 
-    @classmethod
-    def _from_cache(cls, spasm: Any, cache: Any, digest: str,
-                    key: Optional[str] = None,
-                    index: Optional[str] = None,
-                    precision: Optional[str] = None,
-                    ) -> Optional["ExecutionPlan"]:
-        """Load a persisted plan; ``None`` on miss or a stale entry.
+    def to_entry(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+        """The persisted form of the plan: ``(arrays, meta)``.
 
-        Arrays are adopted **as stored** — no dtype conversion on the
-        hit path, so an int32/float32 plan round-trips bit-for-bit and
-        copy-free.  A stale or internally inconsistent entry (the byte
-        payload is intact — :class:`~repro.pipeline.cache.ArtifactCache`
-        already checksums that — but its content no longer matches this
-        stream, its own recorded plan checksum, or the layout this
-        build would produce) is quarantined before the miss is
-        reported, so it is never consulted again.
+        The one plan-entry codec, shared by the plan cache
+        (:meth:`build`) and the pipeline's ``PlanPass``; the inverse
+        is :meth:`from_entry`.
         """
-        if key is None:
-            key = _plan_cache_key(digest, index, precision)
-        entry = cache.load(PLAN_STAGE, key)
-        if entry is None:
-            return None
-        reason = None
-        plan = None
-        try:
-            cols = entry.arrays["cols"]
-            vals = entry.arrays["vals"]
-            seg_starts = entry.arrays["seg_starts"]
-            seg_rows = entry.arrays["seg_rows"]
-            meta_digest = str(entry.meta["digest"])
-            shape = (int(entry.meta["nrows"]), int(entry.meta["ncols"]))
-            source_nnz = int(entry.meta["source_nnz"])
-            checksum = str(entry.meta.get("plan_checksum", ""))
-        except (KeyError, TypeError, ValueError) as exc:
-            reason = f"malformed plan entry: {exc}"
-        else:
-            expected_index = (np.dtype(index) if index is not None
-                              else index_dtype_for(shape, cols.size))
-            expected_value = (np.dtype(precision)
-                              if precision is not None
-                              else np.dtype(np.float64))
-            if meta_digest != digest:
-                reason = "stale plan entry: stream digest mismatch"
-            elif cols.dtype != expected_index or (
-                vals.dtype != expected_value
-            ):
-                reason = (
-                    f"plan entry layout mismatch: stored "
-                    f"{cols.dtype.name}/{vals.dtype.name}, build wants "
-                    f"{expected_index.name}/{expected_value.name}"
-                )
-            else:
-                plan = cls(
-                    shape=shape,
-                    cols=cols,
-                    vals=vals,
-                    seg_starts=seg_starts,
-                    seg_rows=seg_rows,
-                    _digest=digest,
-                    source_nnz=source_nnz,
-                    checksum=checksum,
-                )
-                problems = plan.validate()
-                if shape != (int(spasm.shape[0]),
-                             int(spasm.shape[1])):
-                    problems.append("shape mismatch vs stream")
-                if problems:
-                    reason = "; ".join(problems)
-                    plan = None
-        if plan is None and hasattr(cache, "quarantine"):
-            cache.quarantine(PLAN_STAGE, key,
-                             reason=reason or "invalid plan entry")
-        return plan
-
-    def _to_cache(self, cache: Any, key: Optional[str] = None) -> None:
-        """Persist this plan as a content-addressed artifact."""
-        cache.store(
-            PLAN_STAGE,
-            self.digest[:40] if key is None else key,
+        return (
             {
                 "cols": self.cols,
                 "vals": self.vals,
@@ -704,6 +575,56 @@ class ExecutionPlan:
                 "plan_checksum": self.checksum,
             },
         )
+
+    @classmethod
+    def from_entry(cls, entry: Any, digest: str, shape: Sequence[int],
+                   index: Optional[str] = None,
+                   precision: Optional[str] = None,
+                   ) -> "ExecutionPlan":
+        """Adopt a persisted entry for the stream ``digest``/``shape``.
+
+        Arrays are adopted **as stored** — no dtype conversion, so an
+        int32/float32 plan round-trips bit-for-bit and copy-free.  The
+        byte payload is already checksummed by
+        :class:`~repro.pipeline.cache.ArtifactCache`, but its metadata
+        is not, so the entry must carry the plan checksum that binds
+        the arrays to the shape.  Raises :class:`ValueError` naming
+        the reason when the entry is malformed (a missing field or
+        checksum), stale (another stream or shape), laid out other
+        than :func:`~repro.exec.policy.check_layout` resolves
+        ``index``/``precision`` to, or breaks the plan contract.
+        """
+        try:
+            plan = cls(
+                shape=(int(entry.meta["nrows"]), int(entry.meta["ncols"])),
+                cols=entry.arrays["cols"],
+                vals=entry.arrays["vals"],
+                seg_starts=entry.arrays["seg_starts"],
+                seg_rows=entry.arrays["seg_rows"],
+                _digest=str(entry.meta["digest"]),
+                source_nnz=int(entry.meta["source_nnz"]),
+                checksum=str(entry.meta["plan_checksum"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed plan entry: {exc!r}") from None
+        if not plan.checksum:
+            raise ValueError("malformed plan entry: empty plan_checksum")
+        if plan.digest != digest:
+            raise ValueError("stale plan entry: stream digest mismatch")
+        if plan.shape != (int(shape[0]), int(shape[1])):
+            raise ValueError("stale plan entry: shape mismatch vs stream")
+        want = check_layout(index, precision, plan.shape, plan.n_slots)
+        have = (plan.cols.dtype, plan.vals.dtype)
+        if have != want:
+            raise ValueError(
+                f"plan entry layout mismatch: stored {have[0].name}/"
+                f"{have[1].name}, build wants {want[0].name}/"
+                f"{want[1].name}"
+            )
+        problems = plan.validate()
+        if problems:
+            raise ValueError("; ".join(problems))
+        return plan
 
     # ------------------------------------------------------------------
     # introspection
@@ -752,100 +673,13 @@ class ExecutionPlan:
     def validate(self) -> List[str]:
         """Integrity check of the executable arrays; problems found.
 
-        Verifies the structural invariants every kernel dispatch relies
-        on (shape agreement, a supported and self-consistent dtype
-        layout, strictly increasing segment pointers and rows, in-range
-        gather indices, finite values) and then recomputes
-        :func:`plan_checksum` against the build-time :attr:`checksum`.
-        An empty list means the plan is safe to dispatch; any entry
-        names the violated invariant.  Used by the resilience guard
-        before execution and surfaced as ``plan.*`` diagnostics by
-        :func:`repro.verify.verify_plan`.
+        The messages of :func:`repro.exec.policy.plan_findings`: the
+        plan contract's index-width, coverage, values and checksum
+        invariants.  An empty list means the plan is safe to dispatch.
+        Used by the resilience guard before execution and surfaced as
+        ``plan.integrity`` diagnostics by :func:`repro.verify.verify_plan`.
         """
-        problems: List[str] = []
-        if self.cols.dtype not in _INDEX_DTYPES:
-            problems.append(
-                f"unsupported index dtype {self.cols.dtype.name}"
-            )
-        elif (
-            self.seg_starts.dtype != self.cols.dtype
-            or self.seg_rows.dtype != self.cols.dtype
-        ):
-            problems.append(
-                f"mixed index dtypes: cols={self.cols.dtype.name}, "
-                f"seg_starts={self.seg_starts.dtype.name}, "
-                f"seg_rows={self.seg_rows.dtype.name}"
-            )
-        elif self.cols.dtype == np.dtype(np.int32) and max(
-            self.shape[0], self.shape[1], self.n_slots
-        ) > _INT32_MAX:
-            problems.append(
-                "int32 index layout cannot address this plan"
-            )
-        if self.vals.dtype not in _VALUE_DTYPES:
-            problems.append(
-                f"unsupported value dtype {self.vals.dtype.name}"
-            )
-        if self.cols.ndim != 1 or self.cols.shape != self.vals.shape:
-            problems.append(
-                f"cols/vals shape mismatch: {self.cols.shape} vs "
-                f"{self.vals.shape}"
-            )
-        if self.seg_starts.shape != self.seg_rows.shape:
-            problems.append(
-                f"seg_starts/seg_rows shape mismatch: "
-                f"{self.seg_starts.shape} vs {self.seg_rows.shape}"
-            )
-        if not problems and self.n_segments:
-            seg_starts = self.seg_starts
-            seg_rows = self.seg_rows
-            if int(seg_starts[0]) != 0:
-                problems.append(
-                    f"first segment starts at {int(seg_starts[0])}, "
-                    "expected 0"
-                )
-            if np.any(np.diff(seg_starts) <= 0):
-                problems.append(
-                    "segment pointers not strictly increasing"
-                )
-            if int(seg_starts[-1]) >= max(self.n_slots, 1):
-                problems.append(
-                    f"last segment starts at {int(seg_starts[-1])}, "
-                    f"past the {self.n_slots}-slot stream"
-                )
-            if np.any(np.diff(seg_rows) <= 0):
-                problems.append("segment rows not strictly increasing")
-            if seg_rows.size and (
-                int(seg_rows[0]) < 0
-                or int(seg_rows[-1]) >= self.shape[0]
-            ):
-                problems.append(
-                    f"segment rows outside [0, {self.shape[0]})"
-                )
-        if not problems and self.n_segments == 0 and self.n_slots:
-            problems.append(
-                f"{self.n_slots} slots but no segments to reduce them"
-            )
-        if not problems and self.n_slots:
-            if int(self.cols.min()) < 0 or (
-                int(self.cols.max()) >= self.shape[1]
-            ):
-                problems.append(
-                    f"gather indices outside [0, {self.shape[1]})"
-                )
-            if not np.all(np.isfinite(self.vals)):
-                problems.append("non-finite plan values")
-        if not problems and self.checksum:
-            recomputed = plan_checksum(
-                self.cols, self.vals, self.seg_starts, self.seg_rows,
-                self.shape,
-            )
-            if recomputed != self.checksum:
-                problems.append(
-                    "plan checksum mismatch (arrays corrupted after "
-                    "build)"
-                )
-        return problems
+        return [finding.message for finding in plan_findings(self)]
 
     def diagonal(self) -> np.ndarray:
         """The matrix diagonal (for Jacobi-style preconditioning)."""

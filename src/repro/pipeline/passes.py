@@ -573,59 +573,18 @@ class PlanPass(CompilerPass):
         return f"{plan.describe()}, backend={engine.name}"
 
     def to_cache(self, store: ArtifactStore):
-        plan = store.require("plan")
-        return (
-            {
-                "cols": plan.cols,
-                "vals": plan.vals,
-                "seg_starts": plan.seg_starts,
-                "seg_rows": plan.seg_rows,
-            },
-            {
-                "digest": plan.digest,
-                "nrows": plan.shape[0],
-                "ncols": plan.shape[1],
-                "source_nnz": plan.source_nnz,
-                "plan_checksum": plan.checksum,
-            },
-        )
+        return store.require("plan").to_entry()
 
     def from_cache(self, store: ArtifactStore,
                    entry: CacheEntry) -> bool:
         from repro.exec.plan import ExecutionPlan, stream_digest
 
         spasm = store.require("spasm")
-        digest = stream_digest(spasm)
         try:
-            # Adopted as stored: a compact int32/float32 plan must come
-            # back copy-free in its own dtypes (validate() rejects any
-            # layout the kernels cannot dispatch).
-            cols = entry.arrays["cols"]
-            vals = entry.arrays["vals"]
-            seg_starts = entry.arrays["seg_starts"]
-            seg_rows = entry.arrays["seg_rows"]
-            meta_digest = str(entry.meta["digest"])
-            shape = (int(entry.meta["nrows"]), int(entry.meta["ncols"]))
-            source_nnz = int(entry.meta["source_nnz"])
-            checksum = str(entry.meta.get("plan_checksum", ""))
-        except (KeyError, TypeError, ValueError):
-            return False
-        if (
-            meta_digest != digest
-            or shape != (int(spasm.shape[0]), int(spasm.shape[1]))
-        ):
-            return False
-        plan = ExecutionPlan(
-            shape=shape,
-            cols=cols,
-            vals=vals,
-            seg_starts=seg_starts,
-            seg_rows=seg_rows,
-            _digest=digest,
-            source_nnz=source_nnz,
-            checksum=checksum,
-        )
-        if plan.validate():
+            plan = ExecutionPlan.from_entry(
+                entry, stream_digest(spasm), spasm.shape
+            )
+        except ValueError:
             return False
         store.put("plan", plan)
         return True
@@ -634,15 +593,14 @@ class PlanPass(CompilerPass):
 class AnalyzePass(CompilerPass):
     """Opt-in symbolic safety proofs over the compiled plan.
 
-    Mounts :mod:`repro.analyze` as a pipeline stage: the six proof
+    Mounts :mod:`repro.analyze` as a pipeline stage: the five proof
     obligations (index-width safety, segment coverage, shard
-    race-freedom, memory-image bounds, policy consistency, backend
-    capability) are proved by abstract interpretation — nothing is
-    executed — and the resulting
-    :class:`~repro.analyze.symbolic.AnalysisReport` is stored as the
-    ``analyze_report`` artifact.  ``backend`` pins the engine the
-    backend-capability obligation quantifies over (and keys the
-    cache).  Any refuted obligation raises
+    race-freedom, memory-image bounds, backend capability) are proved
+    by abstract interpretation — nothing is executed — and the
+    resulting :class:`~repro.analyze.symbolic.AnalysisReport` is
+    stored as the ``analyze_report`` artifact.  ``backend`` pins the
+    engine the backend-capability obligation quantifies over (and
+    keys the cache).  Any refuted obligation raises
     :class:`~repro.core.format.FormatError` with the pinpointed
     witness.  Proofs are content-addressed alongside the plan they
     certify: a cache entry carries the plan checksum and is rejected

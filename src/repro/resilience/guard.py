@@ -137,15 +137,10 @@ class GuardConfig:
     fault is confronted on the very next call.
     """
 
-    #: Validate a newly acquired plan before its first dispatch.
+    #: Validate a newly acquired plan before its first dispatch (the
+    #: plan contract of :mod:`repro.exec.policy`: index width, segment
+    #: coverage, finite values, checksum).
     validate_plan: bool = True
-    #: Additionally run the symbolic proof obligations of
-    #: :mod:`repro.analyze` (segment coverage, shard disjointness,
-    #: index-width, policy consistency) on a newly acquired plan; a
-    #: refuted obligation is treated like a failed validation
-    #: (detect -> rebuild).  Off by default: strictly stronger than
-    #: ``validate_plan`` but several times the acquisition cost.
-    static_analysis: bool = False
     #: Re-pin the stream digest every N-th call (0 = only at guard
     #: creation and on rebuilds; digesting the stream is O(stream)).
     repin_interval: int = 0
@@ -391,22 +386,6 @@ class ExecutionGuard:
                 self.log.record(ResilienceEvent(
                     kind="detect", surface="plan", action="rebuild",
                     attempt=attempt, detail="; ".join(problems),
-                ))
-                self._invalidate()
-                return None
-        if fresh and self.config.static_analysis:
-            from repro.analyze.symbolic import analyze_plan
-
-            report = analyze_plan(
-                plan, spasm=self.spasm, backend=self.backend
-            )
-            if report.refuted:
-                self.log.record(ResilienceEvent(
-                    kind="detect", surface="plan", action="rebuild",
-                    attempt=attempt,
-                    detail="; ".join(
-                        o.render() for o in report.refuted
-                    ),
                 ))
                 self._invalidate()
                 return None

@@ -38,7 +38,8 @@ import numpy as np
 from repro.core.framework import SpasmCompiler
 from repro.core.templates import candidate_portfolios
 from repro.exec.backends.registry import available_backends
-from repro.exec.plan import ExecutionPlan, index_dtype_for
+from repro.exec.plan import ExecutionPlan
+from repro.exec.policy import index_dtype_for
 from repro.matrix import COOMatrix
 from repro.pipeline.cache import ArtifactCache, matrix_digest
 from repro.tune.config import (

@@ -3,13 +3,14 @@
 A compiled :class:`~repro.exec.plan.ExecutionPlan` is dispatched with
 no per-slot checks at all — the gather and segmented-accumulation
 kernels trust the plan arrays completely.  These rules make that trust
-checkable: the structural and dtype-policy invariants every dispatch
-relies on (``plan.integrity``, delegating to
-:meth:`ExecutionPlan.validate` so the guard and the verifier agree by
-construction, checksum included), when the source stream is in the
-context, that the plan actually belongs to it (``plan.digest``), and
-that a plan does not waste bandwidth on wide indices where the compact
-int32 layout suffices (``plan.layout``, advisory).  The resilience
+checkable: the plan contract every dispatch relies on
+(``plan.integrity``, one diagnostic per finding of
+:func:`repro.exec.policy.plan_findings` — the rules the guard's
+``validate()`` enforces, checksum included), when the source stream
+is in the context, that the plan actually belongs to it
+(``plan.digest``), and that a plan does not waste bandwidth on wide
+indices where the compact int32 layout suffices (``plan.layout``,
+advisory).  The resilience
 layer (:mod:`repro.resilience.guard`) runs the same checks before
 dispatch; see ``docs/RESILIENCE.md``.
 """
@@ -37,8 +38,11 @@ class PlanIntegrity(Rule):
     requires = ("plan",)
 
     def check(self, ctx: VerifyContext) -> Iterator[Diagnostic]:
-        for problem in ctx.plan.validate():
-            yield self.diag(problem)
+        from repro.exec.policy import plan_findings
+
+        for finding in plan_findings(ctx.plan):
+            yield self.diag(finding.message, invariant=finding.invariant,
+                            witness=finding.witness)
 
 
 @register
@@ -74,15 +78,13 @@ class PlanLayout(Rule):
     requires = ("plan",)
 
     def check(self, ctx: VerifyContext) -> Iterator[Diagnostic]:
-        import numpy as np
-
-        from repro.analyze.symbolic import certify_index_width
+        from repro.exec.policy import INDEX_DTYPES, certify_index_width
 
         plan = ctx.plan
         cert = certify_index_width(
-            plan.shape, plan.n_slots, np.dtype(np.int32)
+            plan.shape, plan.n_slots, INDEX_DTYPES[0]
         )
-        if cert.compact_sufficient and plan.cols.dtype != np.int32:
+        if cert.compact_sufficient and plan.cols.dtype != INDEX_DTYPES[0]:
             yield self.diag(
                 f"plan stores {plan.cols.dtype.name} indices but the "
                 f"analyzer certifies the compact layout: {cert.bound()}"

@@ -142,7 +142,7 @@ def verify_analysis(plan: Any,
 
     Adapts the :mod:`repro.analyze.symbolic` abstract-interpretation
     pass (index-width safety, segment coverage, shard race-freedom,
-    memory-image bounds, policy consistency) to the rule framework:
+    memory-image bounds, backend capability) to the rule framework:
     refuted obligations come back as ``analyze.*`` ERROR diagnostics
     with pinpointed witnesses; proved obligations are silent.  For the
     full PROVED/REFUTED obligation report with certified bounds use

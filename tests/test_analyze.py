@@ -1,12 +1,13 @@
 """Tests for the symbolic static-analysis subsystem (``repro.analyze``).
 
-Three layers are exercised: the pure symbolic certificate (boundary
-behaviour at the int32 capacity, via hypothesis), the six obligation
+Four layers are exercised: the pure symbolic certificate (boundary
+behaviour at the int32 capacity, via hypothesis), the five obligation
 checkers over real compiled plans (clean proofs and fault-injected
-refutations with pinpointed witnesses), and the integration surfaces —
-``analyze.*`` verify rules, the cacheable :class:`AnalyzePass`, the
-guard's ``static_analysis`` knob and the escalated ``plan.layout``
-advisory.
+refutations with pinpointed witnesses), the plan contract of
+:mod:`repro.exec.policy` shared by ``validate()``, ``plan.integrity``,
+the obligations and the guard (one table of corruptions), and the
+integration surfaces — ``analyze.*`` verify rules, the cacheable
+:class:`AnalyzePass` and the escalated ``plan.layout`` advisory.
 """
 
 import dataclasses
@@ -26,15 +27,19 @@ from repro.analyze import (
     Obligation,
     analyze_plan,
     analyze_program,
-    certify_index_width,
     check_image_bounds,
-    check_policy_consistency,
+    check_index_width,
     check_segment_coverage,
     check_shard_disjointness,
 )
 from repro.core import SpasmCompiler, candidate_portfolios, encode_spasm
-from repro.exec.plan import index_dtype_for, plan_checksum
-from repro.resilience import ExecutionGuard, FaultInjector, GuardConfig
+from repro.exec.plan import ExecutionPlan
+from repro.exec.policy import (
+    certify_index_width,
+    index_dtype_for,
+    plan_checksum,
+)
+from repro.resilience import ExecutionGuard, FaultInjector
 from repro.synth import load_workload
 from tests.conftest import random_structured_coo
 
@@ -68,8 +73,8 @@ def mutable_plan(program):
 def with_checksum(plan):
     """The same plan with its checksum recomputed over current arrays.
 
-    Corruption tests use this to build plans that *pass*
-    ``validate()`` — only the structural analyzer can reject them.
+    Corruption tests use this so only the structural rules of the
+    plan contract — not the checksum — can reject the plan.
     """
     return dataclasses.replace(
         plan,
@@ -82,6 +87,7 @@ def with_checksum(plan):
 
 class TestCleanProofs:
     def test_all_six_obligations_proved(self, clean_report):
+        """Every obligation of :data:`OBLIGATION_IDS` (five) proves."""
         assert [
             o.obligation_id for o in clean_report.obligations
         ] == list(OBLIGATION_IDS)
@@ -106,14 +112,14 @@ class TestCleanProofs:
         assert report.ok  # skipped is not refuted
 
     def test_summary_and_render(self, clean_report):
-        assert "6 obligations for stormG2_1000" in clean_report.summary()
+        assert "5 obligations for stormG2_1000" in clean_report.summary()
         text = clean_report.render()
         assert "PROVED" in text and "coverage" in text
 
     def test_report_dict_roundtrip(self, clean_report):
         clone = AnalysisReport.from_dict(clean_report.as_dict())
         assert clone.as_dict() == clean_report.as_dict()
-        assert clone.obligation("policy").proved
+        assert clone.obligation("coverage").proved
 
     def test_unknown_obligation_raises(self, clean_report):
         with pytest.raises(KeyError):
@@ -280,23 +286,158 @@ class TestFaultRefutation:
         assert o.refuted and "descriptors account" in o.statement
 
 
-class TestPolicyConsistency:
-    def test_clean_plan_is_consistent(self, program):
-        o = check_policy_consistency(program.plan)
-        assert o.proved and "drift" in o.statement
+def _set(name, index, value):
+    """A corruption writing ``value`` at ``plan.<name>[index]``."""
+    def corrupt(plan):
+        arr = getattr(plan, name).copy()
+        arr[index] = value(plan) if callable(value) else value
+        return dataclasses.replace(plan, **{name: arr})
+    return corrupt
 
-    def test_wide_plan_still_consistent(self, program):
-        """Widening to int64 fires the plan.layout advisory — and the
-        certificate predicts it, so policy stays consistent."""
-        base = program.plan
-        wide = with_checksum(dataclasses.replace(
-            base,
-            cols=base.cols.astype(np.int64),
-            seg_starts=base.seg_starts.astype(np.int64),
-            seg_rows=base.seg_rows.astype(np.int64),
-        ))
-        assert wide.validate() == []
-        assert check_policy_consistency(wide).proved
+
+def _retype(dtype, names=("cols", "seg_starts", "seg_rows")):
+    def corrupt(plan):
+        return dataclasses.replace(plan, **{
+            name: getattr(plan, name).astype(dtype) for name in names
+        })
+    return corrupt
+
+
+def _reverse_first_rows(plan):
+    rows = plan.seg_rows.copy()
+    rows[:2] = rows[:2][::-1]
+    return dataclasses.replace(plan, seg_rows=rows)
+
+
+def _empty_trailing_segment(plan):
+    """Drop the last segment's slots but keep the segment."""
+    cut = int(plan.seg_starts[-1])
+    return dataclasses.replace(plan, cols=plan.cols[:cut].copy(),
+                               vals=plan.vals[:cut].copy())
+
+
+def _no_segments(plan):
+    return dataclasses.replace(plan, seg_starts=plan.seg_starts[:0],
+                               seg_rows=plan.seg_rows[:0])
+
+
+def _stale_checksum(plan):
+    vals = plan.vals.copy()
+    vals[0] += 1.0
+    return dataclasses.replace(plan, vals=vals)
+
+
+#: (case id, corruption, violated invariant, witness pattern).  Every
+#: case but ``checksum`` is made checksum-consistent, so only the
+#: structural rules of the plan contract can reject it.
+CORRUPTIONS = [
+    ("mixed_index_dtypes", _retype(np.int64, ("seg_rows",)),
+     "index_width", r"dtype"),
+    ("int16_indices", _retype(np.int16), "index_width", r"dtype"),
+    ("cols_out_of_range", _set("cols", 5, lambda p: p.shape[1]),
+     "index_width", r"cols\[5\]"),
+    ("first_start_nonzero", _set("seg_starts", 0, 1),
+     "coverage", r"seg_starts\[0\]"),
+    ("starts_not_increasing",
+     _set("seg_starts", 2, lambda p: p.seg_starts[1]),
+     "coverage", r"seg_starts\[2\]"),
+    ("reversed_rows", _reverse_first_rows, "coverage", r"seg_rows\[1\]"),
+    ("rows_past_nrows", _set("seg_rows", -1, lambda p: p.shape[0]),
+     "coverage", r"seg_rows\[\d+\]"),
+    ("empty_trailing_segment", _empty_trailing_segment,
+     "coverage", r"seg_starts\[\d+\]"),
+    ("slots_without_segments", _no_segments, "coverage", r"seg_starts"),
+    ("nan_value", _set("vals", 3, np.nan), "values", None),
+    ("checksum_mismatch", _stale_checksum, "checksum", None),
+]
+
+
+@pytest.fixture
+def small_spasm(rng):
+    coo = random_structured_coo(rng, 96, "mixed")
+    return encode_spasm(coo, candidate_portfolios()[0], 32)
+
+
+class TestPlanContract:
+    """``validate()``, ``plan.integrity``, the ``index_width`` and
+    ``coverage`` obligations and the guard apply one plan contract
+    (:mod:`repro.exec.policy`) and so agree on every corruption."""
+
+    @pytest.mark.parametrize(
+        "corrupt, invariant, witness",
+        [case[1:] for case in CORRUPTIONS],
+        ids=[case[0] for case in CORRUPTIONS],
+    )
+    def test_corruption_rejected_alike(self, small_spasm, rng, corrupt,
+                                       invariant, witness):
+        from repro.exec.policy import plan_findings
+        from repro.verify.rules import REGISTRY, VerifyContext
+
+        pristine = small_spasm.plan()
+        x = rng.random(small_spasm.shape[1])
+        reference = pristine.spmv(x)
+        plan = corrupt(pristine)
+        if invariant != "checksum":
+            plan = with_checksum(plan)
+
+        problems = plan.validate()
+        diags = list(
+            REGISTRY["plan.integrity"].check(VerifyContext(plan=plan))
+        )
+        assert problems and problems == [d.message for d in diags]
+        assert [f.invariant for f in plan_findings(plan)] == [invariant]
+
+        for check in (check_index_width, check_segment_coverage):
+            o = check(plan)
+            assert o.refuted == (o.obligation_id == invariant)
+            if o.refuted:
+                assert re.fullmatch(witness, o.details["witness"])
+
+        small_spasm._plan = plan
+        guard = ExecutionGuard(small_spasm)
+        assert np.array_equal(guard.spmv(x), reference)
+        detections = [
+            e for e in guard.log.events
+            if e.kind == "detect" and e.surface == "plan"
+        ]
+        assert detections and problems[0] in detections[0].detail
+
+    def test_zero_slot_segment_rejected_everywhere(self):
+        """One segment over zero slots is an empty segment: every
+        surface rejects it, while no slots and no segments is clean."""
+        from repro.verify.rules import REGISTRY, VerifyContext
+
+        def plan_of(starts, rows):
+            empty = np.zeros(0, dtype=np.int32)
+            arrays = dict(
+                cols=empty, vals=np.zeros(0),
+                seg_starts=np.array(starts, dtype=np.int32),
+                seg_rows=np.array(rows, dtype=np.int32),
+            )
+            return ExecutionPlan(
+                shape=(3, 3), _digest="x" * 64, source_nnz=0,
+                checksum=plan_checksum(shape=(3, 3), **arrays),
+                **arrays,
+            )
+
+        integrity = REGISTRY["plan.integrity"]
+        bad = plan_of([0], [1])
+        assert bad.validate()
+        assert list(integrity.check(VerifyContext(plan=bad)))
+        assert check_segment_coverage(bad).refuted
+
+        empty = plan_of([], [])
+        assert empty.validate() == []
+        assert not list(integrity.check(VerifyContext(plan=empty)))
+        assert check_segment_coverage(empty).proved
+
+    def test_build_emits_no_empty_segment(self):
+        rows = np.array([0, 1, 2])
+        zeros = ExecutionPlan.from_slots(
+            (3, 3), rows, rows, np.zeros(3), digest="x" * 64,
+            source_nnz=0,
+        )
+        assert zeros.n_segments == 0 and zeros.validate() == []
 
 
 class TestPlanLayoutEscalation:
@@ -356,8 +497,7 @@ class TestVerifyIntegration:
         ids = {r.rule_id for r in rules_for([KIND_ANALYZE])}
         assert ids == {
             "analyze.index_width", "analyze.coverage",
-            "analyze.shards", "analyze.image", "analyze.policy",
-            "analyze.backend",
+            "analyze.shards", "analyze.image", "analyze.backend",
         }
 
 
@@ -395,44 +535,6 @@ class TestAnalyzePass:
             AnalyzePass().run(store)
 
 
-class TestGuardStaticAnalysis:
-    def test_structural_corruption_detected_and_rebuilt(self, rng):
-        """With validate() disabled, only the analyzer stands between
-        a checksum-consistent corrupted plan and dispatch."""
-        coo = random_structured_coo(rng, 96, "mixed")
-        spasm = encode_spasm(coo, candidate_portfolios()[0], 32)
-        x = rng.random(spasm.shape[1])
-        reference = spasm.plan().spmv(x)
-
-        corrupted = dataclasses.replace(
-            spasm.plan(), seg_rows=spasm.plan().seg_rows.copy()
-        )
-        corrupted.seg_rows[:2] = corrupted.seg_rows[:2][::-1]
-        # Checksum-consistent: only the structural proofs can object.
-        spasm._plan = with_checksum(corrupted)
-
-        guard = ExecutionGuard(spasm, config=GuardConfig(
-            validate_plan=False, static_analysis=True,
-        ))
-        out = guard.spmv(x)
-        assert np.array_equal(out, reference)
-        detections = [
-            e for e in guard.log.events
-            if e.kind == "detect" and e.surface == "plan"
-        ]
-        assert detections and "coverage" in detections[0].detail
-
-    def test_clean_plan_stays_silent(self, rng):
-        coo = random_structured_coo(rng, 96, "mixed")
-        spasm = encode_spasm(coo, candidate_portfolios()[0], 32)
-        guard = ExecutionGuard(
-            spasm, config=GuardConfig(static_analysis=True)
-        )
-        x = rng.random(spasm.shape[1])
-        assert np.array_equal(guard.spmv(x), spasm.plan().spmv(x))
-        assert not guard.log.events
-
-
 class TestObligationDataclass:
     def test_dict_roundtrip_preserves_bound_and_details(self):
         o = Obligation(
@@ -444,5 +546,5 @@ class TestObligationDataclass:
         assert "REFUTED" in clone.render() and "[b]" in clone.render()
 
     def test_minimal_dict_omits_empty_fields(self):
-        payload = Obligation("policy", PROVED, "fine").as_dict()
+        payload = Obligation("shards", PROVED, "fine").as_dict()
         assert "bound" not in payload and "details" not in payload

@@ -56,6 +56,17 @@ def test_top_level_quickstart_api():
     assert repro.__version__
 
 
+def test_plan_contract_has_one_home():
+    """The certificate lives in ``repro.exec.policy`` alone: the
+    analyzer proves with it but no longer re-exports it."""
+    import repro.analyze
+    import repro.exec.policy
+
+    for symbol in ("certify_index_width", "IndexWidthCertificate"):
+        assert hasattr(repro.exec.policy, symbol)
+        assert symbol not in repro.analyze.__all__
+
+
 def test_public_callables_documented():
     """Every public function/class reachable from __all__ carries a
     docstring (the documentation deliverable, enforced)."""
@@ -96,6 +107,7 @@ def test_submodule_functions_documented():
         "repro.analysis.charts", "repro.analysis.spy",
         "repro.solvers.iterative", "repro.solvers.operator",
         "repro.analyze.symbolic", "repro.analyze.lints",
+        "repro.exec.policy",
     ]
     undocumented = []
     for name in modules:

@@ -127,8 +127,7 @@ class TestAnalyzeProofs:
         assert report["matrix"] == "t2em"
         assert [
             o["obligation"] for o in report["obligations"]
-        ] == ["index_width", "coverage", "shards", "image", "policy",
-              "backend"]
+        ] == ["index_width", "coverage", "shards", "image", "backend"]
         assert all(
             o["status"] == "proved" for o in report["obligations"]
         )

@@ -331,6 +331,39 @@ class TestQuarantine:
         assert np.array_equal(reloaded.vals, built.vals)
         assert len(cache.quarantined()) == 1
 
+    def test_plan_entry_without_checksum_is_malformed(
+        self, tmp_path, coo
+    ):
+        """The payload checksum covers arrays, not meta: an entry whose
+        meta lost ``plan_checksum`` is refused by both plan-cache
+        loaders, and the plan cache quarantines it with a reason."""
+        from repro.core import candidate_portfolios, encode_spasm
+        from repro.exec import ExecutionPlan, PLAN_STAGE
+        from repro.pipeline import ArtifactStore, PlanPass
+
+        events = []
+        spasm = encode_spasm(coo, candidate_portfolios()[0], 32)
+        cache = ArtifactCache(
+            tmp_path, on_event=lambda kind, info: events.append(info)
+        )
+        built = ExecutionPlan.build(spasm, cache=cache)
+        key = built.digest[:40]
+        entry = cache.load(PLAN_STAGE, key)
+        meta = {k: v for k, v in entry.meta.items()
+                if k != "plan_checksum"}
+        cache.store(PLAN_STAGE, key, dict(entry.arrays), meta)
+
+        stripped = cache.load(PLAN_STAGE, key)
+        store = ArtifactStore()
+        store.put("spasm", spasm)
+        assert PlanPass().from_cache(store, stripped) is False
+        assert not store.has("plan")
+
+        reloaded = ExecutionPlan.build(spasm, cache=cache)
+        assert reloaded.checksum == built.checksum
+        assert len(cache.quarantined()) == 1
+        assert "plan_checksum" in events[-1]["reason"]
+
 
 class TestKeys:
     def test_matrix_digest_content_addressed(self, rng):
