@@ -65,28 +65,26 @@ tune-smoke:
 	REPRO_BENCH_SCALE=0.04 REPRO_TUNE_MATRICES=tmt_sym,raefsky3 \
 	    pytest benchmarks/bench_tune.py --benchmark-disable -q
 
-# Seeded fault-injection campaign (smoke preset, ~56 injections across
-# stream/value/plan/cache/worker/image surfaces; plan flips are
+# Seeded fault-injection campaign (smoke preset: 56 guarded calls
+# across stream/value/plan/cache/worker/image surfaces; plan flips are
 # byte-addressed, so compact int32 arrays are in the bit-flip
 # surface).  A single escaped fault — a silently wrong SpMV output —
-# exits nonzero and fails the build; BENCH_faults.json is archived as
-# a CI artifact.  Overhead is measured at full scale by the
-# checked-in full campaign
-# (benchmarks/results/faults_campaign.json), not here.
+# or an injection that never fired exits nonzero and fails the build;
+# BENCH_faults.json is archived as a CI artifact.
 faults-smoke:
-	python -m repro faults --campaign smoke --no-overhead --quiet \
+	python -m repro faults --campaign smoke --quiet \
 	    --out BENCH_faults.json
 
-# Serving-layer smoke: the chaos-under-load campaign (smoke preset:
-# stream/value/plan/backend-state/cache/worker faults fired at a live
-# SpmvServer between mixed-tenant bursts; a single escaped fault — an
-# ok response with a wrong result — exits nonzero), then the serving
-# benchmark, which records sustained QPS and clean-vs-chaos
-# p50/p95/p99 into BENCH_serve.json and fails on any escape, any
-# clean-phase failure or non-deadline shed, or a chaos p99 outside
-# the envelope of its own clean phase.
+# Serving-layer smoke: the chaos-smoke campaign (stream/value/plan/
+# cache/worker faults fired at a live SpmvServer between mixed-tenant
+# bursts; an escaped fault — an ok response with a wrong result — or
+# an unfired injection exits nonzero), then the serving benchmark,
+# which records sustained QPS and clean-vs-chaos p50/p95/p99 into
+# BENCH_serve.json and fails on any escape, any clean-phase failure
+# or non-deadline shed, or a chaos p99 outside the envelope of its
+# own clean phase.
 serve-smoke:
-	python -m repro chaos --preset smoke --quiet --out BENCH_chaos.json
+	python -m repro faults --campaign chaos-smoke --quiet --out BENCH_chaos.json
 	pytest benchmarks/bench_serve.py --benchmark-disable -q
 
 reproduce:

@@ -8,10 +8,11 @@ Two phases, one report (``BENCH_serve.json`` at the repo root):
   (one latency tenant with per-request deadlines, one batch tenant).
   Records sustained QPS and p50/p95/p99; every response is audited
   bitwise against pristine references.
-* **chaos** — the :mod:`repro.resilience.chaos` smoke campaign: the
-  same serving stack hardened to :data:`~repro.resilience.chaos.CHAOS_GUARD`,
-  with stream/value/plan/backend/cache/worker faults fired at the
-  live server between bursts.  Its report carries clean-phase and
+* **chaos** — the ``chaos-smoke`` preset of
+  :mod:`repro.resilience.campaign`: the same serving stack hardened to
+  :data:`~repro.resilience.campaign.CAMPAIGN_GUARD`, with
+  stream/value/plan/cache/worker faults fired at the live server
+  between bursts.  Its report carries clean-phase and
   chaos-phase percentiles measured under the *same* guard config, so
   the clean-vs-chaos comparison isolates the faults themselves.
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from benchmarks.conftest import bench_scale, publish
 from repro.analysis.report import format_table
-from repro.resilience import run_chaos_campaign
+from repro.resilience import run_campaign
 from repro.serve import (
     AdmissionConfig,
     PlanRegistry,
@@ -135,14 +136,14 @@ def test_serve_bench(benchmark):
 
     def run():
         serving = serving_phase(scale)
-        chaos = run_chaos_campaign("smoke", seed=0)
+        chaos = run_campaign("chaos-smoke", seed=0)
         return serving, chaos
 
     serving, chaos = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    chaos_totals = chaos["chaos"]["totals"]
+    chaos_totals = chaos["totals"]
     clean_p99 = chaos["clean"]["latency_ms"]["p99"]
-    chaos_p99 = chaos["chaos"]["latency_ms"]["p99"]
+    chaos_p99 = chaos["latency_ms"]["p99"]
     table = format_table(
         ["phase", "requests", "qps", "p50 ms", "p95 ms", "p99 ms",
          "escaped"],
@@ -158,8 +159,8 @@ def test_serve_bench(benchmark):
              chaos["clean"]["latency_ms"]["p95"], clean_p99,
              chaos["clean"]["audit"]["escaped"]],
             ["chaos: faulted", chaos_totals["requests"], "-",
-             chaos["chaos"]["latency_ms"]["p50"],
-             chaos["chaos"]["latency_ms"]["p95"], chaos_p99,
+             chaos["latency_ms"]["p50"],
+             chaos["latency_ms"]["p95"], chaos_p99,
              chaos_totals["escaped"]],
         ],
         title=(
@@ -182,9 +183,9 @@ def test_serve_bench(benchmark):
                     "preset": chaos["preset"],
                     "seed": chaos["seed"],
                     "clean": chaos["clean"],
-                    "latency_ms": chaos["chaos"]["latency_ms"],
+                    "latency_ms": chaos["latency_ms"],
                     "totals": chaos_totals,
-                    "waves": chaos["chaos"]["waves"],
+                    "injections": chaos["injections"],
                     "zero_escapes": chaos["zero_escapes"],
                 },
                 "gates": {
@@ -206,7 +207,7 @@ def test_serve_bench(benchmark):
     )
     assert chaos["zero_escapes"], (
         f"{chaos_totals['escaped']} fault(s) escaped the live "
-        f"serving layer: {chaos['chaos']['escapes']}"
+        f"serving layer: {chaos['escapes']}"
     )
     # Gate 2: the clean phase never fails a request; anything shed
     # was shed for deadline reasons, never answered unverified.

@@ -721,28 +721,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    """Run a seeded fault-injection campaign over the guard layer.
+    """Run a seeded fault-injection campaign (gate: zero escapes).
 
-    Injects one deterministic fault per trial across every surface
-    (stream, value, plan, cache, worker, image), executes through the
-    resilience guard, and classifies each outcome.  Any *escaped*
-    fault — a silently wrong answer — exits 1; so does a blown
-    overhead budget under ``--enforce-overhead``.
+    The preset picks the target: ``smoke``/``full`` fire one fault per
+    guarded call across every surface (stream, value, plan, cache,
+    worker, image); ``chaos-smoke``/``chaos-full`` fire waves at a
+    live server under seeded mixed-tenant load.  Every answer is
+    audited bitwise.  Any *escaped* fault — a silently wrong answer —
+    or any injection that never fired exits 1.
     """
     import json
 
-    from repro.resilience import run_campaign
-    from repro.resilience.campaign import render_report, write_report
+    from repro.resilience import render_report, run_campaign, write_report
 
     def progress(line):
         if not args.quiet:
             print(f"  .. {line}", file=sys.stderr)
 
     report = run_campaign(
-        preset=args.campaign,
-        seed=args.seed,
-        overhead=not args.no_overhead,
-        progress=progress,
+        preset=args.campaign, seed=args.seed,
+        cache_dir=args.cache_dir, progress=progress,
     )
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -751,26 +749,19 @@ def cmd_faults(args) -> int:
     if args.out:
         write_report(report, args.out)
         print(f"wrote campaign report to {args.out}", file=sys.stderr)
-    if not report["zero_escapes"]:
+    if report["escapes"]:
         print(
-            f"error: {report['totals']['escaped']} fault(s) escaped "
+            f"error: {len(report['escapes'])} fault(s) escaped "
             "detection (silently wrong output)",
             file=sys.stderr,
         )
-        return 1
-    overhead = report.get("overhead")
-    if (
-        args.enforce_overhead
-        and overhead is not None
-        and not overhead["within_budget"]
-    ):
+    if report["unfired"]:
         print(
-            f"error: guard overhead {overhead['overhead_pct']:.2f}% "
-            f"exceeds the {overhead['budget_pct']:.1f}% budget",
+            "error: injection(s) never fired on surface(s): "
+            + ", ".join(report["unfired"]),
             file=sys.stderr,
         )
-        return 1
-    return 0
+    return 0 if report["passed"] else 1
 
 
 def _serve_setup(workloads: str, scale: float, cache_dir,
@@ -907,50 +898,6 @@ def cmd_query(args) -> int:
             line += f" -- {response.detail}"
         print(line)
     return 0 if response.ok else 1
-
-
-def cmd_chaos(args) -> int:
-    """Chaos-under-load: faults fired at a live server (gate: 0 escapes).
-
-    Runs the :mod:`repro.resilience.chaos` campaign — a live
-    :class:`~repro.serve.SpmvServer` under seeded mixed-tenant load
-    with stream/value/plan/backend/cache/worker faults injected
-    between bursts, every response audited bitwise against pristine
-    references.  Any escaped fault (an ``ok`` response with a wrong
-    result) exits 1.
-    """
-    import json
-
-    from repro.resilience import (
-        render_chaos_report,
-        run_chaos_campaign,
-        write_report,
-    )
-
-    def progress(line):
-        if not args.quiet:
-            print(f"  .. {line}", file=sys.stderr)
-
-    report = run_chaos_campaign(
-        preset=args.preset, seed=args.seed,
-        cache_dir=args.cache_dir, progress=progress,
-    )
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_chaos_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote chaos report to {args.out}", file=sys.stderr)
-    if not report["zero_escapes"]:
-        totals = report["chaos"]["totals"]
-        print(
-            f"error: {totals['escaped']} fault(s) escaped the live "
-            "serving layer (ok responses with wrong results)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 def cmd_reproduce(args) -> int:
@@ -1236,27 +1183,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     faults = sub.add_parser(
         "faults",
-        help="seeded fault-injection campaign over the resilience "
-             "guard (an escaped fault exits 1)",
+        help="seeded fault-injection campaign against the guard or "
+             "a live server (an escaped or unfired fault exits 1)",
     )
     faults.add_argument("--campaign", default="smoke",
-                        choices=["smoke", "full"],
-                        help="preset: 'smoke' (~56 injections, CI) or "
-                             "'full' (220 injections, overhead "
-                             "measured at the benchmark scale)")
+                        choices=["smoke", "full", "chaos-smoke",
+                                 "chaos-full"],
+                        help="preset: 'smoke' (56 guarded calls, CI) or "
+                             "'full' (220); 'chaos-smoke'/'chaos-full' "
+                             "fire waves at a live server under load")
     faults.add_argument("--seed", type=int, default=0,
                         help="master seed; the campaign is a pure "
                              "function of it")
+    faults.add_argument("--cache-dir", default=None,
+                        help="cache directory to corrupt (default: a "
+                             "throwaway temp dir)")
     faults.add_argument("--json", action="store_true",
                         help="emit the full report as JSON on stdout")
     faults.add_argument("--out", default=None, metavar="FILE",
                         help="also write the JSON report to FILE")
-    faults.add_argument("--no-overhead", action="store_true",
-                        help="skip the clean-path overhead "
-                             "measurement")
-    faults.add_argument("--enforce-overhead", action="store_true",
-                        help="exit 1 when guard overhead exceeds the "
-                             "budget")
     faults.add_argument("--quiet", action="store_true",
                         help="suppress per-surface progress lines")
 
@@ -1311,28 +1256,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--json", action="store_true",
                        help="emit the response as JSON")
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="chaos-under-load campaign against a live server "
-             "(an escaped fault exits 1)",
-    )
-    chaos.add_argument("--preset", default="smoke",
-                       choices=["smoke", "full"],
-                       help="campaign preset (smoke: CI gate; full: "
-                            "more tenants, waves and bursts)")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="master seed; the campaign is a pure "
-                            "function of it")
-    chaos.add_argument("--cache-dir", default=None,
-                       help="cache directory to corrupt (default: a "
-                            "throwaway temp dir)")
-    chaos.add_argument("--json", action="store_true",
-                       help="emit the full report as JSON on stdout")
-    chaos.add_argument("--out", default=None, metavar="FILE",
-                       help="also write the JSON report to FILE")
-    chaos.add_argument("--quiet", action="store_true",
-                       help="suppress per-wave progress lines")
-
     reproduce = sub.add_parser(
         "reproduce",
         help="regenerate the headline evaluation tables in one pass",
@@ -1364,7 +1287,6 @@ COMMANDS = {
     "faults": cmd_faults,
     "serve": cmd_serve,
     "query": cmd_query,
-    "chaos": cmd_chaos,
     "reproduce": cmd_reproduce,
 }
 

@@ -16,14 +16,12 @@ failure modes *injectable* and *survivable*:
   checksums before dispatch, cross-checks sampled rows against the
   naive oracle, retries with rebuild, and falls back to the naive
   engine, logging every incident as a :class:`ResilienceEvent`;
-* :mod:`repro.resilience.campaign` — a campaign runner that injects N
-  seeded faults across every surface and reports
-  detection/containment/escape counts (an escape fails the run),
-  exposed as ``python -m repro faults``;
-* :mod:`repro.resilience.chaos` — the chaos-under-load variant: the
-  same fault surfaces fired at a live :class:`~repro.serve.SpmvServer`
-  under seeded mixed-tenant load, every response audited bitwise
-  (``python -m repro chaos``).
+* :mod:`repro.resilience.campaign` — the one campaign runner: seeded
+  faults fired either at single guarded calls (``guard`` target) or at
+  a live :class:`~repro.serve.SpmvServer` under seeded mixed-tenant
+  load (``server`` target), every answer audited bitwise and every
+  injection required to prove it fired (an escape or an unfired
+  injection fails the run), exposed as ``python -m repro faults``.
 
 See ``docs/RESILIENCE.md`` for the fault taxonomy and guard semantics.
 """
@@ -45,17 +43,11 @@ from repro.resilience.guard import (
     guarded_spmv,
 )
 from repro.resilience.campaign import (
+    CAMPAIGN_GUARD,
     CAMPAIGN_PRESETS,
-    measure_overhead,
     render_report,
     run_campaign,
     write_report,
-)
-from repro.resilience.chaos import (
-    CHAOS_GUARD,
-    CHAOS_PRESETS,
-    render_chaos_report,
-    run_chaos_campaign,
 )
 
 __all__ = [
@@ -71,13 +63,9 @@ __all__ = [
     "ResilienceLog",
     "RowOracle",
     "guarded_spmv",
+    "CAMPAIGN_GUARD",
     "CAMPAIGN_PRESETS",
-    "CHAOS_GUARD",
-    "CHAOS_PRESETS",
-    "measure_overhead",
-    "render_chaos_report",
     "render_report",
     "run_campaign",
-    "run_chaos_campaign",
     "write_report",
 ]

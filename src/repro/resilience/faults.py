@@ -156,9 +156,8 @@ class FaultInjector:
 
     # -- backend-state faults ------------------------------------------
 
-    def flip_backend_state(self, plan: Any, backend: str,
-                           float_only: bool = False,
-                           ) -> Optional[FaultRecord]:
+    def flip_backend_state(self, plan: Any,
+                           backend: str) -> Optional[FaultRecord]:
         """Flip one bit in a backend's *prepared* scratch arrays.
 
         Backends upload per-plan device state at
@@ -171,14 +170,6 @@ class FaultInjector:
         (so the flip lands in exactly the arrays a later dispatch
         consumes) and cleared by ``plan._scratch.clear()``.  Returns
         ``None`` when the backend exposes no byte-addressable state.
-
-        ``float_only=True`` restricts the flip to floating-point
-        scratch (skipping index arrays).  A flipped index inside a
-        compiled kernel's scratch is not a *silent* fault — it writes
-        out of bounds and crashes the host process, which a campaign
-        running in-process cannot survive to classify; the chaos
-        campaign therefore injects only the silently-wrong flavor and
-        leaves crash containment to process supervision.
         """
         from repro.exec.backends import resolve_backend
 
@@ -187,9 +178,7 @@ class FaultInjector:
             plan._backend_state(engine)
         )
         candidates = sorted(
-            name for name, arr in arrays.items()
-            if arr.size and (not float_only
-                             or np.issubdtype(arr.dtype, np.floating))
+            name for name, arr in arrays.items() if arr.size
         )
         if not candidates:
             return None
@@ -212,15 +201,20 @@ class FaultInjector:
 
     def corrupt_cache_entry(self, cache: Any,
                             mode: Optional[str] = None,
+                            entry: Optional[str] = None,
                             ) -> Optional[FaultRecord]:
         """Truncate, zero or garbage one on-disk ``.npz`` cache entry.
 
-        Returns ``None`` when the cache holds no entries.
+        ``entry`` names the file to hit (default: a seeded pick among
+        all entries).  Returns ``None`` when there is nothing to
+        corrupt: the cache is empty or holds no such entry.
         """
         entries = cache.entries()
-        if not entries:
+        if entry is None and entries:
+            entry = entries[int(self.rng.integers(0, len(entries)))]
+        if entry not in entries:
             return None
-        name = entries[int(self.rng.integers(0, len(entries)))]
+        name = entry
         path = os.path.join(cache.cache_dir, name)
         if mode is None:
             mode = ("truncate", "zero", "garbage")[
@@ -307,7 +301,9 @@ class FaultInjector:
         instead.  The hook is installed process-wide through
         :func:`repro.exec.plan.set_shard_fault_hook` and restored on
         exit; invocation counting is thread-safe, so exactly one shard
-        is hit no matter the shard grid.
+        is hit no matter the shard grid.  The yielded record's
+        ``details["fired"]`` turns true once that shard invocation
+        ran — fewer invocations mean the fault never fired.
         """
         if mode not in ("kill", "stall", "delay"):
             raise ValueError(f"unknown worker fault mode {mode!r}")
@@ -318,7 +314,7 @@ class FaultInjector:
         record = FaultRecord(
             surface="worker", mode=mode,
             location=f"shard invocation {nth}",
-            details={"nth": nth, "delay_s": delay_s},
+            details={"nth": nth, "delay_s": delay_s, "fired": False},
         )
 
         def hook(lo: int, hi: int) -> None:
@@ -326,6 +322,7 @@ class FaultInjector:
                 call = state["calls"]
                 state["calls"] += 1
             if call == nth:
+                record.details["fired"] = True
                 if mode == "kill":
                     raise InjectedWorkerFault(
                         f"injected worker fault in shard [{lo}, {hi})"

@@ -29,8 +29,8 @@ the integrity machinery the fast paths otherwise lack:
 
 Every incident is appended to a :class:`ResilienceLog` as a structured
 :class:`ResilienceEvent`; the clean path costs one identity check plus
-the amortized sampled cross-check (measured ≤ 5 % — see the campaign
-report in ``benchmarks/results/``).
+the amortized sampled cross-check (measured per call under the shipped
+``SERVE_GUARD`` as perfbench's paired ``guard.overhead_us``).
 """
 
 from __future__ import annotations
@@ -132,9 +132,10 @@ class ResilienceLog:
 class GuardConfig:
     """Knobs of the guarded execution layer.
 
-    The defaults keep the clean path within the ≤ 5 % overhead budget;
-    the fault campaign tightens every interval to 1 so each injected
-    fault is confronted on the very next call.
+    The defaults keep the clean path cheap (perfbench's paired
+    ``guard.overhead_us`` prices the shipped ``SERVE_GUARD``); the
+    fault campaign tightens every interval to 1 so each injected fault
+    is confronted on the very next call.
     """
 
     #: Validate a newly acquired plan before its first dispatch (the
@@ -162,8 +163,8 @@ class GuardConfig:
     #: ``0`` disables the cap.  A per-request deadline passed to the
     #: call tightens this further.
     max_retry_wall_s: float = 30.0
-    #: Allow the naive fallback (the campaign disables it to prove
-    #: detection alone would catch everything).
+    #: Allow the naive fallback (tests disable it to prove detection
+    #: alone would catch a fault).
     fallback: bool = True
 
 

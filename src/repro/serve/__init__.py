@@ -20,8 +20,8 @@ degrade service predictably instead of corrupting it:
 * :class:`SpmvServer` — worker threads executing coalesced batches
   through each matrix's guard; never returns an unverified result;
 * :func:`run_load` — seeded mixed-tenant traffic with verifiable
-  probe vectors (the substrate of the chaos-under-load campaign in
-  :mod:`repro.resilience.chaos`).
+  probe vectors (the substrate of the campaign's ``server`` target in
+  :mod:`repro.resilience.campaign`).
 
 See ``docs/SERVE.md``.
 """

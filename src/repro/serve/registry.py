@@ -191,8 +191,8 @@ class PlanRegistry:
     def replace(self, name: str, spasm: Any) -> PlanEntry:
         """Swap the encoded stream behind ``name`` (heal/inject path).
 
-        The chaos campaign uses this to both corrupt a live tenant
-        (swap in a sacrificial clone) and heal it afterwards.
+        The fault campaign's ``server`` target uses this to heal a
+        tenant it corrupted.
         Outstanding leases keep executing on their snapshot; new
         acquires see the new stream.
         """

@@ -343,15 +343,26 @@ class TestErrors:
 class TestFaults:
     TINY = {
         "name": "tiny",
+        "target": "guard",
         "workload": "stormG2_1000",
         "scale": 0.5,
-        "overhead_scale": 0.5,
         "jobs": 2,
-        "overhead_calls": 3,
         "trials": {
             "stream": 1, "value": 1, "plan": 1,
-            "cache": 1, "worker": 1, "image": 1,
+            "worker": 1, "image": 1, "cache": 1,
         },
+    }
+    TINY_SERVER = {
+        "name": "tiny-server",
+        "target": "server",
+        "matrices": [("tmt_sym", 0.3)],
+        "tenants": [("t0", 0, 1.0, None, 2)],
+        "workers": 1,
+        "max_queue_per_plan": 16,
+        "max_total": 32,
+        "clean_requests": 8,
+        "burst_requests": 4,
+        "trials": {"value": 1, "cache": 1},
     }
 
     def test_faults_smoke_json_and_report_file(
@@ -364,8 +375,7 @@ class TestFaults:
         )
         out_file = tmp_path / "faults.json"
         assert main([
-            "faults", "--no-overhead", "--quiet", "--json",
-            "--out", str(out_file),
+            "faults", "--quiet", "--json", "--out", str(out_file),
         ]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["zero_escapes"] is True
@@ -373,24 +383,35 @@ class TestFaults:
         archived = json.loads(out_file.read_text())
         assert archived["totals"] == report["totals"]
 
-    def test_faults_escape_exits_nonzero(
-        self, capsys, monkeypatch
-    ):
+    def test_faults_server_target(self, capsys, tmp_path, monkeypatch):
         from repro.resilience import campaign
 
         monkeypatch.setitem(
-            campaign.CAMPAIGN_PRESETS, "smoke", self.TINY
+            campaign.CAMPAIGN_PRESETS, "chaos-smoke", self.TINY_SERVER
         )
+        assert main([
+            "faults", "--campaign", "chaos-smoke", "--quiet", "--json",
+            "--cache-dir", str(tmp_path),
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["target"] == "server"
+        assert report["passed"] is True
+        assert set(report["surfaces"]) == {"value", "cache"}
+        assert report["clean"]["audit"]["escaped"] == 0
 
-        def rigged(preset="smoke", seed=0, overhead=True,
+    def test_faults_escape_exits_nonzero(
+        self, capsys, monkeypatch
+    ):
+        def rigged(preset="smoke", seed=0, cache_dir=None,
                    progress=None):
             return {
-                "preset": "smoke", "seed": seed,
+                "preset": "smoke", "target": "guard", "seed": seed,
                 "workload": {"name": "x", "nnz": 1},
                 "surfaces": {}, "escapes": [{"surface": "plan"}],
-                "zero_escapes": False,
-                "totals": {"injections": 1, "detected": 0,
-                           "contained": 0, "escaped": 1},
+                "unfired": [], "zero_escapes": False, "passed": False,
+                "totals": {"injections": 1, "unfired": 0,
+                           "requests": 1, "detected": 0,
+                           "contained": 0, "shed": 0, "escaped": 1},
             }
 
         import repro.resilience
@@ -398,8 +419,26 @@ class TestFaults:
         monkeypatch.setattr(
             repro.resilience, "run_campaign", rigged
         )
-        assert main(["faults", "--no-overhead", "--quiet"]) == 1
+        assert main(["faults", "--quiet"]) == 1
         assert "escaped" in capsys.readouterr().err
+
+    def test_faults_unfired_exits_nonzero_naming_surface(
+        self, capsys, monkeypatch
+    ):
+        from repro.pipeline.cache import ArtifactCache
+        from repro.resilience import campaign
+
+        # Nothing persisted: the cache surface has nothing to corrupt.
+        monkeypatch.setattr(ArtifactCache, "store",
+                            lambda self, stage, key, arrays, meta: None)
+        monkeypatch.setitem(
+            campaign.CAMPAIGN_PRESETS, "smoke",
+            dict(self.TINY, trials={"value": 1, "cache": 1}),
+        )
+        assert main(["faults", "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert "never fired on surface(s): cache" in captured.err
+        assert "UNFIRED on cache" in captured.out
 
     def test_faults_text_render(self, capsys, monkeypatch):
         from repro.resilience import campaign
@@ -407,7 +446,7 @@ class TestFaults:
         monkeypatch.setitem(
             campaign.CAMPAIGN_PRESETS, "smoke", self.TINY
         )
-        assert main(["faults", "--no-overhead", "--quiet"]) == 0
+        assert main(["faults", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "ZERO ESCAPES" in out
         assert "stream" in out and "cache" in out

@@ -21,6 +21,7 @@ from repro.resilience import (
     RowOracle,
     clone_spasm,
     guarded_spmv,
+    render_report,
     run_campaign,
 )
 from tests.conftest import random_structured_coo
@@ -270,40 +271,108 @@ class TestResilienceLog:
         assert len(log.to_dicts()) == 2
 
 
-TINY_PRESET = {
-    "name": "tiny",
-    "workload": "stormG2_1000",
-    "scale": 0.5,
-    "overhead_scale": 0.5,
-    "jobs": 2,
-    "overhead_calls": 3,
-    "trials": {
-        "stream": 2, "value": 2, "plan": 2,
-        "cache": 2, "worker": 2, "image": 1,
+#: One tiny preset per campaign target.
+TINY_PRESETS = {
+    "guard": {
+        "name": "tiny-guard",
+        "target": "guard",
+        "workload": "stormG2_1000",
+        "scale": 0.5,
+        "jobs": 2,
+        "trials": {
+            "stream": 2, "value": 2, "plan": 2,
+            "worker": 2, "image": 1, "cache": 2,
+        },
+    },
+    "server": {
+        "name": "tiny-server",
+        "target": "server",
+        "matrices": [("tmt_sym", 0.3)],
+        "tenants": [("t0", 0, 1.0, None, 2)],
+        "workers": 1,
+        "max_queue_per_plan": 16,
+        "max_total": 32,
+        "clean_requests": 10,
+        "burst_requests": 6,
+        "trials": {
+            "stream": 1, "value": 1, "plan": 1, "cache": 1, "worker": 1,
+        },
     },
 }
 
+#: Report fields that hold wall-clock measurements, not outcomes.
+TIMING_FIELDS = ("latency_ms", "qps", "wall_s", "server")
+
+
+def outcomes(report):
+    """A report with every timing field stripped, at any depth."""
+    if isinstance(report, dict):
+        return {key: outcomes(value) for key, value in report.items()
+                if key not in TIMING_FIELDS}
+    if isinstance(report, list):
+        return [outcomes(value) for value in report]
+    return report
+
+
+def no_cache_store(monkeypatch):
+    """Persist nothing, so the cache surface has nothing to corrupt."""
+    monkeypatch.setattr(ArtifactCache, "store",
+                        lambda self, stage, key, arrays, meta: None)
+
 
 class TestCampaign:
-    def test_tiny_campaign_zero_escapes(self):
-        report = run_campaign(TINY_PRESET, seed=3, overhead=False)
-        assert report["zero_escapes"]
-        assert report["totals"]["injections"] == 11
-        assert report["totals"]["escaped"] == 0
+    @pytest.mark.parametrize("target", sorted(TINY_PRESETS))
+    def test_tiny_campaign_zero_escapes(self, target, tmp_path):
+        preset = TINY_PRESETS[target]
+        report = run_campaign(preset, seed=3, cache_dir=str(tmp_path))
+        assert report["passed"] and report["zero_escapes"]
+        assert report["escapes"] == [] and report["unfired"] == []
+        assert all(row["fired"] for row in report["injections"])
+        totals = report["totals"]
+        assert totals["injections"] == sum(preset["trials"].values())
+        assert totals["escaped"] == 0 and totals["unfired"] == 0
         assert (
-            report["totals"]["detected"]
-            + report["totals"]["contained"]
-            == report["totals"]["injections"]
+            totals["contained"] + totals["detected"] + totals["shed"]
+            == totals["requests"]
         )
-        assert set(report["surfaces"]) == {
-            "stream", "value", "plan", "cache", "worker", "image",
-        }
+        assert set(report["surfaces"]) == set(preset["trials"])
         json.dumps(report)  # report must be JSON-serializable
+        assert "ZERO ESCAPES" in render_report(report)
 
-    def test_campaign_reproducible_from_seed(self):
-        a = run_campaign(TINY_PRESET, seed=5, overhead=False)
-        b = run_campaign(TINY_PRESET, seed=5, overhead=False)
-        assert a == b
+    @pytest.mark.parametrize("target", sorted(TINY_PRESETS))
+    def test_campaign_reproducible_from_seed(self, target, tmp_path):
+        a = run_campaign(TINY_PRESETS[target], seed=5,
+                         cache_dir=str(tmp_path / "a"))
+        b = run_campaign(TINY_PRESETS[target], seed=5,
+                         cache_dir=str(tmp_path / "b"))
+        assert outcomes(a) == outcomes(b)
+
+    @pytest.mark.parametrize("target", sorted(TINY_PRESETS))
+    def test_unfired_injection_fails_campaign(self, target, tmp_path,
+                                              monkeypatch):
+        no_cache_store(monkeypatch)
+        preset = dict(TINY_PRESETS[target], trials={"cache": 1})
+        report = run_campaign(preset, seed=0, cache_dir=str(tmp_path))
+        assert report["zero_escapes"]
+        assert report["unfired"] == ["cache"]
+        assert report["totals"]["unfired"] == 1
+        assert not report["passed"]
+        assert "UNFIRED on cache" in render_report(report)
+
+    def test_server_cache_wave_quarantines_target_plan(self, tmp_path):
+        preset = dict(TINY_PRESETS["server"], trials={"cache": 1})
+        report = run_campaign(preset, seed=0, cache_dir=str(tmp_path))
+        (row,) = report["injections"]
+        entry = row["fault"]["details"]["entry"]
+        assert entry.startswith("plan-")
+        assert row["fired"]
+        assert entry in ArtifactCache(tmp_path).quarantined()
+        # Every ok response of the re-warming burst is bitwise equal
+        # to a pristine reference.
+        assert row["escaped"] == 0
+        assert row["contained"] + row["detected"] + row["shed"] == (
+            row["requests"]
+        )
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):

@@ -1,5 +1,7 @@
 """Tests for the serving layer: deadlines, registry, admission,
-degradation ladder, the server end to end, and chaos-under-load.
+degradation ladder and the server end to end (the chaos-under-load
+campaign is tested with the other campaign targets in
+``tests/test_resilience.py``).
 
 The correctness contract under test everywhere: an ``ok`` response is
 bitwise-trustworthy (guarded plan path or verified naive rung), and a
@@ -18,9 +20,7 @@ from repro.resilience import (
     FaultInjector,
     IntegrityError,
     clone_spasm,
-    run_chaos_campaign,
 )
-from repro.resilience.chaos import render_chaos_report
 from repro.resilience.guard import ExecutionGuard, GuardConfig, ResilienceLog
 from repro.serve import (
     LEVELS,
@@ -699,55 +699,11 @@ class TestLoadGeneration:
 
 
 class TestChaosSmoke:
-    """A miniature chaos campaign as a tier-1 gate (the full smoke
-    preset runs in benchmarks/bench_serve.py)."""
-
-    SPEC = {
-        "matrices": [("tmt_sym", 0.3)],
-        "tenants": [("t0", 0, 1.0, None, 2)],
-        "workers": 1,
-        "max_queue_per_plan": 16,
-        "max_total": 32,
-        "clean_requests": 10,
-        "burst_requests": 6,
-        "waves_per_surface": 1,
-        "surfaces": ["stream", "value", "plan", "cache"],
-    }
-
-    def test_zero_escapes(self, tmp_path):
-        report = run_chaos_campaign(self.SPEC, seed=0,
-                                    cache_dir=tmp_path)
-        assert report["zero_escapes"]
-        totals = report["chaos"]["totals"]
-        assert totals["escaped"] == 0
-        assert report["clean"]["audit"]["escaped"] == 0
-        # Every burst request is accounted for, and the campaign
-        # exercised each configured surface.
-        waves = report["chaos"]["waves"]
-        assert {w["surface"] for w in waves} == set(
-            self.SPEC["surfaces"])
-        assert totals["requests"] == sum(
-            w["requests"] for w in waves)
-        text = render_chaos_report(report)
-        assert "PASS" in text
-
-    def test_campaign_reproducible(self, tmp_path):
-        first = run_chaos_campaign(self.SPEC, seed=7,
-                                   cache_dir=tmp_path / "a")
-        second = run_chaos_campaign(self.SPEC, seed=7,
-                                    cache_dir=tmp_path / "b")
-        strip = ["latency_ms", "qps", "wall_s"]
-
-        def comparable(rep):
-            waves = [
-                {k: v for k, v in w.items() if k not in strip}
-                for w in rep["chaos"]["waves"]
-            ]
-            return (rep["chaos"]["totals"], waves,
-                    rep["clean"]["audit"])
-
-        assert comparable(first) == comparable(second)
+    """The chaos campaign runs through the shared campaign runner (its
+    server-target presets are exercised in tests/test_resilience.py)."""
 
     def test_unknown_preset_rejected(self):
+        from repro.resilience.campaign import run_campaign
+
         with pytest.raises(KeyError):
-            run_chaos_campaign("hurricane")
+            run_campaign("hurricane")
