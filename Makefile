@@ -43,7 +43,9 @@ bench:
 # batch / per-backend) fails the build at every scale.  The timing
 # gates (5x over naive, 1.3x int32 over int64, 2x time-to-first-SpMV,
 # auto-sharding never losing) only arm at full bench scale
-# (>=1e6 nnz).
+# (>=1e6 nnz).  The schedule determinism check compiles one family
+# with --jobs 1 and --jobs 2 and fails if the chosen tile size or
+# hardware config differ.
 bench-smoke:
 	python -m repro backends
 	python -m repro compile tmt_sym --scale 0.1 --json \
@@ -51,6 +53,14 @@ bench-smoke:
 	python -c "import json; t = json.load(open('BENCH_pipeline.json')); \
 	    print('\n'.join('%-14s %8.2f ms  cache=%s' % \
 	    (e['name'], e['wall_ms'], e['cache']) for e in t['events']))"
+	python -c "import json, subprocess, sys; \
+	    pick = lambda jobs: (lambda r: (r['tile_size'], r['hardware']))( \
+	        json.loads(subprocess.check_output([sys.executable, '-m', \
+	        'repro', 'compile', 'c-73', '--jobs', jobs, '--json']))); \
+	    serial, parallel = pick('1'), pick('2'); \
+	    print('schedule --jobs 1: %s @ tile=%d' % serial[::-1]); \
+	    print('schedule --jobs 2: %s @ tile=%d' % parallel[::-1]); \
+	    sys.exit(0 if serial == parallel else 'schedule depends on --jobs')"
 	REPRO_BENCH_SCALE=0.04 pytest benchmarks/bench_exec_plan.py \
 	    --benchmark-disable -q
 

@@ -13,7 +13,8 @@ from benchmarks.conftest import publish
 from repro.analysis.report import format_table
 from repro.core import DecompositionTable, candidate_portfolios
 from repro.core.format import groups_per_submatrix
-from repro.core.tiling import extract_global_composition
+from repro.core.patterns import submatrix_masks
+from repro.core.tiling import global_compositions
 from repro.hw.configs import SPASM_4_1
 from repro.hw.perf_model import perf_model
 
@@ -30,12 +31,14 @@ def test_ext_tile_sensitivity(benchmark, suite):
         for name in MATRICES:
             coo = by_name[name]
             counts, keys = groups_per_submatrix(coo, table_dec)
-            cycles = []
-            for tile_size in TILE_SIZES:
-                gc = extract_global_composition(
-                    coo, counts, keys, tile_size
-                )
-                cycles.append(perf_model(gc, SPASM_4_1, tile_size))
+            __, __, nnz = submatrix_masks(coo)
+            compositions = global_compositions(
+                coo.shape, counts, keys, nnz, TILE_SIZES
+            )
+            cycles = [
+                perf_model(compositions[t], SPASM_4_1, t)
+                for t in TILE_SIZES
+            ]
             rows.append((name, cycles))
         return rows
 

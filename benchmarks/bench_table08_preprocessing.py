@@ -1,10 +1,14 @@
 """Table VIII: preprocessing and execution time of selected workloads.
 
 Times the four preprocessing stages (① pattern analysis, ② template
-selection, ③ decomposition, ④⑤ schedule exploration) and the modeled
-execution time for the paper's four selected matrices, then reports the
-amortization break-even versus Serpens_a24 — the paper's Chebyshev4
-example needs ~298 iterations before preprocessing pays for itself.
+selection, ③ decomposition, ④⑤ schedule exploration), the format
+encode that follows them, and the modeled execution time for the
+paper's four selected matrices, then reports the amortization
+break-even versus Serpens_a24 (over the whole compile, encode
+included) — the paper's Chebyshev4 example needs ~298 iterations
+before preprocessing pays for itself.  Run alone, the first row's ②
+also pays for building the candidates' decomposition tables, which
+every later compile in the process shares.
 """
 
 from benchmarks.conftest import publish
@@ -49,6 +53,7 @@ def test_table08_preprocessing(benchmark, suite):
                 trace.stage_ms("selection"),
                 trace.stage_ms("decomposition"),
                 trace.stage_ms("schedule"),
+                trace.stage_ms("encode"),
                 exe_ms,
                 breakeven,
             ]
@@ -57,7 +62,7 @@ def test_table08_preprocessing(benchmark, suite):
     table = format_table(
         [
             "name", "(1) ms", "(2) ms", "(3) ms", "(4)(5) ms",
-            "exe ms", "break-even iters",
+            "encode ms", "exe ms", "break-even iters",
         ],
         rows,
         title="Table VIII: preprocessing and execution time",
@@ -70,5 +75,5 @@ def test_table08_preprocessing(benchmark, suite):
         # the amortization argument of Section V-E4.
         total_prep = sum(row[1:5])
         assert total_prep > 0
-        assert row[5] < total_prep
-        assert row[6] > 1
+        assert row[6] < total_prep
+        assert row[7] > 1

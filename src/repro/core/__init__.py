@@ -45,7 +45,7 @@ from repro.core.format import (
     SpasmTile,
     encode_spasm,
 )
-from repro.core.tiling import GlobalComposition, extract_global_composition
+from repro.core.tiling import GlobalComposition, global_compositions
 from repro.core.selection import SelectionResult, select_portfolio
 from repro.core.dynamic import (
     GreedyBuildResult,
@@ -103,7 +103,7 @@ __all__ = [
     "SpasmTile",
     "encode_spasm",
     "GlobalComposition",
-    "extract_global_composition",
+    "global_compositions",
     "SelectionResult",
     "select_portfolio",
     "GreedyBuildResult",

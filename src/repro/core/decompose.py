@@ -304,19 +304,20 @@ class DecompositionTable:
     def total_padding(self, histogram) -> int:
         """Frequency-weighted total padding over a pattern histogram.
 
-        ``histogram`` is any mapping of pattern mask -> occurrence count
-        (e.g. :class:`repro.core.patterns.PatternHistogram`).
+        ``histogram`` is a :class:`repro.core.patterns.PatternHistogram`
+        (scored straight from its ``patterns``/``frequencies`` arrays),
+        any other mapping of pattern mask -> occurrence count, or an
+        iterable of ``(pattern, count)`` pairs.
         """
-        items = getattr(histogram, "items", None)
-        pairs = list(items()) if items else list(histogram)
-        if not pairs:
-            return 0
-        patterns = np.fromiter(
-            (p for p, __ in pairs), dtype=np.int64, count=len(pairs)
-        )
-        freqs = np.fromiter(
-            (f for __, f in pairs), dtype=np.int64, count=len(pairs)
-        )
+        patterns = getattr(histogram, "patterns", None)
+        if patterns is None:
+            items = getattr(histogram, "items", None)
+            pairs = np.array(
+                list(items() if items else histogram), dtype=np.int64
+            ).reshape(-1, 2)
+            patterns, freqs = pairs[:, 0], pairs[:, 1]
+        else:
+            freqs = histogram.frequencies
         return int((self.padding_array(patterns) * freqs).sum())
 
 

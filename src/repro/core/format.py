@@ -30,7 +30,7 @@ from repro.core.encoding import (
     pack_position_array,
     unpack_position_array,
 )
-from repro.core.patterns import submatrix_masks
+from repro.core.patterns import first_of_run, submatrix_masks
 from repro.core.templates import Portfolio
 from repro.core.tiling import GlobalComposition, validate_tile_size
 from repro.matrix.coo import COOMatrix
@@ -408,6 +408,27 @@ def _template_cell_arrays(portfolio: Portfolio, k: int) -> tuple:
     return cell_r, cell_c
 
 
+def _subset_templates(subsets: np.ndarray, tmpl_masks) -> tuple:
+    """Member templates and their owned cells for each template subset.
+
+    Returns ``(counts, tids, owned)``, concatenated over ``subsets``:
+    subset ``i`` expands to ``counts[i]`` templates in ascending t_idx,
+    and a member owns the cells of its mask that no earlier member
+    covers (the overlap rule).  Built on one (subsets x templates) grid.
+    """
+    tmpl_masks = np.asarray(tmpl_masks, dtype=np.int64)
+    member = (
+        subsets[:, None] >> np.arange(tmpl_masks.size) & 1
+    ).astype(bool)
+    covered = np.bitwise_or.accumulate(
+        np.where(member, tmpl_masks, 0), axis=1
+    )
+    covered_before = np.zeros_like(covered)
+    covered_before[:, 1:] = covered[:, :-1]
+    owned = (tmpl_masks & ~covered_before)[member]
+    return member.sum(axis=1), np.nonzero(member)[1], owned
+
+
 def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
                  table: Optional[DecompositionTable] = None,
                  masks: Optional[np.ndarray] = None,
@@ -419,7 +440,8 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
     Parameters
     ----------
     coo:
-        Source matrix (deduplicated COO).
+        Source matrix (deduplicated COO: a coordinate stored twice
+        raises ``ValueError`` naming it).
     portfolio:
         Template portfolio; t_idx order is the tuple order.
     tile_size:
@@ -430,11 +452,10 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
         when omitted).
     masks, sub_keys:
         Optional precomputed :func:`repro.core.patterns.submatrix_masks`
-        output for ``coo`` (row-major keys).  The pipeline's analysis
-        stage computes these once and threads them through, sparing the
-        encoder the per-submatrix occupancy reduction; they must belong
-        to the same matrix and pattern size or a ``ValueError`` is
-        raised.
+        output for ``coo`` (row-major keys), computed here when omitted.
+        The pipeline's analysis stage computes these once and threads
+        them through; they must belong to the same matrix and pattern
+        size or a ``ValueError`` is raised.
     build_plan:
         Fuse plan construction into the encode: the execution plan's
         gather/segment arrays are finalized straight from the encoder's
@@ -492,7 +513,9 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
     )
     order = np.argsort(stream_key, kind="stable")
     keys_sorted = stream_key[order]
-    unique_keys, sub_of_entry = np.unique(keys_sorted, return_inverse=True)
+    first = first_of_run(keys_sorted)
+    sub_of_entry = np.cumsum(first) - 1
+    unique_keys = keys_sorted[first]
     n_sub = unique_keys.size
 
     # Dense k*k value view of every non-empty submatrix.
@@ -507,32 +530,29 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
     sub_tile_c = rest % n_tile_cols
     sub_tile_r = rest // n_tile_cols
 
-    if masks is not None and sub_keys is not None:
-        # Reuse the analysis stage's row-major masks: map each stream
-        # submatrix to its row-major key and look the mask up.
-        masks = np.asarray(masks, dtype=np.int64)
-        sub_keys = np.asarray(sub_keys, dtype=np.int64)
-        rm_keys = (
-            (sub_tile_r * spt + sub_ridx) * nsubcols
-            + (sub_tile_c * spt + sub_cidx)
+    # Step ①'s row-major masks (which also reject a duplicated
+    # coordinate): map each stream submatrix to its row-major key and
+    # look the mask up.
+    if masks is None or sub_keys is None:
+        masks, sub_keys, __ = submatrix_masks(coo, k)
+    masks = np.asarray(masks, dtype=np.int64)
+    sub_keys = np.asarray(sub_keys, dtype=np.int64)
+    rm_keys = (
+        (sub_tile_r * spt + sub_ridx) * nsubcols
+        + (sub_tile_c * spt + sub_cidx)
+    )
+    idx = np.searchsorted(sub_keys, rm_keys)
+    if (
+        masks.shape != sub_keys.shape
+        or sub_keys.size != n_sub
+        or np.any(idx >= sub_keys.size)
+        or not np.array_equal(sub_keys[idx], rm_keys)
+    ):
+        raise ValueError(
+            "precomputed masks/sub_keys do not match the matrix "
+            "being encoded (wrong matrix or pattern size?)"
         )
-        idx = np.searchsorted(sub_keys, rm_keys)
-        if (
-            masks.shape != sub_keys.shape
-            or sub_keys.size != n_sub
-            or np.any(idx >= sub_keys.size)
-            or not np.array_equal(sub_keys[idx], rm_keys)
-        ):
-            raise ValueError(
-                "precomputed masks/sub_keys do not match the matrix "
-                "being encoded (wrong matrix or pattern size?)"
-            )
-        masks = masks[idx]
-    else:
-        # Occupancy masks per submatrix (reuse the entry ordering).
-        bits_sorted = np.int64(1) << bit[order].astype(np.int64)
-        __, starts = np.unique(keys_sorted, return_index=True)
-        masks = np.bitwise_or.reduceat(bits_sorted, starts).astype(np.int64)
+    masks = masks[idx]
 
     # --- decomposition (step 3) ------------------------------------------
     subsets = table.subset_array(masks)
@@ -540,31 +560,10 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
     # Expand each submatrix into its template instances.  Precompute the
     # t_idx list and first-cover ownership mask per *distinct* subset.
     unique_subsets = np.unique(subsets)
-    tmpl_masks = portfolio.masks
-    tid_lists, owned_lists = [], []
-    for subset in unique_subsets:
-        tids, owned = [], []
-        covered = 0
-        s = int(subset)
-        for t_idx_val in range(len(tmpl_masks)):
-            if s >> t_idx_val & 1:
-                tids.append(t_idx_val)
-                owned.append(tmpl_masks[t_idx_val] & ~covered)
-                covered |= tmpl_masks[t_idx_val]
-        tid_lists.append(np.array(tids, dtype=np.int64))
-        owned_lists.append(np.array(owned, dtype=np.int64))
-    tid_counts = np.array([len(t) for t in tid_lists], dtype=np.int64)
+    tid_counts, tid_flat, owned_flat = _subset_templates(
+        unique_subsets, portfolio.masks
+    )
     tid_offsets = np.concatenate(([0], np.cumsum(tid_counts)))
-    tid_flat = (
-        np.concatenate(tid_lists)
-        if tid_lists
-        else np.zeros(0, dtype=np.int64)
-    )
-    owned_flat = (
-        np.concatenate(owned_lists)
-        if owned_lists
-        else np.zeros(0, dtype=np.int64)
-    )
 
     loc = np.searchsorted(unique_subsets, subsets)
     counts_per_sub = tid_counts[loc]
@@ -613,9 +612,9 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
     )
 
     # --- tile directory ------------------------------------------------------
-    unique_tiles, tile_starts = np.unique(group_tile_key, return_index=True)
-    # group_tile_key is non-decreasing in stream order, so unique (sorted)
-    # preserves the stream order of tiles.
+    # A tile starts right after the previous tile's CE group.
+    tile_starts = np.flatnonzero(np.concatenate(([True], is_tile_last[:-1])))
+    unique_tiles = group_tile_key[tile_starts]
     tile_ptr = np.concatenate((tile_starts, [n_groups])).astype(np.int64)
 
     spasm = SpasmMatrix(
@@ -709,14 +708,14 @@ def groups_per_submatrix(coo: COOMatrix, table: DecompositionTable,
     """Template-group count of every non-empty submatrix.
 
     Returns ``(counts, sub_keys)`` for
-    :func:`repro.core.tiling.extract_global_composition`; this is the
+    :func:`repro.core.tiling.global_compositions`; this is the
     tile-size-independent part of the encoding that Algorithm 4 reuses
     across its tile-size sweep.  Passing the precomputed
     :func:`repro.core.patterns.submatrix_masks` output skips the mask
     recomputation (the pipeline's artifact-reuse path).
     """
     if masks is None or sub_keys is None:
-        masks, sub_keys = submatrix_masks(coo, k)
+        masks, sub_keys, __ = submatrix_masks(coo, k)
     else:
         masks = np.asarray(masks, dtype=np.int64)
         sub_keys = np.asarray(sub_keys, dtype=np.int64)

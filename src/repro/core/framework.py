@@ -189,8 +189,9 @@ class SpasmCompiler:
         Reorder each tile's group stream to space out partial-sum
         reuse (:func:`repro.hw.hazards.hazard_aware_reorder`).
     jobs:
-        Threads for the Algorithm 4 tile-size sweep (deterministic:
-        any value selects the same point as the serial sweep).
+        Threads scoring the Algorithm 4 tile-size sweep with the perf
+        model (deterministic: any value selects the same point as the
+        serial sweep).
     cache_dir:
         Directory for content-addressed caching of the analysis,
         selection, decomposition and schedule artifacts; recompiling an

@@ -124,7 +124,7 @@ def analyze_local_patterns(matrix, k: int = DEFAULT_K) -> PatternHistogram:
         raise ValueError(f"pattern size must be positive, got {k}")
     if k * k > 32:
         raise ValueError(f"pattern size {k} exceeds the 32-bit mask budget")
-    masks, __ = submatrix_masks(matrix, k)
+    masks, __, __ = submatrix_masks(matrix, k)
     return histogram_from_masks(masks, k)
 
 
@@ -147,15 +147,38 @@ def histogram_from_masks(masks: np.ndarray, k: int) -> PatternHistogram:
     )
 
 
+def first_of_run(keys_sorted: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values.
+
+    ``keys_sorted`` must already be sorted (non-decreasing), as every
+    caller's keys are after their one ordering sort; ``np.unique`` would
+    sort them a second time.  ``np.flatnonzero`` of the mask gives the
+    run starts and ``np.cumsum(mask) - 1`` the run of every element.
+    """
+    first = np.empty(keys_sorted.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=first[1:])
+    return first
+
+
 def submatrix_masks(matrix: COOMatrix, k: int = DEFAULT_K) -> tuple:
     """Occupancy masks of all non-empty k-by-k submatrices.
 
     Returns
     -------
-    (masks, keys):
+    (masks, keys, nnz):
         ``masks[i]`` is the bitmask of the submatrix with row-major key
-        ``keys[i]`` (``key = subrow * nsubcols + subcol``); both sorted by
-        key.
+        ``keys[i]`` (``key = subrow * nsubcols + subcol``) and ``nnz[i]``
+        its number of stored entries; all sorted by key.
+
+    Raises
+    ------
+    ValueError:
+        If a coordinate is stored twice (a ``dedup=False`` matrix): the
+        pipeline's ``coo`` artifact is deduplicated COO, and a second
+        entry at one cell would be silently dropped by the encoder.
+        Detected without another sort: such a submatrix holds more
+        entries than its mask has bits.
     """
     nsubcols = -(-matrix.shape[1] // k)
     sub_r = matrix.rows // k
@@ -165,6 +188,21 @@ def submatrix_masks(matrix: COOMatrix, k: int = DEFAULT_K) -> tuple:
     order = np.argsort(keys, kind="stable")
     keys_sorted = keys[order]
     bits_sorted = np.int64(1) << bit[order].astype(np.int64)
-    unique_keys, starts = np.unique(keys_sorted, return_index=True)
+    starts = np.flatnonzero(first_of_run(keys_sorted))
     masks = np.bitwise_or.reduceat(bits_sorted, starts)
-    return masks.astype(np.int64), unique_keys.astype(np.int64)
+    nnz = np.diff(starts, append=order.size)
+    dup = np.flatnonzero(nnz > popcount_array(masks))
+    if dup.size:
+        # Name the first repeated cell of the first such submatrix.
+        entries = order[starts[dup[0]]:][:nnz[dup[0]]]
+        __, first, counts = np.unique(
+            bit[entries], return_index=True, return_counts=True
+        )
+        entry = entries[first[np.argmax(counts > 1)]]
+        raise ValueError(
+            "duplicate coordinate "
+            f"({int(matrix.rows[entry])}, {int(matrix.cols[entry])}): "
+            "the matrix must be deduplicated COO (build it with "
+            "dedup=True to sum duplicates)"
+        )
+    return masks, keys_sorted[starts], nnz

@@ -115,9 +115,9 @@ def explore_schedule(composition_factory, hw_configs, perf_model,
     ----------
     composition_factory:
         Callable ``tile_size -> GlobalComposition`` (step ④ re-entry;
-        see :func:`repro.core.format.groups_per_submatrix` +
-        :func:`repro.core.tiling.extract_global_composition` for the
-        fast path).  Tile sizes it rejects with
+        the pipeline serves every size from one nested
+        :func:`repro.core.tiling.global_compositions` aggregation).
+        Tile sizes it rejects with
         :class:`~repro.core.tiling.TilingError` are skipped.
     hw_configs:
         Iterable of hardware configurations (opaque to this module;
@@ -129,11 +129,11 @@ def explore_schedule(composition_factory, hw_configs, perf_model,
     jobs:
         ``jobs > 1`` evaluates tile sizes concurrently on the process's
         shared executor (:func:`repro.exec.plan._pool` — the same
-        bounded pool the plan shards run on; the composition rebuild
-        dominates and releases the GIL inside numpy).  The reduction is
-        deterministic: points are gathered in sweep order before the
-        strict-< minimum is taken, so any ``jobs`` value selects
-        exactly the point the serial sweep does.
+        bounded pool the plan shards run on).  With prebuilt
+        compositions only the ``perf_model`` calls run there.  The
+        reduction is deterministic: points are gathered in sweep order
+        before the strict-< minimum is taken, so any ``jobs`` value
+        selects exactly the point the serial sweep does.
     """
     hw_configs = list(hw_configs)
     if not hw_configs:

@@ -125,22 +125,25 @@ def merge_histograms(histograms) -> PatternHistogram:
     deployment story: customize once for the expected workload mix,
     then run anything (with reduced performance on mismatches).
     """
-    import numpy as np
-
     histograms = list(histograms)
     if not histograms:
         raise ValueError("no histograms to merge")
     k = histograms[0].k
     if any(h.k != k for h in histograms):
         raise ValueError("histograms disagree on the pattern size k")
-    totals = {}
-    for histogram in histograms:
-        for pattern, freq in histogram.items():
-            totals[pattern] = totals.get(pattern, 0) + freq
-    patterns = np.array(sorted(totals), dtype=np.int64)
-    freqs = np.array([totals[p] for p in patterns], dtype=np.int64)
+    patterns, pattern_of = np.unique(
+        np.concatenate([h.patterns for h in histograms]),
+        return_inverse=True,
+    )
+    freqs = np.bincount(
+        pattern_of,
+        weights=np.concatenate([h.frequencies for h in histograms]),
+        minlength=patterns.size,
+    ).astype(np.int64)
     order = np.lexsort((patterns, -freqs))
-    return PatternHistogram(k, patterns[order], freqs[order])
+    return PatternHistogram(
+        k, patterns[order].astype(np.int64), freqs[order]
+    )
 
 
 def select_portfolio_for_set(histograms, candidates=None,

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.bitmask import DEFAULT_K
 from repro.core.encoding import MAX_TILE_SIZE
-from repro.matrix.coo import COOMatrix
+from repro.core.patterns import first_of_run
 
 
 class TilingError(ValueError):
@@ -134,60 +134,73 @@ def partition_loads(row_loads: np.ndarray, n_parallel: int) -> np.ndarray:
     return loads
 
 
-def extract_global_composition(coo: COOMatrix, groups_per_submatrix,
-                               sub_keys, tile_size: int,
-                               k: int = DEFAULT_K) -> GlobalComposition:
-    """Aggregate submatrix-level workload into tiles.
+def global_compositions(shape, groups_per_submatrix, sub_keys,
+                        nnz_per_submatrix, tile_sizes,
+                        k: int = DEFAULT_K) -> dict:
+    """Step ④ for a whole tile-size sweep: ``{tile_size: composition}``.
 
-    Decomposition (step ③) is independent of the tile size — a submatrix's
-    template count never changes — so Algorithm 4's inner loop only needs
-    this cheap re-aggregation when it revisits step ④ for a new tile size.
+    Decomposition (step ③) is independent of the tile size — a
+    submatrix's template count never changes — so Algorithm 4 only needs
+    a re-aggregation per tile size.  Tiles nest: a ``2T`` tile is four
+    ``T`` tiles, so each size is aggregated from the tiles of the
+    largest smaller size that divides it, and only a size with no such
+    divisor goes back to the submatrices.  Each level costs one stable
+    sort of the level below it (whose keys arrive in a few sorted runs).
 
     Parameters
     ----------
-    coo:
-        The source matrix (for nnz accounting).
-    groups_per_submatrix:
-        Template-group count of each non-empty submatrix.
+    shape:
+        Logical matrix shape.
+    groups_per_submatrix, nnz_per_submatrix:
+        Template-group and stored-entry counts of each non-empty
+        submatrix.
     sub_keys:
-        Row-major submatrix keys parallel to ``groups_per_submatrix``
-        (from :func:`repro.core.patterns.submatrix_masks`).
-    tile_size:
-        Tile edge length in elements.
+        Row-major submatrix keys parallel to both counts (from
+        :func:`repro.core.patterns.submatrix_masks`).
+    tile_sizes:
+        Tile edge lengths; sizes :func:`validate_tile_size` rejects are
+        left out of the result (Algorithm 4 skips them).
     k:
         Local pattern size.
     """
-    tile_size = validate_tile_size(tile_size, k)
-    spt = tile_size // k  # submatrices per tile edge
-    nsubcols = -(-coo.shape[1] // k)
-    n_tile_cols = -(-coo.shape[1] // tile_size)
-
+    valid = set()
+    for tile_size in tile_sizes:
+        try:
+            valid.add(validate_tile_size(tile_size, k))
+        except TilingError:
+            continue
+    nsubcols = -(-shape[1] // k)
     sub_keys = np.asarray(sub_keys, dtype=np.int64)
-    groups = np.asarray(groups_per_submatrix, dtype=np.int64)
-    sub_r = sub_keys // nsubcols
-    sub_c = sub_keys % nsubcols
-    tile_keys = (sub_r // spt) * n_tile_cols + (sub_c // spt)
-
-    order = np.argsort(tile_keys, kind="stable")
-    tile_keys_sorted = tile_keys[order]
-    unique_tiles, starts = np.unique(tile_keys_sorted, return_index=True)
-    groups_per_tile = np.add.reduceat(groups[order], starts)
-
-    # nnz per tile straight from the raw coordinates.
-    nnz_tile_keys = (
-        (coo.rows // tile_size) * n_tile_cols + coo.cols // tile_size
+    finest = (
+        sub_keys // nsubcols,
+        sub_keys % nsubcols,
+        np.asarray(groups_per_submatrix, dtype=np.int64),
+        np.asarray(nnz_per_submatrix, dtype=np.int64),
     )
-    nnz_counts = np.bincount(
-        np.searchsorted(unique_tiles, nnz_tile_keys),
-        minlength=unique_tiles.size,
-    )
-
-    return GlobalComposition(
-        shape=coo.shape,
-        k=k,
-        tile_size=tile_size,
-        tile_rows=(unique_tiles // n_tile_cols).astype(np.int64),
-        tile_cols=(unique_tiles % n_tile_cols).astype(np.int64),
-        groups_per_tile=groups_per_tile.astype(np.int64),
-        nnz_per_tile=nnz_counts.astype(np.int64),
-    )
+    levels: dict = {}
+    for tile_size in sorted(valid):
+        base = max((t for t in levels if tile_size % t == 0), default=None)
+        if base is None:
+            rows, cols, groups, nnz = finest
+            factor = tile_size // k
+        else:
+            comp = levels[base]
+            rows, cols = comp.tile_rows, comp.tile_cols
+            groups, nnz = comp.groups_per_tile, comp.nnz_per_tile
+            factor = tile_size // base
+        n_tile_cols = -(-shape[1] // tile_size)
+        keys = (rows // factor) * n_tile_cols + cols // factor
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(first_of_run(keys))
+        tiles = keys[starts]
+        levels[tile_size] = GlobalComposition(
+            shape=tuple(shape),
+            k=k,
+            tile_size=tile_size,
+            tile_rows=tiles // n_tile_cols,
+            tile_cols=tiles % n_tile_cols,
+            groups_per_tile=np.add.reduceat(groups[order], starts),
+            nnz_per_tile=np.add.reduceat(nnz[order], starts),
+        )
+    return levels

@@ -12,7 +12,7 @@ The default pipeline mirrors the paper:
 ==============  ======  ==========================================
 pass            stage   artifacts produced
 ==============  ======  ==========================================
-analysis        ①       masks, sub_keys, histogram
+analysis        ①       masks, sub_keys, sub_nnz, histogram
 selection       ②       portfolio, table, selection
 decomposition   ③       group_counts
 schedule        ④⑤      schedule, tile_size, hw_config
@@ -35,7 +35,7 @@ from repro.core.patterns import histogram_from_masks, submatrix_masks
 from repro.core.schedule import explore_schedule
 from repro.core.selection import select_portfolio
 from repro.core.templates import Portfolio
-from repro.core.tiling import extract_global_composition
+from repro.core.tiling import global_compositions, validate_tile_size
 from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.cache import (
     CacheEntry,
@@ -94,13 +94,15 @@ class CompilerPass:
 class AnalysisPass(CompilerPass):
     """Step ① — local pattern analysis (Algorithm 2).
 
-    Produces the submatrix occupancy masks *once*; downstream passes
-    (decomposition and the encoder) reuse them instead of recomputing.
+    Produces the submatrix occupancy masks and entry counts *once*;
+    downstream passes (decomposition, schedule and the encoder) reuse
+    them instead of recomputing.  Rejects a ``coo`` holding a duplicate
+    coordinate with a ``ValueError`` naming it.
     """
 
     name = "analysis"
     requires = ("coo",)
-    provides = ("masks", "sub_keys", "histogram")
+    provides = ("masks", "sub_keys", "sub_nnz", "histogram")
     cacheable = True
 
     def __init__(self, k: int):
@@ -117,10 +119,11 @@ class AnalysisPass(CompilerPass):
 
     def run(self, store: ArtifactStore) -> str:
         coo = store.require("coo")
-        masks, sub_keys = submatrix_masks(coo, self.k)
+        masks, sub_keys, sub_nnz = submatrix_masks(coo, self.k)
         histogram = histogram_from_masks(masks, self.k)
         store.put("masks", masks)
         store.put("sub_keys", sub_keys)
+        store.put("sub_nnz", sub_nnz)
         store.put("histogram", histogram)
         return (
             f"{histogram.n_distinct} distinct patterns over "
@@ -132,18 +135,22 @@ class AnalysisPass(CompilerPass):
             {
                 "masks": store.require("masks"),
                 "sub_keys": store.require("sub_keys"),
+                "sub_nnz": store.require("sub_nnz"),
             },
             {"k": self.k},
         )
 
     def from_cache(self, store: ArtifactStore,
                    entry: CacheEntry) -> bool:
-        if "masks" not in entry.arrays or "sub_keys" not in entry.arrays:
+        names = ("masks", "sub_keys", "sub_nnz")
+        if any(name not in entry.arrays for name in names):
             return False
-        masks = entry.arrays["masks"].astype(np.int64)
-        sub_keys = entry.arrays["sub_keys"].astype(np.int64)
+        masks, sub_keys, sub_nnz = (
+            entry.arrays[name].astype(np.int64) for name in names
+        )
         store.put("masks", masks)
         store.put("sub_keys", sub_keys)
+        store.put("sub_nnz", sub_nnz)
         store.put("histogram", histogram_from_masks(masks, self.k))
         return True
 
@@ -317,8 +324,10 @@ class DecompositionPass(CompilerPass):
 class SchedulePass(CompilerPass):
     """Steps ④+⑤ — global composition x schedule exploration.
 
-    Sweeps (tile size, hardware config) with Algorithm 4, optionally on
-    multiple threads (``jobs``), honoring the ``fixed_*`` ablation
+    Builds every tile size's global composition in one nested
+    aggregation of the per-submatrix group and entry counts, then sweeps
+    (tile size, hardware config) with Algorithm 4, optionally scoring
+    on multiple threads (``jobs``), honoring the ``fixed_*`` ablation
     knobs.  Cache entries persist the evaluated grid (cycles per point)
     and the winning pair; on a hit the per-point
     :class:`~repro.core.tiling.GlobalComposition` objects are *not*
@@ -327,7 +336,7 @@ class SchedulePass(CompilerPass):
     """
 
     name = "schedule"
-    requires = ("coo", "group_counts", "sub_keys")
+    requires = ("coo", "group_counts", "sub_keys", "sub_nnz")
     provides = ("schedule", "tile_size", "hw_config")
     optional_provides = ("schedule",)
 
@@ -384,16 +393,23 @@ class SchedulePass(CompilerPass):
             store.put("hw_config", self.fixed_hw_config)
             return "fixed tile size and hardware config (ablation)"
 
-        coo = store.require("coo")
-        counts = store.require("group_counts")
-        sub_keys = store.require("sub_keys")
+        tile_sweep, hw_sweep = self._sweep()
+        compositions = global_compositions(
+            store.require("coo").shape,
+            store.require("group_counts"),
+            store.require("sub_keys"),
+            store.require("sub_nnz"),
+            tile_sweep,
+            self.k,
+        )
 
         def composition_factory(tile_size: int):
-            return extract_global_composition(
-                coo, counts, sub_keys, tile_size, self.k
-            )
+            # Only sizes validate_tile_size rejects are absent: re-raise
+            # its TilingError so Algorithm 4 skips them.
+            if tile_size not in compositions:
+                validate_tile_size(tile_size, self.k)
+            return compositions[tile_size]
 
-        tile_sweep, hw_sweep = self._sweep()
         schedule = explore_schedule(
             composition_factory,
             hw_sweep,

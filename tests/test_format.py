@@ -38,6 +38,12 @@ class TestEncodeBasics:
         assert spasm.padding == 3
         assert spasm.source_nnz == 1
 
+    def test_rejects_duplicate_coordinate(self, portfolio, table):
+        coo = COOMatrix([0, 0, 5], [0, 0, 7], [1.0, 2.0, 3.0], (64, 64),
+                        dedup=False)
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            encode_spasm(coo, portfolio, 16, table)
+
     def test_rejects_bad_tile_size(self, portfolio, table, small_coo):
         with pytest.raises(TilingError):
             encode_spasm(small_coo, portfolio, 30, table)
@@ -64,6 +70,30 @@ class TestEncodeBasics:
         expected = table.total_padding(hist)
         spasm = encode_spasm(small_coo, portfolio, 16, table)
         assert spasm.padding == expected
+
+
+class TestSubsetTemplates:
+    def test_matches_per_subset_loop(self):
+        """The grid expansion equals the per-subset loop it replaced,
+        over every subset of every Table V portfolio."""
+        from repro.core.format import _subset_templates
+
+        for portfolio in candidate_portfolios():
+            masks = portfolio.masks
+            subsets = np.arange(1 << len(masks), dtype=np.int64)
+            counts, tids, owned = _subset_templates(subsets, masks)
+            exp_counts, exp_tids, exp_owned = [], [], []
+            for subset in range(1 << len(masks)):
+                covered = 0
+                members = [t for t in range(len(masks)) if subset >> t & 1]
+                for t_idx in members:
+                    exp_tids.append(t_idx)
+                    exp_owned.append(masks[t_idx] & ~covered)
+                    covered |= masks[t_idx]
+                exp_counts.append(len(members))
+            assert counts.tolist() == exp_counts
+            assert tids.tolist() == exp_tids
+            assert owned.tolist() == exp_owned
 
 
 class TestRoundtrip:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import analyze_local_patterns
-from repro.core.bitmask import diag_mask, full_mask, row_mask
+from repro.core.bitmask import diag_mask, full_mask, popcount_array, row_mask
 from repro.core.patterns import submatrix_masks
 from repro.matrix import COOMatrix
 from repro.synth import generators as g
@@ -126,17 +126,28 @@ class TestHistogramOps:
 
 class TestSubmatrixMasks:
     def test_keys_sorted(self, small_coo):
-        __, keys = submatrix_masks(small_coo)
+        __, keys, __ = submatrix_masks(small_coo)
         assert np.all(np.diff(keys) > 0)
 
     def test_masks_nonzero(self, small_coo):
-        masks, __ = submatrix_masks(small_coo)
+        masks, __, __ = submatrix_masks(small_coo)
         assert np.all(masks > 0)
 
     def test_block_diag_masks_full(self, block_diag_coo):
-        masks, keys = submatrix_masks(block_diag_coo)
+        masks, keys, __ = submatrix_masks(block_diag_coo)
         assert np.all(masks == full_mask(4))
         assert masks.size == 16
+
+    def test_entry_counts(self, small_coo):
+        masks, __, nnz = submatrix_masks(small_coo)
+        assert nnz.sum() == small_coo.nnz
+        assert np.array_equal(nnz, popcount_array(masks))
+
+    def test_duplicate_coordinate_rejected(self):
+        coo = COOMatrix([1, 6, 1], [2, 6, 2], [1.0, 1.0, 1.0], (8, 8),
+                        dedup=False)
+        with pytest.raises(ValueError, match=r"duplicate coordinate \(1, 2\)"):
+            submatrix_masks(coo)
 
 
 class TestStructuredInputs:

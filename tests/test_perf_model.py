@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import DecompositionTable, candidate_portfolios
 from repro.core.format import encode_spasm, groups_per_submatrix
-from repro.core.tiling import extract_global_composition
+from repro.core.patterns import submatrix_masks
+from repro.core.tiling import global_compositions
 from repro.hw.configs import SPASM_3_2, SPASM_3_4, SPASM_4_1, make_config
 from repro.hw.perf_model import (
     PIPELINE_FILL_CYCLES,
@@ -26,7 +27,10 @@ def table():
 
 def gc_of(coo, table, tile_size):
     counts, keys = groups_per_submatrix(coo, table)
-    return extract_global_composition(coo, counts, keys, tile_size)
+    __, __, nnz = submatrix_masks(coo)
+    return global_compositions(
+        coo.shape, counts, keys, nnz, (tile_size,)
+    )[tile_size]
 
 
 class TestAssignTiles:

@@ -8,6 +8,7 @@ import pytest
 from repro.core import SpasmCompiler, candidate_portfolios
 from repro.core.framework import PreprocessReport
 from repro.hw import SPASM_3_4, SPASM_4_1
+from repro.matrix import COOMatrix
 from repro.pipeline import (
     ArtifactError,
     ArtifactStore,
@@ -215,6 +216,31 @@ class TestArtifactReuse:
             fixed_hw_config=SPASM_4_1,
         )
         assert len(calls) == 1
+
+
+class TestDeduplicatedContract:
+    def test_duplicate_coordinate_rejected(self):
+        coo = COOMatrix([0, 0, 5], [0, 0, 7], [1.0, 2.0, 3.0], (64, 64),
+                        dedup=False)
+        with pytest.raises(ValueError, match=r"duplicate coordinate \(0, 0\)"):
+            SpasmCompiler(tile_sizes=TILE_SIZES).compile(coo)
+
+    def test_first_duplicate_named(self):
+        # Unsorted entries; (9, 2) repeats in the first submatrix (in
+        # key order) that holds a repeat.
+        coo = COOMatrix([40, 9, 41, 9, 40], [40, 2, 41, 2, 40],
+                        [1.0, 2.0, 3.0, 4.0, 5.0], (64, 64), dedup=False)
+        with pytest.raises(ValueError, match=r"\(9, 2\)"):
+            SpasmCompiler(tile_sizes=TILE_SIZES).compile(coo)
+
+    def test_explicit_zeros_without_dedup_compile(self):
+        coo = COOMatrix([3, 0, 5, 9, 33], [1, 0, 7, 2, 60],
+                        [0.0, 2.0, 3.0, 0.0, -1.5], (64, 64), dedup=False)
+        program = SpasmCompiler(tile_sizes=TILE_SIZES).compile(coo)
+        x = np.arange(64, dtype=np.float64) + 1.0
+        assert np.array_equal(program.spasm.spmv(x), coo.spmv(x))
+        assert np.array_equal(program.spasm.spmv_naive(x), coo.spmv(x))
+        assert program.spasm.source_nnz == coo.nnz
 
 
 class TestParallelSchedule:

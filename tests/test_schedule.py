@@ -5,7 +5,8 @@ import pytest
 from repro.core import DecompositionTable, candidate_portfolios
 from repro.core.format import groups_per_submatrix
 from repro.core.schedule import explore_schedule
-from repro.core.tiling import TilingError, extract_global_composition
+from repro.core.patterns import submatrix_masks
+from repro.core.tiling import TilingError, global_compositions
 from repro.hw.configs import DEFAULT_CONFIGS, SPASM_3_4, SPASM_4_1
 from repro.hw.perf_model import perf_model
 from repro.synth import generators as g
@@ -14,9 +15,12 @@ from tests.conftest import random_structured_coo
 
 def factory_for(coo, table):
     counts, keys = groups_per_submatrix(coo, table)
+    __, __, nnz = submatrix_masks(coo)
 
     def factory(tile_size):
-        return extract_global_composition(coo, counts, keys, tile_size)
+        return global_compositions(
+            coo.shape, counts, keys, nnz, (tile_size,)
+        )[tile_size]
 
     return factory
 

@@ -1,5 +1,6 @@
 """Tests for template pattern selection (paper Algorithm 3)."""
 
+import numpy as np
 import pytest
 
 from repro.core import analyze_local_patterns, select_portfolio
@@ -87,6 +88,43 @@ class TestSetSelection:
         merged = merge_histograms([hist, hist])
         assert merged.total == 2 * hist.total
         assert merged.n_distinct == hist.n_distinct
+
+    def test_merge_orders_ties_by_mask(self):
+        from repro.core.patterns import PatternHistogram
+        from repro.core.selection import merge_histograms
+
+        def hist(patterns, freqs):
+            return PatternHistogram(
+                4, np.array(patterns, dtype=np.int64),
+                np.array(freqs, dtype=np.int64),
+            )
+
+        merged = merge_histograms([
+            hist([0x00F0, 0x000F, 0x1111], [3, 2, 1]),
+            hist([0x1111, 0x000F, 0x8421], [4, 1, 3]),
+        ])
+        # Totals 0x1111:5, then a three-way tie at 3 ordered by mask.
+        assert merged.patterns.tolist() == [0x1111, 0x000F, 0x00F0, 0x8421]
+        assert merged.frequencies.tolist() == [5, 3, 3, 3]
+        assert merged.patterns.dtype == merged.frequencies.dtype == np.int64
+
+    def test_merge_disjoint_pattern_sets(self, block_diag_coo):
+        from repro.core.selection import merge_histograms
+
+        blocks = analyze_local_patterns(block_diag_coo)
+        stripes = analyze_local_patterns(
+            g.diagonal_stripes(128, (0, 17), fill=1.0, seed=0)
+        )
+        assert not set(blocks.patterns) & set(stripes.patterns)
+        merged = merge_histograms([blocks, stripes])
+        assert merged.total == blocks.total + stripes.total
+        assert merged.n_distinct == blocks.n_distinct + stripes.n_distinct
+        expected = dict(blocks.items())
+        expected.update(stripes.items())
+        assert dict(merged.items()) == expected
+        # Most frequent first, ties by ascending mask.
+        keys = list(zip(-merged.frequencies, merged.patterns))
+        assert keys == sorted(keys)
 
     def test_merge_rejects_empty(self):
         from repro.core.selection import merge_histograms

@@ -8,7 +8,7 @@ from repro.core.format import encode_spasm, groups_per_submatrix
 from repro.core.patterns import submatrix_masks
 from repro.core.tiling import (
     TilingError,
-    extract_global_composition,
+    global_compositions,
     partition_loads,
     validate_tile_size,
 )
@@ -24,7 +24,10 @@ def table():
 
 def make_gc(coo, table, tile_size):
     counts, keys = groups_per_submatrix(coo, table)
-    return extract_global_composition(coo, counts, keys, tile_size)
+    __, __, nnz = submatrix_masks(coo)
+    return global_compositions(
+        coo.shape, counts, keys, nnz, (tile_size,)
+    )[tile_size]
 
 
 class TestValidateTileSize:
@@ -127,6 +130,6 @@ class TestTileSizeIndependence:
     def test_groups_match_submatrix_masks(self, rng, table):
         coo = random_structured_coo(rng, 64, "mixed")
         counts, keys = groups_per_submatrix(coo, table)
-        masks, keys2 = submatrix_masks(coo)
+        masks, keys2, __ = submatrix_masks(coo)
         assert np.array_equal(keys, keys2)
         assert counts.size == masks.size
