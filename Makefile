@@ -1,6 +1,6 @@
 # Convenience targets for the SPASM reproduction.
 
-.PHONY: install test lint analyze verify bench bench-smoke tune-smoke faults-smoke serve-smoke reproduce examples clean
+.PHONY: install test lint analyze verify bench bench-smoke faults-smoke serve-smoke reproduce examples clean
 
 install:
 	pip install -e .
@@ -11,7 +11,7 @@ test:
 lint:
 	ruff check src tests examples
 	mypy src/repro/verify src/repro/pipeline src/repro/exec \
-	    src/repro/analyze src/repro/tune src/repro/core/encoding.py
+	    src/repro/analyze src/repro/core/encoding.py
 
 # Static analysis gate: prove the five plan safety obligations over the
 # whole synth suite (exit 1 on any refuted proof; JSON archived as a CI
@@ -63,17 +63,6 @@ bench-smoke:
 	    sys.exit(0 if serial == parallel else 'schedule depends on --jobs')"
 	REPRO_BENCH_SCALE=0.04 pytest benchmarks/bench_exec_plan.py \
 	    --benchmark-disable -q
-
-# Budgeted per-matrix autotuning on two synthetic workloads (uploads
-# BENCH_tune.json as a CI artifact).  The bench hard-fails if the
-# tuned configuration is slower than the default dispatch, if the
-# tuned output diverges bitwise from the naive reference, if the
-# analytic-model pruner cuts less than half of the candidate grid,
-# or if the second tune of an unchanged matrix misses the artifact
-# cache.
-tune-smoke:
-	REPRO_BENCH_SCALE=0.04 REPRO_TUNE_MATRICES=tmt_sym,raefsky3 \
-	    pytest benchmarks/bench_tune.py --benchmark-disable -q
 
 # Seeded fault-injection campaign (smoke preset: 56 guarded calls
 # across stream/value/plan/cache/worker/image surfaces; plan flips are

@@ -21,11 +21,7 @@ blocks, scale-free graph):
 * ``backends`` — a per-backend sweep over every available registered
   kernel backend that claims the canonical plan, each gated
   **bitwise** against the ``gather`` reference, with
-  ``backend_auto`` recording what negotiation resolved;
-* ``tuned`` — the per-matrix autotuned configuration
-  (``repro.tune``) against the default plan dispatch: spmv latency,
-  batch queries/s and the winning knobs, gated bitwise at every
-  scale and never-slower-than-default at timing-gate scale.
+  ``backend_auto`` recording what negotiation resolved.
 
 Every float64 engine must agree with the naive reference **bitwise**
 (``agree``); float32 is checked to tolerance (``agree_float32``).  Any
@@ -56,7 +52,6 @@ from repro.exec import (
 )
 from repro.resilience import ExecutionGuard
 from repro.synth import load_workload
-from repro.tune import tune_matrix
 
 #: (workload, base scale): tmt_sym crosses 1e6 nnz — the acceptance
 #: headline; the other two cover dense-block and scale-free structure.
@@ -201,28 +196,6 @@ def measure(name, scale):
         }
     backend_auto = resolve_backend(None, plan=plan, op="spmv").name
 
-    # Per-matrix autotuned configuration vs the default dispatch.
-    tune_result = tune_matrix(coo, repeats=2)
-    cfg = tune_result.config
-    tuned_plan = ExecutionPlan.build(spasm, index=cfg.index,
-                                     precision=cfg.precision)
-    knobs = dict(jobs=cfg.jobs, backend=cfg.pinned_backend())
-    block = cfg.batch_block or None
-    tuned_agree = bool(
-        np.array_equal(tuned_plan.spmv(x, **knobs), reference)
-        and np.array_equal(
-            tuned_plan.spmv_batch(xs, block_size=block, **knobs),
-            batch_ref)
-    )
-    tuned_s, tuned_default_s = best_of_pair(
-        lambda: tuned_plan.spmv(x, **knobs),
-        lambda: plan.spmv(x),
-    )
-    tuned_batch_s, default_batch_s = best_of_pair(
-        lambda: tuned_plan.spmv_batch(xs, block_size=block, **knobs),
-        lambda: plan.spmv_batch(xs),
-    )
-
     return {
         "matrix": name,
         "scale": scale,
@@ -260,23 +233,6 @@ def measure(name, scale):
         "batch_qps": BATCH_QUERIES / batch_s,
         "backends": backends,
         "backend_auto": backend_auto,
-        "tuned": {
-            "layout": cfg.layout,
-            "backend": cfg.backend,
-            "jobs": cfg.jobs,
-            "portfolio": cfg.portfolio,
-            "tile_size": cfg.tile_size,
-            "batch_block": cfg.batch_block,
-            "structure_bitwise": cfg.structure_bitwise,
-            "candidates_total": cfg.candidates_total,
-            "candidates_measured": cfg.candidates_measured,
-            "spmv_ms": tuned_s * 1e3,
-            "default_spmv_ms": tuned_default_s * 1e3,
-            "batch_qps": BATCH_QUERIES / tuned_batch_s,
-            "default_batch_qps": BATCH_QUERIES / default_batch_s,
-            "speedup": tuned_default_s / tuned_s,
-            "agree": tuned_agree,
-        },
         "speedup": naive_s / i32_s,
         "int32_vs_int64": i64_s / i32_s,
         "agree": agree,
@@ -296,12 +252,11 @@ def test_exec_plan_speedup(benchmark):
 
     table = format_table(
         ["matrix", "nnz", "naive ms", "i64 ms", "i32 ms",
-         "tuned ms", "fused build ms", "auto ms", "batch q/s",
+         "fused build ms", "auto ms", "batch q/s",
          "backend", "agree"],
         [
             [r["matrix"], r["nnz"], r["spmv_ms"]["naive"],
              r["spmv_ms"]["int64"], r["spmv_ms"]["int32"],
-             r["tuned"]["spmv_ms"],
              r["build_ms"]["fused"], r["sharded_ms"]["auto"],
              r["batch_qps"], r["backend_auto"],
              "yes" if r["agree"] else "NO"]
@@ -354,12 +309,6 @@ def test_exec_plan_speedup(benchmark):
                 f"{r['matrix']}: backend {name!r} diverges bitwise "
                 "from the gather reference"
             )
-        # Tuned knobs are a dispatch choice, never a numeric
-        # change: bitwise at every scale.
-        assert r["tuned"]["agree"], (
-            f"{r['matrix']}: tuned knobs diverge bitwise from "
-            "the naive reference"
-        )
     # Timing gates apply at >=1e6 nnz (smoke runs stay noise-immune).
     for r in results:
         if r["nnz"] < 1_000_000:
@@ -386,13 +335,4 @@ def test_exec_plan_speedup(benchmark):
             f"{r['matrix']}: auto sharding "
             f"{r['sharded_ms']['auto']:.2f} ms slower than "
             f"single-thread {r['spmv_ms']['int32']:.2f} ms"
-        )
-        # Tuning must never regress the default dispatch.
-        assert (
-            r["tuned"]["spmv_ms"]
-            <= r["tuned"]["default_spmv_ms"] * 1.10
-        ), (
-            f"{r['matrix']}: tuned spmv "
-            f"{r['tuned']['spmv_ms']:.2f} ms slower than default "
-            f"{r['tuned']['default_spmv_ms']:.2f} ms"
         )

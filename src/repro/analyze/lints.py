@@ -11,11 +11,7 @@ lint id             discipline enforced
 det.unseeded-rng    no unseeded ``np.random`` / stdlib ``random`` use
                     in library code (reproducibility from seeds alone)
 det.kernel-clock    no wall-clock reads inside kernel bodies (timing
-                    belongs to callers; kernels stay pure).  Modules
-                    under ``TIMING_MODULE_PREFIXES`` (the autotuner)
-                    are exempt: measurement is their whole job, and
-                    their ``spmv``-named wrappers delegate to the plan
-                    engine rather than reimplementing kernel math
+                    belongs to callers; kernels stay pure)
 det.adhoc-pool      thread/process pools only via the shared-pool
                     helper ``repro.exec.plan._pool`` (bounded threads)
 det.bare-except     no bare ``except:`` (swallows KeyboardInterrupt
@@ -69,11 +65,6 @@ KERNEL_BODIES = frozenset({
     "spmv", "spmm", "spmv_batch", "spmv_naive", "spmm_naive",
     "_run_shard", "_reduce_block",
 })
-
-#: Modules whose *purpose* is timing: the autotuner measures candidate
-#: kernels with the wall clock.  Kernel-clock findings there would all
-#: be false positives.
-TIMING_MODULE_PREFIXES = ("repro/tune/",)
 
 #: Wall-clock reads banned inside kernel bodies.
 CLOCK_CALLS = frozenset({
@@ -336,8 +327,6 @@ class _FileLinter(ast.NodeVisitor):
 
     def _check_clock(self, node: ast.Call, dotted: str) -> None:
         if dotted not in CLOCK_CALLS:
-            return
-        if self.relpath.startswith(TIMING_MODULE_PREFIXES):
             return
         if any(name in KERNEL_BODIES for name in self.scope):
             self._report(

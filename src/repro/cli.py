@@ -372,51 +372,18 @@ def cmd_run(args) -> int:
               "(the naive engine has no kernel backend)",
               file=sys.stderr)
         return 1
-    if args.tuned and args.engine != "plan":
-        print("error: --tuned requires --engine plan (the record's "
-              "layout and knobs apply to the plan dispatch)",
-              file=sys.stderr)
-        return 1
-    if args.tuned and (backend is not None
-                       or args.precision != "float64"):
-        print("error: --tuned conflicts with --backend/--precision "
-              "(the persisted record decides both)",
-              file=sys.stderr)
-        return 1
 
-    tuned_result = None
-    block_size = None
-    compiler = make_compiler(args)
-    if args.tuned:
-        from repro.pipeline.cache import ArtifactCache
-        from repro.tune import tune_matrix
-
-        tune_cache = (
-            ArtifactCache(args.cache_dir) if args.cache_dir else None
-        )
-        tuned_result = tune_matrix(coo, cache=tune_cache,
-                                   seed=args.seed)
-        compiler.tuned = tuned_result.config
-    program = compiler.compile(coo)
+    program = make_compiler(args).compile(coo)
     spasm = program.spasm
     write_trace(args, program)
     rng = np.random.default_rng(args.seed)
     x = rng.random(spasm.shape[1])
 
     precision = args.precision
-    index = None
-    if args.tuned:
-        # The record's knobs are the plain dispatch arguments.
-        tuned_cfg = tuned_result.config
-        index, precision = tuned_cfg.index, tuned_cfg.precision
-        backend = tuned_cfg.pinned_backend()
-        jobs = tuned_cfg.jobs
-        block_size = tuned_cfg.batch_block or None
-    if index is not None or precision == "float32":
+    if precision == "float32":
         from repro.exec.plan import ExecutionPlan
 
-        plan = ExecutionPlan.build(spasm, index=index,
-                                   precision=precision)
+        plan = ExecutionPlan.build(spasm, precision=precision)
     else:
         plan = spasm.plan()
 
@@ -447,8 +414,7 @@ def cmd_run(args) -> int:
         batch_ref = np.stack([spasm.spmv_naive(row) for row in xs])
         if args.engine == "plan":
             def step():
-                return plan.spmv_batch(xs, jobs=jobs, backend=backend,
-                                       block_size=block_size)
+                return plan.spmv_batch(xs, jobs=jobs, backend=backend)
         elif args.engine == "guarded":
             def step():
                 return guard.spmv_batch(xs, jobs=jobs)
@@ -486,8 +452,7 @@ def cmd_run(args) -> int:
     flops = 2 * spasm.source_nnz + spasm.shape[0]
 
     # The fully resolved configuration, auditable from scripts: what
-    # actually executed after every auto heuristic and tuning record
-    # had its say.
+    # actually executed after every auto heuristic had its say.
     if args.engine == "naive":
         backend_name = None
         layout = "float64"
@@ -509,7 +474,6 @@ def cmd_run(args) -> int:
         "portfolio": program.portfolio.name,
         "tile_size": program.tile_size,
         "precision": precision,
-        "tuned": bool(args.tuned),
     }
 
     if args.json:
@@ -530,9 +494,6 @@ def cmd_run(args) -> int:
             payload["timing"]["qps"] = args.batch / best
         if reorder is not None:
             payload["reorder"] = gain
-        if tuned_result is not None:
-            payload["tuned"] = tuned_result.config.as_dict()
-            payload["tuned_cache_hit"] = tuned_result.cache_hit
         if guard is not None:
             payload["guard_incidents"] = len(guard.log)
         print(json.dumps(payload, indent=2))
@@ -545,17 +506,8 @@ def cmd_run(args) -> int:
         print(f"engine:   {args.engine} (jobs={jobs_note})")
     else:
         note = "negotiated" if backend is None else "explicit"
-        if args.tuned:
-            note = "tuned"
         print(f"engine:   {args.engine} (jobs={jobs_note}, "
               f"backend={backend_name}, {note})")
-    if args.tuned:
-        cfg = tuned_result.config
-        source = "cache" if tuned_result.cache_hit else "fresh search"
-        print(f"tuned:    {cfg.layout} portfolio={cfg.portfolio} "
-              f"tile={cfg.tile_size} batch_block="
-              f"{cfg.batch_block or 'auto'} ({source}, recorded "
-              f"{cfg.speedup:.2f}x over default)")
     if reorder is not None:
         print(f"reorder:  {gain['before_bytes_per_nnz']:.2f} -> "
               f"{gain['after_bytes_per_nnz']:.2f} bytes/nnz "
@@ -579,56 +531,6 @@ def cmd_run(args) -> int:
         print(f"guard:    {incidents} incident(s) logged")
         if incidents:
             print(guard.log.render())
-    return 0
-
-
-def cmd_tune(args) -> int:
-    import json
-
-    from repro.pipeline.cache import ArtifactCache
-    from repro.tune import tune_matrix
-
-    coo = load_matrix(args.matrix, args.scale)
-    cache = ArtifactCache(args.cache_dir) if args.cache_dir else None
-    emit = None if args.json else print
-    result = tune_matrix(coo, cache=cache, budget=args.budget,
-                         force=args.force, repeats=args.repeat,
-                         batch_queries=args.batch, seed=args.seed,
-                         allow_float32=args.allow_float32, log=emit)
-    cfg = result.config
-    if args.json:
-        payload = {
-            "matrix": args.matrix,
-            "shape": list(coo.shape),
-            "nnz": coo.nnz,
-            "persisted": cache is not None,
-            **result.as_dict(),
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-    if cache is None:
-        source = "not persisted (no --cache-dir)"
-    elif result.cache_hit:
-        source = "cache hit (use --force to re-search)"
-    else:
-        source = f"stored in {args.cache_dir}"
-    pruned = cfg.candidates_total - cfg.candidates_measured
-    print(f"matrix:     {args.matrix} shape={coo.shape} "
-          f"nnz={coo.nnz}")
-    print(f"record:     {source}")
-    print(f"structure:  portfolio={cfg.portfolio} "
-          f"tile={cfg.tile_size} "
-          f"(bitwise-safe: {cfg.structure_bitwise})")
-    print(f"execution:  layout={cfg.layout} backend={cfg.backend} "
-          f"jobs={cfg.jobs} "
-          f"batch_block={cfg.batch_block or 'auto'}")
-    print(f"spmv:       tuned {cfg.spmv_ms:.4f} ms vs default "
-          f"{cfg.default_spmv_ms:.4f} ms ({cfg.speedup:.2f}x)")
-    print(f"batch:      tuned {cfg.batch_qps:.0f} q/s vs default "
-          f"{cfg.default_batch_qps:.0f} q/s")
-    print(f"search:     measured {cfg.candidates_measured} of "
-          f"{cfg.candidates_total} candidates (model pruned "
-          f"{pruned}; {result.wall_ms:.0f} ms wall)")
     return 0
 
 
@@ -964,6 +866,27 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+def int_at_least(low: int):
+    """An argparse ``type`` accepting integers ``>= low``.
+
+    A bad value exits 2 with argparse's usage error naming the flag.
+    """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {value}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -990,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="content-addressed artifact cache directory "
                             "(recompiles of unchanged workloads are "
                             "served from disk)")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=int_at_least(0), default=1,
                        help="threads for the schedule sweep "
                             "(deterministic; default 1); for 'run' "
                             "also the execution shard count, where 0 "
@@ -1073,9 +996,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "'plan' runs the compiled execution plan "
                           "(default); 'guarded' adds the resilience "
                           "guard (integrity checks + fallback)")
-    run.add_argument("--repeat", type=int, default=5,
+    run.add_argument("--repeat", type=int_at_least(1), default=5,
                      help="timed iterations (the best is reported)")
-    run.add_argument("--batch", type=int, default=0,
+    run.add_argument("--batch", type=int_at_least(0), default=0,
                      help="queries per call: 0 runs single-vector "
                           "SpMV (default); N>0 times N queries per "
                           "call through the blocked SpMM engine and "
@@ -1101,45 +1024,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", default=None, metavar="FILE",
                      help="write the per-stage pipeline trace to FILE "
                           "as JSON")
-    run.add_argument("--tuned", action="store_true",
-                     help="execute through a per-matrix tuned "
-                          "configuration: loaded from --cache-dir "
-                          "when a record exists, searched on the "
-                          "fly otherwise (see 'python -m repro tune')")
     run.add_argument("--json", action="store_true",
                      help="emit one JSON payload with the timing and "
                           "a 'resolved' object echoing the fully "
                           "resolved configuration (backend, layout, "
                           "jobs, portfolio)")
-
-    tune = add_matrix_command(
-        "tune", "search the per-matrix knob space and persist the "
-                "winning configuration"
-    )
-    tune.add_argument("--cache-dir", default=None,
-                      help="artifact cache directory; the winning "
-                           "record is persisted here keyed on the "
-                           "matrix content digest (omit to search "
-                           "without persisting)")
-    tune.add_argument("--budget", type=int, default=12,
-                      help="maximum measured candidates after the "
-                           "analytic-model pruning pass (default 12)")
-    tune.add_argument("--force", action="store_true",
-                      help="re-search even when a valid cached record "
-                           "exists, and overwrite it")
-    tune.add_argument("--json", action="store_true",
-                      help="emit the tuning record and trial log as "
-                           "JSON")
-    tune.add_argument("--repeat", type=int, default=3,
-                      help="best-of-N repeats per measured candidate")
-    tune.add_argument("--batch", type=int, default=8,
-                      help="queries per call when timing the batch "
-                           "block-width knob")
-    tune.add_argument("--seed", type=int, default=0,
-                      help="seed for the probe vectors")
-    tune.add_argument("--allow-float32", action="store_true",
-                      help="let the search consider the float32 value "
-                           "layout (tolerance-checked, not bitwise)")
 
     backends = sub.add_parser(
         "backends",
@@ -1231,8 +1120,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="registry hot-plan byte budget (LRU "
                             "eviction above it)")
     serve.add_argument("--cache-dir", default=None,
-                       help="artifact cache (plan artifacts + tuned "
-                            "records warm from here)")
+                       help="artifact cache (plan artifacts warm "
+                            "from here)")
     serve.add_argument("--seed", type=int, default=0,
                        help="seed for probes and tenant traffic")
     serve.add_argument("--json", action="store_true",
@@ -1252,7 +1141,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="request deadline; an expired request is "
                             "shed, never answered late")
     query.add_argument("--cache-dir", default=None,
-                       help="artifact cache for plan/tuned warmup")
+                       help="artifact cache for plan warmup")
     query.add_argument("--json", action="store_true",
                        help="emit the response as JSON")
 
@@ -1280,7 +1169,6 @@ COMMANDS = {
     "compare": cmd_compare,
     "encode": cmd_encode,
     "run": cmd_run,
-    "tune": cmd_tune,
     "backends": cmd_backends,
     "spmv": cmd_spmv,
     "verify": cmd_verify,

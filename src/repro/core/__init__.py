@@ -21,7 +21,6 @@ from repro.core.templates import (
     Portfolio,
     PortfolioError,
     build_portfolio,
-    candidate_portfolio,
     candidate_portfolios,
     template_universe,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "Portfolio",
     "PortfolioError",
     "build_portfolio",
-    "candidate_portfolio",
     "candidate_portfolios",
     "template_universe",
     "DecompositionError",

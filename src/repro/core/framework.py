@@ -25,12 +25,7 @@ from repro.core.format import SpasmMatrix
 from repro.core.patterns import PatternHistogram
 from repro.core.schedule import DEFAULT_TILE_SIZES, ScheduleResult
 from repro.core.selection import SelectionResult
-from repro.core.templates import (
-    Portfolio,
-    PortfolioError,
-    candidate_portfolio,
-    candidate_portfolios,
-)
+from repro.core.templates import Portfolio, candidate_portfolios
 from repro.exec.plan import ExecutionPlan
 from repro.hw.configs import HwConfig
 from repro.matrix.coo import COOMatrix
@@ -230,22 +225,9 @@ class SpasmCompiler:
                  hazard_aware: bool = False, jobs: int = 1,
                  cache_dir=None, verify: bool = False,
                  build_plan: bool = False, analyze: bool = False,
-                 backend: Optional[str] = None, tuned=None):
+                 backend: Optional[str] = None):
         self.k = k
         self.backend = backend
-        # tuned: a repro.tune.TunedConfig to compile against (its
-        # bitwise-safe structural knobs become fixed_portfolio/
-        # fixed_tile_size, its backend the plan pinning), or True to
-        # look the record up in cache_dir per matrix at compile time.
-        self.tuned = tuned
-        if tuned is True and cache_dir is None:
-            raise ValueError(
-                "tuned=True requires cache_dir (records are looked up "
-                "in the artifact cache); pass a TunedConfig directly "
-                "otherwise"
-            )
-        if tuned is not None and tuned is not True and backend is None:
-            self.backend = tuned.pinned_backend()
         if portfolio_strategy not in self.PORTFOLIO_STRATEGIES:
             raise ValueError(
                 f"unknown portfolio strategy {portfolio_strategy!r}; "
@@ -321,26 +303,6 @@ class SpasmCompiler:
             passes.append(AnalyzePass(backend=self.backend))
         return passes
 
-    def _resolve_tuned(self, coo: COOMatrix,
-                       cache: Optional[ArtifactCache]):
-        """The tuning record this compile honors, if any.
-
-        ``tuned=True`` looks the matrix up in the artifact cache by
-        content digest (a missing record is simply an untuned
-        compile); a :class:`~repro.tune.TunedConfig` instance is used
-        as-is.
-        """
-        if self.tuned is None:
-            return None
-        if self.tuned is not True:
-            return self.tuned
-        if cache is None:
-            return None
-        from repro.pipeline.cache import matrix_digest
-        from repro.tune.config import load_tuned
-
-        return load_tuned(cache, matrix_digest(coo))
-
     def compile(self, coo: COOMatrix,
                 fixed_portfolio: Optional[Portfolio] = None,
                 fixed_tile_size: Optional[int] = None,
@@ -362,20 +324,6 @@ class SpasmCompiler:
             if self.cache_dir is not None
             else None
         )
-        tuned = self._resolve_tuned(coo, cache)
-        if tuned is not None and tuned.structure_bitwise:
-            # The persisted structural choice skips steps ② and ⑤ —
-            # but only a bitwise-safe structure may steer the numeric
-            # encoding; anything else keeps the default pipeline.
-            if fixed_portfolio is None:
-                try:
-                    fixed_portfolio = candidate_portfolio(
-                        tuned.portfolio, self.k
-                    )
-                    if fixed_tile_size is None:
-                        fixed_tile_size = tuned.tile_size
-                except PortfolioError:
-                    pass  # foreign/greedy portfolio name: full pipeline
         runner = PipelineRunner(cache=cache)
         trace = runner.run(
             self.build_passes(

@@ -292,23 +292,6 @@ def candidate_portfolios(k: int = DEFAULT_K) -> list:
     return out
 
 
-def candidate_portfolio(name: str, k: int = DEFAULT_K) -> Portfolio:
-    """The Table V candidate portfolio with ``name`` (e.g. ``"portfolio-3"``).
-
-    The resolver persisted tuning records use: a
-    :class:`~repro.tune.TunedConfig` stores its structural choice by
-    candidate name, and reapplying it must rebuild the *same* portfolio
-    in any process.  Unknown names raise :class:`PortfolioError`.
-    """
-    for portfolio in candidate_portfolios(k):
-        if portfolio.name == name:
-            return portfolio
-    known = ", ".join(p.name for p in candidate_portfolios(k))
-    raise PortfolioError(
-        f"unknown candidate portfolio {name!r} (known: {known})"
-    )
-
-
 def template_universe(k: int = DEFAULT_K):
     """Yield every possible fixed-length template as a raw mask.
 

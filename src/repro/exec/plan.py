@@ -747,9 +747,9 @@ class ExecutionPlan:
         kernel time dominates one pool round-trip by
         :data:`SHARD_OVERHEAD_MARGIN`.
         """
-        tuned = self._scratch.get("tuned_jobs")
-        if tuned is not None:
-            return max(1, min(int(tuned), os.cpu_count() or 1))
+        pinned = self._scratch.get("pinned_jobs")
+        if pinned is not None:
+            return max(1, min(int(pinned), os.cpu_count() or 1))
         jobs = self.n_slots // AUTO_SHARD_SLOTS
         if jobs < 2:
             return 1
@@ -774,11 +774,11 @@ class ExecutionPlan:
         plan artifacts never bake in a machine-specific count.
         """
         if jobs is None:
-            self._scratch.pop("tuned_jobs", None)
+            self._scratch.pop("pinned_jobs", None)
             return
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self._scratch["tuned_jobs"] = int(jobs)
+        self._scratch["pinned_jobs"] = int(jobs)
 
     def shard_bounds(self, jobs: int) -> List[Tuple[int, int]]:
         """Contiguous segment ranges of roughly equal slot count.

@@ -7,14 +7,14 @@ degrade service predictably instead of corrupting it:
 * :class:`Deadline` — a monotonic per-request time budget, threaded
   through guard retry/backoff so recovery never blows the caller's
   budget;
-* :class:`PlanRegistry` — hot compiled/tuned plans under an LRU byte
-  budget, warmed from the :class:`~repro.pipeline.cache.ArtifactCache`
-  and :mod:`repro.tune` records, safe to evict or heal while requests
-  execute;
+* :class:`PlanRegistry` — hot compiled plans under an LRU byte
+  budget, warmed from the :class:`~repro.pipeline.cache.ArtifactCache`,
+  safe to evict or heal while requests execute;
 * :class:`AdmissionController` — bounded per-plan queues with load
   shedding (structured ``queue_full`` / ``overload`` / ``deadline``
   reasons) and round-robin fairness;
-* :class:`DegradationLadder` — tuned → narrow-batch → naive,
+* :class:`DegradationLadder` — full-batch → narrow-batch → naive
+  (rungs ``tuned`` → ``narrow`` → ``naive``),
   hysteretic, every transition a structured
   :class:`~repro.resilience.guard.ResilienceEvent`;
 * :class:`SpmvServer` — worker threads executing coalesced batches

@@ -4,8 +4,8 @@ When queues back up, the server steps down a ladder of service
 levels, trading per-request optimality for throughput headroom, one
 rung at a time:
 
-1. ``tuned``  — the guarded plan path (with the matrix's tuned knobs
-   when it has a record), full batch window.
+1. ``tuned``  — the guarded plan path on the plan's own auto
+   dispatch, full batch window.
 2. ``narrow`` — batch coalescing window shrunk so per-request latency
    (and deadline exposure) drops at the cost of peak throughput.
 3. ``naive``  — the guarded plan path is bypassed for the naive
@@ -44,6 +44,7 @@ class ServiceLevel:
 
 #: The ladder, best service first.
 LEVELS: Tuple[ServiceLevel, ...] = (
+    # The top rung keeps the name "tuned": perfbench counts it by name.
     ServiceLevel("tuned", naive=False, batch_window=32),
     ServiceLevel("narrow", naive=False, batch_window=4),
     ServiceLevel("naive", naive=True, batch_window=1),

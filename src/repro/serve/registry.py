@@ -4,15 +4,14 @@ The serving layer keeps one :class:`PlanEntry` per registered matrix.
 An entry is *hot* when its compiled :class:`~repro.exec.plan.ExecutionPlan`
 and :class:`~repro.resilience.guard.ExecutionGuard` are resident, and
 *cold* when only the encoded stream remains — warming a cold entry is
-a cache load (the plan artifact and any
-:class:`~repro.tune.TunedConfig` record persist in the
+a cache load (the plan artifact persists in the
 :class:`~repro.pipeline.cache.ArtifactCache`), not a recompile.
 
 Hot bytes are bounded by ``byte_budget``: acquiring a plan that would
 blow the budget evicts the least-recently-used hot entries first.
 Eviction is safe while requests are executing — an entry with leases
 outstanding (``in_flight > 0``) is never evicted, and a
-:class:`Lease` snapshots the guard/tuned handles under the registry
+:class:`Lease` snapshots the stream/guard handles under the registry
 lock so a concurrent evict-or-replace can never yank state mid-call.
 Every eviction is counted and logged as a structured
 :class:`~repro.resilience.guard.ResilienceEvent` on the shared log.
@@ -58,14 +57,9 @@ class PlanEntry:
     :class:`Lease`.
     """
 
-    def __init__(self, name: str, spasm: Any,
-                 digest: Optional[str] = None):
+    def __init__(self, name: str, spasm: Any):
         self.name = name
         self.spasm = spasm
-        #: COO content digest (tuned-record key); ``None`` when the
-        #: entry was registered from a pre-encoded stream.
-        self.digest = digest
-        self.tuned: Any = None
         self.guard: Optional[ExecutionGuard] = None
         self.hot = False
         self.plan_nbytes = 0
@@ -83,7 +77,6 @@ class PlanEntry:
             "nnz": int(self.spasm.source_nnz),
             "hot": self.hot,
             "plan_bytes": int(self.plan_nbytes),
-            "tuned": self.tuned is not None,
             "in_flight": int(self.in_flight),
             "hits": int(self.hits),
             "warms": int(self.warms),
@@ -106,7 +99,6 @@ class Lease:
     entry: PlanEntry
     spasm: Any
     guard: ExecutionGuard
-    tuned: Any
 
 
 class PlanRegistry:
@@ -116,10 +108,7 @@ class PlanRegistry:
     ----------
     cache:
         Optional :class:`~repro.pipeline.cache.ArtifactCache`; plans
-        persist into it on first build (so re-warming is a load), and
-        a :func:`~repro.tune.load_tuned` record found under a
-        registered matrix's digest when its entry warms sets the
-        entry guard's backend and the shard count of its calls.
+        persist into it on first build (so re-warming is a load).
     byte_budget:
         Cap on the summed ``plan.nbytes`` of hot entries; ``None`` is
         unbounded.  The budget is enforced on every acquire; entries
@@ -167,12 +156,9 @@ class PlanRegistry:
             raise ValueError(
                 "register() needs exactly one of coo= or spasm="
             )
-        digest = None
         if coo is not None:
             from repro.core import SpasmCompiler
-            from repro.pipeline.cache import matrix_digest
 
-            digest = matrix_digest(coo)
             cache_dir = (
                 self.cache.cache_dir if self.cache is not None
                 else None
@@ -181,7 +167,7 @@ class PlanRegistry:
                 coo
             ).spasm
         with self._lock:
-            entry = PlanEntry(name, spasm, digest=digest)
+            entry = PlanEntry(name, spasm)
             self._entries[name] = entry
             if warm:
                 self._warm(entry)
@@ -208,22 +194,19 @@ class PlanRegistry:
             return list(self._entries)
 
     def warmup(self) -> Dict[str, Any]:
-        """Warm every cold entry (plan + tuned record from the cache).
+        """Warm every cold entry (plans load from the cache).
 
-        Returns a summary: names warmed, tuned pins found, hot bytes.
+        Returns a summary: names warmed, hot bytes.
         """
-        warmed, tuned = [], []
+        warmed = []
         with self._lock:
             for entry in self._entries.values():
                 if not entry.hot:
                     self._warm(entry)
                     warmed.append(entry.name)
-                if entry.tuned is not None:
-                    tuned.append(entry.name)
             self._enforce_budget()
             return {
                 "warmed": warmed,
-                "tuned": tuned,
                 "hot_bytes": self.hot_bytes(),
             }
 
@@ -247,8 +230,7 @@ class PlanRegistry:
             self._enforce_budget()
             guard = entry.guard
             assert guard is not None  # _warm just ensured it
-            return Lease(entry=entry, spasm=entry.spasm,
-                         guard=guard, tuned=entry.tuned)
+            return Lease(entry=entry, spasm=entry.spasm, guard=guard)
 
     def release(self, lease: Lease) -> None:
         """Return a lease; the entry becomes evictable again."""
@@ -301,23 +283,13 @@ class PlanRegistry:
             ) from None
 
     def _warm(self, entry: PlanEntry) -> None:
-        """Build/load the plan, tuned record and guard for an entry."""
+        """Build/load the plan and guard for an entry."""
         plan = entry.spasm.plan(cache=self.cache)
         entry.plan_nbytes = int(plan.nbytes)
-        if (entry.tuned is None and self.cache is not None
-                and entry.digest is not None):
-            from repro.tune import load_tuned
-
-            entry.tuned = load_tuned(self.cache, entry.digest)
-        backend = (
-            entry.tuned.pinned_backend() if entry.tuned is not None
-            else None
-        )
         self._guard_seq += 1
         entry.guard = ExecutionGuard(
             entry.spasm, config=self.guard_config, cache=self.cache,
             log=self.log, seed=self.seed + self._guard_seq,
-            backend=backend,
         )
         entry.hot = True
         entry.warms += 1

@@ -324,14 +324,12 @@ class SpmvServer:
     @staticmethod
     def _run_guarded(lease: Any, live: List[ServeRequest],
                      deadline: Optional[Deadline]) -> List[np.ndarray]:
-        """Dispatch through the guard (built with the record's backend)
-        with the tuned shard count when the matrix has a record."""
+        """Dispatch through the guard on the plan's auto shard count."""
         guard = lease.guard
-        jobs = lease.tuned.jobs if lease.tuned is not None else None
         if len(live) == 1:
-            return [guard.spmv(live[0].x, jobs=jobs, deadline=deadline)]
+            return [guard.spmv(live[0].x, deadline=deadline)]
         xs = np.stack([req.x for req in live])
-        ys = guard.spmv_batch(xs, jobs=jobs, deadline=deadline)
+        ys = guard.spmv_batch(xs, deadline=deadline)
         return [ys[i] for i in range(len(live))]
 
     # -- helpers --------------------------------------------------------
@@ -392,9 +390,8 @@ def serve_matrices(matrices: Dict[str, Any], cache: Any = None,
 
     ``matrices`` maps registry names to
     :class:`~repro.core.io.COOMatrix` instances; each is compiled
-    through the cached pipeline, tuned records are picked up from
-    ``cache`` when present, and the server is started unless
-    ``start=False``.
+    through the cached pipeline (stages and plans cached in ``cache``
+    when present), and the server is started unless ``start=False``.
     """
     registry = PlanRegistry(cache=cache, byte_budget=byte_budget,
                             seed=seed)

@@ -22,7 +22,6 @@ PACKAGES = [
     "repro.solvers",
     "repro.analyze",
     "repro.verify",
-    "repro.tune",
     "repro.resilience",
     "repro.serve",
 ]

@@ -228,6 +228,18 @@ class TestBackendsCommand:
         err = capsys.readouterr().err
         assert "no kernel backend" in err
 
+    def test_run_json_resolved_object(self, capsys):
+        assert main(["run", "raefsky3", "--scale", "0.02",
+                     "--repeat", "1", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        resolved = payload["resolved"]
+        assert resolved["engine"] == "plan"
+        assert resolved["backend"]
+        assert "/" in resolved["layout"]
+        assert resolved["jobs"] >= 1
+        assert resolved["portfolio"].startswith("portfolio")
+        assert payload["check"]["agree"] is True
+
 
 class TestEncodeSpmv:
     def test_encode_then_spmv(self, capsys, tmp_path):
@@ -338,6 +350,20 @@ class TestErrors:
     def test_no_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--repeat", "0"], "--repeat"),
+        (["run", "--repeat", "-1"], "--repeat"),
+        (["run", "--batch", "-3"], "--batch"),
+        (["run", "--jobs", "-1"], "--jobs"),
+        (["compile", "--jobs", "-1"], "--jobs"),
+    ])
+    def test_numeric_flag_out_of_range_exits_2(self, capsys, argv,
+                                               flag):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "raefsky3", "--scale", "0.02", *argv[1:]])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
 
 class TestFaults:

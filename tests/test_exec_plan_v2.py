@@ -7,6 +7,7 @@ naive, compiled (int32 or int64 indices), fused, sharded, batched,
 guarded — produces **bitwise identical** results.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -405,6 +406,38 @@ class TestSpmvBatch:
         )
 
 
+class TestPlanArgumentRouting:
+    """``jobs=``/``block_size=``/``backend=``/``y=`` passed together
+    through the plan entry points change nothing numerically."""
+
+    BACKEND = "csr" if csr_kernels_available() else "gather"
+
+    @pytest.fixture
+    def program(self, rng):
+        coo = random_structured_coo(rng, 96, "mixed")
+        return SpasmCompiler(build_plan=True).compile(coo)
+
+    def test_batch_and_spmm_routing(self, program, rng):
+        spasm, plan = program.spasm, program.plan
+        xs = np.ascontiguousarray(rng.random((5, spasm.shape[1])))
+        assert np.array_equal(
+            plan.spmv_batch(xs, jobs=1, block_size=8,
+                            backend=self.BACKEND),
+            spasm.spmv_batch(xs))
+        dense = np.ascontiguousarray(rng.random((spasm.shape[1], 3)))
+        assert np.array_equal(
+            plan.spmm(dense, jobs=1, block_size=8,
+                      backend=self.BACKEND),
+            spasm.spmm(dense))
+
+    def test_y_accumulation(self, program, rng):
+        plan = program.plan
+        x = rng.random(plan.shape[1])
+        y = rng.random(plan.shape[0])
+        got = plan.spmv(x, y=y.copy(), jobs=1, backend=self.BACKEND)
+        assert np.array_equal(got, plan.spmv(x) + y)
+
+
 # -- guarded and simulated batching ------------------------------------
 
 
@@ -472,7 +505,7 @@ class TestAutoSharding:
 
     def test_heuristic_scales_with_slots(self, rng, monkeypatch):
         # Pin dispatch overhead to ~zero: this test isolates the nnz
-        # rule, the overhead clamp has its own tests in test_tune.py.
+        # rule, the overhead clamp has its own tests in TestAutoJobsClamp.
         monkeypatch.setattr(plan_mod, "_DISPATCH_OVERHEAD", 1e-12)
         monkeypatch.setattr(plan_mod, "AUTO_SHARD_SLOTS", 64)
         monkeypatch.setattr(plan_mod.os, "cpu_count", lambda: 8)
@@ -497,6 +530,44 @@ class TestAutoSharding:
         assert plan._auto_jobs() > 1
         x = rng.integers(0, 5, size=96).astype(np.float64)
         assert np.array_equal(plan.spmv(x), plan.spmv(x, jobs=1))
+
+
+class TestAutoJobsClamp:
+    """The runtime pin and the dispatch-overhead clamp on auto-sharding."""
+
+    @pytest.fixture
+    def plan(self, rng):
+        coo = random_structured_coo(rng, 96, "mixed")
+        return SpasmCompiler(build_plan=True).compile(coo).plan
+
+    def test_override_pins_and_clears(self, plan):
+        plan.override_auto_jobs(3)
+        assert plan._auto_jobs() == max(
+            1, min(3, os.cpu_count() or 1)
+        )
+        plan.override_auto_jobs(None)
+        assert "pinned_jobs" not in plan._scratch
+        with pytest.raises(ValueError):
+            plan.override_auto_jobs(0)
+
+    def test_overhead_clamps_shard_count(self, plan, monkeypatch):
+        monkeypatch.setattr(plan_mod.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(plan_mod, "AUTO_SHARD_SLOTS",
+                            max(1, plan.n_slots // 16))
+        # Negligible dispatch overhead: the nnz heuristic stands.
+        monkeypatch.setattr(plan_mod, "_DISPATCH_OVERHEAD", 1e-12)
+        assert plan._auto_jobs() > 1
+        # Pathological dispatch overhead: sharding can never pay for
+        # itself, so the clamp walks the count back to serial.
+        monkeypatch.setattr(plan_mod, "_DISPATCH_OVERHEAD", 1.0)
+        assert plan._auto_jobs() == 1
+
+    def test_dispatch_overhead_measured_and_cached(self, monkeypatch):
+        monkeypatch.setattr(plan_mod, "_DISPATCH_OVERHEAD", None)
+        first = plan_mod.dispatch_overhead_s()
+        assert first > 0.0
+        assert plan_mod.dispatch_overhead_s() == first  # cached
+        assert plan_mod.dispatch_overhead_s(refresh=True) > 0.0
 
 
 # -- decomposition table cache -----------------------------------------

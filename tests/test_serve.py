@@ -270,65 +270,23 @@ class TestPlanRegistry:
         assert np.array_equal(lease.guard.spmv(x), before)
         registry.release(lease)
 
-    def test_tuned_record_picked_up_from_cache(self, rng, tmp_path):
-        from repro.pipeline.cache import matrix_digest
-        from repro.tune import TunedConfig, store_tuned
-
+    def test_warmup_warms_cold_entries_from_cache(self, rng, tmp_path):
         coo = random_structured_coo(rng, 96, "mixed")
         cache = ArtifactCache(tmp_path)
-        store_tuned(cache, TunedConfig(
-            matrix_digest=matrix_digest(coo), portfolio="default",
-            tile_size=32, index="int64", precision="fp64",
-            backend="csr", jobs=1, batch_block=8,
-            structure_bitwise=False, spmv_ms=0.1,
-            default_spmv_ms=0.2, batch_qps=10.0,
-            default_batch_qps=5.0, model_cycles=100,
-            candidates_total=4, candidates_measured=4,
-        ))
+        PlanRegistry(cache=cache).register("a", coo=coo)
         registry = PlanRegistry(cache=cache)
-        entry = registry.register("a", coo=coo)
-        assert entry.tuned is not None
-        assert entry.tuned.backend == "csr"
-        assert entry.guard.backend == "csr"
-        # Cold registrations get their pin at warmup (one cache scan
-        # covers every registered digest).
-        other = PlanRegistry(cache=cache)
-        cold = other.register("a", coo=coo, warm=False)
-        assert cold.tuned is None
-        summary = other.warmup()
-        assert summary["tuned"] == ["a"]
-        assert cold.tuned is not None
-        assert cold.guard.backend == "csr"
-
-    def test_unavailable_tuned_backend_is_not_pinned(
-        self, rng, tmp_path, unavailable_backend
-    ):
-        from repro.pipeline.cache import matrix_digest
-        from repro.tune import TunedConfig, store_tuned
-
-        coo = random_structured_coo(rng, 96, "mixed")
-        cache = ArtifactCache(tmp_path)
-        store_tuned(cache, TunedConfig(
-            matrix_digest=matrix_digest(coo), portfolio="default",
-            tile_size=32, index="int32", precision="float64",
-            backend=unavailable_backend.name, jobs=1, batch_block=8,
-            structure_bitwise=False, spmv_ms=0.1,
-            default_spmv_ms=0.2, batch_qps=10.0,
-            default_batch_qps=5.0, model_cycles=100,
-            candidates_total=4, candidates_measured=4,
-        ))
-        with serve_matrices({"a": coo}, cache=cache,
-                            workers=1) as server:
-            entry = server.registry._entries["a"]
-            assert entry.tuned is not None
-            assert entry.guard.backend is None
-            xs = rng.standard_normal((4, coo.shape[1]))
-            responses = [server.query("a", x) for x in xs]
-            plan = entry.spasm.plan()
-            for x, r in zip(xs, responses):
-                assert r.ok and r.level == "tuned"
-                assert np.array_equal(r.y, plan.spmv(x))
-            assert len(server.log) == 0  # zero incidents
+        cold = registry.register("a", coo=coo, warm=False)
+        assert not cold.hot
+        summary = registry.warmup()
+        assert summary == {"warmed": ["a"],
+                           "hot_bytes": cold.plan_nbytes}
+        assert cold.hot and cold.guard is not None
+        assert registry.warmup()["warmed"] == []
+        x = rng.standard_normal(coo.shape[1])
+        lease = registry.acquire("a")
+        assert np.array_equal(lease.guard.spmv(x),
+                              cold.spasm.spmv_naive(x))
+        registry.release(lease)
 
     def test_evict_while_executing_race(self, rng):
         """Threaded stress: queries race the byte-budget evictor and a
