@@ -31,7 +31,7 @@ def test_ext_tile_sensitivity(benchmark, suite):
         for name in MATRICES:
             coo = by_name[name]
             counts, keys = groups_per_submatrix(coo, table_dec)
-            __, __, nnz = submatrix_masks(coo)
+            nnz = submatrix_masks(coo)[2]
             compositions = global_compositions(
                 coo.shape, counts, keys, nnz, TILE_SIZES
             )

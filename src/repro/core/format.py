@@ -30,7 +30,7 @@ from repro.core.encoding import (
     pack_position_array,
     unpack_position_array,
 )
-from repro.core.patterns import first_of_run, submatrix_masks
+from repro.core.patterns import submatrix_masks
 from repro.core.templates import Portfolio
 from repro.core.tiling import GlobalComposition, validate_tile_size
 from repro.matrix.coo import COOMatrix
@@ -264,17 +264,17 @@ class SpasmMatrix:
         persists the plan on disk, so rebuilding an identical stream —
         in this or any other process — is a load, not a compile.
 
-        Revalidation digests the whole stream, so hot loops should call
-        ``plan()`` once and hold the result (the solvers' operator
-        wrapper and the sharded executor already do).
+        Revalidating a cached plan digests the whole stream, so hot
+        loops should call ``plan()`` once and hold the result (the
+        solvers' operator wrapper and the sharded executor already do).
+        A build hashes its own copy of the stream, once.
         """
         from repro.exec.plan import ExecutionPlan, stream_digest
 
-        digest = stream_digest(self)
         cached = self.__dict__.get("_plan")
-        if cached is not None and cached.digest == digest:
+        if cached is not None and cached.digest == stream_digest(self):
             return cached
-        built = ExecutionPlan.build(self, cache=cache, digest=digest)
+        built = ExecutionPlan.build(self, cache=cache)
         self._plan = built
         return built
 
@@ -433,6 +433,8 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
                  table: Optional[DecompositionTable] = None,
                  masks: Optional[np.ndarray] = None,
                  sub_keys: Optional[np.ndarray] = None,
+                 sub_nnz: Optional[np.ndarray] = None,
+                 entry_order: Optional[np.ndarray] = None,
                  build_plan: bool = False,
                  plan_precision: Optional[str] = None) -> SpasmMatrix:
     """Encode a COO matrix into the SPASM data format (steps ③ + ④).
@@ -450,12 +452,14 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
         Optional pre-built :class:`DecompositionTable` for the portfolio
         (served from the process-wide :func:`repro.core.decompose.cached_table`
         when omitted).
-    masks, sub_keys:
+    masks, sub_keys, sub_nnz, entry_order:
         Optional precomputed :func:`repro.core.patterns.submatrix_masks`
-        output for ``coo`` (row-major keys), computed here when omitted.
-        The pipeline's analysis stage computes these once and threads
-        them through; they must belong to the same matrix and pattern
-        size or a ``ValueError`` is raised.
+        output for ``coo`` (row-major keys and entry order), computed
+        here unless all four are given.  The pipeline's analysis stage
+        computes them once and threads them through, so the encoder
+        sorts only the submatrices, not the nonzeros; they must belong
+        to the same matrix and pattern size or a ``ValueError`` is
+        raised.
     build_plan:
         Fuse plan construction into the encode: the execution plan's
         gather/segment arrays are finalized straight from the encoder's
@@ -501,58 +505,64 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
 
     # --- submatrix grouping (stream order: tile row-major, then submatrix
     # row-major within the tile) ------------------------------------------
-    sub_r = coo.rows // k
-    sub_c = coo.cols // k
-    bit = (coo.rows % k) * k + (coo.cols % k)
+    # Step ①'s row-major grouping of the nonzeros (which also rejects a
+    # duplicated coordinate) is reused: only the n_sub submatrices are
+    # sorted into stream order, never the nonzeros again.
+    if (masks is None or sub_keys is None or sub_nnz is None
+            or entry_order is None):
+        masks, sub_keys, sub_nnz, entry_order = submatrix_masks(coo, k)
+    masks = np.asarray(masks, dtype=np.int64)
+    sub_keys = np.asarray(sub_keys, dtype=np.int64)
+    sub_nnz = np.asarray(sub_nnz, dtype=np.int64)
+    entry_order = np.asarray(entry_order, dtype=np.int64)
+    n_sub = sub_keys.size
+    # Cheap ownership check, at submatrix scale: the sizes agree and the
+    # first entry of every run recomputes to that run's key.
+    run_ends = np.cumsum(sub_nnz)
+    consistent = (
+        n_sub > 0
+        and masks.shape == sub_keys.shape == sub_nnz.shape
+        and entry_order.shape == (coo.nnz,)
+        and int(sub_nnz.min()) > 0
+        and int(run_ends[-1]) == coo.nnz
+    )
+    if consistent:
+        firsts = entry_order[run_ends - sub_nnz]
+        consistent = np.array_equal(
+            coo.rows[firsts] // k * nsubcols + coo.cols[firsts] // k,
+            sub_keys,
+        )
+    if not consistent:
+        raise ValueError(
+            "precomputed analysis artifacts do not match the matrix "
+            "being encoded (wrong matrix or pattern size?)"
+        )
+
+    sub_r = sub_keys // nsubcols
+    sub_c = sub_keys % nsubcols
     tile_r = sub_r // spt
     tile_c = sub_c // spt
     r_idx = sub_r % spt
     c_idx = sub_c % spt
-    stream_key = (
-        ((tile_r * n_tile_cols + tile_c) * spt + r_idx) * spt + c_idx
+    perm = np.argsort(
+        ((tile_r * n_tile_cols + tile_c) * spt + r_idx) * spt + c_idx,
+        kind="stable",
     )
-    order = np.argsort(stream_key, kind="stable")
-    keys_sorted = stream_key[order]
-    first = first_of_run(keys_sorted)
-    sub_of_entry = np.cumsum(first) - 1
-    unique_keys = keys_sorted[first]
-    n_sub = unique_keys.size
+    sub_tile_r = tile_r[perm]
+    sub_tile_c = tile_c[perm]
+    sub_ridx = r_idx[perm]
+    sub_cidx = c_idx[perm]
+    masks = masks[perm]
 
-    # Dense k*k value view of every non-empty submatrix.
+    # Dense k*k value view of every non-empty submatrix, in stream
+    # order: each row-major run scatters to its stream slot.
+    stream_pos = np.empty(n_sub, dtype=np.int64)
+    stream_pos[perm] = np.arange(n_sub) * (k * k)
+    bit = (coo.rows % k) * k + (coo.cols % k)
     dense_vals = np.zeros((n_sub, k * k), dtype=np.float64)
-    dense_vals[sub_of_entry, bit[order]] = coo.vals[order]
-
-    # Submatrix coordinates recovered from the stream key.
-    sub_cidx = unique_keys % spt
-    rest = unique_keys // spt
-    sub_ridx = rest % spt
-    rest = rest // spt
-    sub_tile_c = rest % n_tile_cols
-    sub_tile_r = rest // n_tile_cols
-
-    # Step ①'s row-major masks (which also reject a duplicated
-    # coordinate): map each stream submatrix to its row-major key and
-    # look the mask up.
-    if masks is None or sub_keys is None:
-        masks, sub_keys, __ = submatrix_masks(coo, k)
-    masks = np.asarray(masks, dtype=np.int64)
-    sub_keys = np.asarray(sub_keys, dtype=np.int64)
-    rm_keys = (
-        (sub_tile_r * spt + sub_ridx) * nsubcols
-        + (sub_tile_c * spt + sub_cidx)
-    )
-    idx = np.searchsorted(sub_keys, rm_keys)
-    if (
-        masks.shape != sub_keys.shape
-        or sub_keys.size != n_sub
-        or np.any(idx >= sub_keys.size)
-        or not np.array_equal(sub_keys[idx], rm_keys)
-    ):
-        raise ValueError(
-            "precomputed masks/sub_keys do not match the matrix "
-            "being encoded (wrong matrix or pattern size?)"
-        )
-    masks = masks[idx]
+    dense_vals.reshape(-1)[
+        np.repeat(stream_pos, sub_nnz) + bit[entry_order]
+    ] = coo.vals[entry_order]
 
     # --- decomposition (step 3) ------------------------------------------
     subsets = table.subset_array(masks)
@@ -715,7 +725,7 @@ def groups_per_submatrix(coo: COOMatrix, table: DecompositionTable,
     recomputation (the pipeline's artifact-reuse path).
     """
     if masks is None or sub_keys is None:
-        masks, sub_keys, __ = submatrix_masks(coo, k)
+        masks, sub_keys = submatrix_masks(coo, k)[:2]
     else:
         masks = np.asarray(masks, dtype=np.int64)
         sub_keys = np.asarray(sub_keys, dtype=np.int64)

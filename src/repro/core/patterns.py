@@ -124,7 +124,7 @@ def analyze_local_patterns(matrix, k: int = DEFAULT_K) -> PatternHistogram:
         raise ValueError(f"pattern size must be positive, got {k}")
     if k * k > 32:
         raise ValueError(f"pattern size {k} exceeds the 32-bit mask budget")
-    masks, __, __ = submatrix_masks(matrix, k)
+    masks = submatrix_masks(matrix, k)[0]
     return histogram_from_masks(masks, k)
 
 
@@ -166,10 +166,15 @@ def submatrix_masks(matrix: COOMatrix, k: int = DEFAULT_K) -> tuple:
 
     Returns
     -------
-    (masks, keys, nnz):
+    (masks, keys, nnz, order):
         ``masks[i]`` is the bitmask of the submatrix with row-major key
         ``keys[i]`` (``key = subrow * nsubcols + subcol``) and ``nnz[i]``
-        its number of stored entries; all sorted by key.
+        its number of stored entries; all sorted by key.  ``order`` is
+        the entry permutation that groups the nonzeros by submatrix in
+        that key order (stable: entries of one submatrix keep their
+        stored order), so submatrix ``i`` owns
+        ``order[sum(nnz[:i]):][:nnz[i]]``.  The encoder reuses it rather
+        than sorting the nonzeros again.
 
     Raises
     ------
@@ -205,4 +210,4 @@ def submatrix_masks(matrix: COOMatrix, k: int = DEFAULT_K) -> tuple:
             "the matrix must be deduplicated COO (build it with "
             "dedup=True to sum duplicates)"
         )
-    return masks, keys_sorted[starts], nnz
+    return masks, keys_sorted[starts], nnz, order

@@ -15,6 +15,7 @@ anti-diagonal families.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
 from repro.core.bitmask import (
@@ -267,12 +268,19 @@ def candidate_portfolios(k: int = DEFAULT_K) -> list:
     For other pattern sizes (the Figure 9 sweep) the block families do not
     produce length-k templates, so the candidates degrade to the vector
     families that remain well defined: RW/CW/diag/adiag combinations.
+    The frozen portfolios are built once per ``k``; every call returns a
+    fresh list of them.
     """
+    return list(_candidate_portfolios(k))
+
+
+@functools.lru_cache(maxsize=None)
+def _candidate_portfolios(k: int) -> tuple:
     if k == DEFAULT_K:
-        return [
+        return tuple(
             build_portfolio(spec, k, name=f"portfolio-{i}", description=desc)
             for i, (spec, desc) in enumerate(CANDIDATE_SPECS)
-        ]
+        )
     vector_specs = (
         ("rw+cw", "RW + CW"),
         ("rw+diag", "RW + diagonal"),
@@ -289,7 +297,7 @@ def candidate_portfolios(k: int = DEFAULT_K) -> list:
             )
         except PortfolioError:
             continue
-    return out
+    return tuple(out)
 
 
 def template_universe(k: int = DEFAULT_K):

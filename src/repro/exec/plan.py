@@ -53,7 +53,6 @@ import hashlib
 import os
 import threading
 import time
-import types
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -228,29 +227,21 @@ def stream_digest(spasm: Any) -> str:
 
 
 def _stream_snapshot(spasm: Any) -> Any:
-    """Copy exactly what :func:`stream_digest` hashes, nothing else.
+    """A copy of the stream arrays :func:`stream_digest` hashes.
 
-    The copies pin the stream's *build-time* content: the digest of a
-    deferred/concurrent hash must describe the stream the plan was
-    built from, not whatever the live arrays hold when the hash
-    finally runs — otherwise an in-place mutation after a fused encode
-    could re-key the stale plan to the mutated stream and lazy-plan
-    adoption would serve wrong results.  A sequential memcpy of the
-    payload is several times cheaper than the hash itself.
+    Returns a :class:`~repro.core.format.SpasmMatrix` owning fresh
+    copies of the tile directory and the position/value payload; the
+    scalars and the frozen ``Portfolio`` are shared.  Whoever hashes
+    the copy, and builds from it, labels exactly the bytes it read:
+    an in-place mutation of the live arrays after the copy can neither
+    re-key a stale plan nor land in a plan labeled pristine.  The
+    sequential memcpy is several times cheaper than the hash itself.
     """
-    return types.SimpleNamespace(
-        shape=tuple(spasm.shape),
-        k=int(spasm.k),
-        tile_size=int(spasm.tile_size),
-        portfolio=types.SimpleNamespace(
-            masks=tuple(int(m) for m in spasm.portfolio.masks)
-        ),
-        tile_rows=np.array(spasm.tile_rows),
-        tile_cols=np.array(spasm.tile_cols),
-        tile_ptr=np.array(spasm.tile_ptr),
-        words=np.array(spasm.words),
-        values=np.array(spasm.values),
-    )
+    return dataclasses.replace(spasm, **{
+        name: np.array(getattr(spasm, name)) for name in (
+            "tile_rows", "tile_cols", "tile_ptr", "words", "values",
+        )
+    })
 
 
 class _DeferredDigest:
@@ -390,7 +381,6 @@ class ExecutionPlan:
 
     @classmethod
     def build(cls, spasm: Any, cache: Any = None,
-              digest: Optional[str] = None,
               index: Optional[str] = None,
               precision: Optional[str] = None) -> "ExecutionPlan":
         """Compile a plan for a :class:`~repro.core.format.SpasmMatrix`.
@@ -404,8 +394,14 @@ class ExecutionPlan:
         layout (``"int32"``/``"int64"``, ``"float32"``/``"float64"``);
         by default indices auto-narrow and values stay float64.
         """
-        if digest is None:
-            digest = stream_digest(spasm)
+        # Copy, then hash and compile the copy: the label is the digest
+        # of exactly the bytes the plan was built from, so a concurrent
+        # in-place mutation of the live stream (a fault striking a
+        # serving stream) can never label — or persist under the
+        # pristine key — a plan of other content.  Callers compare
+        # ``plan.digest`` with the live stream to see such a mutation.
+        snapshot = _stream_snapshot(spasm)
+        digest = stream_digest(snapshot)
         key = _plan_cache_key(digest, index, precision)
         entry = None if cache is None else cache.load(PLAN_STAGE, key)
         if entry is not None:
@@ -415,27 +411,8 @@ class ExecutionPlan:
             except ValueError as exc:
                 # Quarantined with the reason: never consulted again.
                 cache.quarantine(PLAN_STAGE, key, reason=str(exc))
-        # The compile re-reads the stored arrays after the digest did.
-        # A concurrent in-place mutation landing between the two reads
-        # (a fault striking a live serving stream) would label a
-        # corrupted plan with the pristine digest — defeating every
-        # digest-based integrity check downstream and, worse,
-        # persisting the poisoned plan under the pristine cache key.
-        # Re-digest after the compile consumed the arrays and rebuild
-        # until the stream was stable across the whole build window.
-        for _ in range(4):
-            plan = cls._compile(spasm, digest, index=index,
-                                precision=precision)
-            confirmed = stream_digest(spasm)
-            if confirmed == digest:
-                break
-            digest = confirmed
-            key = _plan_cache_key(digest, index, precision)
-        else:
-            raise RuntimeError(
-                "encoded stream kept mutating while the plan was "
-                "being compiled; refusing to label the result"
-            )
+        plan = cls._compile(snapshot, digest, index=index,
+                            precision=precision)
         if cache is not None:
             cache.store(PLAN_STAGE, key, *plan.to_entry())
         return plan

@@ -35,6 +35,9 @@ ARTIFACT_SCHEMA: Dict[str, Tuple[Any, str]] = {
     "masks": (np.ndarray, "occupancy bitmask per non-empty submatrix"),
     "sub_keys": (np.ndarray, "row-major key per non-empty submatrix"),
     "sub_nnz": (np.ndarray, "stored-entry count per non-empty submatrix"),
+    "entry_order": (
+        np.ndarray, "entry permutation grouping nonzeros by submatrix"
+    ),
     "histogram": (PatternHistogram, "step ① local pattern histogram"),
     "portfolio": (Portfolio, "selected template portfolio"),
     "table": (DecompositionTable, "decomposition table of the portfolio"),

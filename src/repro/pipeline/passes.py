@@ -12,7 +12,8 @@ The default pipeline mirrors the paper:
 ==============  ======  ==========================================
 pass            stage   artifacts produced
 ==============  ======  ==========================================
-analysis        ①       masks, sub_keys, sub_nnz, histogram
+analysis        ①       masks, sub_keys, sub_nnz, entry_order,
+                        histogram
 selection       ②       portfolio, table, selection
 decomposition   ③       group_counts
 schedule        ④⑤      schedule, tile_size, hw_config
@@ -94,15 +95,18 @@ class CompilerPass:
 class AnalysisPass(CompilerPass):
     """Step ① — local pattern analysis (Algorithm 2).
 
-    Produces the submatrix occupancy masks and entry counts *once*;
-    downstream passes (decomposition, schedule and the encoder) reuse
-    them instead of recomputing.  Rejects a ``coo`` holding a duplicate
+    Produces the submatrix occupancy masks, entry counts and the
+    entry order grouping the nonzeros by submatrix *once*; downstream
+    passes (decomposition, schedule and the encoder) reuse them instead
+    of recomputing.  Rejects a ``coo`` holding a duplicate
     coordinate with a ``ValueError`` naming it.
     """
 
     name = "analysis"
     requires = ("coo",)
-    provides = ("masks", "sub_keys", "sub_nnz", "histogram")
+    #: The :func:`submatrix_masks` outputs, in its return order.
+    _ARRAYS = ("masks", "sub_keys", "sub_nnz", "entry_order")
+    provides = _ARRAYS + ("histogram",)
     cacheable = True
 
     def __init__(self, k: int):
@@ -119,39 +123,31 @@ class AnalysisPass(CompilerPass):
 
     def run(self, store: ArtifactStore) -> str:
         coo = store.require("coo")
-        masks, sub_keys, sub_nnz = submatrix_masks(coo, self.k)
-        histogram = histogram_from_masks(masks, self.k)
-        store.put("masks", masks)
-        store.put("sub_keys", sub_keys)
-        store.put("sub_nnz", sub_nnz)
+        arrays = submatrix_masks(coo, self.k)
+        for name, array in zip(self._ARRAYS, arrays):
+            store.put(name, array)
+        histogram = histogram_from_masks(arrays[0], self.k)
         store.put("histogram", histogram)
         return (
             f"{histogram.n_distinct} distinct patterns over "
-            f"{int(masks.size)} submatrices"
+            f"{int(arrays[0].size)} submatrices"
         )
 
     def to_cache(self, store: ArtifactStore):
         return (
-            {
-                "masks": store.require("masks"),
-                "sub_keys": store.require("sub_keys"),
-                "sub_nnz": store.require("sub_nnz"),
-            },
+            {name: store.require(name) for name in self._ARRAYS},
             {"k": self.k},
         )
 
     def from_cache(self, store: ArtifactStore,
                    entry: CacheEntry) -> bool:
-        names = ("masks", "sub_keys", "sub_nnz")
-        if any(name not in entry.arrays for name in names):
+        # An entry written before ``entry_order`` existed is a miss.
+        if any(name not in entry.arrays for name in self._ARRAYS):
             return False
-        masks, sub_keys, sub_nnz = (
-            entry.arrays[name].astype(np.int64) for name in names
-        )
-        store.put("masks", masks)
-        store.put("sub_keys", sub_keys)
-        store.put("sub_nnz", sub_nnz)
-        store.put("histogram", histogram_from_masks(masks, self.k))
+        for name in self._ARRAYS:
+            store.put(name, entry.arrays[name].astype(np.int64))
+        store.put("histogram",
+                  histogram_from_masks(store.require("masks"), self.k))
         return True
 
 
@@ -503,7 +499,8 @@ class EncodePass(CompilerPass):
 
     name = "encode"
     requires = (
-        "coo", "portfolio", "tile_size", "table", "masks", "sub_keys"
+        "coo", "portfolio", "tile_size", "table", "masks", "sub_keys",
+        "sub_nnz", "entry_order",
     )
     provides = ("spasm",)
 
@@ -530,6 +527,8 @@ class EncodePass(CompilerPass):
             store.require("table"),
             masks=store.require("masks"),
             sub_keys=store.require("sub_keys"),
+            sub_nnz=store.require("sub_nnz"),
+            entry_order=store.require("entry_order"),
             build_plan=fused,
             plan_precision=self.plan_precision,
         )

@@ -133,7 +133,7 @@ def test_nested_compositions_match_one_size(sweep, make):
     coo = make()
     table = cached_table(candidate_portfolios()[0])
     counts, keys = groups_per_submatrix(coo, table)
-    __, __, sub_nnz = submatrix_masks(coo)
+    sub_nnz = submatrix_masks(coo)[2]
     nested = global_compositions(coo.shape, counts, keys, sub_nnz, sweep)
     assert sorted(nested) == sorted(sweep)
     for tile_size in sweep:
@@ -160,7 +160,7 @@ def test_invalid_sizes_left_out():
     coo = load_workload("mip1", 0.05)
     table = cached_table(candidate_portfolios()[0])
     counts, keys = groups_per_submatrix(coo, table)
-    __, __, sub_nnz = submatrix_masks(coo)
+    sub_nnz = submatrix_masks(coo)[2]
     nested = global_compositions(
         coo.shape, counts, keys, sub_nnz, (30, 64, 2**16)
     )

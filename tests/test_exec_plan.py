@@ -281,18 +281,21 @@ class TestFaultTolerance:
         coo = integer_coo(rng, 96, "mixed")
         assert encode(coo).plan().validate() == []
 
-    def test_torn_build_relabels_mutated_stream(
+    def test_torn_build_keeps_pristine_label(
         self, rng, tmp_path, monkeypatch
     ):
-        """A mutation landing between the digest read and the compile
-        read must not label the corrupted plan with the pristine
-        digest (nor poison the cache under the pristine key)."""
+        """A live-stream mutation landing while the plan compiles must
+        not reach a plan labeled pristine: the build hashes and compiles
+        its own copy, so the plan computes the pristine matrix under the
+        pristine digest, is cached only under the pristine key, and the
+        next ``plan()`` sees the mutation and rebuilds."""
         from repro.exec.plan import _plan_cache_key
 
         spasm = encode(integer_coo(rng, n=64))
         pristine_digest = stream_digest(spasm)
         cache = ArtifactCache(tmp_path)
         x = rng.random(spasm.shape[1])
+        expected = spasm.spmv_naive(x)
 
         real_compile = ExecutionPlan._compile.__func__
         tears = {"left": 1}
@@ -300,45 +303,61 @@ class TestFaultTolerance:
         def torn_compile(cls, sp, digest, **kw):
             if tears["left"]:
                 tears["left"] -= 1
-                sp.values.reshape(-1)[0] += 1.0
+                spasm.values.reshape(-1)[0] += 1.0
             return real_compile(cls, sp, digest, **kw)
 
         monkeypatch.setattr(
             ExecutionPlan, "_compile", classmethod(torn_compile)
         )
-        plan = ExecutionPlan.build(spasm, cache=cache)
+        plan = spasm.plan(cache=cache)
         monkeypatch.setattr(
             ExecutionPlan, "_compile", classmethod(real_compile)
         )
-        # The returned plan carries the post-mutation digest and
-        # computes the post-mutation matrix.
-        assert plan.digest == stream_digest(spasm)
-        assert plan.digest != pristine_digest
-        assert np.array_equal(plan.spmv(x), spasm.spmv_naive(x))
-        # Nothing was persisted under the stale pristine key.
-        stale = _plan_cache_key(pristine_digest, None, None)
-        assert cache.load(PLAN_STAGE, stale) is None
+        assert tears["left"] == 0
+        mutated_digest = stream_digest(spasm)
+        assert mutated_digest != pristine_digest
+        # The plan's label describes the matrix it computes.
+        assert plan.digest == pristine_digest
+        assert np.array_equal(plan.spmv(x), expected)
+        # Cached under the pristine key only.
         assert cache.load(
-            PLAN_STAGE, _plan_cache_key(plan.digest, None, None)
+            PLAN_STAGE, _plan_cache_key(pristine_digest, None, None)
         ) is not None
+        mutated_key = _plan_cache_key(mutated_digest, None, None)
+        assert cache.load(PLAN_STAGE, mutated_key) is None
+        # The next acquisition sees the live mutation and rebuilds.
+        rebuilt = spasm.plan(cache=cache)
+        assert rebuilt is not plan
+        assert rebuilt.digest == mutated_digest
+        assert np.array_equal(rebuilt.spmv(x), spasm.spmv_naive(x))
+        assert not np.array_equal(rebuilt.spmv(x), expected)
 
-    def test_endlessly_mutating_stream_refuses_to_build(
+    def test_endlessly_mutating_stream_builds_consistent_plan(
         self, rng, monkeypatch
     ):
-        """A stream that never holds still across a build window is
-        unlabelable — build() must refuse rather than guess."""
+        """A stream that never holds still still gets a self-consistent
+        plan: labeled with the digest of the copy it was built from,
+        and computing that copy's matrix."""
         spasm = encode(integer_coo(rng, n=64))
+        x = rng.random(spasm.shape[1])
         real_compile = ExecutionPlan._compile.__func__
+        seen = []
 
         def torn_compile(cls, sp, digest, **kw):
-            sp.values.reshape(-1)[0] += 1.0
+            spasm.values.reshape(-1)[0] += 1.0
+            seen.append(sp)
             return real_compile(cls, sp, digest, **kw)
 
         monkeypatch.setattr(
             ExecutionPlan, "_compile", classmethod(torn_compile)
         )
-        with pytest.raises(RuntimeError, match="kept mutating"):
-            ExecutionPlan.build(spasm)
+        plans = [ExecutionPlan.build(spasm) for _ in range(3)]
+        assert len(seen) == 3
+        for plan, built_from in zip(plans, seen):
+            assert built_from is not spasm
+            assert plan.digest == stream_digest(built_from)
+            assert np.array_equal(plan.spmv(x), built_from.spmv_naive(x))
+        assert len({plan.digest for plan in plans}) == 3
 
 
 # -- hypothesis: any single-bit flip in any plan array is caught --------

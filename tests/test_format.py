@@ -44,6 +44,43 @@ class TestEncodeBasics:
         with pytest.raises(ValueError, match=r"\(0, 0\)"):
             encode_spasm(coo, portfolio, 16, table)
 
+    def test_rejects_artifacts_of_another_matrix(self, rng, portfolio,
+                                                 table):
+        from repro.core.patterns import submatrix_masks
+
+        coo = random_structured_coo(rng, 96, "mixed")
+        other = random_structured_coo(rng, 96, "scatter")
+        masks, keys, nnz, order = submatrix_masks(other)
+        with pytest.raises(ValueError, match="do not match"):
+            encode_spasm(coo, portfolio, 32, table, masks=masks,
+                         sub_keys=keys, sub_nnz=nnz, entry_order=order)
+
+    def test_rejects_artifacts_of_another_pattern_size(self, rng,
+                                                       portfolio, table):
+        from repro.core.patterns import submatrix_masks
+
+        coo = random_structured_coo(rng, 96, "mixed")
+        masks, keys, nnz, order = submatrix_masks(coo, k=2)
+        with pytest.raises(ValueError, match="do not match"):
+            encode_spasm(coo, portfolio, 32, table, masks=masks,
+                         sub_keys=keys, sub_nnz=nnz, entry_order=order)
+
+    @pytest.mark.parametrize("family,scale", [
+        ("tmt_sym", 0.1), ("raefsky3", 0.1), ("mip1", 0.05),
+    ])
+    def test_standalone_matches_pipeline(self, family, scale):
+        from repro.core import SpasmCompiler
+        from repro.synth import load_workload
+
+        coo = load_workload(family, scale)
+        piped = SpasmCompiler().compile(coo).spasm
+        alone = encode_spasm(coo, piped.portfolio, piped.tile_size)
+        for field in ("tile_rows", "tile_cols", "tile_ptr", "words",
+                      "values"):
+            a, b = getattr(alone, field), getattr(piped, field)
+            assert a.dtype == b.dtype, field
+            assert a.tobytes() == b.tobytes(), field
+
     def test_rejects_bad_tile_size(self, portfolio, table, small_coo):
         with pytest.raises(TilingError):
             encode_spasm(small_coo, portfolio, 30, table)

@@ -126,22 +126,31 @@ class TestHistogramOps:
 
 class TestSubmatrixMasks:
     def test_keys_sorted(self, small_coo):
-        __, keys, __ = submatrix_masks(small_coo)
+        keys = submatrix_masks(small_coo)[1]
         assert np.all(np.diff(keys) > 0)
 
     def test_masks_nonzero(self, small_coo):
-        masks, __, __ = submatrix_masks(small_coo)
+        masks = submatrix_masks(small_coo)[0]
         assert np.all(masks > 0)
 
     def test_block_diag_masks_full(self, block_diag_coo):
-        masks, keys, __ = submatrix_masks(block_diag_coo)
+        masks, keys = submatrix_masks(block_diag_coo)[:2]
         assert np.all(masks == full_mask(4))
         assert masks.size == 16
 
     def test_entry_counts(self, small_coo):
-        masks, __, nnz = submatrix_masks(small_coo)
+        masks, __, nnz, __ = submatrix_masks(small_coo)
         assert nnz.sum() == small_coo.nnz
         assert np.array_equal(nnz, popcount_array(masks))
+
+    def test_entry_order_groups_by_key(self, small_coo):
+        __, keys, nnz, order = submatrix_masks(small_coo)
+        assert np.array_equal(np.sort(order), np.arange(small_coo.nnz))
+        nsubcols = -(-small_coo.shape[1] // 4)
+        entry_keys = (
+            small_coo.rows[order] // 4 * nsubcols + small_coo.cols[order] // 4
+        )
+        assert np.array_equal(entry_keys, np.repeat(keys, nnz))
 
     def test_duplicate_coordinate_rejected(self):
         coo = COOMatrix([1, 6, 1], [2, 6, 2], [1.0, 1.0, 1.0], (8, 8),

@@ -27,7 +27,7 @@ def table():
 
 def gc_of(coo, table, tile_size):
     counts, keys = groups_per_submatrix(coo, table)
-    __, __, nnz = submatrix_masks(coo)
+    nnz = submatrix_masks(coo)[2]
     return global_compositions(
         coo.shape, counts, keys, nnz, (tile_size,)
     )[tile_size]

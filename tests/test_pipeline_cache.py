@@ -187,6 +187,26 @@ class TestCorruption:
         program = compiler.compile(coo)
         assert cache_states(program)["analysis"] == "miss"
 
+    def test_analysis_entry_without_entry_order_is_miss(
+        self, coo, tmp_path
+    ):
+        compiler = SpasmCompiler(
+            tile_sizes=TILE_SIZES, cache_dir=tmp_path
+        )
+        cold = compiler.compile(coo)
+        cache = ArtifactCache(tmp_path)
+        (path,) = tmp_path.glob("analysis-*.npz")
+        key = path.name[len("analysis-"):-len(".npz")]
+        entry = cache.load("analysis", key)
+        arrays = {name: array for name, array in entry.arrays.items()
+                  if name != "entry_order"}
+        cache.store("analysis", key, arrays, entry.meta)
+        program = compiler.compile(coo)
+        assert cache_states(program)["analysis"] == "miss"
+        assert np.array_equal(cold.spasm.words, program.spasm.words)
+        assert np.array_equal(cold.spasm.values, program.spasm.values)
+        assert "entry_order" in cache.load("analysis", key).arrays
+
     def test_load_missing_is_none(self, tmp_path):
         assert ArtifactCache(tmp_path).load("analysis", "0" * 40) is None
 

@@ -15,7 +15,7 @@ from tests.conftest import random_structured_coo
 
 def factory_for(coo, table):
     counts, keys = groups_per_submatrix(coo, table)
-    __, __, nnz = submatrix_masks(coo)
+    nnz = submatrix_masks(coo)[2]
 
     def factory(tile_size):
         return global_compositions(

@@ -270,6 +270,43 @@ class TestPlanRegistry:
         assert np.array_equal(lease.guard.spmv(x), before)
         registry.release(lease)
 
+    def test_write_path_hashes_each_stream_three_times(
+        self, rng, monkeypatch
+    ):
+        """Per warm: one hash of the build's own copy, the guard's pin
+        and the first answer's compare against the cached plan."""
+        import repro.exec.plan as plan_mod
+
+        real = plan_mod.stream_digest
+        calls = []
+
+        def counting(spasm):
+            calls.append(spasm)
+            return real(spasm)
+
+        monkeypatch.setattr(plan_mod, "stream_digest", counting)
+        coo = random_structured_coo(rng, 96, "mixed")
+        x = rng.standard_normal(coo.shape[1])
+        registry = PlanRegistry()
+
+        def answer():
+            lease = registry.acquire("a")
+            try:
+                return lease.guard.spmv(x)
+            finally:
+                registry.release(lease)
+
+        registry.register("a", coo=coo)
+        cold = answer()
+        assert len(calls) == 3
+        del calls[:]
+        assert registry.evict("a") is True
+        assert np.array_equal(answer(), cold)
+        assert len(calls) == 3
+        assert np.array_equal(
+            cold, registry._entries["a"].spasm.spmv_naive(x)
+        )
+
     def test_warmup_warms_cold_entries_from_cache(self, rng, tmp_path):
         coo = random_structured_coo(rng, 96, "mixed")
         cache = ArtifactCache(tmp_path)

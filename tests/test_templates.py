@@ -75,6 +75,18 @@ class TestPortfolioValidation:
         names = [p.name for p in candidate_portfolios()]
         assert names == [f"portfolio-{i}" for i in range(10)]
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_candidates_built_once_fresh_list(self, k):
+        first = candidate_portfolios(k)
+        expected = list(first)
+        first.pop()
+        first.reverse()
+        second = candidate_portfolios(k)
+        assert second == expected
+        assert second is not first
+        # The frozen portfolios themselves are shared.
+        assert all(a is b for a, b in zip(second, expected))
+
     def test_rejects_empty(self):
         with pytest.raises(PortfolioError):
             Portfolio((), k=4)
