@@ -15,8 +15,8 @@ lint:
 
 # Static analysis gate: prove the five plan safety obligations over the
 # whole synth suite (exit 1 on any refuted proof; JSON archived as a CI
-# artifact) and run the AST determinism/safety self-lint against the
-# checked-in baseline (exit 1 on any new finding).
+# artifact) and run the AST determinism/safety self-lint; any self-lint
+# finding fails (exit 1).
 analyze:
 	python -m repro analyze --scale 0.2 --json > BENCH_analyze.json
 	python -c "import json; r = json.load(open('BENCH_analyze.json')); \

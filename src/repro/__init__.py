@@ -6,8 +6,8 @@ commonly used entry points; see the subpackages for the full surface:
 
 * :mod:`repro.core` — pattern analysis, template portfolios, the SPASM
   data format and the workload scheduler;
-* :mod:`repro.matrix` — the sparse matrix substrate (COO/CSR/CSC/BSR/
-  ELL/DIA) with conversions and storage cost models;
+* :mod:`repro.matrix` — the sparse matrix substrate (COO/CSR/BSR/ELL/
+  DIA) with conversions and storage cost models;
 * :mod:`repro.hw` — the SPASM accelerator model (VALU/PE/HBM functional
   simulator and the analytic performance model);
 * :mod:`repro.baselines` — HiSparse, Serpens and cuSPARSE-on-RTX3090
@@ -43,7 +43,6 @@ from repro.verify import (
     Report,
     VerificationError,
     verify_memory_image,
-    verify_opcode_table,
     verify_spasm,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "Report",
     "VerificationError",
     "verify_memory_image",
-    "verify_opcode_table",
     "verify_spasm",
     "__version__",
 ]

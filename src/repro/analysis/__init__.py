@@ -14,7 +14,7 @@ from repro.analysis.storage_compare import (
     storage_summary,
 )
 from repro.analysis.report import format_table
-from repro.analysis.charts import bar_chart, grouped_bar_chart, line_chart
+from repro.analysis.charts import bar_chart, line_chart
 from repro.analysis.spy import spy, spy_with_border
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "storage_summary",
     "format_table",
     "bar_chart",
-    "grouped_bar_chart",
     "line_chart",
     "spy",
     "spy_with_border",

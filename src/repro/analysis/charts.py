@@ -52,41 +52,6 @@ def bar_chart(labels, values, width: int = 50, title: str = "",
     return "\n".join(lines)
 
 
-def grouped_bar_chart(categories, series, width: int = 40,
-                      title: str = "", log: bool = False) -> str:
-    """Grouped bars: one block per category, one bar per series.
-
-    ``series`` is ``{name: [value per category]}`` — the Figure 12
-    layout (matrices x platforms).
-    """
-    series = {str(k): [float(v) for v in vals]
-              for k, vals in series.items()}
-    for name, vals in series.items():
-        if len(vals) != len(categories):
-            raise ValueError(
-                f"series {name!r} length does not match categories"
-            )
-    lines = [title] if title else []
-    name_w = max(len(name) for name in series)
-    all_values = [v for vals in series.values() for v in vals]
-    if log and any(v <= 0 for v in all_values):
-        raise ValueError("log scale needs positive values")
-
-    def scale(v):
-        return math.log10(v) if log else v
-
-    top = max(scale(v) for v in all_values)
-    bottom = min(scale(v) for v in all_values) if log else 0.0
-    span = top - bottom or 1.0
-    for i, category in enumerate(categories):
-        lines.append(f"{category}:")
-        for name, vals in series.items():
-            frac = (scale(vals[i]) - bottom) / span
-            bar = "#" * max(int(round(frac * width)), 1)
-            lines.append(f"  {name:>{name_w}} | {bar} {vals[i]:.2f}")
-    return "\n".join(lines)
-
-
 def line_chart(series, width: int = 60, height: int = 12,
                title: str = "", x_labels=None) -> str:
     """Multi-series line (scatter) chart on a character grid.

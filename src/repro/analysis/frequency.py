@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.report import format_table
 from repro.core.patterns import PatternHistogram, analyze_local_patterns
 
@@ -41,12 +39,3 @@ def pattern_cdf_table(matrices, top_ns=(1, 2, 4, 8, 16, 32, 64),
     return format_table(
         headers, rows, title="CDF of top-n local patterns (%)", precision=1
     )
-
-
-def cdf_series(histogram: PatternHistogram,
-               max_n: int = None) -> np.ndarray:
-    """The raw Figure 3 series: cumulative share of the top-n patterns."""
-    cdf = histogram.cdf()
-    if max_n is not None:
-        cdf = cdf[:max_n]
-    return cdf

@@ -12,15 +12,15 @@
   backend-capability coverage (every dispatchable op resolves inside
   a registered backend's declared capability envelope).  The first
   two adapt the plan contract of :mod:`repro.exec.policy`, the rules
-  the guard's pre-dispatch ``validate()`` enforces.  Refuted
-  obligations surface as ``analyze.*`` diagnostics through
-  :mod:`repro.verify`.
+  the guard's pre-dispatch ``validate()`` enforces.  A refuted
+  obligation fails ``python -m repro analyze`` and, under
+  ``SpasmCompiler(analyze=True)``, the compile.
 * **Codebase lint** (:mod:`repro.analyze.lints`) — a custom AST
   checker enforcing the repository's determinism/safety discipline
   (no unseeded randomness, no clocks in kernel bodies, no silent
   dtype upcasts on hot paths, one shared pool, no bare ``except``,
-  no raw kernel access outside the plan module, no dead public API),
-  burned down against a checked-in baseline.
+  no raw kernel access outside the plan module, no dead public API);
+  any finding fails ``python -m repro analyze --self``.
 
 Quick use::
 
@@ -53,13 +53,9 @@ from repro.analyze.symbolic import (
 from repro.analyze.lints import (
     LINT_IDS,
     LintFinding,
-    baseline_path,
-    diff_baseline,
     lint_paths,
     lint_source,
-    load_baseline,
     self_lint,
-    write_baseline,
 )
 
 __all__ = [
@@ -78,11 +74,7 @@ __all__ = [
     "check_shard_disjointness",
     "LINT_IDS",
     "LintFinding",
-    "baseline_path",
-    "diff_baseline",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "self_lint",
-    "write_baseline",
 ]

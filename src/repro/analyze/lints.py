@@ -16,6 +16,8 @@ det.adhoc-pool      thread/process pools only via the shared-pool
                     helper ``repro.exec.plan._pool`` (bounded threads)
 det.bare-except     no bare ``except:`` (swallows KeyboardInterrupt
                     and hides injected faults)
+lint.parse-error    every scanned file parses (a file that does not
+                    is reported, never skipped)
 exec.implicit-dtype ``np.asarray``/``np.ascontiguousarray`` in
                     ``repro.exec`` must pin a dtype (no silent value
                     upcasts on hot paths)
@@ -26,26 +28,23 @@ exec.raw-kernel     scipy's unchecked C kernels (``csr_matvec`` et
 exec.plan-kernel    ``repro/exec/plan.py`` holds the plan model and
                     dispatch only — numpy kernel math (``np.take``,
                     ``np.bincount``, …) lives in the backends package
-api.unused-public   public module-level defs must be referenced
-                    somewhere in the library (dead public API drifts)
+api.unused-public   public module-level defs must be referenced by
+                    the library or by a script that ships beside it
+                    in ``benchmarks/``, ``examples/`` or
+                    ``perfbench/`` (dead public API drifts)
 ==================  ====================================================
 
-Existing violations are burned down explicitly against the checked-in
-baseline (``self_baseline.json``): ``python -m repro analyze --self``
-fails only on *new* findings and reports baseline entries that have
-been fixed (so the baseline shrinks monotonically).  A single line can
-carry a sanctioned suppression comment ``# lint: allow(<lint-id>)``;
-modules may sanction experimental public API via a module-level
-``__experimental__ = [...]`` list.
+There is no baseline: ``python -m repro analyze --self`` fails on any
+finding.  The one sanction is a line comment ``# lint: allow(<lint-id>)``
+on the offending line (for ``api.unused-public``, the def line).
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 #: All lint identifiers, documentation order.
 LINT_IDS = (
@@ -53,6 +52,7 @@ LINT_IDS = (
     "det.kernel-clock",
     "det.adhoc-pool",
     "det.bare-except",
+    "lint.parse-error",
     "exec.implicit-dtype",
     "exec.raw-kernel",
     "exec.plan-kernel",
@@ -85,6 +85,10 @@ POOL_CALLS = frozenset({
     "multiprocessing.dummy.Pool",
 })
 
+#: Directories beside ``src/`` whose scripts ship with the library and
+#: so count as consumers of its public API (read only, never linted).
+CONSUMER_DIRS = ("benchmarks", "examples", "perfbench")
+
 #: The one sanctioned pool-creation site: (module relpath, function).
 SHARED_POOL_HELPER = ("repro/exec/plan.py", "_pool")
 
@@ -115,22 +119,13 @@ _SEEDED_RNG_CTORS = frozenset({"default_rng", "RandomState",
 
 @dataclasses.dataclass(frozen=True)
 class LintFinding:
-    """One violation of the coding discipline.
-
-    ``key`` identifies the finding for baseline matching: it excludes
-    the line number (so unrelated edits to a file do not churn the
-    baseline) but includes the enclosing symbol and the stable detail.
-    """
+    """One violation of the coding discipline."""
 
     lint_id: str
     path: str  # repo-relative posix path, e.g. "repro/exec/plan.py"
     line: int
     symbol: str  # enclosing def/class chain, or "<module>"
     message: str
-
-    @property
-    def key(self) -> str:
-        return f"{self.lint_id}|{self.path}|{self.symbol}|{self.message}"
 
     def render(self) -> str:
         return (
@@ -165,6 +160,14 @@ def _dotted(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
+def _allowed(lines: Sequence[str], line: int, lint_id: str) -> bool:
+    """Whether ``line`` carries a ``# lint: allow(...)`` for ``lint_id``."""
+    if not 1 <= line <= len(lines):
+        return False
+    text = lines[line - 1]
+    return f"lint: allow({lint_id})" in text or "lint: allow(all)" in text
+
+
 class _FileLinter(ast.NodeVisitor):
     """Per-file lint pass (everything except ``api.unused-public``)."""
 
@@ -182,19 +185,10 @@ class _FileLinter(ast.NodeVisitor):
     def symbol(self) -> str:
         return ".".join(self.scope) if self.scope else "<module>"
 
-    def _suppressed(self, line: int, lint_id: str) -> bool:
-        if not 1 <= line <= len(self.lines):
-            return False
-        text = self.lines[line - 1]
-        return (
-            f"lint: allow({lint_id})" in text
-            or "lint: allow(all)" in text
-        )
-
     def _report(self, lint_id: str, node: ast.AST,
                 message: str) -> None:
         line = int(getattr(node, "lineno", 0) or 0)
-        if self._suppressed(line, lint_id):
+        if _allowed(self.lines, line, lint_id):
             return
         self.findings.append(LintFinding(
             lint_id=lint_id,
@@ -390,37 +384,34 @@ def lint_source(source: str, relpath: str) -> List[LintFinding]:
 # project-level pass: api.unused-public
 # ---------------------------------------------------------------------
 
-def _module_experimental(tree: ast.Module) -> Set[str]:
-    """Names sanctioned by a module-level ``__experimental__`` list."""
-    names: Set[str] = set()
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id == "__experimental__"
-                and isinstance(node.value, (ast.List, ast.Tuple))
-            ):
-                for element in node.value.elts:
-                    if isinstance(element, ast.Constant) and (
-                        isinstance(element.value, str)
-                    ):
-                        names.add(element.value)
-    return names
+def _decorator_name(node: ast.expr) -> Optional[str]:
+    """Last name of a decorator: ``dataclass`` for
+    ``@dataclasses.dataclass(frozen=True)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
 
 
 def _public_defs(tree: ast.Module) -> List[Tuple[str, int]]:
-    """Top-level public, undecorated defs of a module: (name, line).
+    """Top-level public defs of a module: (name, line).
 
-    Decorated defs are exempt — decorators like ``@register`` consume
-    the name at import time, so reference counting cannot see the use.
+    Defs with a decorator other than ``dataclass`` are exempt:
+    decorators like ``@register`` consume the name at import time, so
+    reference counting cannot see the use.  ``@dataclass`` consumes
+    nothing, so a dataclass nobody builds is still flagged.
     """
     defs: List[Tuple[str, int]] = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            if node.name.startswith("_") or node.decorator_list:
+            if node.name.startswith("_") or any(
+                _decorator_name(d) != "dataclass"
+                for d in node.decorator_list
+            ):
                 continue
             defs.append((node.name, node.lineno))
     return defs
@@ -447,49 +438,41 @@ class _UsageCollector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _used_names(tree: ast.Module) -> Set[str]:
+    collector = _UsageCollector()
+    collector.visit(tree)
+    return collector.used
+
+
 def _check_unused_public(
     modules: Dict[str, ast.Module],
     sources: Dict[str, Sequence[str]],
+    consumers: Set[str],
 ) -> List[LintFinding]:
-    """Flag public defs no library module references.
+    """Flag public defs neither the library nor a shipped script reads.
 
     A symbol counts as used when its name is read in its own module
-    (helpers composed internally) or in any *other* non-``__init__``
-    module of the scanned set.  ``__init__.py`` re-exports do not
-    count — a name that only appears on an export list is exactly the
-    dead-API drift this lint exists to catch.
+    (helpers composed internally), in any *other* non-``__init__``
+    module of the scanned set, or in ``consumers`` (the names the
+    scripts under :data:`CONSUMER_DIRS` read).  ``__init__.py``
+    re-exports do not count — a name that only appears on an export
+    list is exactly the dead-API drift this lint exists to catch.
     """
-    usage_by_file: Dict[str, Set[str]] = {}
-    for relpath, tree in modules.items():
-        collector = _UsageCollector()
-        collector.visit(tree)
-        usage_by_file[relpath] = collector.used
-
+    usage_by_file = {
+        relpath: _used_names(tree) for relpath, tree in modules.items()
+    }
     findings: List[LintFinding] = []
     for relpath, tree in modules.items():
         if os.path.basename(relpath) == "__init__.py":
             continue
-        experimental = _module_experimental(tree)
         for name, line in _public_defs(tree):
-            if name in experimental:
-                continue
-            used = name in usage_by_file.get(relpath, set())
-            if not used:
-                for other, used_names in usage_by_file.items():
-                    if other == relpath:
-                        continue
-                    if os.path.basename(other) == "__init__.py":
-                        continue
-                    if name in used_names:
-                        used = True
-                        break
-            if used:
-                continue
-            lines = sources.get(relpath, ())
-            if 1 <= line <= len(lines) and (
-                "lint: allow(api.unused-public)" in lines[line - 1]
-                or "lint: allow(all)" in lines[line - 1]
-            ):
+            used = name in consumers or any(
+                name in used_names
+                for other, used_names in usage_by_file.items()
+                if os.path.basename(other) != "__init__.py"
+            )
+            if used or _allowed(sources[relpath], line,
+                                "api.unused-public"):
                 continue
             findings.append(LintFinding(
                 lint_id="api.unused-public",
@@ -498,8 +481,7 @@ def _check_unused_public(
                 symbol=name,
                 message=(
                     f"public '{name}' is referenced by no library "
-                    "module — wire it in, mark it __experimental__, "
-                    "or drop it"
+                    "module or shipped script — wire it in or drop it"
                 ),
             ))
     return findings
@@ -509,9 +491,37 @@ def _check_unused_public(
 # entry points
 # ---------------------------------------------------------------------
 
-def _relpath_for(path: str, root: str) -> str:
-    rel = os.path.relpath(path, os.path.dirname(root))
-    return rel.replace(os.sep, "/")
+def _relpath(path: str, anchor: str) -> str:
+    return os.path.relpath(path, anchor).replace(os.sep, "/")
+
+
+def _py_files(root: str) -> List[str]:
+    """Every ``.py`` file under ``root`` (none if it does not exist)."""
+    paths = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        for filename in filenames:
+            if filename.endswith(".py"):
+                paths.append(os.path.join(dirpath, filename))
+    return paths
+
+
+def _parse(path: str, relpath: str,
+           findings: List[LintFinding]) -> Optional[Tuple[ast.Module, str]]:
+    """Parse one file; on a syntax error record ``lint.parse-error``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    try:
+        return ast.parse(text, filename=relpath), text
+    except SyntaxError as exc:
+        findings.append(LintFinding(
+            lint_id="lint.parse-error",
+            path=relpath,
+            line=int(exc.lineno or 0),
+            symbol="<module>",
+            message=f"file does not parse: {exc.msg}",
+        ))
+        return None
 
 
 def lint_paths(paths: Sequence[str], root: str) -> List[LintFinding]:
@@ -520,31 +530,31 @@ def lint_paths(paths: Sequence[str], root: str) -> List[LintFinding]:
     ``root`` is the package directory (e.g. ``.../src/repro``);
     relative paths in findings are anchored at its parent, so they
     read ``repro/exec/plan.py`` regardless of the checkout location.
-    Files that fail to parse produce a synthetic finding instead of
-    crashing the pass.
+    The :data:`CONSUMER_DIRS` two levels up (the repo root of a
+    ``src/`` layout) are read for ``api.unused-public`` usage.  Files
+    that fail to parse produce a ``lint.parse-error`` finding instead
+    of crashing the pass.
     """
     modules: Dict[str, ast.Module] = {}
     sources: Dict[str, Sequence[str]] = {}
     findings: List[LintFinding] = []
     for path in sorted(paths):
-        relpath = _relpath_for(path, root)
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        try:
-            tree = ast.parse(text, filename=relpath)
-        except SyntaxError as exc:
-            findings.append(LintFinding(
-                lint_id="det.bare-except",
-                path=relpath,
-                line=int(exc.lineno or 0),
-                symbol="<module>",
-                message=f"file does not parse: {exc.msg}",
-            ))
+        relpath = _relpath(path, os.path.dirname(root))
+        parsed = _parse(path, relpath, findings)
+        if parsed is None:
             continue
+        tree, text = parsed
         modules[relpath] = tree
         sources[relpath] = text.splitlines()
         findings.extend(lint_source(text, relpath))
-    findings.extend(_check_unused_public(modules, sources))
+    repo_root = os.path.dirname(os.path.dirname(root))
+    consumers: Set[str] = set()
+    for directory in CONSUMER_DIRS:
+        for path in _py_files(os.path.join(repo_root, directory)):
+            parsed = _parse(path, _relpath(path, repo_root), findings)
+            if parsed is not None:
+                consumers |= _used_names(parsed[0])
+    findings.extend(_check_unused_public(modules, sources, consumers))
     findings.sort(key=lambda f: (f.path, f.line, f.lint_id))
     return findings
 
@@ -559,77 +569,4 @@ def package_root() -> str:
 def self_lint(root: Optional[str] = None) -> List[LintFinding]:
     """Lint the ``repro`` library source itself."""
     root = root or package_root()
-    paths = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
-        for filename in filenames:
-            if filename.endswith(".py"):
-                paths.append(os.path.join(dirpath, filename))
-    return lint_paths(paths, root)
-
-
-# ---------------------------------------------------------------------
-# baseline burndown
-# ---------------------------------------------------------------------
-
-def baseline_path() -> str:
-    """Location of the checked-in self-lint baseline."""
-    return os.path.join(
-        os.path.dirname(os.path.abspath(__file__)),
-        "self_baseline.json",
-    )
-
-
-def load_baseline(path: Optional[str] = None) -> Dict[str, int]:
-    """Baseline finding keys -> sanctioned instance counts."""
-    path = path or baseline_path()
-    if not os.path.exists(path):
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return {
-        str(key): int(count)
-        for key, count in payload.get("findings", {}).items()
-    }
-
-
-def write_baseline(findings: Iterable[LintFinding],
-                   path: Optional[str] = None) -> str:
-    """Persist the given findings as the new baseline."""
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        counts[finding.key] = counts.get(finding.key, 0) + 1
-    payload = {
-        "comment": (
-            "Sanctioned pre-existing self-lint findings; burn these "
-            "down, never add to them.  Regenerate with "
-            "'python -m repro analyze --self --write-baseline'."
-        ),
-        "findings": dict(sorted(counts.items())),
-    }
-    path = path or baseline_path()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path
-
-
-def diff_baseline(
-    findings: Sequence[LintFinding],
-    baseline: Dict[str, int],
-) -> Tuple[List[LintFinding], List[str]]:
-    """Split findings into (new vs baseline, burned-down keys).
-
-    Counts matter: a second instance of a baselined finding is new.
-    Returns the new findings and the baseline keys whose sanctioned
-    instances are no longer present (candidates for removal).
-    """
-    remaining = dict(baseline)
-    new: List[LintFinding] = []
-    for finding in findings:
-        if remaining.get(finding.key, 0) > 0:
-            remaining[finding.key] -= 1
-        else:
-            new.append(finding)
-    fixed = [key for key, count in remaining.items() if count > 0]
-    return new, sorted(fixed)
+    return lint_paths(_py_files(root), root)

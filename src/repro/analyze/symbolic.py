@@ -50,9 +50,8 @@ plan contract of :mod:`repro.exec.policy` — the very rules
 guard enforce before dispatch — so a proof and a pre-dispatch check
 can never disagree.
 
-Refuted obligations surface as ``analyze.*`` diagnostics through
-:mod:`repro.verify.analyze_rules`; :func:`analyze_plan` is the direct
-entry point and :func:`analyze_program` the whole-artifact one.
+:func:`analyze_plan` is the entry point for one plan and
+:func:`analyze_program` the whole-artifact one.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ x-vector access locality.
 """
 
 from repro.baselines.base import AcceleratorModel, MatrixStats, matrix_stats
-from repro.baselines.cpu import CPUReference
 from repro.baselines.hisparse import HiSparseModel
 from repro.baselines.serpens import SerpensModel, SERPENS_A16, SERPENS_A24
 from repro.baselines.gpu import CuSparseRTX3090Model
@@ -26,7 +25,6 @@ __all__ = [
     "AcceleratorModel",
     "MatrixStats",
     "matrix_stats",
-    "CPUReference",
     "HiSparseModel",
     "SerpensModel",
     "SERPENS_A16",

@@ -74,8 +74,7 @@ def cmd_analyze(args) -> int:
       five plan safety obligations symbolically; any refuted
       obligation exits 1.
     * ``analyze --self`` — run the AST determinism/safety lint over
-      ``src/repro`` against the checked-in baseline; any *new*
-      finding exits 1.
+      ``src/repro``; any finding exits 1.
     """
     if args.self_lint:
         return _analyze_self(args)
@@ -130,43 +129,22 @@ def _analyze_proofs(args) -> int:
 
 
 def _analyze_self(args) -> int:
-    """Lint ``src/repro`` against the checked-in baseline."""
+    """Lint ``src/repro``; any finding exits 1."""
     import json
 
-    from repro.analyze import (
-        diff_baseline,
-        load_baseline,
-        self_lint,
-        write_baseline,
-    )
+    from repro.analyze import self_lint
 
     findings = self_lint()
-    if args.write_baseline:
-        path = write_baseline(findings)
-        print(f"wrote baseline of {len(findings)} finding(s) to {path}")
-        return 0
-    baseline = load_baseline()
-    new, fixed = diff_baseline(findings, baseline)
     if args.json:
         print(json.dumps({
-            "ok": not new,
-            "findings": len(findings),
-            "baselined": len(findings) - len(new),
-            "new": [f.as_dict() for f in new],
-            "fixed_baseline_keys": fixed,
+            "ok": not findings,
+            "findings": [f.as_dict() for f in findings],
         }, indent=2))
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.render())
-        if fixed:
-            print(f"note: {len(fixed)} baseline finding(s) no longer "
-                  "present — shrink the baseline "
-                  "(analyze --self --write-baseline):")
-            for key in fixed:
-                print(f"  {key}")
-        print(f"self-lint: {len(findings)} finding(s), "
-              f"{len(findings) - len(new)} baselined, {len(new)} new")
-    return 1 if new else 0
+        print(f"self-lint: {len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 def make_compiler(args) -> SpasmCompiler:
@@ -948,11 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--self", dest="self_lint",
                          action="store_true",
                          help="run the AST determinism/safety lint "
-                              "over src/repro against the checked-in "
-                              "baseline; a new finding exits 1")
-    analyze.add_argument("--write-baseline", action="store_true",
-                         help="with --self: rewrite the baseline to "
-                              "the current findings")
+                              "over src/repro; any finding exits 1")
     analyze.add_argument("--json", action="store_true",
                          help="emit the proof or lint report as JSON")
     add_pipeline_flags(analyze)

@@ -29,7 +29,6 @@ from repro.core.decompose import (
     DecompositionTable,
     cached_table,
     find_best_decomp,
-    greedy_decompose,
 )
 from repro.core.encoding import (
     PositionEncoding,
@@ -90,7 +89,6 @@ __all__ = [
     "DecompositionTable",
     "cached_table",
     "find_best_decomp",
-    "greedy_decompose",
     "PositionEncoding",
     "pack_position",
     "unpack_position",

@@ -43,7 +43,11 @@ def bit_of(r: int, c: int, k: int = DEFAULT_K) -> int:
     return r * k + c
 
 
-def mask_from_coords(rows, cols, k: int = DEFAULT_K) -> int:
+# The inverse in the coords_from_mask round-trip property
+# (tests/test_bitmask.py::TestMaskConstruction::
+#  test_coords_mask_roundtrip_property).
+def mask_from_coords(rows, cols,  # lint: allow(api.unused-public)
+                     k: int = DEFAULT_K) -> int:
     """Build a mask from parallel row/col coordinate sequences."""
     mask = 0
     for r, c in zip(rows, cols):
@@ -60,20 +64,6 @@ def coords_from_mask(mask: int, k: int = DEFAULT_K) -> list:
         if mask >> bit & 1:
             cells.append((bit // k, bit % k))
     return cells
-
-
-def mask_from_dense(block: np.ndarray) -> int:
-    """Mask of the non-zero cells of a dense k-by-k block."""
-    block = np.asarray(block)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise ValueError("block must be square")
-    k = block.shape[0]
-    mask = 0
-    for r in range(k):
-        for c in range(k):
-            if block[r, c] != 0:
-                mask |= 1 << bit_of(r, c, k)
-    return mask
 
 
 def render_mask(mask: int, k: int = DEFAULT_K, set_char: str = "#",
@@ -137,16 +127,3 @@ def block_mask(r0: int, c0: int, bh: int, bw: int, k: int = DEFAULT_K,
                 )
             mask |= 1 << bit_of(r, c, k)
     return mask
-
-
-def transpose_mask(mask: int, k: int = DEFAULT_K) -> int:
-    """Mask of the transposed pattern."""
-    out = 0
-    for r, c in coords_from_mask(mask, k):
-        out |= 1 << bit_of(c, r, k)
-    return out
-
-
-def submask_count(mask: int) -> int:
-    """Number of non-empty submasks of ``mask`` (2^popcount - 1)."""
-    return (1 << popcount(mask)) - 1

@@ -78,7 +78,11 @@ def _subset_ids(subset: int) -> tuple:
     return tuple(ids)
 
 
-def find_best_decomp(pattern: int, templates) -> tuple:
+# The Listing 1 oracle for DecompositionTable
+# (tests/test_property_random.py::TestPortfolioInvariants::
+#  test_table_matches_brute_force).
+def find_best_decomp(pattern: int,  # lint: allow(api.unused-public)
+                     templates) -> tuple:
     """Paper Listing 1: brute-force search over all template subsets.
 
     Parameters
@@ -126,37 +130,6 @@ def find_best_decomp(pattern: int, templates) -> tuple:
             f"pattern {pattern:#x} is not coverable by the given templates"
         )
     return best_decomp, best_num_paddings
-
-
-def greedy_decompose(pattern: int, templates) -> Decomposition:
-    """Greedy set-cover heuristic: repeatedly take the template covering
-    the most still-uncovered pattern cells.
-
-    Fast and usually optimal for SPASM's structured portfolios, but not
-    guaranteed; used for ablations against the exact solver.
-    """
-    masks = [getattr(t, "mask", t) for t in templates]
-    remain = pattern
-    chosen = []
-    covered = 0
-    while remain:
-        best_gain, best_id = 0, None
-        for t_id, tmask in enumerate(masks):
-            gain = popcount(tmask & remain)
-            if gain > best_gain:
-                best_gain, best_id = gain, t_id
-        if best_id is None:
-            raise DecompositionError(
-                f"pattern {pattern:#x} is not coverable by the given "
-                "templates"
-            )
-        chosen.append(best_id)
-        covered |= masks[best_id]
-        remain &= ~masks[best_id]
-    # Each selected template contributes |t| cells; pattern cells are paid
-    # for exactly once, so padding = sum(|t|) - |pattern|.
-    padding = sum(popcount(masks[i]) for i in chosen) - popcount(pattern)
-    return Decomposition(pattern, tuple(sorted(chosen)), padding)
 
 
 class DecompositionTable:

@@ -59,8 +59,10 @@ class PositionEncoding:
     t_idx: int
 
 
-def pack_position(c_idx: int, r_idx: int, ce: bool, re: bool,
-                  t_idx: int) -> int:
+# The scalar oracle for pack_position_array
+# (tests/test_encoding.py::TestArrayForms::test_array_matches_scalar).
+def pack_position(c_idx: int,  # lint: allow(api.unused-public)
+                  r_idx: int, ce: bool, re: bool, t_idx: int) -> int:
     """Pack the five fields into one 32-bit word."""
     if not 0 <= c_idx <= MAX_SUBMATRIX_INDEX:
         raise EncodingError(f"c_idx {c_idx} exceeds {C_IDX_BITS} bits")

@@ -311,12 +311,3 @@ def template_universe(k: int = DEFAULT_K):
         for bit in cells:
             mask |= 1 << bit
         yield mask
-
-
-def universe_size(k: int = DEFAULT_K) -> int:
-    """Number of possible fixed-length templates (1820 for k=4)."""
-    count = 1
-    n, r = k * k, k
-    for i in range(r):
-        count = count * (n - i) // (i + 1)
-    return count

@@ -29,8 +29,6 @@ from repro.exec.backends.csr import CsrBackend
 from repro.exec.backends.gather import GatherBackend
 from repro.exec.backends.numba_jit import NumbaBackend
 
-__experimental__ = ["unregister_backend"]
-
 #: Name the negotiation modes answer to (``backend=None`` == "auto").
 AUTO = "auto"
 
@@ -68,7 +66,8 @@ def register_backend(backend: ExecutionBackend,
     return backend
 
 
-def unregister_backend(name: str) -> None:
+# Test teardown for fake backends (tests/test_exec_backends.py).
+def unregister_backend(name: str) -> None:  # lint: allow(api.unused-public)
     """Remove a registered backend (test/extension cleanup)."""
     global _GENERATION
     _REGISTRY.pop(name, None)

@@ -328,8 +328,8 @@ class ExecutionPlan:
         builder hands the field a pending ``Future`` so hashing never
         sits on the build's critical path — the :attr:`digest`
         property resolves (and memoizes) it on first access, which is
-        always before the value is needed: cache stores, verify rules
-        and lazy-plan adoption all go through the property, while
+        always before the value is needed: cache stores and lazy-plan
+        adoption go through the property, while
         ``spmv`` itself never touches it.
     source_nnz:
         Non-zero count of the source matrix (throughput accounting).
@@ -653,8 +653,8 @@ class ExecutionPlan:
         The messages of :func:`repro.exec.policy.plan_findings`: the
         plan contract's index-width, coverage, values and checksum
         invariants.  An empty list means the plan is safe to dispatch.
-        Used by the resilience guard before execution and surfaced as
-        ``plan.integrity`` diagnostics by :func:`repro.verify.verify_plan`.
+        Used by the resilience guard before execution and by the plan
+        caches before they serve an entry.
         """
         return [finding.message for finding in plan_findings(self)]
 

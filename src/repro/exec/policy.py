@@ -4,9 +4,9 @@ The compiled fast path trusts the plan arrays completely (scipy's
 unchecked ``csr_matvec`` and the gather kernels do no per-slot
 checks), so this module is the single owner of that decision.  The
 build, :meth:`ExecutionPlan.validate` (and through it the resilience
-guard), the ``plan.*`` verify rules and the ``index_width``/
-``coverage`` proof obligations of :mod:`repro.analyze` all call into
-it.  :func:`plan_findings` checks four invariants, one rule each:
+guard and the plan caches) and the ``index_width``/``coverage`` proof
+obligations of :mod:`repro.analyze` all call into it.
+:func:`plan_findings` checks four invariants, one rule each:
 
 ``index_width``
     One supported index dtype across ``cols``/``seg_starts``/

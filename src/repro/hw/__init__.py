@@ -45,7 +45,6 @@ from repro.hw.fast_sim import fast_run, fast_run_batch
 from repro.hw.hazards import (
     count_stall_cycles,
     hazard_aware_reorder,
-    hazard_report,
     perf_with_hazards,
 )
 from repro.hw.memory_image import MemoryImage, pack_images, unpack_images
@@ -84,7 +83,6 @@ __all__ = [
     "fast_run_batch",
     "count_stall_cycles",
     "hazard_aware_reorder",
-    "hazard_report",
     "perf_with_hazards",
     "MemoryImage",
     "pack_images",

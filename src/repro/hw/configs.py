@@ -155,14 +155,3 @@ SPASM_3_4 = HwConfig("SPASM_3_4", 3, 4, 265e6)
 SPASM_3_2 = HwConfig("SPASM_3_2", 3, 2, 251e6)
 
 DEFAULT_CONFIGS = (SPASM_4_1, SPASM_3_4, SPASM_3_2)
-
-
-def make_config(num_pe_groups: int, num_xvec_ch: int,
-                frequency_hz: float = 250e6) -> HwConfig:
-    """Build a custom ``SPASM_{groups}_{xch}`` configuration."""
-    return HwConfig(
-        f"SPASM_{num_pe_groups}_{num_xvec_ch}",
-        num_pe_groups,
-        num_xvec_ch,
-        frequency_hz,
-    )

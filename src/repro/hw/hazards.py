@@ -20,8 +20,6 @@ analytic simplification.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.core.encoding import unpack_position_array
@@ -39,7 +37,9 @@ def _group_fields(spasm: SpasmMatrix):
     return fields, tile_of_group
 
 
-def count_stall_cycles(spasm: SpasmMatrix,
+# The oracle for stall_cycles_per_tile
+# (tests/test_hazards.py::TestCountStalls::test_per_tile_sums_to_total).
+def count_stall_cycles(spasm: SpasmMatrix,  # lint: allow(api.unused-public)
                        latency: int = DEFAULT_ADDER_LATENCY) -> int:
     """Total first-order accumulator stall cycles of a stream.
 
@@ -63,22 +63,6 @@ def count_stall_cycles(spasm: SpasmMatrix,
     distances = (pos_sorted[1:] - pos_sorted[:-1])[same]
     stalls = np.maximum(0, latency - distances)
     return int(stalls.sum())
-
-
-@dataclasses.dataclass(frozen=True)
-class HazardReport:
-    """Stall accounting before/after hazard-aware reordering."""
-
-    latency: int
-    stalls_before: int
-    stalls_after: int
-
-    @property
-    def reduction(self) -> float:
-        """Fraction of stall cycles removed."""
-        if self.stalls_before == 0:
-            return 0.0
-        return 1.0 - self.stalls_after / self.stalls_before
 
 
 def hazard_aware_reorder(spasm: SpasmMatrix) -> SpasmMatrix:
@@ -211,16 +195,4 @@ def perf_with_hazards(spasm: SpasmMatrix, config,
             breakdown.y_cycles,
         )
         + PIPELINE_FILL_CYCLES
-    )
-
-
-def hazard_report(spasm: SpasmMatrix,
-                  latency: int = DEFAULT_ADDER_LATENCY) -> HazardReport:
-    """Stalls of the stock stream vs the hazard-aware reordering."""
-    return HazardReport(
-        latency=latency,
-        stalls_before=count_stall_cycles(spasm, latency),
-        stalls_after=count_stall_cycles(
-            hazard_aware_reorder(spasm), latency
-        ),
     )

@@ -239,18 +239,3 @@ def estimate_spmm_gflops(composition: GlobalComposition, config: HwConfig,
     time_s = cycles / config.frequency_hz
     flops = (2 * nnz + nrows) * n_vectors
     return flops / time_s / 1e9 if time_s else 0.0
-
-
-def estimate_time_s(composition: GlobalComposition,
-                    config: HwConfig) -> float:
-    """Estimated wall-clock execution time of one SpMV."""
-    return perf_model(composition, config) / config.frequency_hz
-
-
-def estimate_gflops(composition: GlobalComposition, config: HwConfig,
-                    nnz: int, nrows: int) -> float:
-    """Paper throughput metric: ``(2*nnz + nrows) / exe_time`` in GFLOP/s."""
-    time_s = estimate_time_s(composition, config)
-    if time_s == 0.0:
-        return 0.0
-    return (2 * nnz + nrows) / time_s / 1e9

@@ -1,23 +1,19 @@
 """Sparse matrix substrate implemented from scratch on top of numpy.
 
 This package provides the classic sparse storage formats the paper compares
-against (Table I): COO, CSR, CSC, BSR, ELL and DIA, together with format
-conversions, a reference SpMV for each format, Matrix Market I/O and the
+against (Table I): COO, CSR, BSR, ELL and DIA, together with format
+conversions, a reference SpMV for each format, Matrix Market input and the
 storage-cost accounting used in the Figure 11 / Table VI comparison.
 """
 
 from repro.matrix.base import SparseMatrix, MatrixShapeError
 from repro.matrix.coo import COOMatrix
 from repro.matrix.csr import CSRMatrix
-from repro.matrix.csc import CSCMatrix
 from repro.matrix.bsr import BSRMatrix
 from repro.matrix.ell import ELLMatrix
 from repro.matrix.dia import DIAMatrix
 from repro.matrix.convert import (
     coo_to_csr,
-    coo_to_csc,
-    csr_to_coo,
-    csc_to_coo,
     coo_to_bsr,
     coo_to_ell,
     coo_to_dia,
@@ -29,21 +25,17 @@ from repro.matrix.storage import (
     storage_report,
     FORMAT_COSTS,
 )
-from repro.matrix.io import read_matrix_market, write_matrix_market
+from repro.matrix.io import read_matrix_market
 
 __all__ = [
     "SparseMatrix",
     "MatrixShapeError",
     "COOMatrix",
     "CSRMatrix",
-    "CSCMatrix",
     "BSRMatrix",
     "ELLMatrix",
     "DIAMatrix",
     "coo_to_csr",
-    "coo_to_csc",
-    "csr_to_coo",
-    "csc_to_coo",
     "coo_to_bsr",
     "coo_to_ell",
     "coo_to_dia",
@@ -53,5 +45,4 @@ __all__ = [
     "storage_report",
     "FORMAT_COSTS",
     "read_matrix_market",
-    "write_matrix_market",
 ]

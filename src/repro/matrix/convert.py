@@ -11,7 +11,6 @@ import numpy as np
 from repro.matrix.base import MatrixShapeError
 from repro.matrix.bsr import BSRMatrix
 from repro.matrix.coo import COOMatrix
-from repro.matrix.csc import CSCMatrix
 from repro.matrix.csr import CSRMatrix
 from repro.matrix.dia import DIAMatrix
 from repro.matrix.ell import ELL_PAD, ELLMatrix
@@ -27,30 +26,6 @@ def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
     counts = np.bincount(coo.rows, minlength=coo.shape[0])
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return CSRMatrix(indptr, coo.cols, coo.vals, coo.shape)
-
-
-def csr_to_coo(csr: CSRMatrix) -> COOMatrix:
-    """Convert CSR back to row-major COO."""
-    rows = np.repeat(
-        np.arange(csr.shape[0], dtype=np.int64), csr.row_lengths()
-    )
-    return COOMatrix(rows, csr.indices, csr.data, csr.shape)
-
-
-def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
-    """Convert COO to CSC by sorting column-major."""
-    order = np.argsort(coo.cols * coo.shape[0] + coo.rows, kind="stable")
-    counts = np.bincount(coo.cols, minlength=coo.shape[1])
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return CSCMatrix(indptr, coo.rows[order], coo.vals[order], coo.shape)
-
-
-def csc_to_coo(csc: CSCMatrix) -> COOMatrix:
-    """Convert CSC back to row-major COO."""
-    cols = np.repeat(
-        np.arange(csc.shape[1], dtype=np.int64), csc.col_lengths()
-    )
-    return COOMatrix(csc.indices, cols, csc.data, csc.shape)
 
 
 def coo_to_bsr(coo: COOMatrix, blockshape=(2, 2)) -> BSRMatrix:

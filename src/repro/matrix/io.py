@@ -1,9 +1,8 @@
-"""Minimal Matrix Market (.mtx) reader/writer.
+"""Minimal Matrix Market (.mtx) reader.
 
 Supports the ``matrix coordinate`` container with ``real``, ``integer`` or
 ``pattern`` fields and ``general`` or ``symmetric`` symmetry — enough to
-load SuiteSparse matrices when they are available and to persist the
-synthetic workload suite.
+load SuiteSparse matrices when they are available.
 """
 
 from __future__ import annotations
@@ -61,12 +60,3 @@ def read_matrix_market(path) -> COOMatrix:
             np.concatenate([vals, vals[off_diag]]),
         )
     return COOMatrix(rows, cols, vals, (nrows, ncols))
-
-
-def write_matrix_market(path, coo: COOMatrix) -> None:
-    """Write a :class:`COOMatrix` as a general real coordinate file."""
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("%%MatrixMarket matrix coordinate real general\n")
-        handle.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.rows, coo.cols, coo.vals):
-            handle.write(f"{r + 1} {c + 1} {float(v)!r}\n")

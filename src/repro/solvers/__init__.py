@@ -3,18 +3,16 @@
 The paper's amortization argument (Section V-E4) rests on workloads
 that multiply the *same* matrix thousands of times — Krylov solvers in
 scientific computing, QP iterations in finance, power iterations in
-graph analytics.  This package provides those loops as library code so
-any SpMV backend (a plain matrix, a compiled :class:`SpasmProgram`, a
-reordered pipeline) plugs in through one operator interface.
+graph analytics.  This package provides conjugate gradients as library
+code so any SpMV backend (a plain matrix, a compiled
+:class:`SpasmProgram`, a reordered pipeline) plugs in through one
+operator interface.
 """
 
 from repro.solvers.operator import LinearOperator, as_operator
 from repro.solvers.iterative import (
     SolveResult,
     conjugate_gradient,
-    bicgstab,
-    jacobi,
-    power_iteration,
 )
 
 __all__ = [
@@ -22,7 +20,4 @@ __all__ = [
     "as_operator",
     "SolveResult",
     "conjugate_gradient",
-    "bicgstab",
-    "jacobi",
-    "power_iteration",
 ]

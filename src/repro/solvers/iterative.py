@@ -1,4 +1,4 @@
-"""Classic iterative methods over the operator interface."""
+"""Conjugate gradients over the operator interface."""
 
 from __future__ import annotations
 
@@ -97,109 +97,3 @@ def conjugate_gradient(source, b, tol: float = 1e-10,
     residual = float(np.linalg.norm(b - operator.matvec(x)))
     return SolveResult(x, len(history), residual < tol, residual,
                        tuple(history))
-
-
-def bicgstab(source, b, tol: float = 1e-10, max_iters: int = 1000,
-             x0: np.ndarray = None) -> SolveResult:
-    """BiCGSTAB for general (non-symmetric) systems."""
-    operator, b = _prepare(source, b)
-    x = (
-        np.zeros_like(b)
-        if x0 is None
-        else np.array(x0, dtype=np.float64)
-    )
-    r = b - operator.matvec(x) if x.any() else b.copy()
-    r_hat = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros_like(b)
-    p = np.zeros_like(b)
-    history = []
-    for iteration in range(1, max_iters + 1):
-        rho_next = float(r_hat @ r)
-        if rho_next == 0.0:
-            break
-        if iteration == 1:
-            p = r.copy()
-        else:
-            beta = (rho_next / rho) * (alpha / omega)
-            p = r + beta * (p - omega * v)
-        v = operator.matvec(p)
-        denom = float(r_hat @ v)
-        if denom == 0.0:
-            break
-        alpha = rho_next / denom
-        s = r - alpha * v
-        if np.linalg.norm(s) < tol:
-            x = x + alpha * p
-            history.append(float(np.linalg.norm(s)))
-            return SolveResult(x, iteration, True, history[-1],
-                               tuple(history))
-        t = operator.matvec(s)
-        tt = float(t @ t)
-        if tt == 0.0:
-            break
-        omega = float(t @ s) / tt
-        x = x + alpha * p + omega * s
-        r = s - omega * t
-        rho = rho_next
-        history.append(float(np.linalg.norm(r)))
-        if history[-1] < tol:
-            return SolveResult(x, iteration, True, history[-1],
-                               tuple(history))
-        if omega == 0.0:
-            break
-    residual = float(np.linalg.norm(b - operator.matvec(x)))
-    return SolveResult(x, len(history), residual < tol, residual,
-                       tuple(history))
-
-
-def jacobi(source, b, tol: float = 1e-10, max_iters: int = 1000,
-           x0: np.ndarray = None) -> SolveResult:
-    """Jacobi iteration for diagonally dominant systems."""
-    operator, b = _prepare(source, b)
-    diag = operator.diagonal()
-    if np.any(diag == 0.0):
-        raise ValueError("Jacobi needs a zero-free diagonal")
-    x = (
-        np.zeros_like(b)
-        if x0 is None
-        else np.array(x0, dtype=np.float64)
-    )
-    history = []
-    for iteration in range(1, max_iters + 1):
-        r = b - operator.matvec(x)
-        history.append(float(np.linalg.norm(r)))
-        if history[-1] < tol:
-            return SolveResult(x, iteration - 1, True, history[-1],
-                               tuple(history))
-        x = x + r / diag
-    residual = float(np.linalg.norm(b - operator.matvec(x)))
-    return SolveResult(x, max_iters, residual < tol, residual,
-                       tuple(history))
-
-
-def power_iteration(source, tol: float = 1e-12,
-                    max_iters: int = 1000, seed: int = 0) -> tuple:
-    """Dominant eigenpair of a square operator.
-
-    Returns ``(eigenvalue, eigenvector, iterations)``.
-    """
-    operator = as_operator(source)
-    if operator.shape[0] != operator.shape[1]:
-        raise ValueError("power iteration needs a square operator")
-    rng = np.random.default_rng(seed)
-    v = rng.random(operator.shape[0])
-    v /= np.linalg.norm(v)
-    eigenvalue = 0.0
-    for iteration in range(1, max_iters + 1):
-        w = operator.matvec(v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0, v, iteration
-        v_next = w / norm
-        eigenvalue_next = float(v_next @ operator.matvec(v_next))
-        if abs(eigenvalue_next - eigenvalue) < tol:
-            return eigenvalue_next, v_next, iteration
-        v = v_next
-        eigenvalue = eigenvalue_next
-    return eigenvalue, v, max_iters

@@ -15,7 +15,6 @@ from repro.synth.generators import (
     fem_mesh,
     mycielskian_graph,
     power_law_graph,
-    rmat_graph,
     random_uniform,
     row_segments,
     staircase,
@@ -38,7 +37,6 @@ __all__ = [
     "fem_mesh",
     "mycielskian_graph",
     "power_law_graph",
-    "rmat_graph",
     "random_uniform",
     "row_segments",
     "staircase",

@@ -193,7 +193,9 @@ def mycielskian_graph(order: int, seed: int = 0) -> COOMatrix:
     return _coo(rows, cols, rng, (n, n))
 
 
-def power_law_graph(n: int, avg_degree: int = 8, exponent: float = 2.1,
+# The input of the symmetric_degree_sort tests (tests/test_reorder.py).
+def power_law_graph(n: int,  # lint: allow(api.unused-public)
+                    avg_degree: int = 8, exponent: float = 2.1,
                     seed: int = 0) -> COOMatrix:
     """Scale-free graph adjacency (preferential-attachment flavour)."""
     rng = np.random.default_rng(seed)
@@ -208,39 +210,6 @@ def power_law_graph(n: int, avg_degree: int = 8, exponent: float = 2.1,
     rows = np.concatenate([src, dst])
     cols = np.concatenate([dst, src])
     return _coo(rows, cols, rng, (n, n))
-
-
-def rmat_graph(scale: int, avg_degree: int = 8,
-               probabilities=(0.57, 0.19, 0.19, 0.05),
-               seed: int = 0) -> COOMatrix:
-    """R-MAT recursive-matrix graph (Chakrabarti et al., 2004).
-
-    The standard scale-free graph generator of the Graph500 benchmark:
-    ``2**scale`` vertices, edges placed by recursively descending into
-    the adjacency quadrants with the given probabilities.  Produces the
-    skewed, community-structured adjacency matrices typical of graph
-    analytics SpMV workloads.
-    """
-    a, b, c, d = probabilities
-    if not np.isclose(a + b + c + d, 1.0):
-        raise ValueError("quadrant probabilities must sum to 1")
-    rng = np.random.default_rng(seed)
-    n = 1 << scale
-    m = n * avg_degree // 2
-    rows = np.zeros(m, dtype=np.int64)
-    cols = np.zeros(m, dtype=np.int64)
-    for level in range(scale):
-        r = rng.random(m)
-        go_down = (r >= a + b)  # quadrants c or d
-        go_right = ((r >= a) & (r < a + b)) | (r >= a + b + c)
-        half = 1 << (scale - 1 - level)
-        rows += go_down * half
-        cols += go_right * half
-    keep = rows != cols
-    rows, cols = rows[keep], cols[keep]
-    all_rows = np.concatenate([rows, cols])
-    all_cols = np.concatenate([cols, rows])
-    return _coo(all_rows, all_cols, rng, (n, n))
 
 
 def random_uniform(n: int, density: float, seed: int = 0,

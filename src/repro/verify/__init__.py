@@ -27,24 +27,17 @@ from repro.verify.diagnostics import (
     VerificationError,
 )
 from repro.verify.rules import (
-    KIND_ANALYZE,
     KIND_MEMORY,
     KIND_OPCODE,
-    KIND_PLAN,
     KIND_SPASM,
     REGISTRY,
     Rule,
     VerifyContext,
-    all_rules,
     rules_for,
 )
 from repro.verify.runner import (
     run_rules,
-    verify_analysis,
-    verify_file,
     verify_memory_image,
-    verify_opcode_table,
-    verify_plan,
     verify_spasm,
 )
 
@@ -59,18 +52,11 @@ __all__ = [
     "KIND_SPASM",
     "KIND_OPCODE",
     "KIND_MEMORY",
-    "KIND_PLAN",
-    "KIND_ANALYZE",
     "REGISTRY",
     "Rule",
     "VerifyContext",
-    "all_rules",
     "rules_for",
     "run_rules",
-    "verify_analysis",
-    "verify_file",
     "verify_memory_image",
-    "verify_opcode_table",
-    "verify_plan",
     "verify_spasm",
 ]

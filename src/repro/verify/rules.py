@@ -33,8 +33,6 @@ from repro.verify.diagnostics import (
 KIND_SPASM = "spasm"
 KIND_OPCODE = "opcode"
 KIND_MEMORY = "memory"
-KIND_PLAN = "plan"
-KIND_ANALYZE = "analyze"
 
 #: Cap on per-rule occurrence diagnostics (each carries the full count).
 MAX_OCCURRENCES = 8
@@ -55,7 +53,6 @@ class VerifyContext:
     image: Optional[Any] = None  # repro.hw.memory_image.MemoryImage
     opcodes: Optional[Sequence[int]] = None
     portfolio: Optional[Any] = None  # repro.core.templates.Portfolio
-    plan: Optional[Any] = None  # repro.exec.plan.ExecutionPlan
 
     _fields: Optional[Dict[str, np.ndarray]] = dataclasses.field(
         default=None, repr=False
@@ -237,8 +234,3 @@ def rules_for(kinds: Sequence[str]) -> List[Rule]:
         for __, rule in sorted(REGISTRY.items())
         if wanted.intersection(rule.kinds)
     ]
-
-
-def all_rules() -> List[Rule]:
-    """Every registered rule in id order (for docs and listings)."""
-    return [rule for __, rule in sorted(REGISTRY.items())]

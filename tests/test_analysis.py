@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.frequency import (
-    cdf_series,
     pattern_cdf_table,
     top_pattern_report,
 )
@@ -144,10 +143,6 @@ class TestFrequencyAnalysis:
         hist = analyze_local_patterns(matrices[0][1])
         text = top_pattern_report("blocks", hist)
         assert "blocks" in text and "100.00%" in text
-
-    def test_cdf_series_truncation(self, matrices):
-        hist = analyze_local_patterns(matrices[2][1])
-        assert cdf_series(hist, max_n=5).size <= 5
 
 
 class TestStorageAnalysis:

@@ -4,10 +4,9 @@ Four layers are exercised: the pure symbolic certificate (boundary
 behaviour at the int32 capacity, via hypothesis), the five obligation
 checkers over real compiled plans (clean proofs and fault-injected
 refutations with pinpointed witnesses), the plan contract of
-:mod:`repro.exec.policy` shared by ``validate()``, ``plan.integrity``,
-the obligations and the guard (one table of corruptions), and the
-integration surfaces — ``analyze.*`` verify rules, the cacheable
-:class:`AnalyzePass` and the escalated ``plan.layout`` advisory.
+:mod:`repro.exec.policy` shared by ``validate()``, the obligations and
+the guard (one table of corruptions), and the cacheable
+:class:`AnalyzePass`.
 """
 
 import dataclasses
@@ -359,8 +358,8 @@ def small_spasm(rng):
 
 
 class TestPlanContract:
-    """``validate()``, ``plan.integrity``, the ``index_width`` and
-    ``coverage`` obligations and the guard apply one plan contract
+    """``validate()``, the ``index_width`` and ``coverage``
+    obligations and the guard apply one plan contract
     (:mod:`repro.exec.policy`) and so agree on every corruption."""
 
     @pytest.mark.parametrize(
@@ -371,7 +370,6 @@ class TestPlanContract:
     def test_corruption_rejected_alike(self, small_spasm, rng, corrupt,
                                        invariant, witness):
         from repro.exec.policy import plan_findings
-        from repro.verify.rules import REGISTRY, VerifyContext
 
         pristine = small_spasm.plan()
         x = rng.random(small_spasm.shape[1])
@@ -381,10 +379,7 @@ class TestPlanContract:
             plan = with_checksum(plan)
 
         problems = plan.validate()
-        diags = list(
-            REGISTRY["plan.integrity"].check(VerifyContext(plan=plan))
-        )
-        assert problems and problems == [d.message for d in diags]
+        assert problems
         assert [f.invariant for f in plan_findings(plan)] == [invariant]
 
         for check in (check_index_width, check_segment_coverage):
@@ -405,7 +400,6 @@ class TestPlanContract:
     def test_zero_slot_segment_rejected_everywhere(self):
         """One segment over zero slots is an empty segment: every
         surface rejects it, while no slots and no segments is clean."""
-        from repro.verify.rules import REGISTRY, VerifyContext
 
         def plan_of(starts, rows):
             empty = np.zeros(0, dtype=np.int32)
@@ -420,15 +414,12 @@ class TestPlanContract:
                 **arrays,
             )
 
-        integrity = REGISTRY["plan.integrity"]
         bad = plan_of([0], [1])
         assert bad.validate()
-        assert list(integrity.check(VerifyContext(plan=bad)))
         assert check_segment_coverage(bad).refuted
 
         empty = plan_of([], [])
         assert empty.validate() == []
-        assert not list(integrity.check(VerifyContext(plan=empty)))
         assert check_segment_coverage(empty).proved
 
     def test_build_emits_no_empty_segment(self):
@@ -438,67 +429,6 @@ class TestPlanContract:
             source_nnz=0,
         )
         assert zeros.n_segments == 0 and zeros.validate() == []
-
-
-class TestPlanLayoutEscalation:
-    def test_advisory_reports_certified_bound(self, program):
-        from repro.verify.rules import REGISTRY, VerifyContext
-
-        base = program.plan
-        wide = with_checksum(dataclasses.replace(
-            base,
-            cols=base.cols.astype(np.int64),
-            seg_starts=base.seg_starts.astype(np.int64),
-            seg_rows=base.seg_rows.astype(np.int64),
-        ))
-        diags = list(
-            REGISTRY["plan.layout"].check(VerifyContext(plan=wide))
-        )
-        assert len(diags) == 1
-        d = diags[0]
-        assert "certifies the compact layout" in d.message
-        assert "int32 layout certified" in d.message
-        assert d.details["certified_capacity"] == INT32_MAX
-        assert d.details["certified_headroom"] >= 0
-
-    def test_silent_on_compact_plan(self, program):
-        from repro.verify.rules import REGISTRY, VerifyContext
-
-        ctx = VerifyContext(plan=program.plan)
-        assert list(REGISTRY["plan.layout"].check(ctx)) == []
-
-
-class TestVerifyIntegration:
-    def test_clean_plan_yields_no_diagnostics(self, program):
-        from repro.verify import verify_analysis
-
-        report = verify_analysis(program.plan, spasm=program.spasm)
-        assert report.ok
-        rules = {d.rule_id for d in report.diagnostics}
-        assert not rules  # refutation-only rules stay silent
-
-    def test_refuted_obligation_becomes_error(self, program):
-        from repro.verify import verify_analysis
-
-        plan = mutable_plan(program)
-        FaultInjector(0).flip_plan_array(plan)
-        report = verify_analysis(with_checksum(plan))
-        assert not report.ok
-        assert all(
-            d.rule_id.startswith("analyze.") for d in report.errors
-        )
-        assert any(
-            "refuted coverage" in d.message for d in report.errors
-        )
-
-    def test_analyze_rules_registered(self):
-        from repro.verify.rules import KIND_ANALYZE, rules_for
-
-        ids = {r.rule_id for r in rules_for([KIND_ANALYZE])}
-        assert ids == {
-            "analyze.index_width", "analyze.coverage",
-            "analyze.shards", "analyze.image", "analyze.backend",
-        }
 
 
 class TestAnalyzePass:

@@ -2,22 +2,17 @@
 
 Each lint rule is exercised through :func:`lint_source` on small
 fixture modules — including the acceptance case of a deliberately
-unseeded ``np.random`` call being detected — plus the baseline
-burndown arithmetic and the repository's own self-lint staying clean
-against the checked-in baseline.
+unseeded ``np.random`` call being detected — plus the repository's own
+self-lint reporting no finding at all.
 """
 
 import textwrap
 
 from repro.analyze import (
     LINT_IDS,
-    LintFinding,
-    diff_baseline,
     lint_paths,
     lint_source,
-    load_baseline,
     self_lint,
-    write_baseline,
 )
 
 
@@ -269,16 +264,24 @@ class TestSuppression:
 
 
 class TestUnusedPublic:
-    def write_project(self, tmp_path, files):
-        root = tmp_path / "repro"
-        root.mkdir()
+    def write_tree(self, tmp_path, files):
+        """Write ``files`` (paths relative to ``tmp_path``); return the
+        library's paths and its package root ``src/repro``."""
+        root = tmp_path / "src" / "repro"
         paths = []
         for name, body in files.items():
-            path = root / name
+            path = tmp_path / name
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(body))
-            paths.append(str(path))
+            if path.is_relative_to(root):
+                paths.append(str(path))
         return paths, str(root)
+
+    def write_project(self, tmp_path, files):
+        return self.write_tree(
+            tmp_path, {f"src/repro/{name}": body
+                       for name, body in files.items()}
+        )
 
     def test_dead_public_def_flagged(self, tmp_path):
         paths, root = self.write_project(tmp_path, {
@@ -312,16 +315,71 @@ class TestUnusedPublic:
         findings = lint_paths(paths, root)
         assert [f.symbol for f in findings] == ["exported_only"]
 
-    def test_experimental_list_sanctions(self, tmp_path):
+    def test_shipped_script_counts_as_consumer(self, tmp_path):
+        paths, root = self.write_tree(tmp_path, {
+            "src/repro/a.py": """
+                def bench_only():
+                    return 1
+
+                def uncalled():
+                    return 2
+            """,
+            "benchmarks/b.py": """
+                from repro.a import bench_only
+
+                bench_only()
+            """,
+        })
+        findings = lint_paths(paths, root)
+        assert [(f.lint_id, f.symbol) for f in findings] == [
+            ("api.unused-public", "uncalled")
+        ]
+
+    def test_unparsable_script_is_finding(self, tmp_path):
+        paths, root = self.write_tree(tmp_path, {
+            "src/repro/a.py": """
+                def helper():
+                    return 1
+
+                helper()
+            """,
+            "examples/broken.py": "def broken(:\n",
+        })
+        findings = lint_paths(paths, root)
+        assert [(f.lint_id, f.path) for f in findings] == [
+            ("lint.parse-error", "examples/broken.py")
+        ]
+
+    def test_allow_comment_sanctions(self, tmp_path):
         paths, root = self.write_project(tmp_path, {
             "a.py": """
-                __experimental__ = ["prototype"]
-
-                def prototype():
+                def oracle():  # lint: allow(api.unused-public)
                     return 1
             """,
         })
         assert lint_paths(paths, root) == []
+
+    def test_dataclass_flagged_register_exempt(self, tmp_path):
+        paths, root = self.write_project(tmp_path, {
+            "a.py": """
+                import dataclasses
+
+                def register(cls):
+                    return cls
+
+                @dataclasses.dataclass(frozen=True)
+                class Unbuilt:
+                    x: int
+
+                @register
+                class Registered:
+                    pass
+            """,
+        })
+        findings = lint_paths(paths, root)
+        assert [(f.lint_id, f.symbol) for f in findings] == [
+            ("api.unused-public", "Unbuilt")
+        ]
 
     def test_syntax_error_becomes_finding(self, tmp_path):
         paths, root = self.write_project(tmp_path, {
@@ -329,57 +387,15 @@ class TestUnusedPublic:
         })
         findings = lint_paths(paths, root)
         assert len(findings) == 1
+        assert findings[0].lint_id == "lint.parse-error"
         assert "does not parse" in findings[0].message
 
 
-class TestBaseline:
-    def finding(self, n=0):
-        return LintFinding(
-            "det.bare-except", "repro/x.py", 10 + n, "f", "msg"
-        )
-
-    def test_roundtrip_and_counts(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        write_baseline([self.finding(0), self.finding(1)], path)
-        baseline = load_baseline(path)
-        assert baseline == {self.finding().key: 2}
-
-    def test_diff_new_and_fixed(self):
-        known = self.finding()
-        other = LintFinding(
-            "det.unseeded-rng", "repro/y.py", 3, "g", "other"
-        )
-        baseline = {known.key: 1, "gone|repro/z.py|h|old": 1}
-        new, fixed = diff_baseline([known, other], baseline)
-        assert new == [other]
-        assert fixed == ["gone|repro/z.py|h|old"]
-
-    def test_second_instance_is_new(self):
-        known = self.finding(0)
-        dup = self.finding(1)  # same key, different line
-        new, fixed = diff_baseline([known, dup], {known.key: 1})
-        assert new == [dup] and fixed == []
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "none.json")) == {}
-
-    def test_key_excludes_line_number(self):
-        assert self.finding(0).key == self.finding(5).key
-
-
 class TestSelfLint:
-    def test_repo_is_clean_against_baseline(self):
-        """The acceptance gate: the library carries no lint findings
-        beyond the checked-in burndown baseline."""
-        new, __ = diff_baseline(self_lint(), load_baseline())
-        assert new == [], "\n".join(f.render() for f in new)
-
-    def test_baseline_has_no_stale_entries(self):
-        __, fixed = diff_baseline(self_lint(), load_baseline())
-        assert fixed == [], (
-            "baseline entries fixed — regenerate the baseline: "
-            f"{fixed}"
-        )
+    def test_repo_is_clean(self):
+        """The acceptance gate: the library carries no lint finding."""
+        findings = self_lint()
+        assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_lint_ids_cover_all_findings(self):
         assert all(

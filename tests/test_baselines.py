@@ -1,10 +1,8 @@
 """Tests for the baseline platform models."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import (
-    CPUReference,
     CuSparseRTX3090Model,
     HiSparseModel,
     SERPENS_A16,
@@ -117,21 +115,6 @@ class TestPlatformOrdering:
         gpu = CuSparseRTX3090Model().gflops(banded_coo)
         for model in (HiSparseModel(), SERPENS_A16(), SERPENS_A24()):
             assert gpu > model.gflops(banded_coo)
-
-
-class TestCPUReference:
-    def test_exact_spmv(self, rng):
-        coo = random_structured_coo(rng, 64, "mixed")
-        x = rng.random(64)
-        cpu = CPUReference(repeats=1)
-        assert np.allclose(cpu.spmv(coo, x), coo.spmv(x))
-
-    def test_measures_time(self, banded_coo):
-        assert CPUReference(repeats=1).time_s(banded_coo) > 0
-
-    def test_rejects_bad_repeats(self):
-        with pytest.raises(ValueError):
-            CPUReference(repeats=0)
 
 
 class TestSpasmModel:

@@ -66,15 +66,6 @@ class TestMaskConstruction:
             rebuilt = 0
         assert rebuilt == mask
 
-    def test_mask_from_dense(self):
-        block = np.zeros((4, 4))
-        block[1, 2] = 5.0
-        assert bm.mask_from_dense(block) == 1 << bm.bit_of(1, 2, 4)
-
-    def test_mask_from_dense_rejects_rectangles(self):
-        with pytest.raises(ValueError):
-            bm.mask_from_dense(np.zeros((2, 4)))
-
 
 class TestPatternFamilies:
     def test_row_masks_partition_grid(self):
@@ -137,14 +128,6 @@ class TestPatternFamilies:
             (0, 0), (0, 3), (3, 0), (3, 3),
         ]
 
-    def test_transpose_mask(self):
-        mask = bm.row_mask(1, 4)
-        assert bm.transpose_mask(mask, 4) == bm.col_mask(1, 4)
-
-    @given(st.integers(min_value=0, max_value=0xFFFF))
-    def test_transpose_involution(self, mask):
-        assert bm.transpose_mask(bm.transpose_mask(mask, 4), 4) == mask
-
 
 class TestRender:
     def test_render_empty(self):
@@ -156,11 +139,3 @@ class TestRender:
     def test_render_row_major_orientation(self):
         mask = 1 << bm.bit_of(0, 1, 2)
         assert bm.render_mask(mask, 2) == ".#\n.."
-
-
-class TestSubmaskCount:
-    def test_empty(self):
-        assert bm.submask_count(0) == 0
-
-    def test_full(self):
-        assert bm.submask_count(0xFFFF) == 65535

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.charts import bar_chart, grouped_bar_chart, line_chart
+from repro.analysis.charts import bar_chart, line_chart
 
 
 class TestBarChart:
@@ -49,28 +49,6 @@ class TestBarChart:
 
     def test_empty(self):
         assert bar_chart([], [], title="empty") == "empty"
-
-
-class TestGroupedBarChart:
-    def test_structure(self):
-        text = grouped_bar_chart(
-            ["m1", "m2"],
-            {"SPASM": [2.0, 4.0], "base": [1.0, 1.0]},
-        )
-        lines = text.splitlines()
-        assert lines[0] == "m1:"
-        assert sum(1 for line in lines if line.endswith(":")) == 2
-        assert sum("SPASM" in line for line in lines) == 2
-
-    def test_rejects_ragged_series(self):
-        with pytest.raises(ValueError):
-            grouped_bar_chart(["a", "b"], {"s": [1.0]})
-
-    def test_log(self):
-        text = grouped_bar_chart(
-            ["a"], {"s": [10.0], "t": [1000.0]}, log=True
-        )
-        assert "#" in text
 
 
 class TestLineChart:

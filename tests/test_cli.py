@@ -2,18 +2,19 @@
 
 import json
 
-import numpy as np
 import pytest
 
+from repro.analyze import LintFinding
 from repro.cli import load_matrix, main
-from repro.matrix import COOMatrix, write_matrix_market
 
 
 @pytest.fixture
 def mtx_file(tmp_path):
-    coo = COOMatrix.from_dense(np.eye(16))
     path = tmp_path / "eye.mtx"
-    write_matrix_market(path, coo)
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n16 16 16\n"
+        + "".join(f"{i} {i} 1.0\n" for i in range(1, 17))
+    )
     return str(path)
 
 
@@ -141,17 +142,23 @@ class TestAnalyzeProofs:
         assert payload["ok"] is True
         assert payload["matrices"] == len(workload_names())
 
-    def test_self_lint_clean_against_baseline(self, capsys):
+    def test_self_lint_clean(self, capsys):
         assert main(["analyze", "--self"]) == 0
         out = capsys.readouterr().out
-        assert "0 new" in out
+        assert "self-lint: 0 finding(s)" in out
 
     def test_self_lint_json(self, capsys):
         assert main(["analyze", "--self", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is True
-        assert payload["new"] == []
-        assert payload["baselined"] == payload["findings"]
+        assert payload == {"ok": True, "findings": []}
+
+    def test_self_lint_any_finding_fails(self, capsys, monkeypatch):
+        finding = LintFinding("det.bare-except", "repro/x.py", 3, "f",
+                              "bare 'except:'")
+        monkeypatch.setattr("repro.analyze.self_lint", lambda: [finding])
+        assert main(["analyze", "--self", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"ok": False, "findings": [finding.as_dict()]}
 
 
 class TestRunReorder:

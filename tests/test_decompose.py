@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitmask import diag_mask, full_mask, popcount, row_mask
+from repro.core.bitmask import diag_mask, full_mask, row_mask
 from repro.core.decompose import (
     Decomposition,
     DecompositionError,
     DecompositionTable,
     find_best_decomp,
-    greedy_decompose,
 )
 from repro.core.templates import candidate_portfolios
 
@@ -155,27 +154,6 @@ class TestTableSolver:
         pads = table0.padding_array(patterns)
         for i in (0, 100, 510):
             assert pads[i] == table0.padding(int(patterns[i]))
-
-
-class TestGreedy:
-    def test_greedy_at_least_optimal(self, portfolio0, table0):
-        rng = np.random.default_rng(5)
-        for __ in range(100):
-            pattern = int(rng.integers(1, 1 << 16))
-            greedy = greedy_decompose(pattern, portfolio0.masks)
-            assert greedy.padding >= table0.padding(pattern)
-
-    def test_greedy_covers(self, portfolio0):
-        pattern = 0b1010_0101_1010_0101
-        decomp = greedy_decompose(pattern, portfolio0.masks)
-        union = 0
-        for t_idx in decomp.template_ids:
-            union |= portfolio0.masks[t_idx]
-        assert pattern & ~union == 0
-
-    def test_greedy_uncoverable(self):
-        with pytest.raises(DecompositionError):
-            greedy_decompose(1 << 15, [row_mask(0, 4)])
 
 
 class TestDecompositionDataclass:

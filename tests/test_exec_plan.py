@@ -378,12 +378,10 @@ _FLIP_ARRAYS = ("cols", "vals", "seg_starts", "seg_rows")
 )
 def test_any_plan_bit_flip_is_caught(which, pos, bit):
     """Every single-bit corruption of every executable plan array is
-    flagged — by validate() (checksum + invariants) and by the
-    plan.integrity verifier rule the guard and CLI share.  The flip is
-    byte-addressed so compact int32 arrays are covered bit for bit."""
+    flagged by validate() (checksum + invariants), the check the guard
+    and the plan caches run.  The flip is byte-addressed so compact
+    int32 arrays are covered bit for bit."""
     import dataclasses
-
-    from repro.verify import verify_plan
 
     name = _FLIP_ARRAYS[which]
     mutated = dataclasses.replace(
@@ -399,11 +397,6 @@ def test_any_plan_bit_flip_is_caught(which, pos, bit):
     problems = mutated.validate()
     assert problems, (
         f"flip of bit {bit} in {name}[{idx}] went undetected"
-    )
-    report = verify_plan(mutated, spasm=_FLIP_SPASM)
-    assert not report.ok
-    assert any(
-        d.rule_id.startswith("plan.") for d in report.errors
     )
 
 

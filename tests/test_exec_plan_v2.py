@@ -288,22 +288,6 @@ class TestCompactLayouts:
             "index" in p or "dtype" in p for p in mutated.validate()
         )
 
-    def test_layout_rule_flags_wasteful_int64(self, rng):
-        from repro.verify import verify_plan
-
-        spasm = encode(integer_coo(rng, 64))
-        report = verify_plan(
-            ExecutionPlan.build(spasm, index="int64"), spasm=spasm
-        )
-        assert report.ok  # advisory: warn, not error
-        assert any(
-            d.rule_id == "plan.layout" for d in report.warnings
-        )
-        compact = verify_plan(ExecutionPlan.build(spasm), spasm=spasm)
-        assert not any(
-            d.rule_id == "plan.layout" for d in compact.warnings
-        )
-
 
 # -- dtype-preserving cache --------------------------------------------
 

@@ -8,7 +8,6 @@ from repro.hw.configs import SPASM_4_1
 from repro.hw.hazards import (
     count_stall_cycles,
     hazard_aware_reorder,
-    hazard_report,
     perf_with_hazards,
     stall_cycles_per_tile,
 )
@@ -115,9 +114,9 @@ class TestReorder:
         dense[8:12, :] = 1.0
         coo = COOMatrix.from_dense(dense)
         spasm = encode_spasm(coo, portfolio, 64)
-        report = hazard_report(spasm, latency=8)
-        assert report.stalls_after < report.stalls_before
-        assert 0 < report.reduction <= 1.0
+        before = count_stall_cycles(spasm, 8)
+        after = count_stall_cycles(hazard_aware_reorder(spasm), 8)
+        assert 0 <= after < before
 
     def test_simulates_correctly_after_reorder(self, portfolio, rng):
         from repro.hw import SpasmAccelerator

@@ -11,7 +11,6 @@ from repro.hw.configs import (
     U280_NUM_CHANNELS,
     ConfigError,
     HwConfig,
-    make_config,
 )
 from repro.hw.hbm import HBMChannel, HBMSystem
 
@@ -95,11 +94,6 @@ class TestValidation:
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
             HwConfig("bad", 0, 1, 250e6)
-
-    def test_make_config(self):
-        config = make_config(2, 3)
-        assert config.name == "SPASM_2_3"
-        assert config.hbm_channels == 1 + 2 * 9
 
     def test_channel_bandwidth_u280(self):
         assert CHANNEL_BANDWIDTH * U280_NUM_CHANNELS == pytest.approx(

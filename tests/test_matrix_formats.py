@@ -1,11 +1,10 @@
-"""Unit tests for CSR, CSC, BSR, ELL and DIA formats."""
+"""Unit tests for CSR, BSR, ELL and DIA formats."""
 
 import numpy as np
 import pytest
 
 from repro.matrix import (
     BSRMatrix,
-    CSCMatrix,
     CSRMatrix,
     DIAMatrix,
     ELLMatrix,
@@ -57,30 +56,6 @@ class TestCSR:
     def test_storage_bytes(self):
         m = CSRMatrix([0, 2, 3], [0, 1, 1], [1.0, 2.0, 3.0], (2, 2))
         assert m.storage_bytes() == 3 * 4 + 3 * 8
-
-
-class TestCSC:
-    def test_basic_spmv(self):
-        # [[1, 0], [2, 3]] column-major
-        m = CSCMatrix([0, 2, 3], [0, 1, 1], [1.0, 2.0, 3.0], (2, 2))
-        assert np.allclose(m.spmv([1.0, 2.0]), [1.0, 8.0])
-
-    def test_to_dense(self):
-        m = CSCMatrix([0, 2, 3], [0, 1, 1], [1.0, 2.0, 3.0], (2, 2))
-        assert np.array_equal(m.to_dense(), [[1.0, 0.0], [2.0, 3.0]])
-
-    def test_col_access(self):
-        m = CSCMatrix([0, 2, 3], [0, 1, 1], [1.0, 2.0, 3.0], (2, 2))
-        rows, vals = m.col(0)
-        assert rows.tolist() == [0, 1]
-
-    def test_rejects_bad_indptr(self):
-        with pytest.raises(MatrixShapeError):
-            CSCMatrix([0, 1], [0], [1.0], (2, 2))
-
-    def test_rejects_out_of_range_row(self):
-        with pytest.raises(MatrixShapeError):
-            CSCMatrix([0, 1, 1], [7], [1.0], (2, 2))
 
 
 class TestBSR:

@@ -7,12 +7,10 @@ from repro.core import DecompositionTable, candidate_portfolios
 from repro.core.format import encode_spasm, groups_per_submatrix
 from repro.core.patterns import submatrix_masks
 from repro.core.tiling import global_compositions
-from repro.hw.configs import SPASM_3_2, SPASM_3_4, SPASM_4_1, make_config
+from repro.hw.configs import SPASM_3_2, SPASM_3_4, SPASM_4_1, HwConfig
 from repro.hw.perf_model import (
     PIPELINE_FILL_CYCLES,
     assign_tiles,
-    estimate_gflops,
-    estimate_time_s,
     perf_breakdown,
     perf_model,
 )
@@ -122,16 +120,16 @@ class TestBreakdown:
     def test_more_pe_groups_not_slower_on_balanced_work(self, table):
         coo = g.banded(512, 4, fill=0.9, seed=0)
         gc = gc_of(coo, table, 32)
-        small = make_config(1, 1)
-        big = make_config(4, 1, frequency_hz=small.frequency_hz)
+        small = HwConfig("SPASM_1_1", 1, 1, 250e6)
+        big = HwConfig("SPASM_4_1", 4, 1, 250e6)
         assert perf_model(gc, big) <= perf_model(gc, small)
 
     def test_more_x_channels_help_x_bound_matrix(self, table):
         # Many tiles but few groups each: x loading dominates.
         coo = g.random_uniform(2048, 0.0005, seed=1)
         gc = gc_of(coo, table, 256)
-        b1 = perf_breakdown(gc, make_config(3, 1))
-        b4 = perf_breakdown(gc, make_config(3, 4))
+        b1 = perf_breakdown(gc, HwConfig("SPASM_3_1", 3, 1, 250e6))
+        b4 = perf_breakdown(gc, HwConfig("SPASM_3_4", 3, 4, 250e6))
         assert b4.x_load_cycles < b1.x_load_cycles
 
     def test_y_cycles_proportional_to_tile_rows(self, table):
@@ -143,22 +141,13 @@ class TestBreakdown:
 
 
 class TestEstimates:
-    def test_time_and_gflops(self, rng, table):
-        coo = random_structured_coo(rng, 128, "mixed")
-        gc = gc_of(coo, table, 32)
-        t = estimate_time_s(gc, SPASM_4_1)
-        assert t > 0
-        gf = estimate_gflops(gc, SPASM_4_1, coo.nnz, coo.shape[0])
-        assert gf == pytest.approx(
-            (2 * coo.nnz + coo.shape[0]) / t / 1e9
-        )
-
     def test_gflops_below_peak(self, rng, table):
         coo = random_structured_coo(rng, 256, "blocks")
         gc = gc_of(coo, table, 64)
+        flops = 2 * coo.nnz + coo.shape[0]
         for config in (SPASM_4_1, SPASM_3_4, SPASM_3_2):
-            gf = estimate_gflops(gc, config, coo.nnz, coo.shape[0])
-            assert gf <= config.peak_gflops
+            time_s = perf_model(gc, config) / config.frequency_hz
+            assert flops / time_s / 1e9 <= config.peak_gflops
 
     def test_matches_functional_sim_estimate(self, rng, table):
         coo = random_structured_coo(rng, 96, "mixed")

@@ -81,27 +81,6 @@ class TestGenerators:
         with pytest.raises(ValueError):
             g.mycielskian_graph(1)
 
-    def test_rmat_shape_and_symmetry(self):
-        coo = g.rmat_graph(7, avg_degree=6, seed=0)
-        assert coo.shape == (128, 128)
-        dense = coo.to_dense() != 0
-        assert np.array_equal(dense, dense.T)
-        assert np.all(np.diag(dense) == 0)
-
-    def test_rmat_skewed_degrees(self):
-        coo = g.rmat_graph(9, avg_degree=8, seed=1)
-        degrees = np.bincount(coo.rows, minlength=512)
-        nonzero = degrees[degrees > 0]
-        # Scale-free skew: max degree far above the median.
-        assert nonzero.max() > 4 * np.median(nonzero)
-
-    def test_rmat_deterministic(self):
-        assert g.rmat_graph(6, seed=3) == g.rmat_graph(6, seed=3)
-
-    def test_rmat_rejects_bad_probabilities(self):
-        with pytest.raises(ValueError):
-            g.rmat_graph(5, probabilities=(0.5, 0.5, 0.5, 0.5))
-
     def test_power_law_symmetric(self):
         coo = g.power_law_graph(128, avg_degree=6, seed=0)
         dense = coo.to_dense() != 0

@@ -16,11 +16,13 @@ from repro.hw.memory_image import pack_images
 from repro.hw.opcode import opcode_table
 from repro.matrix import COOMatrix
 from repro.verify import (
+    KIND_OPCODE,
+    REGISTRY,
     Report,
     VerificationError,
-    all_rules,
+    VerifyContext,
+    run_rules,
     verify_memory_image,
-    verify_opcode_table,
     verify_spasm,
 )
 
@@ -53,6 +55,12 @@ def error_rules(report):
     return {d.rule_id for d in report.errors}
 
 
+def verify_opcodes(opcodes, portfolio):
+    """Run the opcode rules alone (verify_spasm runs them per stream)."""
+    ctx = VerifyContext(opcodes=list(opcodes), portfolio=portfolio)
+    return run_rules(ctx, [KIND_OPCODE])
+
+
 class TestCleanArtifacts:
     def test_fresh_stream_is_clean(self, spasm, coo):
         report = verify_spasm(spasm, source=coo)
@@ -78,7 +86,7 @@ class TestCleanArtifacts:
         assert not report.diagnostics
 
     def test_opcode_table_is_clean(self, portfolio):
-        report = verify_opcode_table(opcode_table(portfolio), portfolio)
+        report = verify_opcodes(opcode_table(portfolio), portfolio)
         assert report.ok
 
     def test_deserialized_is_clean(self, spasm, tmp_path):
@@ -197,40 +205,40 @@ class TestFormatRules:
 class TestOpcodeRules:
     def test_table_size(self, portfolio):
         lut = opcode_table(portfolio)[:-1]
-        report = verify_opcode_table(lut, portfolio)
+        report = verify_opcodes(lut, portfolio)
         assert "opc.table_size" in error_rules(report)
 
     def test_width(self, portfolio):
         lut = opcode_table(portfolio)
         lut[0] |= 1 << 30
         assert "opc.width" in error_rules(
-            verify_opcode_table(lut, portfolio)
+            verify_opcodes(lut, portfolio)
         )
 
     def test_operands(self, portfolio):
         lut = opcode_table(portfolio)
         # force a1 operand select to an out-of-range node (7)
         lut[0] |= 0x7 << 12
-        report = verify_opcode_table(lut, portfolio)
+        report = verify_opcodes(lut, portfolio)
         assert "opc.operands" in error_rules(report)
 
     def test_out_rows(self, portfolio):
         lut = opcode_table(portfolio)
         lut[0] ^= 0x7 << 18  # clobber output lane 0 routing
-        report = verify_opcode_table(lut, portfolio)
+        report = verify_opcodes(lut, portfolio)
         assert error_rules(report) & {"opc.out_rows", "opc.semantics"}
 
     def test_mul_lanes(self, portfolio):
         lut = opcode_table(portfolio)
         lut[0] ^= 0x3  # clobber multiplier lane 0 select
-        report = verify_opcode_table(lut, portfolio)
+        report = verify_opcodes(lut, portfolio)
         assert error_rules(report) & {"opc.mul_lanes", "opc.semantics"}
 
     def test_semantics_catches_swapped_opcodes(self, portfolio):
         lut = opcode_table(portfolio)
         distinct = lut[0] != lut[4]
         lut[0], lut[4] = lut[4], lut[0]
-        report = verify_opcode_table(lut, portfolio)
+        report = verify_opcodes(lut, portfolio)
         assert not distinct or not report.ok
 
 
@@ -361,7 +369,7 @@ class TestReportAPI:
         clean.raise_if_errors()  # no-op
 
     def test_rule_catalogue_metadata(self):
-        rules = all_rules()
+        rules = list(REGISTRY.values())
         assert len(rules) >= 12
         families = {r.rule_id.split(".")[0] for r in rules}
         assert {"pos", "fmt", "opc", "mem"} <= families
