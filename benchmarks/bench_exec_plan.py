@@ -119,7 +119,7 @@ def measure(name, scale):
             )._plan.build_ms,
         )
 
-    # v1-style compile: re-expand the finished stream.
+    # Standalone compile: decode the finished stream.
     rebuilt = ExecutionPlan.build(spasm)
     compile_build_ms = best_of(
         lambda: ExecutionPlan.build(spasm)

@@ -222,8 +222,8 @@ class SpasmMatrix:
             nnz_per_tile=nnz,
         )
 
-    def _expand(self) -> tuple:
-        """Expand every stored slot to (row, col, value) coordinates."""
+    def _group_bases(self) -> tuple:
+        """Per group: top-left matrix ``(row, col)`` and ``t_idx``."""
         fields = unpack_position_array(self.words)
         tile_of_group = np.repeat(
             np.arange(self.n_tiles), self.groups_per_tile()
@@ -236,11 +236,28 @@ class SpasmMatrix:
             self.tile_cols[tile_of_group] * self.tile_size
             + fields["c_idx"] * self.k
         )
+        return row_base, col_base, fields["t_idx"]
+
+    def _expand(self) -> tuple:
+        """Expand every stored slot to (row, col, value) coordinates."""
+        row_base, col_base, t_idx = self._group_bases()
         cell_r, cell_c = _template_cell_arrays(self.portfolio, self.k)
-        t_idx = fields["t_idx"]
         rows = row_base[:, None] + cell_r[t_idx]
         cols = col_base[:, None] + cell_c[t_idx]
         return rows.ravel(), cols.ravel(), self.values.ravel()
+
+    def _expand_kept(self) -> tuple:
+        """:meth:`_expand` without the padding slots, which are dropped
+        before any coordinate is computed (int64 arithmetic, so a
+        corrupted tile directory yields out-of-range rows for the plan
+        builder to decline rather than wrapped ones).  An out-of-range
+        ``t_idx`` raises ``IndexError`` on any group, padding or not.
+        """
+        row_base, col_base, t_idx = self._group_bases()
+        cell_r, cell_c = _template_cell_arrays(self.portfolio, self.k)
+        cell_bit = (cell_r * self.k + cell_c).astype(np.int32)
+        return _kept_slot_coords(self.values, cell_bit[t_idx],
+                                 row_base, col_base, self.k)
 
     def to_coo(self) -> COOMatrix:
         """Decode back to COO (padding slots drop out as zeros)."""
@@ -406,6 +423,38 @@ def _template_cell_arrays(portfolio: Portfolio, k: int) -> tuple:
                 cell_c[t_idx, lane] = bit % k
                 lane += 1
     return cell_r, cell_c
+
+
+def _kept_slot_coords(values: np.ndarray, lane_bits: np.ndarray,
+                      row_base: np.ndarray, col_base: np.ndarray,
+                      k: int) -> tuple:
+    """``(rows, cols, vals)`` of every non-padding slot, stream order.
+
+    The coordinate tail both plan builders share: the padding slots
+    (``values == 0``, up to half of a stream) are dropped *before* any
+    coordinate gather, so no ``(n_groups, k)`` coordinate grid is
+    built, and the result feeds ``ExecutionPlan.from_slots(...,
+    compacted=True)``.  ``lane_bits`` is the ``(n_groups, k)`` grid of
+    each slot's in-pattern cell id (``r * k + c``); ``row_base`` and
+    ``col_base`` are each group's top-left matrix coordinate, and the
+    arithmetic runs at their dtype.
+    """
+    vflat = values.reshape(-1)
+    keep = np.flatnonzero(vflat != 0.0)
+    idx_dt = row_base.dtype
+    kept_bits = lane_bits.reshape(-1)[keep].astype(idx_dt, copy=False)
+    # k is a power of two in the paper's portfolios — shift/mask beat
+    # div/mod on the megaslot arrays (exact for non-negative operands).
+    if k & (k - 1) == 0:
+        shift = k.bit_length() - 1
+        group_of = keep >> shift
+        cell_r = kept_bits >> idx_dt.type(shift)
+        cell_c = kept_bits & idx_dt.type(k - 1)
+    else:
+        group_of = keep // k
+        cell_r, cell_c = np.divmod(kept_bits, idx_dt.type(k))
+    return (row_base[group_of] + cell_r, col_base[group_of] + cell_c,
+            vflat[keep])
 
 
 def _subset_templates(subsets: np.ndarray, tmpl_masks) -> tuple:
@@ -644,11 +693,12 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
         # --- fused plan construction (step ⑥ prep, zero re-expansion) ----
         # The encoder already knows every slot's coordinates: the plan's
         # per-slot row/col are recovered from the submatrix directory and
-        # the per-template lane offsets — the exact arithmetic of
-        # SpasmMatrix._expand, fed to the same finalize step, so the
-        # fused plan is bitwise identical to a later _compile.  Hashing
-        # the stream (the plan's cache key) overlaps the coordinate work
-        # on the shared pool: hashlib releases the GIL.
+        # the per-template lane offsets through the kept-slot tail the
+        # stream compile also uses (_kept_slot_coords), fed to the same
+        # finalize step, so the fused plan is bitwise identical to a
+        # later _compile.  Hashing the stream (the plan's cache key)
+        # overlaps the coordinate work on the shared pool: hashlib
+        # releases the GIL.
         import time as _time
 
         from repro.exec.plan import ExecutionPlan, digest_async
@@ -656,28 +706,14 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
 
         t0 = _time.perf_counter()
         digest = digest_async(spasm)
-        # Two fused-only shortcuts, both exactness-preserving:
-        #
-        # * the padding slots (``vals == 0``) are dropped *before* the
-        #   coordinate gathers — roughly half of a typical stream — so
-        #   no full (n_groups, k) coordinate grid is ever materialized
-        #   (the stream-compile path must expand it to discover the
-        #   same mask);
-        # * the arithmetic runs at the plan's own index width.  The
-        #   narrowing is exact (every coordinate is bounded by the
-        #   matrix shape, pre-checked against the padded slot count, an
-        #   upper bound on what from_slots keeps), so the plan is
-        #   bitwise identical to the int64 stream-compile route:
-        #   ``keep`` is ascending, hence the kept slots reach the
-        #   stable row sort in stream order either way.
+        # One fused-only shortcut, exactness-preserving: the arithmetic
+        # runs at the plan's own index width.  The narrowing is exact
+        # (every coordinate is bounded by the matrix shape, pre-checked
+        # against the padded slot count, an upper bound on what
+        # from_slots keeps), so the plan is bitwise identical to the
+        # int64 stream-compile route: the kept slots reach the stable
+        # row sort in stream order either way.
         idx_dt = index_dtype_for(coo.shape, int(values.size))
-        vflat = spasm.values.reshape(-1)
-        keep = np.flatnonzero(vflat != 0.0)
-        # k is 2/4/8 in every portfolio — shift/mask beat div/mod on
-        # the megaslot arrays (exact for non-negative operands).
-        k_pow2 = k & (k - 1) == 0
-        k_shift = k.bit_length() - 1
-        group_of = keep >> k_shift if k_pow2 else keep // k
         row_base = (
             sub_tile_r.astype(idx_dt)[group_sub] * spt
             + sub_ridx.astype(idx_dt)[group_sub]
@@ -687,23 +723,12 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
             + sub_cidx.astype(idx_dt)[group_sub]
         ) * k
         # ``lane_bits`` (the value-payload gather grid) already holds
-        # every slot's in-pattern cell id, so one flat gather plus a
-        # divmod recovers the cell offsets — cheaper than re-indexing
-        # the template tables per kept slot.
-        kept_bits = lane_bits.reshape(-1)[keep].astype(
-            idx_dt, copy=False
+        # every slot's in-pattern cell id.
+        kept_rows, kept_cols, kept_vals = _kept_slot_coords(
+            spasm.values, lane_bits, row_base, col_base, k
         )
-        if k_pow2:
-            cell_r_of = kept_bits >> idx_dt.type(k_shift)
-            cell_c_of = kept_bits & idx_dt.type(k - 1)
-        else:
-            cell_r_of, cell_c_of = np.divmod(
-                kept_bits, idx_dt.type(k)
-            )
-        kept_rows = row_base[group_of] + cell_r_of
-        kept_cols = col_base[group_of] + cell_c_of
         spasm._plan = ExecutionPlan.from_slots(
-            coo.shape, kept_rows, kept_cols, vflat[keep],
+            coo.shape, kept_rows, kept_cols, kept_vals,
             digest=digest, source_nnz=coo.nnz,
             precision=plan_precision, started=t0, compacted=True,
         )

@@ -3,12 +3,13 @@
 The format's reference execution (:meth:`repro.core.format.SpasmMatrix`
 ``.spmv``) re-expands the stream into per-slot coordinates on every
 call.  This package compiles a matrix-specific :class:`ExecutionPlan`
-*once* — coordinates taken straight from the encoder on the fused path
-(or re-expanded), padding slots dropped, the stream sorted by output
-row, segment boundaries precomputed, arrays stored in the narrowest
-dtype that fits — so every subsequent SpMV is a pure gather + a
-sequential segment reduction, and a multi-RHS SpMM or ``spmv_batch``
-reuses the same plan with one gather per vector block.
+*once* — padding slots dropped, coordinates taken straight from the
+encoder on the fused path (or decoded for the kept slots from the
+stream), the stream sorted by output row, segment boundaries
+precomputed, arrays stored in the narrowest dtype that fits — so every
+subsequent SpMV is a pure gather + a sequential segment reduction, and
+a multi-RHS SpMM or ``spmv_batch`` reuses the same plan with one gather
+per vector block.
 
 Kernels live behind the pluggable backend registry
 (:mod:`repro.exec.backends`): ``gather`` is the always-available

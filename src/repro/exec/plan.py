@@ -6,11 +6,11 @@ that depends only on the *matrix* is computed once at build time, so the
 per-call work is the minimum the memory system allows.
 
 Build time (once per matrix)
-    * expand every stored slot to ``(row, col, value)`` coordinates —
-      or, on the fused path, take the coordinates straight from the
-      encoder's intermediates (:func:`repro.core.format.encode_spasm`
-      with ``build_plan=True``) without re-expanding the stream,
-    * drop padding slots (``value == 0`` contributes nothing),
+    * drop padding slots (``value == 0`` contributes nothing), then
+      decode ``(row, col)`` coordinates for the kept slots only — or,
+      on the fused path, take them straight from the encoder's
+      intermediates (:func:`repro.core.format.encode_spasm` with
+      ``build_plan=True``) without decoding the stream,
     * stable-sort the stream by output row,
     * record the segment boundary of each non-empty output row,
     * store the arrays in the narrowest layout that can address them
@@ -428,10 +428,11 @@ class ExecutionPlan:
         """Finalize a plan from flat per-slot coordinates.
 
         ``rows``/``cols``/``vals`` are equal-length arrays in stream
-        order with padding slots still present (``vals == 0``); this is
-        the shared tail of both builders — :meth:`_compile` feeds it
-        the re-expanded stream, the fused encode path feeds it the
-        encoder's own intermediates.  ``digest`` may be a ``Future``
+        order, padding slots (``vals == 0``) included unless
+        ``compacted``; this is the shared tail of both builders —
+        :meth:`_compile` feeds it the stream's decoded non-padding
+        slots, the fused encode path the encoder's own intermediates
+        (both compacted).  ``digest`` may be a ``Future``
         (left pending — the :attr:`digest` property resolves it on
         first access, so hashing never blocks the build) and
         ``started`` back-dates :attr:`build_ms` to include the
@@ -518,9 +519,10 @@ class ExecutionPlan:
     def _compile(cls, spasm: Any, digest: str,
                  index: Optional[str] = None,
                  precision: Optional[str] = None) -> "ExecutionPlan":
-        """The standalone build: re-expand the stream, then finalize."""
+        """The standalone build: decode the non-padding slots of the
+        stream, then finalize."""
         started = time.perf_counter()
-        rows, cols, vals = spasm._expand()
+        rows, cols, vals = spasm._expand_kept()
         return cls.from_slots(
             spasm.shape, rows, cols, vals,
             digest=digest,
@@ -528,6 +530,7 @@ class ExecutionPlan:
             index=index,
             precision=precision,
             started=started,
+            compacted=True,
         )
 
     def to_entry(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:

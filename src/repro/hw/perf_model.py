@@ -72,13 +72,16 @@ def assign_tiles(groups_per_tile: np.ndarray, n_pes: int,
             f"unknown policy {policy!r}; choose greedy, round-robin "
             "or lpt"
         )
+    # ``(load, pe)`` keys are unique, so replacing the root in place
+    # picks the same PE as a pop followed by a push.
     heap = [(0, pe) for pe in range(n_pes)]
-    heapq.heapify(heap)
+    picked = []
+    for load in groups_per_tile[order].tolist():
+        current, pe = heap[0]
+        picked.append(pe)
+        heapq.heapreplace(heap, (current + load, pe))
     owner = np.empty(n_tiles, dtype=np.int64)
-    for t in order:
-        current, pe = heapq.heappop(heap)
-        owner[t] = pe
-        heapq.heappush(heap, (current + int(groups_per_tile[t]), pe))
+    owner[order] = picked
     return owner
 
 

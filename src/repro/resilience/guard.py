@@ -267,7 +267,8 @@ class ExecutionGuard:
     spasm:
         The :class:`~repro.core.format.SpasmMatrix` to execute.  The
         stream digest is pinned **now** — the guard treats the stream
-        as trusted at construction time.
+        as trusted at construction time — by hashing the live stream,
+        unless ``pin`` supplies it.
     config:
         :class:`GuardConfig` knobs (defaults are production-lean).
     cache:
@@ -283,6 +284,12 @@ class ExecutionGuard:
         Kernel backend every guarded dispatch runs on (``None``
         negotiates per plan); incidents on the worker/output surfaces
         name the resolved backend in their events.
+    pin:
+        The stream digest to trust instead of hashing the live stream:
+        the plan registry passes the digest of the plan it just built,
+        so the pin names exactly the bytes that plan was built from
+        and a mutation between build and pin is refused at the first
+        answer rather than pinned.
     """
 
     def __init__(self, spasm: Any,
@@ -290,7 +297,8 @@ class ExecutionGuard:
                  cache: Any = None,
                  log: Optional[ResilienceLog] = None,
                  seed: int = 0,
-                 backend: Optional[str] = None):
+                 backend: Optional[str] = None,
+                 pin: Optional[str] = None):
         from repro.exec.plan import stream_digest
 
         self.spasm = spasm
@@ -298,7 +306,9 @@ class ExecutionGuard:
         self.cache = cache
         self.log = log if log is not None else ResilienceLog()
         self.backend = backend
-        self.expected_digest = stream_digest(spasm)
+        self.expected_digest = (
+            stream_digest(spasm) if pin is None else pin
+        )
         self._rng = np.random.default_rng(seed)
         self._oracle: Optional[RowOracle] = None
         self._plan: Any = None

@@ -283,13 +283,19 @@ class PlanRegistry:
             ) from None
 
     def _warm(self, entry: PlanEntry) -> None:
-        """Build/load the plan and guard for an entry."""
+        """Build/load the plan and guard for an entry.
+
+        The guard pins the digest of the plan just built rather than
+        hashing the live stream again; the first answer still compares
+        that pin with the live stream.
+        """
         plan = entry.spasm.plan(cache=self.cache)
         entry.plan_nbytes = int(plan.nbytes)
         self._guard_seq += 1
         entry.guard = ExecutionGuard(
             entry.spasm, config=self.guard_config, cache=self.cache,
             log=self.log, seed=self.seed + self._guard_seq,
+            pin=plan.digest,
         )
         entry.hot = True
         entry.warms += 1

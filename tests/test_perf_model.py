@@ -1,5 +1,7 @@
 """Tests for the analytic performance model."""
 
+import heapq
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,37 @@ class TestAssignTiles:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             assign_tiles(np.array([1]), 1, "magic")
+
+    @pytest.mark.parametrize("policy", ["greedy", "lpt"])
+    @pytest.mark.parametrize("n_pes", [1, 48, 64])
+    def test_matches_pop_push_reference(self, policy, n_pes):
+        """Owners equal the heappop/heappush loop on tie-heavy loads."""
+
+        def reference(loads):
+            if policy == "lpt":
+                order = np.argsort(-loads, kind="stable")
+            else:
+                order = np.arange(loads.size)
+            heap = [(0, pe) for pe in range(n_pes)]
+            heapq.heapify(heap)
+            owner = np.empty(loads.size, dtype=np.int64)
+            for t in order:
+                current, pe = heapq.heappop(heap)
+                owner[t] = pe
+                heapq.heappush(heap, (current + int(loads[t]), pe))
+            return owner
+
+        rng = np.random.default_rng(n_pes)
+        cases = [np.array([], dtype=np.int64), np.array([3]),
+                 np.array([2, 2]), np.zeros(5, dtype=np.int64)]
+        for _ in range(60):
+            size = int(rng.integers(1, 400))
+            cases.append(rng.integers(0, int(rng.integers(1, 5)),
+                                      size=size))
+        for loads in cases:
+            owner = assign_tiles(loads, n_pes, policy)
+            assert owner.dtype == np.int64
+            assert np.array_equal(owner, reference(loads))
 
     def test_policies_assign_everything(self):
         loads = np.arange(1, 30)

@@ -270,21 +270,30 @@ class TestPlanRegistry:
         assert np.array_equal(lease.guard.spmv(x), before)
         registry.release(lease)
 
-    def test_write_path_hashes_each_stream_three_times(
+    def test_write_path_hashes_each_stream_twice(
         self, rng, monkeypatch
     ):
-        """Per warm: one hash of the build's own copy, the guard's pin
-        and the first answer's compare against the cached plan."""
+        """Per warm, cold and rewarm: one stream hash and one plan
+        checksum at the build (of the build's own copy; the guard pins
+        that plan's digest), one of each at the first answer (the
+        live-stream compare against the cached plan, and validate())."""
         import repro.exec.plan as plan_mod
+        import repro.exec.policy as policy_mod
 
-        real = plan_mod.stream_digest
         calls = []
 
-        def counting(spasm):
-            calls.append(spasm)
-            return real(spasm)
+        def counting(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(plan_mod, "stream_digest", counting)
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(plan_mod, "stream_digest")
+        counting(plan_mod, "plan_checksum")
+        counting(policy_mod, "plan_checksum")
         coo = random_structured_coo(rng, 96, "mixed")
         x = rng.standard_normal(coo.shape[1])
         registry = PlanRegistry()
@@ -296,16 +305,63 @@ class TestPlanRegistry:
             finally:
                 registry.release(lease)
 
+        per_warm = ["plan_checksum"] * 2 + ["stream_digest"] * 2
         registry.register("a", coo=coo)
         cold = answer()
-        assert len(calls) == 3
+        assert sorted(calls) == per_warm
         del calls[:]
         assert registry.evict("a") is True
         assert np.array_equal(answer(), cold)
-        assert len(calls) == 3
+        assert sorted(calls) == per_warm
         assert np.array_equal(
             cold, registry._entries["a"].spasm.spmv_naive(x)
         )
+
+    def test_stream_mutated_after_build_is_refused(
+        self, rng, monkeypatch
+    ):
+        """The guard pins the digest of the bytes the plan was built
+        from: a bit flipped in the live stream right after the build
+        fails the first answer, on the guard and on the server's
+        guarded and naive rungs, instead of being pinned as trusted."""
+        from repro.exec.plan import ExecutionPlan
+
+        real_build = ExecutionPlan.build.__func__
+        flipped = []
+
+        def build_then_flip(cls, spasm, *args, **kwargs):
+            plan = real_build(cls, spasm, *args, **kwargs)
+            if not flipped:
+                flipped.append(FaultInjector(seed=1).flip_value(spasm))
+            return plan
+
+        monkeypatch.setattr(ExecutionPlan, "build",
+                            classmethod(build_then_flip))
+        spasm = make_spasm(rng)
+        x = rng.standard_normal(spasm.shape[1])
+
+        registry = PlanRegistry()
+        registry.register("a", spasm=clone_spasm(spasm))
+        assert flipped
+        lease = registry.acquire("a")
+        try:
+            with pytest.raises(IntegrityError):
+                lease.guard.spmv(x)
+        finally:
+            registry.release(lease)
+
+        for rung in ("tuned", "naive"):
+            del flipped[:]
+            registry = PlanRegistry()
+            registry.register("a", spasm=clone_spasm(spasm))
+            assert flipped
+            ladder = DegradationLadder(log=registry.log, hold=10_000)
+            with SpmvServer(registry, ladder=ladder,
+                            workers=1) as server:
+                server.ladder.force(rung)
+                response = server.query("a", x)
+            assert response.status == "failed", rung
+            assert response.level == rung
 
     def test_warmup_warms_cold_entries_from_cache(self, rng, tmp_path):
         coo = random_structured_coo(rng, 96, "mixed")
