@@ -35,7 +35,7 @@ bench:
 # trace written out — the CI smoke proof that compile + trace + JSON
 # reporting stay healthy (uploads BENCH_pipeline.json as an artifact) —
 # plus the execution-plan bench on tiny matrices.  The bench records
-# build_ms (fused vs compile), per-dtype spmv_ms, sharded_ms,
+# build_ms (plan stamp and build wall), per-dtype spmv_ms, sharded_ms,
 # batch_qps and a per-backend kernel sweep (every available
 # registered backend, each bitwise-gated against the gather
 # reference) into BENCH_exec.json; any bitwise divergence between
@@ -43,9 +43,7 @@ bench:
 # batch / per-backend) fails the build at every scale.  The timing
 # gates (5x over naive, 1.3x int32 over int64, 2x time-to-first-SpMV,
 # auto-sharding never losing) only arm at full bench scale
-# (>=1e6 nnz).  The schedule determinism check compiles one family
-# with --jobs 1 and --jobs 2 and fails if the chosen tile size or
-# hardware config differ.
+# (>=1e6 nnz).
 bench-smoke:
 	python -m repro backends
 	python -m repro compile tmt_sym --scale 0.1 --json \
@@ -53,14 +51,6 @@ bench-smoke:
 	python -c "import json; t = json.load(open('BENCH_pipeline.json')); \
 	    print('\n'.join('%-14s %8.2f ms  cache=%s' % \
 	    (e['name'], e['wall_ms'], e['cache']) for e in t['events']))"
-	python -c "import json, subprocess, sys; \
-	    pick = lambda jobs: (lambda r: (r['tile_size'], r['hardware']))( \
-	        json.loads(subprocess.check_output([sys.executable, '-m', \
-	        'repro', 'compile', 'c-73', '--jobs', jobs, '--json']))); \
-	    serial, parallel = pick('1'), pick('2'); \
-	    print('schedule --jobs 1: %s @ tile=%d' % serial[::-1]); \
-	    print('schedule --jobs 2: %s @ tile=%d' % parallel[::-1]); \
-	    sys.exit(0 if serial == parallel else 'schedule depends on --jobs')"
 	REPRO_BENCH_SCALE=0.04 pytest benchmarks/bench_exec_plan.py \
 	    --benchmark-disable -q
 

@@ -2,17 +2,18 @@
 
 The reference ``SpasmMatrix.spmv_naive`` re-expands every stored slot
 to coordinates and accumulates with ``np.add.at`` on every call.  A
-v2 :class:`~repro.exec.plan.ExecutionPlan` does that work once — at
-encode time (the fused build consumes the encoder's intermediates
-instead of re-expanding the stream), with padding dropped, the stream
-sorted by output row and indices stored at the narrowest dtype the
-shape admits — so each call is one sequential segmented accumulation.
+v2 :class:`~repro.exec.plan.ExecutionPlan` does that work once — with
+padding dropped before any coordinate is decoded, the stream sorted by
+output row and indices stored at the narrowest dtype the shape admits —
+so each call is one sequential segmented accumulation.
 
 This bench measures, per workload class (diagonal stripes, dense
 blocks, scale-free graph):
 
-* ``build_ms`` — the fused encode-time build vs a v1-style re-expansion
-  compile, and the time-to-first-SpMV they imply;
+* ``build_ms`` — ``ExecutionPlan.build``: the plan's own ``build_ms``
+  stamp (slot decode and finalize) and the full wall time (plus the
+  stream snapshot and hash), and the time-to-first-SpMV the stamp
+  implies;
 * ``spmv_ms`` — per-dtype single-thread latency (int64, compact int32,
   opt-in float32) against the naive reference;
 * ``sharded_ms`` — the nnz auto-heuristic (``jobs=None``) and a forced
@@ -26,7 +27,7 @@ blocks, scale-free graph):
 Every float64 engine must agree with the naive reference **bitwise**
 (``agree``); float32 is checked to tolerance (``agree_float32``).  Any
 divergence fails the build outright.  The timing gates (≥5x over
-naive, ≥1.3x int32 over int64 under the CSR kernels, fused
+naive, ≥1.3x int32 over int64 under the CSR kernels,
 time-to-first-SpMV ≤ half the recorded PR4 baseline, auto-sharding
 never losing to single-thread) apply to matrices at or above one
 million non-zeros, so the tiny CI smoke run (driven through a small
@@ -65,7 +66,7 @@ BATCH_QUERIES = 16
 RESULT_JSON = pathlib.Path(__file__).parent.parent / "BENCH_exec.json"
 
 #: Time-to-first-SpMV recorded by the PR4 bench (plan_build_ms +
-#: plan_ms on the full-scale run); the fused path must at least halve
+#: plan_ms on the full-scale run); the plan build must at least halve
 #: it.
 PR4_TTF_MS = {"tmt_sym": 175.9}
 
@@ -103,31 +104,17 @@ def measure(name, scale):
     coo = load_workload(name, scale=scale)
     portfolio = candidate_portfolios()[0]
 
-    # Fused path: the plan materializes from the encoder's
-    # intermediates; its build_ms is stamped inside the encoder.
     # Build times are best-of-3 like every other timing here — the
-    # first encode in a process pays one-off allocator/page-fault
-    # costs that are not the build's.
-    spasm = encode_spasm(coo, portfolio, 32, build_plan=True)
-    plan = spasm.plan()
-    fused_build_ms = plan.build_ms
-    for __ in range(2):
-        fused_build_ms = min(
-            fused_build_ms,
-            encode_spasm(
-                coo, portfolio, 32, build_plan=True
-            )._plan.build_ms,
-        )
-
-    # Standalone compile: decode the finished stream.
-    rebuilt = ExecutionPlan.build(spasm)
-    compile_build_ms = best_of(
-        lambda: ExecutionPlan.build(spasm)
-    ) * 1e3
-    fused_matches_compile = (
-        rebuilt.checksum == plan.checksum
-        and rebuilt.digest == plan.digest
-    )
+    # first build in a process pays one-off allocator/page-fault costs
+    # that are not the build's.  ``plan.build_ms`` leaves out the
+    # stream snapshot and hash; the wall time includes them.
+    spasm = encode_spasm(coo, portfolio, 32)
+    build_ms = build_wall_s = float("inf")
+    for __ in range(3):
+        t0 = time.perf_counter()
+        plan = ExecutionPlan.build(spasm)
+        build_wall_s = min(build_wall_s, time.perf_counter() - t0)
+        build_ms = min(build_ms, plan.build_ms)
 
     plan_i64 = ExecutionPlan.build(spasm, index="int64")
     plan_f32 = ExecutionPlan.build(spasm, precision="float32")
@@ -149,7 +136,6 @@ def measure(name, scale):
         and np.array_equal(plan.spmv(x, jobs=SHARD_JOBS), reference)
         and np.array_equal(guard.spmv(x), reference)
         and np.array_equal(batch_out, batch_ref)
-        and fused_matches_compile
     )
     agree_f32 = bool(np.allclose(
         plan_f32.spmv(x, jobs=1), reference, rtol=1e-5, atol=1e-8
@@ -205,10 +191,10 @@ def measure(name, scale):
         "layout": f"{plan.cols.dtype.name}/{plan.vals.dtype.name}",
         "csr_kernels": csr_kernels_available(),
         "build_ms": {
-            "fused": fused_build_ms,
-            "compile": compile_build_ms,
+            "plan": build_ms,
+            "wall": build_wall_s * 1e3,
         },
-        "ttf_ms": fused_build_ms + i32_s * 1e3,
+        "ttf_ms": build_ms + i32_s * 1e3,
         "ttf_pr4_ms": PR4_TTF_MS.get(name),
         "naive_ms": naive_s * 1e3,
         "plan_ms": i32_s * 1e3,
@@ -252,12 +238,12 @@ def test_exec_plan_speedup(benchmark):
 
     table = format_table(
         ["matrix", "nnz", "naive ms", "i64 ms", "i32 ms",
-         "fused build ms", "auto ms", "batch q/s",
+         "plan build ms", "auto ms", "batch q/s",
          "backend", "agree"],
         [
             [r["matrix"], r["nnz"], r["spmv_ms"]["naive"],
              r["spmv_ms"]["int64"], r["spmv_ms"]["int32"],
-             r["build_ms"]["fused"], r["sharded_ms"]["auto"],
+             r["build_ms"]["plan"], r["sharded_ms"]["auto"],
              r["batch_qps"], r["backend_auto"],
              "yes" if r["agree"] else "NO"]
             for r in results

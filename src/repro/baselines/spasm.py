@@ -30,9 +30,6 @@ class SpasmModel(AcceleratorModel):
         content-addressed artifact cache directory (see
         :mod:`repro.pipeline.cache`); repeat compiles of an unchanged
         matrix — including across processes — are served from disk.
-    jobs:
-        When no ``compiler`` is given, thread count for the schedule
-        sweep.
     **compile_kwargs:
         ``fixed_portfolio`` / ``fixed_tile_size`` / ``fixed_hw_config``
         forwarded to every compile call.
@@ -41,10 +38,8 @@ class SpasmModel(AcceleratorModel):
     name = "SPASM"
 
     def __init__(self, compiler: SpasmCompiler = None, cache_dir=None,
-                 jobs: int = 1, **compile_kwargs):
-        self.compiler = compiler or SpasmCompiler(
-            cache_dir=cache_dir, jobs=jobs
-        )
+                 **compile_kwargs):
+        self.compiler = compiler or SpasmCompiler(cache_dir=cache_dir)
         self.compile_kwargs = compile_kwargs
         self._cache = {}
 

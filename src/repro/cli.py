@@ -103,7 +103,6 @@ def _analyze_proofs(args) -> int:
     )
     compiler = SpasmCompiler(
         cache_dir=getattr(args, "cache_dir", None),
-        jobs=max(1, getattr(args, "jobs", 1)),
         build_plan=True,
     )
     reports = []
@@ -148,14 +147,9 @@ def _analyze_self(args) -> int:
 
 
 def make_compiler(args) -> SpasmCompiler:
-    """A compiler configured from the shared pipeline CLI flags.
-
-    ``--jobs 0`` (execution auto-sharding) maps to a serial schedule
-    sweep — the sweep has no auto heuristic of its own.
-    """
+    """A compiler configured from the shared pipeline CLI flags."""
     return SpasmCompiler(
         cache_dir=getattr(args, "cache_dir", None),
-        jobs=max(1, getattr(args, "jobs", 1)),
         verify=getattr(args, "verify", False),
     )
 
@@ -801,7 +795,7 @@ def cmd_reproduce(args) -> int:
         (spec.name, coo)
         for spec, coo in load_suite(scale=args.scale, names=names)
     ]
-    spasm = SpasmModel(cache_dir=args.cache_dir, jobs=args.jobs)
+    spasm = SpasmModel(cache_dir=args.cache_dir)
     baselines = [
         HiSparseModel(), SERPENS_A16(), SERPENS_A24(),
         CuSparseRTX3090Model(),
@@ -891,11 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="content-addressed artifact cache directory "
                             "(recompiles of unchanged workloads are "
                             "served from disk)")
-        p.add_argument("--jobs", type=int_at_least(0), default=1,
-                       help="threads for the schedule sweep "
-                            "(deterministic; default 1); for 'run' "
-                            "also the execution shard count, where 0 "
-                            "selects the plan's nnz auto-heuristic")
         return p
 
     analyze = sub.add_parser(
@@ -964,6 +953,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run", "timed numeric SpMV runs through a chosen engine"
     )
     add_pipeline_flags(run)
+    run.add_argument("--jobs", type=int_at_least(0), default=1,
+                     help="execution shard count (default 1); 0 "
+                          "selects the plan's nnz auto-heuristic")
     run.add_argument("--engine", default="plan",
                      choices=["naive", "plan", "guarded"],
                      help="'naive' re-expands the stream per call; "

@@ -247,17 +247,38 @@ class SpasmMatrix:
         return rows.ravel(), cols.ravel(), self.values.ravel()
 
     def _expand_kept(self) -> tuple:
-        """:meth:`_expand` without the padding slots, which are dropped
-        before any coordinate is computed (int64 arithmetic, so a
-        corrupted tile directory yields out-of-range rows for the plan
-        builder to decline rather than wrapped ones).  An out-of-range
-        ``t_idx`` raises ``IndexError`` on any group, padding or not.
+        """:meth:`_expand` without the padding slots.
+
+        The padding slots (``values == 0``, up to half of a stream) are
+        dropped before any coordinate is computed, so no ``(n_groups,
+        k)`` coordinate grid is built; the result feeds
+        ``ExecutionPlan.from_slots(..., compacted=True)``.  The
+        arithmetic is int64, so a corrupted tile directory yields
+        out-of-range rows for the plan builder to decline rather than
+        wrapped ones.  An out-of-range ``t_idx`` raises ``IndexError``
+        on any group, padding or not.
         """
+        k = self.k
         row_base, col_base, t_idx = self._group_bases()
-        cell_r, cell_c = _template_cell_arrays(self.portfolio, self.k)
-        cell_bit = (cell_r * self.k + cell_c).astype(np.int32)
-        return _kept_slot_coords(self.values, cell_bit[t_idx],
-                                 row_base, col_base, self.k)
+        cell_r, cell_c = _template_cell_arrays(self.portfolio, k)
+        # Each slot's in-pattern cell id (``r * k + c``); int32 halves
+        # the traffic of the (n_groups, k) grid, widened once kept.
+        lane_bits = (cell_r * k + cell_c).astype(np.int32)[t_idx]
+        vflat = self.values.reshape(-1)
+        keep = np.flatnonzero(vflat != 0.0)
+        kept_bits = lane_bits.reshape(-1)[keep].astype(np.int64)
+        # k is a power of two in the paper's portfolios — shift/mask
+        # beat div/mod on the megaslot arrays (exact for non-negative
+        # operands).
+        if k & (k - 1) == 0:
+            shift = k.bit_length() - 1
+            group_of = keep >> shift
+            cell_r, cell_c = kept_bits >> shift, kept_bits & (k - 1)
+        else:
+            group_of = keep // k
+            cell_r, cell_c = np.divmod(kept_bits, k)
+        return (row_base[group_of] + cell_r, col_base[group_of] + cell_c,
+                vflat[keep])
 
     def to_coo(self) -> COOMatrix:
         """Decode back to COO (padding slots drop out as zeros)."""
@@ -425,38 +446,6 @@ def _template_cell_arrays(portfolio: Portfolio, k: int) -> tuple:
     return cell_r, cell_c
 
 
-def _kept_slot_coords(values: np.ndarray, lane_bits: np.ndarray,
-                      row_base: np.ndarray, col_base: np.ndarray,
-                      k: int) -> tuple:
-    """``(rows, cols, vals)`` of every non-padding slot, stream order.
-
-    The coordinate tail both plan builders share: the padding slots
-    (``values == 0``, up to half of a stream) are dropped *before* any
-    coordinate gather, so no ``(n_groups, k)`` coordinate grid is
-    built, and the result feeds ``ExecutionPlan.from_slots(...,
-    compacted=True)``.  ``lane_bits`` is the ``(n_groups, k)`` grid of
-    each slot's in-pattern cell id (``r * k + c``); ``row_base`` and
-    ``col_base`` are each group's top-left matrix coordinate, and the
-    arithmetic runs at their dtype.
-    """
-    vflat = values.reshape(-1)
-    keep = np.flatnonzero(vflat != 0.0)
-    idx_dt = row_base.dtype
-    kept_bits = lane_bits.reshape(-1)[keep].astype(idx_dt, copy=False)
-    # k is a power of two in the paper's portfolios — shift/mask beat
-    # div/mod on the megaslot arrays (exact for non-negative operands).
-    if k & (k - 1) == 0:
-        shift = k.bit_length() - 1
-        group_of = keep >> shift
-        cell_r = kept_bits >> idx_dt.type(shift)
-        cell_c = kept_bits & idx_dt.type(k - 1)
-    else:
-        group_of = keep // k
-        cell_r, cell_c = np.divmod(kept_bits, idx_dt.type(k))
-    return (row_base[group_of] + cell_r, col_base[group_of] + cell_c,
-            vflat[keep])
-
-
 def _subset_templates(subsets: np.ndarray, tmpl_masks) -> tuple:
     """Member templates and their owned cells for each template subset.
 
@@ -483,9 +472,7 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
                  masks: Optional[np.ndarray] = None,
                  sub_keys: Optional[np.ndarray] = None,
                  sub_nnz: Optional[np.ndarray] = None,
-                 entry_order: Optional[np.ndarray] = None,
-                 build_plan: bool = False,
-                 plan_precision: Optional[str] = None) -> SpasmMatrix:
+                 entry_order: Optional[np.ndarray] = None) -> SpasmMatrix:
     """Encode a COO matrix into the SPASM data format (steps ③ + ④).
 
     Parameters
@@ -509,16 +496,6 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
         sorts only the submatrices, not the nonzeros; they must belong
         to the same matrix and pattern size or a ``ValueError`` is
         raised.
-    build_plan:
-        Fuse plan construction into the encode: the execution plan's
-        gather/segment arrays are finalized straight from the encoder's
-        intermediates — the stream is never re-expanded — and attached
-        to the returned matrix, so the first ``spmv``/``plan()`` call
-        is free.  The fused plan is bitwise identical to what
-        :meth:`SpasmMatrix.plan` would compile later.
-    plan_precision:
-        Value dtype of the fused plan (``"float32"`` opt-in; float64
-        default).  Only meaningful with ``build_plan=True``.
     """
     k = portfolio.k
     tile_size = validate_tile_size(tile_size, k)
@@ -529,7 +506,7 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
     n_tile_cols = -(-max(coo.shape[1], 1) // tile_size)
 
     if coo.nnz == 0:
-        spasm = SpasmMatrix(
+        return SpasmMatrix(
             shape=coo.shape,
             k=k,
             tile_size=tile_size,
@@ -541,16 +518,6 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
             values=np.zeros((0, k), dtype=np.float64),
             source_nnz=0,
         )
-        if build_plan:
-            from repro.exec.plan import ExecutionPlan, stream_digest
-
-            empty = np.zeros(0, dtype=np.int64)
-            spasm._plan = ExecutionPlan.from_slots(
-                coo.shape, empty, empty, np.zeros(0, dtype=np.float64),
-                digest=stream_digest(spasm), source_nnz=0,
-                precision=plan_precision,
-            )
-        return spasm
 
     # --- submatrix grouping (stream order: tile row-major, then submatrix
     # row-major within the tile) ------------------------------------------
@@ -676,7 +643,7 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
     unique_tiles = group_tile_key[tile_starts]
     tile_ptr = np.concatenate((tile_starts, [n_groups])).astype(np.int64)
 
-    spasm = SpasmMatrix(
+    return SpasmMatrix(
         shape=coo.shape,
         k=k,
         tile_size=tile_size,
@@ -689,51 +656,6 @@ def encode_spasm(coo: COOMatrix, portfolio: Portfolio, tile_size: int,
         source_nnz=coo.nnz,
     )
 
-    if build_plan:
-        # --- fused plan construction (step ⑥ prep, zero re-expansion) ----
-        # The encoder already knows every slot's coordinates: the plan's
-        # per-slot row/col are recovered from the submatrix directory and
-        # the per-template lane offsets through the kept-slot tail the
-        # stream compile also uses (_kept_slot_coords), fed to the same
-        # finalize step, so the fused plan is bitwise identical to a
-        # later _compile.  Hashing the stream (the plan's cache key)
-        # overlaps the coordinate work on the shared pool: hashlib
-        # releases the GIL.
-        import time as _time
-
-        from repro.exec.plan import ExecutionPlan, digest_async
-        from repro.exec.policy import index_dtype_for
-
-        t0 = _time.perf_counter()
-        digest = digest_async(spasm)
-        # One fused-only shortcut, exactness-preserving: the arithmetic
-        # runs at the plan's own index width.  The narrowing is exact
-        # (every coordinate is bounded by the matrix shape, pre-checked
-        # against the padded slot count, an upper bound on what
-        # from_slots keeps), so the plan is bitwise identical to the
-        # int64 stream-compile route: the kept slots reach the stable
-        # row sort in stream order either way.
-        idx_dt = index_dtype_for(coo.shape, int(values.size))
-        row_base = (
-            sub_tile_r.astype(idx_dt)[group_sub] * spt
-            + sub_ridx.astype(idx_dt)[group_sub]
-        ) * k
-        col_base = (
-            sub_tile_c.astype(idx_dt)[group_sub] * spt
-            + sub_cidx.astype(idx_dt)[group_sub]
-        ) * k
-        # ``lane_bits`` (the value-payload gather grid) already holds
-        # every slot's in-pattern cell id.
-        kept_rows, kept_cols, kept_vals = _kept_slot_coords(
-            spasm.values, lane_bits, row_base, col_base, k
-        )
-        spasm._plan = ExecutionPlan.from_slots(
-            coo.shape, kept_rows, kept_cols, kept_vals,
-            digest=digest, source_nnz=coo.nnz,
-            precision=plan_precision, started=t0, compacted=True,
-        )
-
-    return spasm
 
 
 def groups_per_submatrix(coo: COOMatrix, table: DecompositionTable,

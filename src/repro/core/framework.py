@@ -12,8 +12,7 @@ Every compile carries a structured
 artifact sizes, cache hit/miss, bottleneck notes); the Table VIII style
 :class:`PreprocessReport` is a view over that trace.  Passing a
 ``cache_dir`` turns on content-addressed caching of the analysis,
-selection, decomposition and schedule stages, and ``jobs`` parallelizes
-the Algorithm 4 sweep.
+selection, decomposition and schedule stages.
 """
 
 from __future__ import annotations
@@ -183,10 +182,6 @@ class SpasmCompiler:
     hazard_aware:
         Reorder each tile's group stream to space out partial-sum
         reuse (:func:`repro.hw.hazards.hazard_aware_reorder`).
-    jobs:
-        Threads scoring the Algorithm 4 tile-size sweep with the perf
-        model (deterministic: any value selects the same point as the
-        serial sweep).
     cache_dir:
         Directory for content-addressed caching of the analysis,
         selection, decomposition and schedule artifacts; recompiling an
@@ -199,7 +194,8 @@ class SpasmCompiler:
         Append the :class:`~repro.pipeline.passes.PlanPass`: each
         compile also builds (and, with ``cache_dir``, persists) the
         numeric :class:`~repro.exec.plan.ExecutionPlan`, available as
-        :attr:`SpasmProgram.plan`.
+        :attr:`SpasmProgram.plan` and cached on the encoded matrix, so
+        its first ``spmv`` builds nothing.
     analyze:
         Append the :class:`~repro.pipeline.passes.AnalyzePass`: each
         compile symbolically proves the five plan safety obligations
@@ -222,7 +218,7 @@ class SpasmCompiler:
                  tile_sizes=DEFAULT_TILE_SIZES, k: int = 4,
                  selection_coverage: float = 0.95, perf_model=None,
                  portfolio_strategy: str = "candidates",
-                 hazard_aware: bool = False, jobs: int = 1,
+                 hazard_aware: bool = False,
                  cache_dir=None, verify: bool = False,
                  build_plan: bool = False, analyze: bool = False,
                  backend: Optional[str] = None):
@@ -233,11 +229,8 @@ class SpasmCompiler:
                 f"unknown portfolio strategy {portfolio_strategy!r}; "
                 f"choose from {self.PORTFOLIO_STRATEGIES}"
             )
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.portfolio_strategy = portfolio_strategy
         self.hazard_aware = hazard_aware
-        self.jobs = jobs
         self.cache_dir = cache_dir
         self.verify = verify
         self.analyze = analyze
@@ -284,16 +277,10 @@ class SpasmCompiler:
                 self.tile_sizes,
                 self.hw_configs,
                 self.perf_model,
-                jobs=self.jobs,
                 fixed_tile_size=fixed_tile_size,
                 fixed_hw_config=fixed_hw_config,
             ),
-            # When a plan is requested, fuse its construction into the
-            # encode (one pass over the encoder's intermediates instead
-            # of a separate stream re-expansion); PlanPass then adopts
-            # the attached plan and handles caching/tracing.
-            EncodePass(hazard_aware=self.hazard_aware,
-                       fuse_plan=self.build_plan),
+            EncodePass(hazard_aware=self.hazard_aware),
         ]
         if self.verify:
             passes.append(VerifyPass())

@@ -84,32 +84,12 @@ class ScheduleResult:
         )
 
 
-def _evaluate_tile(composition_factory, tile_size, hw_configs,
-                   perf_model) -> list:
-    """Evaluate one tile size against every hardware configuration.
-
-    Returns the list of :class:`SchedulePoint` in ``hw_configs`` order,
-    or an empty list when the factory rejects the tile size.
-    """
-    try:
-        composition = composition_factory(tile_size)
-    except TilingError:
-        return []
-    return [
-        SchedulePoint(
-            tile_size=tile_size,
-            hw_config=hw_config,
-            cycles=float(perf_model(composition, hw_config, tile_size)),
-            composition=composition,
-        )
-        for hw_config in hw_configs
-    ]
-
-
 def explore_schedule(composition_factory, hw_configs, perf_model,
-                     tile_sizes=DEFAULT_TILE_SIZES,
-                     jobs: int = 1) -> ScheduleResult:
+                     tile_sizes=DEFAULT_TILE_SIZES) -> ScheduleResult:
     """Paper Algorithm 4: joint tile-size x hardware-config sweep.
+
+    The sweep is serial, in ``tile_sizes`` x ``hw_configs`` order, and
+    the strict-< minimum keeps the first of equally cheap points.
 
     Parameters
     ----------
@@ -126,45 +106,25 @@ def explore_schedule(composition_factory, hw_configs, perf_model,
         Callable ``(composition, hw_config, tile_size) -> cycles``.
     tile_sizes:
         Tile sizes to sweep.
-    jobs:
-        ``jobs > 1`` evaluates tile sizes concurrently on the process's
-        shared executor (:func:`repro.exec.plan._pool` — the same
-        bounded pool the plan shards run on).  With prebuilt
-        compositions only the ``perf_model`` calls run there.  The
-        reduction is deterministic: points are gathered in sweep order
-        before the strict-< minimum is taken, so any ``jobs`` value
-        selects exactly the point the serial sweep does.
     """
     hw_configs = list(hw_configs)
     if not hw_configs:
         raise ValueError("no hardware configurations supplied")
-    tile_sizes = tuple(tile_sizes)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-    if jobs == 1 or len(tile_sizes) <= 1:
-        per_tile = [
-            _evaluate_tile(
-                composition_factory, tile_size, hw_configs, perf_model
+    points = []
+    for tile_size in tile_sizes:
+        try:
+            composition = composition_factory(tile_size)
+        except TilingError:
+            continue
+        points.extend(
+            SchedulePoint(
+                tile_size=tile_size,
+                hw_config=hw_config,
+                cycles=float(perf_model(composition, hw_config, tile_size)),
+                composition=composition,
             )
-            for tile_size in tile_sizes
-        ]
-    else:
-        # The shared executor (one pool per process, same threads the
-        # plan shards run on); results are collected in sweep order so
-        # the reduction below stays deterministic for every ``jobs``.
-        from repro.exec.plan import _pool
-
-        futures = [
-            _pool().submit(
-                _evaluate_tile, composition_factory, tile_size,
-                hw_configs, perf_model,
-            )
-            for tile_size in tile_sizes
-        ]
-        per_tile = [future.result() for future in futures]
-
-    points = [point for tile_points in per_tile for point in tile_points]
+            for hw_config in hw_configs
+        )
     best = None
     for point in points:
         if best is None or point.cycles < best.cycles:

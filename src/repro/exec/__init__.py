@@ -3,9 +3,8 @@
 The format's reference execution (:meth:`repro.core.format.SpasmMatrix`
 ``.spmv``) re-expands the stream into per-slot coordinates on every
 call.  This package compiles a matrix-specific :class:`ExecutionPlan`
-*once* — padding slots dropped, coordinates taken straight from the
-encoder on the fused path (or decoded for the kept slots from the
-stream), the stream sorted by output row, segment boundaries
+*once* — padding slots dropped, coordinates decoded for the kept
+slots only, the stream sorted by output row, segment boundaries
 precomputed, arrays stored in the narrowest dtype that fits — so every
 subsequent SpMV is a pure gather + a sequential segment reduction, and
 a multi-RHS SpMM or ``spmv_batch`` reuses the same plan with one gather
@@ -45,7 +44,6 @@ from repro.exec.backends import (
 from repro.exec.plan import (
     ExecutionPlan,
     PLAN_STAGE,
-    digest_async,
     dispatch_overhead_s,
     set_shard_fault_hook,
     stream_digest,
@@ -61,7 +59,6 @@ __all__ = [
     "PLAN_STAGE",
     "available_backends",
     "csr_kernels_available",
-    "digest_async",
     "dispatch_overhead_s",
     "get_backend",
     "index_dtype_for",

@@ -7,10 +7,7 @@ per-call work is the minimum the memory system allows.
 
 Build time (once per matrix)
     * drop padding slots (``value == 0`` contributes nothing), then
-      decode ``(row, col)`` coordinates for the kept slots only — or,
-      on the fused path, take them straight from the encoder's
-      intermediates (:func:`repro.core.format.encode_spasm` with
-      ``build_plan=True``) without decoding the stream,
+      decode ``(row, col)`` coordinates for the kept slots only,
     * stable-sort the stream by output row,
     * record the segment boundary of each non-empty output row,
     * store the arrays in the narrowest layout that can address them
@@ -151,7 +148,7 @@ def _join_shards(futures: Sequence["Future[None]"]) -> None:
 
 
 def _pool() -> ThreadPoolExecutor:
-    """The single shared executor for shards and background hashing.
+    """The single shared executor for plan shards.
 
     One pool for the whole process — created lazily, reused across
     every call and every plan, bounded by the core count — so repeated
@@ -244,46 +241,6 @@ def _stream_snapshot(spasm: Any) -> Any:
     })
 
 
-class _DeferredDigest:
-    """A digest that computes on first ``result()`` call.
-
-    The single-core stand-in for a pool future: submitting the hash
-    eagerly on one CPU just steals cycles from the build it is supposed
-    to overlap with, so the hash waits until someone actually needs the
-    identity (the :attr:`ExecutionPlan.digest` property memoizes the
-    resolution, so it runs at most once per plan).
-    """
-
-    __slots__ = ("_snapshot",)
-
-    def __init__(self, snapshot: Any) -> None:
-        self._snapshot = snapshot
-
-    def result(self) -> str:
-        return stream_digest(self._snapshot)
-
-
-def digest_async(spasm: Any) -> Any:
-    """Take :func:`stream_digest` off the build's critical path.
-
-    The hash runs over a build-time snapshot of the stream
-    (:func:`_stream_snapshot`), so the plan's identity is immune to
-    later in-place mutation of the live arrays no matter when the hash
-    lands.  With more than one core it is submitted to the shared pool
-    — ``hashlib`` releases the GIL while hashing large buffers, so it
-    genuinely overlaps plan construction.  On a single core it is
-    deferred instead (:class:`_DeferredDigest`): concurrency would
-    only interleave with the build, so the hash runs lazily at the
-    first digest access.  Either way the returned handle answers
-    ``result()`` and is accepted anywhere a digest string is
-    (``ExecutionPlan.from_slots``).
-    """
-    snapshot = _stream_snapshot(spasm)
-    if (os.cpu_count() or 1) > 1:
-        return _pool().submit(stream_digest, snapshot)
-    return _DeferredDigest(snapshot)
-
-
 def _plan_cache_key(digest: str, index: Optional[str],
                     precision: Optional[str]) -> str:
     """Artifact key for one (stream, layout) combination.
@@ -324,13 +281,7 @@ class ExecutionPlan:
         dtype as ``cols``.
     digest:
         :func:`stream_digest` of the source stream; the cache key and
-        the invalidation token of lazily cached plans.  The fused
-        builder hands the field a pending ``Future`` so hashing never
-        sits on the build's critical path — the :attr:`digest`
-        property resolves (and memoizes) it on first access, which is
-        always before the value is needed: cache stores and lazy-plan
-        adoption go through the property, while
-        ``spmv`` itself never touches it.
+        the invalidation token of lazily cached plans.
     source_nnz:
         Non-zero count of the source matrix (throughput accounting).
     checksum:
@@ -338,8 +289,9 @@ class ExecutionPlan:
         :meth:`validate` recomputes and compares it to detect any
         later corruption before the arrays are dispatched.
     build_ms:
-        Wall-clock milliseconds the build took (fused or compiled);
-        informational only — excluded from equality and the checksum.
+        Wall-clock milliseconds the slot decode and finalize took
+        (not the snapshot or the hash); informational only — excluded
+        from equality and the checksum.
     """
 
     shape: Tuple[int, int]
@@ -347,7 +299,7 @@ class ExecutionPlan:
     vals: np.ndarray
     seg_starts: np.ndarray
     seg_rows: np.ndarray
-    _digest: Union[str, "Future[str]"] = dataclasses.field(repr=False)
+    digest: str = dataclasses.field(repr=False)
     source_nnz: int
     checksum: str = ""
     build_ms: float = dataclasses.field(default=0.0, compare=False)
@@ -358,22 +310,6 @@ class ExecutionPlan:
     _scratch: Dict[Any, Any] = dataclasses.field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-
-    @property
-    def digest(self) -> str:
-        """The stream digest, resolving a deferred hash on first use.
-
-        The fused builder leaves the digest computing on the shared
-        pool instead of blocking the build on it; whoever needs the
-        identity first (cache store, verify, lazy-plan adoption) pays
-        the residual wait here, after which the resolved string is
-        memoized in place.
-        """
-        value = self._digest
-        if not isinstance(value, str):
-            value = value.result()
-            object.__setattr__(self, "_digest", value)
-        return value
 
     # ------------------------------------------------------------------
     # construction
@@ -420,7 +356,7 @@ class ExecutionPlan:
     @classmethod
     def from_slots(cls, shape: Tuple[int, int], rows: np.ndarray,
                    cols: np.ndarray, vals: np.ndarray,
-                   digest: Union[str, "Future[str]"], source_nnz: int,
+                   digest: str, source_nnz: int,
                    index: Optional[str] = None,
                    precision: Optional[str] = None,
                    started: Optional[float] = None,
@@ -429,23 +365,19 @@ class ExecutionPlan:
 
         ``rows``/``cols``/``vals`` are equal-length arrays in stream
         order, padding slots (``vals == 0``) included unless
-        ``compacted``; this is the shared tail of both builders —
-        :meth:`_compile` feeds it the stream's decoded non-padding
-        slots, the fused encode path the encoder's own intermediates
-        (both compacted).  ``digest`` may be a ``Future``
-        (left pending — the :attr:`digest` property resolves it on
-        first access, so hashing never blocks the build) and
-        ``started`` back-dates :attr:`build_ms` to include the
-        caller's coordinate work.  ``compacted=True`` promises the
-        caller already dropped every padding slot (``vals`` holds no
-        zeros, in stream order) and skips the keep scan; the result is
-        bitwise identical either way because the keep mask uses the
-        same ``!= 0`` criterion and preserves stream order.
+        ``compacted``; :meth:`_compile` feeds it the stream's decoded
+        non-padding slots.  ``started`` back-dates :attr:`build_ms` to
+        include the caller's coordinate work.  ``compacted=True``
+        promises the caller already dropped every padding slot
+        (``vals`` holds no zeros, in stream order) and skips the keep
+        scan; the result is bitwise identical either way because the
+        keep mask uses the same ``!= 0`` criterion and preserves stream
+        order.
         """
         t0 = time.perf_counter() if started is None else started
         shape = (int(shape[0]), int(shape[1]))
         # Index dtype selection happens below via check_layout;
-        # forcing one here would copy compact int32 encoder output.
+        # forcing one here would copy the caller's arrays.
         rows = np.asarray(rows).reshape(-1)  # lint: allow(exec.implicit-dtype)
         cols = np.asarray(cols).reshape(-1)  # lint: allow(exec.implicit-dtype)
         vals = np.asarray(vals, dtype=np.float64).reshape(-1)
@@ -509,7 +441,7 @@ class ExecutionPlan:
             vals=out_vals,
             seg_starts=seg_starts,
             seg_rows=seg_rows,
-            _digest=digest,
+            digest=digest,
             source_nnz=int(source_nnz),
             checksum=checksum,
             build_ms=(time.perf_counter() - t0) * 1e3,
@@ -581,7 +513,7 @@ class ExecutionPlan:
                 vals=entry.arrays["vals"],
                 seg_starts=entry.arrays["seg_starts"],
                 seg_rows=entry.arrays["seg_rows"],
-                _digest=str(entry.meta["digest"]),
+                digest=str(entry.meta["digest"]),
                 source_nnz=int(entry.meta["source_nnz"]),
                 checksum=str(entry.meta["plan_checksum"]),
             )

@@ -322,10 +322,9 @@ class SchedulePass(CompilerPass):
 
     Builds every tile size's global composition in one nested
     aggregation of the per-submatrix group and entry counts, then sweeps
-    (tile size, hardware config) with Algorithm 4, optionally scoring
-    on multiple threads (``jobs``), honoring the ``fixed_*`` ablation
-    knobs.  Cache entries persist the evaluated grid (cycles per point)
-    and the winning pair; on a hit the per-point
+    (tile size, hardware config) with Algorithm 4, honoring the
+    ``fixed_*`` ablation knobs.  Cache entries persist the evaluated
+    grid (cycles per point) and the winning pair; on a hit the per-point
     :class:`~repro.core.tiling.GlobalComposition` objects are *not*
     re-materialized (``point.composition is None``) — the encoder never
     needs them.
@@ -338,14 +337,12 @@ class SchedulePass(CompilerPass):
 
     def __init__(self, k: int, tile_sizes: Sequence[int],
                  hw_configs: Sequence[Any], perf_model: Any,
-                 jobs: int = 1,
                  fixed_tile_size: Optional[int] = None,
                  fixed_hw_config: Optional[Any] = None):
         self.k = k
         self.tile_sizes = tuple(tile_sizes)
         self.hw_configs = list(hw_configs)
         self.perf_model = perf_model
-        self.jobs = jobs
         self.fixed_tile_size = fixed_tile_size
         self.fixed_hw_config = fixed_hw_config
         # A fully pinned point needs no exploration and no cache.
@@ -369,8 +366,6 @@ class SchedulePass(CompilerPass):
 
     def config_fingerprint(self) -> str:
         tile_sweep, hw_sweep = self._sweep()
-        # jobs is deliberately absent: the parallel sweep reduces
-        # deterministically to the serial result.
         return fingerprint(
             {
                 "k": self.k,
@@ -411,14 +406,13 @@ class SchedulePass(CompilerPass):
             hw_sweep,
             self.perf_model,
             tile_sweep,
-            jobs=self.jobs,
         )
         store.put("schedule", schedule)
         store.put("tile_size", int(schedule.best_tile_size))
         store.put("hw_config", schedule.best_hw_config)
         return (
             f"best {schedule.best.label} of {len(schedule.points)} "
-            f"evaluated points (jobs={self.jobs})"
+            "evaluated points"
         )
 
     def to_cache(self, store: ArtifactStore):
@@ -488,13 +482,6 @@ class EncodePass(CompilerPass):
     Not cacheable: persistence of the encoded artifact is the job of
     :mod:`repro.core.serialize` (``save_spasm``/``load_spasm``), and the
     hazard-aware reorder must see the freshly encoded stream.
-
-    With ``fuse_plan=True`` the encoder also finalizes the execution
-    plan directly from its own intermediates (no second expansion of
-    the stream) and attaches it to the matrix, so a following
-    :class:`PlanPass` — or the first ``spasm.spmv`` — is free.  Fusion
-    is skipped under the hazard-aware reorder, which rewrites the
-    stream after encoding and would invalidate the attached plan.
     """
 
     name = "encode"
@@ -504,22 +491,13 @@ class EncodePass(CompilerPass):
     )
     provides = ("spasm",)
 
-    def __init__(self, hazard_aware: bool = False,
-                 fuse_plan: bool = False,
-                 plan_precision: Optional[str] = None):
+    def __init__(self, hazard_aware: bool = False):
         self.hazard_aware = hazard_aware
-        self.fuse_plan = fuse_plan
-        self.plan_precision = plan_precision
 
     def config_fingerprint(self) -> str:
-        return fingerprint({
-            "hazard_aware": self.hazard_aware,
-            "fuse_plan": self.fuse_plan,
-            "plan_precision": self.plan_precision,
-        })
+        return fingerprint({"hazard_aware": self.hazard_aware})
 
     def run(self, store: ArtifactStore) -> str:
-        fused = self.fuse_plan and not self.hazard_aware
         spasm = encode_spasm(
             store.require("coo"),
             store.require("portfolio"),
@@ -529,8 +507,6 @@ class EncodePass(CompilerPass):
             sub_keys=store.require("sub_keys"),
             sub_nnz=store.require("sub_nnz"),
             entry_order=store.require("entry_order"),
-            build_plan=fused,
-            plan_precision=self.plan_precision,
         )
         note = ""
         if self.hazard_aware:
@@ -538,10 +514,6 @@ class EncodePass(CompilerPass):
 
             spasm = hazard_aware_reorder(spasm)
             note = ", hazard-aware reorder applied"
-        elif fused:
-            plan = spasm.__dict__.get("_plan")
-            if plan is not None:
-                note = f", fused plan in {plan.build_ms:.1f} ms"
         store.put("spasm", spasm)
         return (
             f"{spasm.n_groups} groups, padding rate "
@@ -580,8 +552,8 @@ class PlanPass(CompilerPass):
         from repro.exec.backends import resolve_backend
 
         spasm = store.require("spasm")
-        # Reuses the plan the fused EncodePass attached (digest-checked
-        # inside SpasmMatrix.plan), compiling only when absent.
+        # Builds once and caches the plan on the matrix, so the first
+        # ``spasm.spmv`` reuses it.
         plan = spasm.plan()
         engine = resolve_backend(self.backend, plan=plan, op="spmv")
         store.put("plan", plan)
@@ -601,6 +573,8 @@ class PlanPass(CompilerPass):
             )
         except ValueError:
             return False
+        # Cached on the matrix as run() does: the first spmv is free.
+        spasm._plan = plan
         store.put("plan", plan)
         return True
 

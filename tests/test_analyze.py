@@ -409,7 +409,7 @@ class TestPlanContract:
                 seg_rows=np.array(rows, dtype=np.int32),
             )
             return ExecutionPlan(
-                shape=(3, 3), _digest="x" * 64, source_nnz=0,
+                shape=(3, 3), digest="x" * 64, source_nnz=0,
                 checksum=plan_checksum(shape=(3, 3), **arrays),
                 **arrays,
             )

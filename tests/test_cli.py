@@ -90,8 +90,7 @@ class TestCommands:
 
     def test_compile_jobs_and_verify(self, capsys):
         assert main([
-            "compile", "t2em", "--scale", "0.2", "--jobs", "2",
-            "--verify", "--json",
+            "compile", "t2em", "--scale", "0.2", "--verify", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["trace"]["events"][-1]["name"] == "verify"
@@ -363,7 +362,6 @@ class TestErrors:
         (["run", "--repeat", "-1"], "--repeat"),
         (["run", "--batch", "-3"], "--batch"),
         (["run", "--jobs", "-1"], "--jobs"),
-        (["compile", "--jobs", "-1"], "--jobs"),
     ])
     def test_numeric_flag_out_of_range_exits_2(self, capsys, argv,
                                                flag):
@@ -371,6 +369,19 @@ class TestErrors:
             main([argv[0], "raefsky3", "--scale", "0.02", *argv[1:]])
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_jobs_is_a_run_flag_only(self, capsys):
+        """``--jobs`` sets the execution shard count of ``run``; the
+        schedule sweep is serial, so no pipeline command takes it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "t2em", "--scale", "0.05", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert main([
+            "run", "t2em", "--scale", "0.05", "--jobs", "2",
+            "--repeat", "1",
+        ]) == 0
+        assert "jobs=2" in capsys.readouterr().out
 
 
 class TestFaults:

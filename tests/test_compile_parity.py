@@ -92,15 +92,6 @@ def test_compile_set_pinned(family, base):
     assert hashlib.sha256(points).hexdigest() == points_digest
 
 
-@pytest.mark.parametrize("family,base", COMPILE_SET[:3])
-def test_schedule_points_independent_of_jobs(family, base):
-    coo = load_workload(family, base * SCALE)
-    serial = SpasmCompiler(jobs=1).compile(coo)
-    parallel = SpasmCompiler(jobs=2).compile(coo)
-    assert _points(serial) == _points(parallel)
-    assert serial.schedule.best.label == parallel.schedule.best.label
-
-
 def _non_square(seed=3):
     rng = np.random.default_rng(seed)
     n = 4000

@@ -1,10 +1,10 @@
-"""Tests for the v2 execution-plan features: fused encode-time
-builds, compact dtype-aware layouts, batched multi-query SpMV, the
-shard auto-heuristic and the guarded/cached integrations.
+"""Tests for the v2 execution-plan features: plan builds, compact
+dtype-aware layouts, batched multi-query SpMV, the shard
+auto-heuristic and the guarded/cached integrations.
 
 The non-negotiable invariant throughout: every float64 engine —
-naive, compiled (int32 or int64 indices), fused, sharded, batched,
-guarded — produces **bitwise identical** results.
+naive, compiled (int32 or int64 indices), sharded, batched, guarded —
+produces **bitwise identical** results.
 """
 
 import os
@@ -56,64 +56,89 @@ def assert_plans_identical(a, b):
         assert np.array_equal(left, right), name
 
 
-# -- fused encode-time builds ------------------------------------------
+# -- plan builds ---------------------------------------------------------
 
 
-class TestFusedBuild:
-    def test_fused_equals_compile(self, rng):
+class TestPlanBuild:
+    def test_lazy_plan_is_cached_build(self, rng):
         coo = integer_coo(rng, 96, "mixed")
-        spasm = encode(coo, build_plan=True)
-        fused = spasm.plan()
-        assert fused is spasm.__dict__.get("_plan")
-        assert_plans_identical(fused, ExecutionPlan.build(spasm))
-        assert fused.build_ms > 0.0
+        spasm = encode(coo)
+        plan = spasm.plan()
+        assert plan is spasm.__dict__.get("_plan")
+        assert spasm.plan() is plan
+        assert_plans_identical(plan, ExecutionPlan.build(spasm))
+        assert plan.build_ms > 0.0
 
-    def test_fused_empty_matrix(self):
+    def test_empty_matrix(self):
         coo = COOMatrix(
             rows=np.array([], dtype=np.int64),
             cols=np.array([], dtype=np.int64),
             vals=np.array([], dtype=np.float64),
             shape=(16, 16),
         )
-        spasm = encode(coo, tile_size=16, build_plan=True)
+        spasm = encode(coo, tile_size=16)
         plan = spasm.plan()
         assert plan.n_slots == 0
         assert np.array_equal(
             plan.spmv(np.ones(16)), np.zeros(16)
         )
 
-    def test_mutation_after_fused_encode_recompiles(self, rng):
-        # The fused plan's digest is hashed off the critical path over
-        # a build-time snapshot.  Mutating the live stream *before*
-        # that hash ever resolves must still invalidate the stale plan
-        # — a digest of the mutated arrays would match the fresh hash
-        # in plan() and silently serve the pre-mutation answer.
+    def test_mutation_after_plan_recompiles(self, rng):
+        # Mutating the live stream after its plan is cached must
+        # invalidate the stale plan: the next spmv rebuilds and
+        # serves the mutated product.
         coo = integer_coo(rng, 96, "mixed")
-        spasm = encode(coo, build_plan=True)
-        stale = spasm.__dict__.get("_plan")
-        assert stale is not None
+        spasm = encode(coo)
+        stale = spasm.plan()
         spasm.values[spasm.values != 0.0] *= 2.0
         x = rng.integers(0, 5, size=96).astype(np.float64)
         expected = spasm.spmv_naive(x)
         assert np.array_equal(spasm.spmv(x), expected)
         assert spasm.__dict__.get("_plan") is not stale
 
-    def test_compiler_fuses_when_building_plans(self, rng):
+    def test_compile_with_plan_hashes_stream_once(self, rng,
+                                                   monkeypatch):
+        """``build_plan=True`` builds one plan with one stream hash,
+        caches it on the matrix, and the first spmv compiles nothing."""
         coo = integer_coo(rng, 64, "blocks")
+        hashes = []
+        real_digest = plan_mod.stream_digest
+
+        def counting_digest(spasm):
+            hashes.append(1)
+            return real_digest(spasm)
+
+        monkeypatch.setattr(plan_mod, "stream_digest", counting_digest)
         program = SpasmCompiler(build_plan=True).compile(coo)
+        assert len(hashes) == 1
         assert program.plan is not None
-        assert_plans_identical(
-            program.plan, ExecutionPlan.build(program.spasm)
+        assert program.plan is program.spasm.__dict__.get("_plan")
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("first spmv recompiled the plan")
+
+        monkeypatch.setattr(ExecutionPlan, "_compile", no_compile)
+        x = rng.integers(0, 5, size=64).astype(np.float64)
+        assert np.array_equal(
+            program.spasm.spmv(x), program.spasm.spmv_naive(x)
         )
-        encode_note = next(
-            e.note for e in program.trace if e.name == "encode"
-        )
-        assert "fused plan" in encode_note
+
+    def test_cache_hit_compile_caches_plan_on_matrix(self, rng,
+                                                      tmp_path):
+        coo = integer_coo(rng, 64, "blocks")
+        compiler = SpasmCompiler(build_plan=True, cache_dir=tmp_path)
+        cold = compiler.compile(coo)
+        warm = compiler.compile(coo)
+        assert next(
+            e.cache for e in warm.trace if e.name == "plan"
+        ) == "hit"
+        assert warm.plan is warm.spasm.__dict__.get("_plan")
+        assert_plans_identical(warm.plan, cold.plan)
 
     def test_hazard_aware_compile_still_plans_correctly(self, rng):
-        # Fusion is skipped under hazard-aware reorder (the stream is
-        # rewritten after encode); the PlanPass compile must still
-        # agree with the naive engine bitwise.
+        # The hazard-aware reorder rewrites the stream after encode;
+        # the PlanPass compile must still agree with the naive engine
+        # bitwise.
         coo = integer_coo(rng, 64, "mixed")
         program = SpasmCompiler(
             build_plan=True, hazard_aware=True
@@ -131,27 +156,24 @@ class TestFusedBuild:
         portfolio_idx=st.integers(0, 2),
         tile_size=st.sampled_from([16, 32]),
     )
-    def test_fused_compile_cache_identical(
+    def test_build_cache_roundtrip_identical(
         self, seed, n, kind, portfolio_idx, tile_size
     ):
-        """Property: fused build ≡ stream re-expansion compile ≡
-        cache roundtrip, bitwise, for random matrices, portfolios and
-        tile sizes."""
+        """Property: lazy plan ≡ standalone build ≡ cache roundtrip,
+        bitwise, for random matrices, portfolios and tile sizes."""
         rng = np.random.default_rng(seed)
         coo = integer_coo(rng, n, kind)
         spasm = encode(
             coo, tile_size=tile_size, portfolio_idx=portfolio_idx,
-            build_plan=True,
         )
-        fused = spasm.plan()
-        compiled = ExecutionPlan.build(spasm)
-        assert_plans_identical(fused, compiled)
+        lazy = spasm.plan()
+        assert_plans_identical(lazy, ExecutionPlan.build(spasm))
         with tempfile.TemporaryDirectory() as tmp:
             cache = ArtifactCache(tmp)
             stored = ExecutionPlan.build(spasm, cache=cache)
             loaded = ExecutionPlan.build(spasm, cache=cache)
             assert_plans_identical(stored, loaded)
-            assert_plans_identical(fused, loaded)
+            assert_plans_identical(lazy, loaded)
 
 
 # -- compact dtype-aware layouts ---------------------------------------
@@ -174,18 +196,17 @@ class TestCompactLayouts:
 
     def test_all_engines_bitwise_identical(self, rng):
         coo = integer_coo(rng, 96, "mixed")
-        spasm = encode(coo, build_plan=True)
+        spasm = encode(coo)
         x = rng.integers(0, 5, size=coo.shape[1]).astype(np.float64)
         reference = spasm.spmv_naive(x)
-        fused = spasm.plan()
+        plan = spasm.plan()
         plan_i64 = ExecutionPlan.build(spasm, index="int64")
         outputs = {
-            "fused_int32": fused.spmv(x),
-            "compiled_int32": ExecutionPlan.build(spasm).spmv(x),
+            "compiled_int32": plan.spmv(x),
             "int64": plan_i64.spmv(x),
-            "sharded": fused.spmv(x, jobs=3),
-            "auto": fused.spmv(x, jobs=None),
-            "batch_row": fused.spmv_batch(x[None, :])[0],
+            "sharded": plan.spmv(x, jobs=3),
+            "auto": plan.spmv(x, jobs=None),
+            "batch_row": plan.spmv_batch(x[None, :])[0],
         }
         from repro.resilience import ExecutionGuard
 

@@ -243,29 +243,6 @@ class TestDeduplicatedContract:
         assert program.spasm.source_nnz == coo.nnz
 
 
-class TestParallelSchedule:
-    def test_jobs_match_serial(self, rng):
-        coo = random_structured_coo(rng, 128, "mixed")
-        serial = SpasmCompiler(tile_sizes=TILE_SIZES, jobs=1)
-        parallel = SpasmCompiler(tile_sizes=TILE_SIZES, jobs=4)
-        a = serial.compile(coo)
-        b = parallel.compile(coo)
-        assert a.tile_size == b.tile_size
-        assert a.hw_config.name == b.hw_config.name
-        assert [
-            (p.tile_size, p.hw_config.name, p.cycles)
-            for p in a.schedule.points
-        ] == [
-            (p.tile_size, p.hw_config.name, p.cycles)
-            for p in b.schedule.points
-        ]
-        assert np.array_equal(a.spasm.words, b.spasm.words)
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError, match="jobs"):
-            SpasmCompiler(jobs=0)
-
-
 class TestVerifyPass:
     def test_verify_stage_runs_clean(self, rng):
         coo = random_structured_coo(rng, 64, "mixed")

@@ -150,16 +150,6 @@ class TestInvalidation:
         assert states["decomposition"] == "miss"
         assert states["schedule"] == "miss"
 
-    def test_jobs_share_cache_entries(self, coo, tmp_path):
-        """The thread count must not change cache keys."""
-        SpasmCompiler(
-            tile_sizes=TILE_SIZES, cache_dir=tmp_path, jobs=1
-        ).compile(coo)
-        program = SpasmCompiler(
-            tile_sizes=TILE_SIZES, cache_dir=tmp_path, jobs=4
-        ).compile(coo)
-        assert cache_states(program) == {s: "hit" for s in CACHEABLE}
-
 
 class TestCorruption:
     def test_corrupted_entry_recomputed(self, coo, tmp_path):
