@@ -11,18 +11,17 @@ test:
 lint:
 	ruff check src tests examples
 	mypy src/repro/verify src/repro/pipeline src/repro/exec \
-	    src/repro/analyze src/repro/core/encoding.py
+	    src/repro/core/encoding.py
 
-# Static analysis gate: prove the five plan safety obligations over the
-# whole synth suite (exit 1 on any refuted proof; JSON archived as a CI
-# artifact) and run the AST determinism/safety self-lint; any self-lint
-# finding fails (exit 1).
+# Static analysis gate: run every verifier rule family (stream, opcode,
+# plan and memory image) over the whole synth suite (exit 1 on any
+# error; JSON archived as a CI artifact), then the AST
+# determinism/safety self-lint; any self-lint finding fails (exit 1).
 analyze:
-	python -m repro analyze --scale 0.2 --json > BENCH_analyze.json
+	python -m repro verify --scale 0.2 --json > BENCH_analyze.json
 	python -c "import json; r = json.load(open('BENCH_analyze.json')); \
-	    print('%d matrices, %d refuted obligations' % \
-	    (r['matrices'], r['refuted']))"
-	python -m repro analyze --self
+	    print('%d matrices, %d errors' % (r['matrices'], r['errors']))"
+	python -m repro verify --self
 
 verify:
 	python -m repro verify tmt_sym --scale 0.1

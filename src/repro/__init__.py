@@ -17,7 +17,8 @@ commonly used entry points; see the subpackages for the full surface:
 * :mod:`repro.analysis` — metrics and report rendering for the paper's
   tables and figures;
 * :mod:`repro.verify` — static invariant checker over encoded
-  artifacts (streams, opcode tables, memory images).
+  artifacts (streams, opcode tables, memory images, execution plans)
+  and the codebase self-lint.
 """
 
 from repro.matrix import COOMatrix, CSRMatrix, coo_to_csr, from_dense

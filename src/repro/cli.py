@@ -4,12 +4,12 @@
 
     python -m repro suite                     # list the Table II workloads
     python -m repro analyze tmt_sym           # pattern histogram + spy plot
-    python -m repro analyze --scale 0.2       # symbolic plan proofs, suite
-    python -m repro analyze --self            # codebase determinism lint
     python -m repro compile matrix.mtx        # full SPASM pipeline report
     python -m repro storage c-73              # Figure 11 format comparison
     python -m repro compare raefsky3          # throughput vs baselines
     python -m repro verify matrix.spasm.npz   # static invariant check
+    python -m repro verify --scale 0.2        # the whole synth suite
+    python -m repro verify --self             # codebase determinism lint
     python -m repro run tmt_sym --engine plan # timed numeric SpMV runs
     python -m repro backends                  # kernel-backend registry
 
@@ -64,22 +64,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """Pattern analysis, symbolic plan proofs, or the self-lint.
-
-    Three modes share the subcommand:
-
-    * ``analyze MATRIX`` — the classic local-pattern histogram report.
-    * ``analyze [MATRIX] --proofs`` (or no matrix at all) — compile
-      the matrix (default: every synth-suite workload) and prove the
-      five plan safety obligations symbolically; any refuted
-      obligation exits 1.
-    * ``analyze --self`` — run the AST determinism/safety lint over
-      ``src/repro``; any finding exits 1.
-    """
-    if args.self_lint:
-        return _analyze_self(args)
-    if args.matrix is None or args.proofs:
-        return _analyze_proofs(args)
+    """The local-pattern histogram report of one matrix."""
     coo = load_matrix(args.matrix, args.scale)
     print(f"{args.matrix}: shape={coo.shape}, nnz={coo.nnz}, "
           f"density={coo.density:.3e}")
@@ -89,61 +74,6 @@ def cmd_analyze(args) -> int:
     print()
     print(top_pattern_report(args.matrix, histogram, n=args.top))
     return 0
-
-
-def _analyze_proofs(args) -> int:
-    """Prove the five plan obligations over one or all workloads."""
-    import json
-
-    from repro.analyze import analyze_program
-    from repro.analyze.symbolic import analysis_reports_to_json
-
-    names = (
-        [args.matrix] if args.matrix is not None else workload_names()
-    )
-    compiler = SpasmCompiler(
-        cache_dir=getattr(args, "cache_dir", None),
-        build_plan=True,
-    )
-    reports = []
-    for name in names:
-        coo = load_matrix(name, args.scale)
-        program = compiler.compile(coo)
-        report = analyze_program(program, matrix=name)
-        reports.append(report)
-        if not args.json:
-            print(report.render())
-            print()
-    payload = analysis_reports_to_json(reports)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        refuted = payload["refuted"]
-        verdict = (
-            "all proof obligations hold" if payload["ok"]
-            else f"{refuted} obligation(s) REFUTED"
-        )
-        print(f"{len(reports)} matrix(es) analyzed: {verdict}")
-    return 0 if payload["ok"] else 1
-
-
-def _analyze_self(args) -> int:
-    """Lint ``src/repro``; any finding exits 1."""
-    import json
-
-    from repro.analyze import self_lint
-
-    findings = self_lint()
-    if args.json:
-        print(json.dumps({
-            "ok": not findings,
-            "findings": [f.as_dict() for f in findings],
-        }, indent=2))
-    else:
-        for finding in findings:
-            print(finding.render())
-        print(f"self-lint: {len(findings)} finding(s)")
-    return 1 if findings else 0
 
 
 def make_compiler(args) -> SpasmCompiler:
@@ -561,37 +491,98 @@ def cmd_backends(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Statically verify a SPASM artifact without simulating it."""
-    from repro.verify import verify_memory_image, verify_spasm
+    """Statically check SPASM artifacts without simulating them.
 
-    if args.artifact.endswith(".npz"):
-        from repro.core import load_spasm
+    ``verify ARTIFACT`` checks one target, bare ``verify`` every
+    synth-suite workload; any error (or, with ``--strict``, warning)
+    exits 1.  ``verify --self`` runs the codebase self-lint instead.
+    """
+    import json
 
-        spasm = load_spasm(args.artifact)
-        source = None
-    else:
-        # Workload name or .mtx path: encode on the fly and keep the
-        # source so decode equivalence (fmt.roundtrip) is checked too.
-        source = load_matrix(args.artifact, args.scale)
-        spasm = SpasmCompiler().compile(source).spasm
-    report = verify_spasm(spasm, source=source)
+    if args.self_lint:
+        return _verify_self(args)
+    config = None
     if args.hardware:
         from repro.hw import DEFAULT_CONFIGS
-        from repro.hw.memory_image import pack_images
 
         config = next(
             c for c in DEFAULT_CONFIGS if c.name == args.hardware
         )
+    names = (
+        [args.artifact] if args.artifact is not None
+        else workload_names()
+    )
+    reports = []
+    for name in names:
+        report = _verify_target(name, args.scale, config)
+        reports.append(dict(report.as_dict(), matrix=name))
+        if not args.json:
+            if len(names) > 1:
+                print(f"== {name}")
+            print(report.render())
+    errors = sum(r["errors"] for r in reports)
+    warnings = sum(r["warnings"] for r in reports)
+    if args.json:
+        print(json.dumps({
+            "ok": not errors, "matrices": len(reports),
+            "errors": errors, "warnings": warnings, "reports": reports,
+        }, indent=2))
+    elif len(names) > 1:
+        print(f"{len(names)} matrices verified: {errors} errors, "
+              f"{warnings} warnings")
+    failed = bool(errors) or (args.strict and bool(warnings))
+    return 1 if failed else 0
+
+
+def _verify_target(name: str, scale: float, config):
+    """Stream and opcode rules, plan rules, then memory-image rules.
+
+    A workload name or ``.mtx`` path is compiled (keeping the source,
+    so ``fmt.roundtrip`` runs too) and its memory images are checked
+    for the selected bitstream unless ``config`` overrides it; a saved
+    ``.npz`` gets memory rules only for an explicit ``config``.  Plan
+    rules run only on a stream without errors.
+    """
+    from repro.verify import verify_memory_image, verify_plan, verify_spasm
+
+    if name.endswith(".npz"):
+        from repro.core import load_spasm
+
+        spasm = load_spasm(name)
+        source = None
+    else:
+        source = load_matrix(name, scale)
+        program = SpasmCompiler().compile(source)
+        spasm = program.spasm
+        config = config or program.hw_config
+    report = verify_spasm(spasm, source=source)
+    if report.ok:
+        report.extend(verify_plan(spasm.plan()))
+    if config is not None:
+        from repro.hw.memory_image import pack_images
+
         image = pack_images(spasm, config)
         report.extend(verify_memory_image(image, spasm=spasm))
+    return report
+
+
+def _verify_self(args) -> int:
+    """Lint ``src/repro``; any finding exits 1."""
+    import json
+
+    from repro.verify.lints import self_lint
+
+    findings = self_lint()
     if args.json:
-        print(report.to_json())
+        print(json.dumps({
+            "ok": not findings,
+            "findings": [f.as_dict() for f in findings],
+        }, indent=2))
     else:
-        print(report.render())
-    failed = bool(report.errors) or (
-        args.strict and bool(report.warnings)
-    )
-    return 1 if failed else 0
+        for finding in findings:
+            print(finding.render())
+        print(f"self-lint: {len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 def cmd_faults(args) -> int:
@@ -887,38 +878,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "served from disk)")
         return p
 
-    analyze = sub.add_parser(
-        "analyze",
-        help="local pattern analysis, symbolic plan safety proofs, "
-             "or the codebase self-lint",
+    analyze = add_matrix_command(
+        "analyze", "local pattern histogram and spy plot"
     )
-    analyze.add_argument(
-        "matrix", nargs="?", default=None,
-        help=f"workload name ({', '.join(workload_names()[:3])}, ...)"
-             " or a .mtx file path; omit to prove the whole synth "
-             "suite",
-    )
-    analyze.add_argument("--scale", type=float, default=1.0,
-                         help="synthetic workload scale factor")
     analyze.add_argument("--top", type=int, default=8,
                          help="patterns to display")
     analyze.add_argument("--pattern-size", type=int, default=4,
                          help="local pattern size k")
     analyze.add_argument("--no-spy", action="store_true",
                          help="skip the spy plot")
-    analyze.add_argument("--proofs", action="store_true",
-                         help="prove the five plan safety obligations "
-                              "(index width, coverage, shards, image, "
-                              "backend) symbolically instead "
-                              "of the pattern report; a refuted "
-                              "obligation exits 1")
-    analyze.add_argument("--self", dest="self_lint",
-                         action="store_true",
-                         help="run the AST determinism/safety lint "
-                              "over src/repro; any finding exits 1")
-    analyze.add_argument("--json", action="store_true",
-                         help="emit the proof or lint report as JSON")
-    add_pipeline_flags(analyze)
 
     compile_p = add_matrix_command(
         "compile", "run the full SPASM pipeline"
@@ -1015,21 +983,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify",
-        help="statically check a SPASM artifact against the format, "
-             "opcode and memory-image invariants",
+        help="statically check SPASM artifacts against the stream, "
+             "opcode, plan and memory-image invariants, or lint the "
+             "code base",
     )
     verify.add_argument(
-        "artifact",
+        "artifact", nargs="?", default=None,
         help="a .npz encoding from 'encode', a workload name, or a "
-             ".mtx path (the latter two are encoded on the fly and "
-             "additionally checked for decode equivalence)",
+             ".mtx path (the latter two are compiled on the fly and "
+             "additionally checked for decode equivalence); omit to "
+             "check the whole synth suite",
     )
     verify.add_argument("--scale", type=float, default=1.0,
                         help="synthetic workload scale factor")
     verify.add_argument("--hardware", default=None,
                         choices=["SPASM_4_1", "SPASM_3_4", "SPASM_3_2"],
-                        help="also pack and verify the HBM memory "
-                             "images for this bitstream")
+                        help="pack and verify the HBM memory images "
+                             "for this bitstream (default: the "
+                             "compiled program's own; none for .npz)")
+    verify.add_argument("--self", dest="self_lint", action="store_true",
+                        help="run the AST determinism/safety lint "
+                             "over src/repro instead; any finding "
+                             "exits 1")
     verify.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
     verify.add_argument("--strict", action="store_true",

@@ -32,7 +32,6 @@ from repro.pipeline.artifacts import ArtifactStore
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.passes import (
     AnalysisPass,
-    AnalyzePass,
     CompilerPass,
     DecompositionPass,
     EncodePass,
@@ -196,20 +195,11 @@ class SpasmCompiler:
         numeric :class:`~repro.exec.plan.ExecutionPlan`, available as
         :attr:`SpasmProgram.plan` and cached on the encoded matrix, so
         its first ``spmv`` builds nothing.
-    analyze:
-        Append the :class:`~repro.pipeline.passes.AnalyzePass`: each
-        compile symbolically proves the five plan safety obligations
-        (:mod:`repro.analyze`) and raises
-        :class:`~repro.core.format.FormatError` on any refutation.
-        Implies plan construction; with ``cache_dir`` the proof is
-        content-addressed alongside the plan it certifies.
     backend:
         Kernel backend the compiled plan is intended to dispatch on
         (``None`` = auto-negotiation).  Threaded into
         :class:`~repro.pipeline.passes.PlanPass` (resolved at compile
-        time so an incapable pinning fails early) and
-        :class:`~repro.pipeline.passes.AnalyzePass` (the
-        backend-capability obligation quantifies over it).
+        time so an incapable pinning fails early).
     """
 
     PORTFOLIO_STRATEGIES = ("candidates", "greedy", "combined")
@@ -220,7 +210,7 @@ class SpasmCompiler:
                  portfolio_strategy: str = "candidates",
                  hazard_aware: bool = False,
                  cache_dir=None, verify: bool = False,
-                 build_plan: bool = False, analyze: bool = False,
+                 build_plan: bool = False,
                  backend: Optional[str] = None):
         self.k = k
         self.backend = backend
@@ -233,9 +223,7 @@ class SpasmCompiler:
         self.hazard_aware = hazard_aware
         self.cache_dir = cache_dir
         self.verify = verify
-        self.analyze = analyze
-        # Proofs are over the compiled plan: analyzing implies building.
-        self.build_plan = build_plan or analyze
+        self.build_plan = build_plan
         self.candidates = (
             list(candidates) if candidates is not None
             else candidate_portfolios(k)
@@ -286,8 +274,6 @@ class SpasmCompiler:
             passes.append(VerifyPass())
         if self.build_plan:
             passes.append(PlanPass(backend=self.backend))
-        if self.analyze:
-            passes.append(AnalyzePass(backend=self.backend))
         return passes
 
     def compile(self, coo: COOMatrix,

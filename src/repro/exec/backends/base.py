@@ -51,7 +51,7 @@ class BackendCapabilities:
     backend's kernels consume natively *with bitwise-exact float64
     semantics*; ``ops`` the entry points it implements.  Capability
     negotiation (:func:`~repro.exec.backends.registry.resolve_backend`)
-    and the ``backend`` proof obligation of :mod:`repro.analyze` both
+    and the ``plan.backend`` rule of :mod:`repro.verify` both
     read this declaration — a kernel must never be reached by a layout
     outside it.
     """

@@ -4,8 +4,8 @@ The compiled fast path trusts the plan arrays completely (scipy's
 unchecked ``csr_matvec`` and the gather kernels do no per-slot
 checks), so this module is the single owner of that decision.  The
 build, :meth:`ExecutionPlan.validate` (and through it the resilience
-guard and the plan caches) and the ``index_width``/``coverage`` proof
-obligations of :mod:`repro.analyze` all call into it.
+guard and the plan caches) and the ``plan.index_width``/
+``plan.coverage`` rules of :mod:`repro.verify` all call into it.
 :func:`plan_findings` checks four invariants, one rule each:
 
 ``index_width``
@@ -348,8 +348,8 @@ def plan_findings(plan: Any,
     Each rule reports its first violation only.  The ``checksum`` rule
     runs only when every structural rule passed (a structural finding
     already names a better culprit than the hash can).  ``invariants``
-    restricts the check to a subset — the proof obligations ask for
-    their own invariant alone.
+    restricts the check to a subset — each ``plan.*`` verifier rule
+    asks for its own invariant alone.
     """
     findings: List[Finding] = []
     for name in invariants:

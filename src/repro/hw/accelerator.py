@@ -182,7 +182,7 @@ class SpasmAccelerator:
         """Statically verify a stream before simulating it."""
         from repro.verify.runner import verify_spasm
 
-        report = verify_spasm(spasm, config=self.config)
+        report = verify_spasm(spasm)
         report.raise_if_errors()
 
     def run_spmm(self, spasm: SpasmMatrix, x_block: np.ndarray,

@@ -31,7 +31,6 @@ from repro.pipeline.cache import (
 )
 from repro.pipeline.passes import (
     AnalysisPass,
-    AnalyzePass,
     CompilerPass,
     DecompositionPass,
     EncodePass,
@@ -59,7 +58,6 @@ __all__ = [
     "matrix_digest",
     "fingerprint",
     "AnalysisPass",
-    "AnalyzePass",
     "CompilerPass",
     "DecompositionPass",
     "EncodePass",

@@ -53,9 +53,6 @@ ARTIFACT_SCHEMA: Dict[str, Tuple[Any, str]] = {
     "plan": (
         ExecutionPlan, "compiled SpMV execution plan (opt-in pass)"
     ),
-    "analyze_report": (
-        object, "symbolic proof obligations report (opt-in pass)"
-    ),
 }
 
 

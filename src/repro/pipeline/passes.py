@@ -20,7 +20,6 @@ schedule        ④⑤      schedule, tile_size, hw_config
 encode          —       spasm
 verify          —       verify_report (opt-in)
 plan            ⑥ prep  plan (opt-in)
-analyze         —       analyze_report (opt-in)
 ==============  ======  ==========================================
 """
 
@@ -579,80 +578,6 @@ class PlanPass(CompilerPass):
         return True
 
 
-class AnalyzePass(CompilerPass):
-    """Opt-in symbolic safety proofs over the compiled plan.
-
-    Mounts :mod:`repro.analyze` as a pipeline stage: the five proof
-    obligations (index-width safety, segment coverage, shard
-    race-freedom, memory-image bounds, backend capability) are proved
-    by abstract interpretation — nothing is executed — and the
-    resulting :class:`~repro.analyze.symbolic.AnalysisReport` is
-    stored as the ``analyze_report`` artifact.  ``backend`` pins the
-    engine the backend-capability obligation quantifies over (and
-    keys the cache).  Any refuted obligation raises
-    :class:`~repro.core.format.FormatError` with the pinpointed
-    witness.  Proofs are content-addressed alongside the plan they
-    certify: a cache entry carries the plan checksum and is rejected
-    when the plan changed (or when the cached report was not clean).
-    """
-
-    name = "analyze"
-    requires = ("plan",)
-    provides = ("analyze_report",)
-    cacheable = True
-
-    def __init__(self, backend: Optional[str] = None):
-        self.backend = backend
-
-    def config_fingerprint(self) -> str:
-        return fingerprint({"backend": self.backend})
-
-    def run(self, store: ArtifactStore) -> str:
-        from repro.analyze.symbolic import analyze_plan
-        from repro.core.format import FormatError
-
-        report = analyze_plan(
-            store.require("plan"), spasm=store.get("spasm"),
-            backend=self.backend,
-        )
-        if report.refuted:
-            raise FormatError(
-                "static analysis refuted "
-                f"{len(report.refuted)} proof obligation(s):\n"
-                + "\n".join(o.render() for o in report.refuted)
-            )
-        store.put("analyze_report", report)
-        return report.summary()
-
-    def to_cache(self, store: ArtifactStore):
-        report = store.require("analyze_report")
-        plan = store.require("plan")
-        return (
-            {},
-            {
-                "report": report.as_dict(),
-                "plan_checksum": plan.checksum,
-            },
-        )
-
-    def from_cache(self, store: ArtifactStore,
-                   entry: CacheEntry) -> bool:
-        from repro.analyze.symbolic import AnalysisReport
-
-        plan = store.require("plan")
-        try:
-            checksum = str(entry.meta["plan_checksum"])
-            report = AnalysisReport.from_dict(entry.meta["report"])
-        except (KeyError, TypeError, ValueError):
-            return False
-        # A proof certifies exactly one plan; anything else recomputes
-        # (including a cached refutation, which must raise, not load).
-        if checksum != plan.checksum or not report.ok:
-            return False
-        store.put("analyze_report", report)
-        return True
-
-
 class VerifyPass(CompilerPass):
     """Opt-in static verification of the encoded stream.
 
@@ -666,19 +591,12 @@ class VerifyPass(CompilerPass):
     requires = ("spasm", "coo")
     provides = ("verify_report",)
 
-    def __init__(self, with_source: bool = True):
-        self.with_source = with_source
-
-    def config_fingerprint(self) -> str:
-        return fingerprint({"with_source": self.with_source})
-
     def run(self, store: ArtifactStore) -> str:
         from repro.core.format import FormatError
         from repro.verify.runner import verify_spasm
 
         report = verify_spasm(
-            store.require("spasm"),
-            source=store.require("coo") if self.with_source else None,
+            store.require("spasm"), source=store.require("coo")
         )
         report.raise_if_errors(FormatError)
         store.put("verify_report", report)

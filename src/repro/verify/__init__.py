@@ -1,9 +1,11 @@
 """Static invariant checker for SPASM artifacts (no simulation).
 
 ``repro.verify`` inspects encoded artifacts — SPASM streams, VALU
-opcode tables and packed HBM memory images — against the invariants
-the paper's hardware relies on, and reports structured
-:class:`Diagnostic` records instead of executing anything.
+opcode tables, packed HBM memory images and compiled execution plans —
+against the invariants the paper's hardware (and the host fast path)
+relies on, and reports structured :class:`Diagnostic` records instead
+of executing anything.  :mod:`repro.verify.lints` is the AST
+determinism/safety lint over the library source itself.
 
 Quick use::
 
@@ -15,6 +17,8 @@ Quick use::
 or from the command line::
 
     python -m repro verify artifact.npz --json
+    python -m repro verify --scale 0.2       # the whole synth suite
+    python -m repro verify --self            # lint src/repro
 """
 
 from repro.verify.diagnostics import (
@@ -29,6 +33,7 @@ from repro.verify.diagnostics import (
 from repro.verify.rules import (
     KIND_MEMORY,
     KIND_OPCODE,
+    KIND_PLAN,
     KIND_SPASM,
     REGISTRY,
     Rule,
@@ -38,6 +43,7 @@ from repro.verify.rules import (
 from repro.verify.runner import (
     run_rules,
     verify_memory_image,
+    verify_plan,
     verify_spasm,
 )
 
@@ -52,11 +58,13 @@ __all__ = [
     "KIND_SPASM",
     "KIND_OPCODE",
     "KIND_MEMORY",
+    "KIND_PLAN",
     "REGISTRY",
     "Rule",
     "VerifyContext",
     "rules_for",
     "run_rules",
     "verify_memory_image",
+    "verify_plan",
     "verify_spasm",
 ]

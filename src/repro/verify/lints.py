@@ -34,7 +34,7 @@ api.unused-public   public module-level defs must be referenced by
                     ``perfbench/`` (dead public API drifts)
 ==================  ====================================================
 
-There is no baseline: ``python -m repro analyze --self`` fails on any
+There is no baseline: ``python -m repro verify --self`` fails on any
 finding.  The one sanction is a line comment ``# lint: allow(<lint-id>)``
 on the offending line (for ``api.unused-public``, the def line).
 """

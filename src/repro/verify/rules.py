@@ -33,6 +33,7 @@ from repro.verify.diagnostics import (
 KIND_SPASM = "spasm"
 KIND_OPCODE = "opcode"
 KIND_MEMORY = "memory"
+KIND_PLAN = "plan"
 
 #: Cap on per-rule occurrence diagnostics (each carries the full count).
 MAX_OCCURRENCES = 8
@@ -49,8 +50,8 @@ class VerifyContext:
 
     spasm: Optional[Any] = None  # repro.core.format.SpasmMatrix
     source: Optional[Any] = None  # repro.matrix.coo.COOMatrix
-    config: Optional[Any] = None  # repro.hw.configs.HwConfig
     image: Optional[Any] = None  # repro.hw.memory_image.MemoryImage
+    plan: Optional[Any] = None  # repro.exec.plan.ExecutionPlan
     opcodes: Optional[Sequence[int]] = None
     portfolio: Optional[Any] = None  # repro.core.templates.Portfolio
 

@@ -6,6 +6,9 @@ The entry points here are what the rest of the code base calls:
   when ``k`` permits, the opcode table its portfolio induces).
 * :func:`verify_memory_image` — check packed HBM images, optionally
   against the encoding they were packed from.
+* :func:`verify_plan` — check a compiled
+  :class:`~repro.exec.plan.ExecutionPlan` before anything dispatches
+  on it.
 
 All of them are static: nothing is executed on the simulator; rules
 only inspect the artifacts and cheap derived views.
@@ -19,6 +22,7 @@ from repro.verify.diagnostics import Diagnostic, Report
 from repro.verify.rules import (
     KIND_MEMORY,
     KIND_OPCODE,
+    KIND_PLAN,
     KIND_SPASM,
     VerifyContext,
     rules_for,
@@ -28,6 +32,7 @@ from repro.verify.rules import (
 from repro.verify import format_rules  # noqa: F401
 from repro.verify import memory_rules  # noqa: F401
 from repro.verify import opcode_rules  # noqa: F401
+from repro.verify import plan_rules  # noqa: F401
 from repro.verify import position_rules  # noqa: F401
 
 
@@ -51,7 +56,6 @@ def run_rules(ctx: VerifyContext,
 
 def verify_spasm(spasm: Any,
                  source: Optional[Any] = None,
-                 config: Optional[Any] = None,
                  with_opcodes: bool = True) -> Report:
     """Statically verify an encoded SPASM stream.
 
@@ -62,9 +66,6 @@ def verify_spasm(spasm: Any,
     source:
         Optional source :class:`~repro.matrix.coo.COOMatrix`; enables
         the ``fmt.roundtrip`` decode-equivalence rule.
-    config:
-        Optional hardware configuration (reserved for location
-        enrichment; stream rules do not need it).
     with_opcodes:
         Also derive and check the opcode LUT the portfolio induces
         (skipped automatically when the datapath cannot route it,
@@ -84,7 +85,6 @@ def verify_spasm(spasm: Any,
     ctx = VerifyContext(
         spasm=spasm,
         source=source,
-        config=config,
         opcodes=opcodes,
         portfolio=spasm.portfolio,
     )
@@ -101,7 +101,14 @@ def verify_memory_image(image: Any,
     ctx = VerifyContext(
         image=image,
         spasm=spasm,
-        config=image.config,
         portfolio=spasm.portfolio if spasm is not None else None,
     )
     return run_rules(ctx, [KIND_MEMORY])
+
+
+def verify_plan(plan: Any) -> Report:
+    """Statically verify a compiled execution plan (``plan.*`` rules).
+
+    A clean plan yields no diagnostic; nothing is dispatched.
+    """
+    return run_rules(VerifyContext(plan=plan), [KIND_PLAN])

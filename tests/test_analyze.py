@@ -1,15 +1,15 @@
-"""Tests for the symbolic static-analysis subsystem (``repro.analyze``).
+"""Tests for the ``plan.*`` rules of :mod:`repro.verify`.
 
-Four layers are exercised: the pure symbolic certificate (boundary
-behaviour at the int32 capacity, via hypothesis), the five obligation
-checkers over real compiled plans (clean proofs and fault-injected
-refutations with pinpointed witnesses), the plan contract of
-:mod:`repro.exec.policy` shared by ``validate()``, the obligations and
-the guard (one table of corruptions), and the cacheable
-:class:`AnalyzePass`.
+Three layers are exercised: the pure symbolic certificate of
+:mod:`repro.exec.policy` (boundary behaviour at the int32 capacity,
+via hypothesis), the plan rules over real compiled plans (a clean
+plan yields no diagnostic; fault-injected plans are refuted with
+pinpointed witnesses), and the plan contract shared by ``validate()``,
+the rules and the guard (one table of corruptions).
 """
 
 import dataclasses
+import json
 import re
 
 import numpy as np
@@ -17,20 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyze import (
-    OBLIGATION_IDS,
-    PROVED,
-    REFUTED,
-    SKIPPED,
-    AnalysisReport,
-    Obligation,
-    analyze_plan,
-    analyze_program,
-    check_image_bounds,
-    check_index_width,
-    check_segment_coverage,
-    check_shard_disjointness,
-)
 from repro.core import SpasmCompiler, candidate_portfolios, encode_spasm
 from repro.exec.plan import ExecutionPlan
 from repro.exec.policy import (
@@ -40,9 +26,15 @@ from repro.exec.policy import (
 )
 from repro.resilience import ExecutionGuard, FaultInjector
 from repro.synth import load_workload
+from repro.verify import REGISTRY, VerifyContext, verify_plan
+from repro.verify.plan_rules import DEFAULT_JOBS_GRID
 from tests.conftest import random_structured_coo
 
 INT32_MAX = int(np.iinfo(np.int32).max)
+
+PLAN_RULES = [
+    "plan.backend", "plan.coverage", "plan.index_width", "plan.shards",
+]
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +46,7 @@ def program():
 
 @pytest.fixture(scope="module")
 def clean_report(program):
-    return analyze_program(program, matrix="stormG2_1000")
+    return verify_plan(program.plan)
 
 
 def mutable_plan(program):
@@ -84,45 +76,76 @@ def with_checksum(plan):
     )
 
 
+def refutation(report, rule_id):
+    """The single error diagnostic ``rule_id`` reported."""
+    found = [d for d in report.errors if d.rule_id == rule_id]
+    assert len(found) == 1, report.render()
+    return found[0]
+
+
+def check_shards(plan):
+    """Run ``plan.shards`` alone (stub plans lack the other arrays)."""
+    return list(REGISTRY["plan.shards"].check(VerifyContext(plan=plan)))
+
+
 class TestCleanProofs:
     def test_all_six_obligations_proved(self, clean_report):
-        """Every obligation of :data:`OBLIGATION_IDS` (five) proves."""
-        assert [
-            o.obligation_id for o in clean_report.obligations
-        ] == list(OBLIGATION_IDS)
-        assert all(o.status == PROVED for o in clean_report.obligations)
-        assert clean_report.ok and not clean_report.refuted
+        """Every plan rule runs, and a clean plan yields nothing."""
+        assert clean_report.rules_run == PLAN_RULES
+        assert clean_report.diagnostics == []
+        assert clean_report.ok
 
-    def test_index_width_carries_certified_bound(self, clean_report):
-        o = clean_report.obligation("index_width")
-        assert o.bound and "int32 layout certified" in o.bound
-        assert o.details["headroom"] >= 0
-        assert o.details["compact_sufficient"] is True
+    def test_index_width_carries_certified_bound(self, program,
+                                                 clean_report):
+        plan = program.plan
+        cert = certify_index_width(
+            plan.shape, plan.n_slots, plan.cols.dtype
+        )
+        assert "int32 layout certified" in cert.bound()
+        assert cert.headroom >= 0 and cert.compact_sufficient
+        assert "plan.index_width" in clean_report.rules_run
 
-    def test_shards_quantify_over_jobs_grid(self, clean_report):
-        o = clean_report.obligation("shards")
-        grid = o.details["jobs_grid"]
-        assert 1 in grid and len(grid) >= 7
-        assert "bitwise determinism" in o.statement
+    def test_shards_quantify_over_jobs_grid(self, program):
+        """The grid is :data:`DEFAULT_JOBS_GRID` plus the auto pick."""
+        plan = program.plan
+        asked = []
 
-    def test_image_skipped_without_image(self, program):
-        report = analyze_plan(program.plan)
-        assert report.obligation("image").status == SKIPPED
-        assert report.ok  # skipped is not refuted
+        class Recording:
+            n_segments = plan.n_segments
+            seg_rows = plan.seg_rows
 
-    def test_summary_and_render(self, clean_report):
-        assert "5 obligations for stormG2_1000" in clean_report.summary()
-        text = clean_report.render()
-        assert "PROVED" in text and "coverage" in text
+            def _auto_jobs(self):
+                return 5
 
-    def test_report_dict_roundtrip(self, clean_report):
-        clone = AnalysisReport.from_dict(clean_report.as_dict())
-        assert clone.as_dict() == clean_report.as_dict()
-        assert clone.obligation("coverage").proved
+            def shard_bounds(self, jobs):
+                asked.append(jobs)
+                return plan.shard_bounds(jobs)
 
-    def test_unknown_obligation_raises(self, clean_report):
-        with pytest.raises(KeyError):
-            clean_report.obligation("nope")
+        assert check_shards(Recording()) == []
+        assert asked == sorted(set(DEFAULT_JOBS_GRID) | {5})
+
+    def test_image_skipped_without_image(self, clean_report):
+        assert not any(
+            r.startswith("mem.") for r in clean_report.rules_run
+        )
+
+    def test_summary_and_render(self, clean_report, program):
+        assert clean_report.summary() == (
+            "0 errors, 0 warnings (4 rules run)"
+        )
+        plan = mutable_plan(program)
+        FaultInjector(0).flip_plan_array(plan)
+        text = verify_plan(with_checksum(plan)).render()
+        assert "ERROR plan.coverage" in text
+
+    def test_report_dict_roundtrip(self, program):
+        """Witness and value land in ``details`` as JSON scalars."""
+        plan = mutable_plan(program)
+        FaultInjector(11).flip_plan_array(plan)
+        report = verify_plan(with_checksum(plan))
+        assert json.loads(report.to_json()) == report.as_dict()
+        details = refutation(report, "plan.index_width").details
+        assert set(details) == {"witness", "value"}
 
 
 class TestCertificate:
@@ -189,21 +212,20 @@ class TestFaultRefutation:
         plan = mutable_plan(program)
         record = FaultInjector(0).flip_plan_array(plan)
         assert record.location.startswith("seg_rows")
-        report = analyze_plan(with_checksum(plan))
-        o = report.obligation("coverage")
-        assert o.refuted
-        assert re.search(r"seg_rows\[\d+\]", o.details["witness"])
+        report = verify_plan(with_checksum(plan))
+        d = refutation(report, "plan.coverage")
+        assert re.search(r"seg_rows\[\d+\]", d.details["witness"])
         assert not report.ok
 
     def test_seed11_refutes_index_width(self, program):
         plan = mutable_plan(program)
         record = FaultInjector(11).flip_plan_array(plan)
         assert record.location.startswith("cols")
-        o = analyze_plan(with_checksum(plan)).obligation("index_width")
-        assert o.refuted
-        assert re.match(r"cols\[\d+\]", o.details["witness"])
-        assert o.details["value"] >= program.plan.shape[1]
-        assert "out of bounds" in o.statement
+        d = refutation(verify_plan(with_checksum(plan)),
+                       "plan.index_width")
+        assert re.match(r"cols\[\d+\]", d.details["witness"])
+        assert d.details["value"] >= program.plan.shape[1]
+        assert "out of bounds" in d.message
 
     def test_refutation_survives_checksum_repair(self, program):
         """Recomputing the checksum over corrupted arrays does not
@@ -213,19 +235,18 @@ class TestFaultRefutation:
         FaultInjector(0).flip_plan_array(plan)
         repaired = with_checksum(plan)
         assert all("checksum" not in p for p in repaired.validate())
-        report = analyze_plan(repaired)
+        report = verify_plan(repaired)
         assert not report.ok
-        assert report.obligation("coverage").details["witness"]
+        assert refutation(report, "plan.coverage").details["witness"]
 
     def test_constant_seg_rows_refute_coverage(self, program):
         plan = mutable_plan(program)
         plan.seg_rows[:] = 0
-        plan = with_checksum(plan)
-        o = check_segment_coverage(plan)
-        assert o.refuted and "written twice" in o.statement
+        d = refutation(verify_plan(with_checksum(plan)), "plan.coverage")
+        assert "written twice" in d.message
 
     def test_overlapping_shards_refute(self):
-        """The shard obligation catches write-set races per jobs count
+        """The shard rule catches write-set races per jobs count
         (driven through a stub — real plans this small collapse to one
         shard, which is trivially race-free)."""
 
@@ -241,10 +262,9 @@ class TestFaultRefutation:
                     [(0, 4)] if jobs == 1 else [(0, 2), (2, 4)]
                 )
 
-        o = check_shard_disjointness(Sharded(), jobs_grid=(1, 2))
-        assert o.refuted
-        assert "jobs=2" in o.statement and "race" in o.statement
-        assert o.details["jobs"] == 2
+        [d] = check_shards(Sharded())
+        assert "jobs=2" in d.message and "race" in d.message
+        assert d.details["jobs"] == 2
 
     def test_shard_gap_refutes(self):
         class Gapped:
@@ -257,32 +277,50 @@ class TestFaultRefutation:
             def shard_bounds(self, jobs):
                 return [(0, 4)] if jobs == 1 else [(0, 2), (3, 4)]
 
-        o = check_shard_disjointness(Gapped(), jobs_grid=(1, 2))
-        assert o.refuted and "gap or overlap" in o.statement
+        [d] = check_shards(Gapped())
+        assert "gap or overlap" in d.message
 
     def test_mixed_index_dtypes_refute(self, program):
         base = program.plan
         mixed = dataclasses.replace(
             base, seg_rows=base.seg_rows.astype(np.int64)
         )
-        o = analyze_plan(mixed).obligation("index_width")
-        assert o.refuted and "disagree on width" in o.statement
+        d = refutation(verify_plan(mixed), "plan.index_width")
+        assert "disagree on width" in d.message
+
+    def test_no_capable_backend_refutes(self, program, monkeypatch):
+        """``plan.backend`` reports every op auto dispatch cannot
+        place, naming the op and the plan layout."""
+        from repro.exec import backends
+
+        def refuse(backend=None, plan=None, op="spmv"):
+            raise backends.BackendCapabilityError(f"no engine for {op}")
+
+        monkeypatch.setattr(backends, "resolve_backend", refuse)
+        report = verify_plan(program.plan)
+        found = [d for d in report.errors if d.rule_id == "plan.backend"]
+        assert [d.details["op"] for d in found] == [
+            "spmv", "spmm", "spmv_batch",
+        ]
+        assert found[0].details["index_dtype"] == "int32"
+        assert "no engine for spmv" in found[0].message
 
     def test_image_descriptor_drift_refutes(self, program):
         from repro.hw.memory_image import pack_images
+        from repro.verify import verify_memory_image
 
         spasm = program.spasm
         image = pack_images(spasm, program.hw_config)
-        assert check_image_bounds(
-            image, k=spasm.k, spasm=spasm
-        ).proved
+        assert verify_memory_image(image, spasm=spasm).ok
 
-        class FakeStream:
-            k = spasm.k
-            n_groups = int(spasm.n_groups) + 1
-
-        o = check_image_bounds(image, k=spasm.k, spasm=FakeStream())
-        assert o.refuted and "descriptors account" in o.statement
+        descriptors = [list(d) for d in image.descriptors]
+        pe = next(i for i, d in enumerate(descriptors) if d)
+        descriptors[pe].pop()
+        drifted = dataclasses.replace(image, descriptors=descriptors)
+        report = verify_memory_image(drifted, spasm=spasm)
+        [d] = [e for e in report.errors if e.rule_id == "mem.descriptors"]
+        assert d.location.pe == pe
+        assert "disagrees with the schedule" in d.message
 
 
 def _set(name, index, value):
@@ -358,8 +396,8 @@ def small_spasm(rng):
 
 
 class TestPlanContract:
-    """``validate()``, the ``index_width`` and ``coverage``
-    obligations and the guard apply one plan contract
+    """``validate()``, the ``plan.index_width`` and ``plan.coverage``
+    rules and the guard apply one plan contract
     (:mod:`repro.exec.policy`) and so agree on every corruption."""
 
     @pytest.mark.parametrize(
@@ -382,11 +420,14 @@ class TestPlanContract:
         assert problems
         assert [f.invariant for f in plan_findings(plan)] == [invariant]
 
-        for check in (check_index_width, check_segment_coverage):
-            o = check(plan)
-            assert o.refuted == (o.obligation_id == invariant)
-            if o.refuted:
-                assert re.fullmatch(witness, o.details["witness"])
+        report = verify_plan(plan)
+        for name in ("index_width", "coverage"):
+            found = [
+                d for d in report.errors if d.rule_id == f"plan.{name}"
+            ]
+            assert bool(found) == (name == invariant)
+            if found:
+                assert re.fullmatch(witness, found[0].details["witness"])
 
         small_spasm._plan = plan
         guard = ExecutionGuard(small_spasm)
@@ -416,11 +457,11 @@ class TestPlanContract:
 
         bad = plan_of([0], [1])
         assert bad.validate()
-        assert check_segment_coverage(bad).refuted
+        assert refutation(verify_plan(bad), "plan.coverage")
 
         empty = plan_of([], [])
         assert empty.validate() == []
-        assert check_segment_coverage(empty).proved
+        assert verify_plan(empty).diagnostics == []
 
     def test_build_emits_no_empty_segment(self):
         rows = np.array([0, 1, 2])
@@ -429,52 +470,3 @@ class TestPlanContract:
             source_nnz=0,
         )
         assert zeros.n_segments == 0 and zeros.validate() == []
-
-
-class TestAnalyzePass:
-    TILES = (16, 32)
-
-    def test_compile_with_analyze_caches_report(self, rng, tmp_path):
-        coo = random_structured_coo(rng, 64, "mixed")
-        kwargs = dict(
-            tile_sizes=self.TILES, cache_dir=tmp_path, analyze=True
-        )
-        cold = SpasmCompiler(**kwargs).compile(coo)
-        states = {e.name: e.cache for e in cold.trace}
-        assert states["analyze"] == "miss"
-        warm = SpasmCompiler(**kwargs).compile(coo)
-        states = {e.name: e.cache for e in warm.trace}
-        assert states["analyze"] == "hit"
-
-    def test_analyze_implies_build_plan(self, rng):
-        coo = random_structured_coo(rng, 64, "mixed")
-        program = SpasmCompiler(
-            tile_sizes=self.TILES, analyze=True
-        ).compile(coo)
-        assert program.plan is not None
-
-    def test_refuted_plan_raises_format_error(self, program):
-        from repro.core.format import FormatError
-        from repro.pipeline import AnalyzePass, ArtifactStore
-
-        plan = mutable_plan(program)
-        FaultInjector(0).flip_plan_array(plan)
-        store = ArtifactStore()
-        store.put("plan", with_checksum(plan))
-        with pytest.raises(FormatError, match="refuted"):
-            AnalyzePass().run(store)
-
-
-class TestObligationDataclass:
-    def test_dict_roundtrip_preserves_bound_and_details(self):
-        o = Obligation(
-            "index_width", REFUTED, "boom",
-            bound="b", details={"witness": "cols[3]"},
-        )
-        clone = Obligation.from_dict(o.as_dict())
-        assert clone == o
-        assert "REFUTED" in clone.render() and "[b]" in clone.render()
-
-    def test_minimal_dict_omits_empty_fields(self):
-        payload = Obligation("shards", PROVED, "fine").as_dict()
-        assert "bound" not in payload and "details" not in payload

@@ -1,4 +1,4 @@
-"""Tests for the AST determinism/safety lint (``repro.analyze.lints``).
+"""Tests for the AST determinism/safety lint (``repro.verify.lints``).
 
 Each lint rule is exercised through :func:`lint_source` on small
 fixture modules — including the acceptance case of a deliberately
@@ -8,7 +8,7 @@ self-lint reporting no finding at all.
 
 import textwrap
 
-from repro.analyze import (
+from repro.verify.lints import (
     LINT_IDS,
     lint_paths,
     lint_source,

@@ -20,7 +20,6 @@ PACKAGES = [
     "repro.synth",
     "repro.analysis",
     "repro.solvers",
-    "repro.analyze",
     "repro.verify",
     "repro.resilience",
     "repro.serve",
@@ -57,13 +56,13 @@ def test_top_level_quickstart_api():
 
 def test_plan_contract_has_one_home():
     """The certificate lives in ``repro.exec.policy`` alone: the
-    analyzer proves with it but no longer re-exports it."""
-    import repro.analyze
+    verifier's plan rules check with it but do not re-export it."""
     import repro.exec.policy
+    import repro.verify
 
     for symbol in ("certify_index_width", "IndexWidthCertificate"):
         assert hasattr(repro.exec.policy, symbol)
-        assert symbol not in repro.analyze.__all__
+        assert symbol not in repro.verify.__all__
 
 
 def test_public_callables_documented():
@@ -105,7 +104,7 @@ def test_submodule_functions_documented():
         "repro.baselines.hisparse_sim",
         "repro.analysis.charts", "repro.analysis.spy",
         "repro.solvers.iterative", "repro.solvers.operator",
-        "repro.analyze.symbolic", "repro.analyze.lints",
+        "repro.verify.plan_rules", "repro.verify.lints",
         "repro.exec.policy",
     ]
     undocumented = []

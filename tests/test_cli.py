@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.analyze import LintFinding
+from repro.verify.lints import LintFinding
 from repro.cli import load_matrix, main
 
 
@@ -107,55 +107,59 @@ class TestCommands:
 
 
 class TestAnalyzeProofs:
+    """The plan checks and the self-lint, under ``verify``."""
+
     def test_single_matrix_proofs(self, capsys):
-        assert main([
-            "analyze", "t2em", "--proofs", "--scale", "0.2",
-        ]) == 0
+        assert main(["verify", "t2em", "--scale", "0.2"]) == 0
         out = capsys.readouterr().out
-        assert "PROVED" in out and "REFUTED" not in out
-        assert "all proof obligations hold" in out
+        assert "0 errors, 0 warnings (31 rules run)" in out
+        assert "==" not in out  # one target: no per-matrix headers
 
     def test_proofs_json_has_six_obligations(self, capsys):
-        assert main([
-            "analyze", "t2em", "--proofs", "--scale", "0.2",
-            "--json",
-        ]) == 0
+        """One target still emits the aggregate, with every family:
+        stream, opcode, plan and the selected config's memory rules."""
+        assert main(["verify", "t2em", "--scale", "0.2", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        assert payload["matrices"] == 1 and payload["refuted"] == 0
+        assert payload["matrices"] == 1 and payload["errors"] == 0
         report = payload["reports"][0]
         assert report["matrix"] == "t2em"
-        assert [
-            o["obligation"] for o in report["obligations"]
-        ] == ["index_width", "coverage", "shards", "image", "backend"]
-        assert all(
-            o["status"] == "proved" for o in report["obligations"]
-        )
+        assert {r.split(".")[0] for r in report["rules_run"]} == {
+            "fmt", "opc", "pos", "plan", "mem",
+        }
+        assert [r for r in report["rules_run"] if r.startswith("plan.")] \
+            == ["plan.backend", "plan.coverage", "plan.index_width",
+                "plan.shards"]
+        assert report["diagnostics"] == []
 
     def test_suite_mode_proves_every_workload(self, capsys):
-        """Bare ``analyze`` sweeps the whole synth suite."""
+        """Bare ``verify`` sweeps the whole synth suite."""
         from repro.synth import workload_names
 
-        assert main(["analyze", "--scale", "0.12", "--json"]) == 0
+        assert main(["verify", "--scale", "0.12", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["matrices"] == len(workload_names())
+        assert [r["matrix"] for r in payload["reports"]] == (
+            workload_names()
+        )
 
     def test_self_lint_clean(self, capsys):
-        assert main(["analyze", "--self"]) == 0
+        assert main(["verify", "--self"]) == 0
         out = capsys.readouterr().out
         assert "self-lint: 0 finding(s)" in out
 
     def test_self_lint_json(self, capsys):
-        assert main(["analyze", "--self", "--json"]) == 0
+        assert main(["verify", "--self", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"ok": True, "findings": []}
 
     def test_self_lint_any_finding_fails(self, capsys, monkeypatch):
         finding = LintFinding("det.bare-except", "repro/x.py", 3, "f",
                               "bare 'except:'")
-        monkeypatch.setattr("repro.analyze.self_lint", lambda: [finding])
-        assert main(["analyze", "--self", "--json"]) == 1
+        monkeypatch.setattr("repro.verify.lints.self_lint",
+                            lambda: [finding])
+        assert main(["verify", "--self", "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"ok": False, "findings": [finding.as_dict()]}
 

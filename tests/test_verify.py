@@ -405,19 +405,40 @@ class TestCLI:
         assert main(["verify", str(path)]) == 1
         assert "pos.ce_boundary" in capsys.readouterr().out
 
+    def test_verify_corrupt_runs_no_plan_rules(self, tmp_path, spasm,
+                                               capsys):
+        """A stream with errors is never handed to the plan builder."""
+        from repro.cli import main
+
+        spasm.words[0] ^= np.uint32(1) << np.uint32(26)
+        path = tmp_path / "bad.npz"
+        save_spasm(path, spasm)
+        assert main(["verify", str(path), "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        [report] = payload["reports"]
+        assert "pos.ce_boundary" in {
+            d["rule"] for d in report["diagnostics"]
+        }
+        assert not any(r.startswith("plan.") for r in report["rules_run"])
+        assert payload["ok"] is False and payload["errors"] >= 1
+
     def test_verify_hardware_includes_memory_rules(self, tmp_path,
                                                    spasm, capsys):
         from repro.cli import main
 
         path = tmp_path / "t.npz"
         save_spasm(path, spasm)
+        assert main(["verify", str(path), "--json"]) == 0
+        [plain] = json.loads(capsys.readouterr().out)["reports"]
+        assert not any(r.startswith("mem.") for r in plain["rules_run"])
         assert main([
             "verify", str(path), "--hardware", "SPASM_4_1", "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert any(
-            r.startswith("mem.") for r in payload["rules_run"]
-        )
+        [report] = payload["reports"]
+        assert report["matrix"] == str(path)
+        assert any(r.startswith("mem.") for r in report["rules_run"])
+        assert any(r.startswith("plan.") for r in report["rules_run"])
 
     def test_missing_file_exits_nonzero(self, capsys):
         from repro.cli import main
