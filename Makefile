@@ -34,17 +34,14 @@ bench:
 # trace written out — the CI smoke proof that compile + trace + JSON
 # reporting stay healthy (uploads BENCH_pipeline.json as an artifact) —
 # plus the execution-plan bench on tiny matrices.  The bench records
-# build_ms (plan stamp and build wall), per-dtype spmv_ms, sharded_ms,
-# batch_qps and a per-backend kernel sweep (every available
-# registered backend, each bitwise-gated against the gather
-# reference) into BENCH_exec.json; any bitwise divergence between
-# the float64 engines (naive / int32 / int64 / sharded / guarded /
-# batch / per-backend) fails the build at every scale.  The timing
+# build_ms (plan stamp and build wall), per-dtype spmv_ms, sharded_ms
+# and batch_qps into BENCH_exec.json; any bitwise divergence from the
+# naive engine (int32 / int64 / sharded / guarded / batch) fails the
+# build at every scale.  The timing
 # gates (5x over naive, 1.3x int32 over int64, 2x time-to-first-SpMV,
 # auto-sharding never losing) only arm at full bench scale
 # (>=1e6 nnz).
 bench-smoke:
-	python -m repro backends
 	python -m repro compile tmt_sym --scale 0.1 --json \
 	    --trace BENCH_pipeline.json > /dev/null
 	python -c "import json; t = json.load(open('BENCH_pipeline.json')); \

@@ -14,20 +14,15 @@ blocks, scale-free graph):
   stamp (slot decode and finalize) and the full wall time (plus the
   stream snapshot and hash), and the time-to-first-SpMV the stamp
   implies;
-* ``spmv_ms`` — per-dtype single-thread latency (int64, compact int32,
-  opt-in float32) against the naive reference;
+* ``spmv_ms`` — per-index-dtype single-thread latency (int64, compact
+  int32) against the naive reference;
 * ``sharded_ms`` — the nnz auto-heuristic (``jobs=None``) and a forced
   shard grid;
-* ``batch`` — queries/s of the blocked SpMM batch engine;
-* ``backends`` — a per-backend sweep over every available registered
-  kernel backend that claims the canonical plan, each gated
-  **bitwise** against the ``gather`` reference, with
-  ``backend_auto`` recording what negotiation resolved.
+* ``batch`` — queries/s of the blocked SpMM batch engine.
 
-Every float64 engine must agree with the naive reference **bitwise**
-(``agree``); float32 is checked to tolerance (``agree_float32``).  Any
-divergence fails the build outright.  The timing gates (≥5x over
-naive, ≥1.3x int32 over int64 under the CSR kernels,
+Every engine must agree with the naive reference **bitwise**
+(``agree``); any divergence fails the build outright.  The timing
+gates (≥5x over naive, ≥1.3x int32 over int64,
 time-to-first-SpMV ≤ half the recorded PR4 baseline, auto-sharding
 never losing to single-thread) apply to matrices at or above one
 million non-zeros, so the tiny CI smoke run (driven through a small
@@ -45,12 +40,7 @@ import numpy as np
 from benchmarks.conftest import bench_scale, publish
 from repro.analysis.report import format_table
 from repro.core import candidate_portfolios, encode_spasm
-from repro.exec import (
-    ExecutionPlan,
-    available_backends,
-    csr_kernels_available,
-    resolve_backend,
-)
+from repro.exec import ExecutionPlan
 from repro.resilience import ExecutionGuard
 from repro.synth import load_workload
 
@@ -117,7 +107,6 @@ def measure(name, scale):
         build_ms = min(build_ms, plan.build_ms)
 
     plan_i64 = ExecutionPlan.build(spasm, index="int64")
-    plan_f32 = ExecutionPlan.build(spasm, precision="float32")
 
     rng = np.random.default_rng(7)
     x = rng.random(spasm.shape[1])
@@ -128,7 +117,7 @@ def measure(name, scale):
     reference = spasm.spmv_naive(x)
     guard = ExecutionGuard(spasm)
     batch_out = plan.spmv_batch(xs)
-    batch_ref = np.stack([plan.spmv(q, jobs=1) for q in xs])
+    batch_ref = np.stack([spasm.spmv_naive(q) for q in xs])
     agree = bool(
         np.array_equal(plan.spmv(x, jobs=1), reference)
         and np.array_equal(plan_i64.spmv(x, jobs=1), reference)
@@ -137,9 +126,6 @@ def measure(name, scale):
         and np.array_equal(guard.spmv(x), reference)
         and np.array_equal(batch_out, batch_ref)
     )
-    agree_f32 = bool(np.allclose(
-        plan_f32.spmv(x, jobs=1), reference, rtol=1e-5, atol=1e-8
-    ))
 
     naive_s = best_of(lambda: spasm.spmv_naive(x))
     # The ratio gates (int32 vs int64, auto vs single-thread) compare
@@ -148,7 +134,6 @@ def measure(name, scale):
         lambda: plan.spmv(x, jobs=1),
         lambda: plan_i64.spmv(x, jobs=1),
     )
-    f32_s = best_of(lambda: plan_f32.spmv(x, jobs=1))
     auto_s, i32_auto_s = best_of_pair(
         lambda: plan.spmv(x),
         lambda: plan.spmv(x, jobs=1),
@@ -157,31 +142,6 @@ def measure(name, scale):
     forced_s = best_of(lambda: plan.spmv(x, jobs=SHARD_JOBS))
     batch_s = best_of(lambda: plan.spmv_batch(xs))
 
-    # Per-backend sweep: every *available* registered backend that
-    # claims the canonical plan, each gated bitwise against the
-    # gather reference (the backend-split acceptance criterion).
-    gather_v = plan.spmv(x, jobs=1, backend="gather")
-    gather_b = plan.spmv_batch(xs, backend="gather")
-    backends = {}
-    for engine in available_backends():
-        if not engine.supports(plan, "spmv"):
-            continue
-        got_v = plan.spmv(x, jobs=1, backend=engine.name)
-        got_b = plan.spmv_batch(xs, backend=engine.name)
-        backends[engine.name] = {
-            "spmv_ms": best_of(
-                lambda e=engine: plan.spmv(x, jobs=1, backend=e.name)
-            ) * 1e3,
-            "batch_qps": BATCH_QUERIES / best_of(
-                lambda e=engine: plan.spmv_batch(xs, backend=e.name)
-            ),
-            "agree": bool(
-                np.array_equal(got_v, gather_v)
-                and np.array_equal(got_b, gather_b)
-            ),
-        }
-    backend_auto = resolve_backend(None, plan=plan, op="spmv").name
-
     return {
         "matrix": name,
         "scale": scale,
@@ -189,7 +149,6 @@ def measure(name, scale):
         "nnz": int(coo.nnz),
         "plan_slots": plan.n_slots,
         "layout": f"{plan.cols.dtype.name}/{plan.vals.dtype.name}",
-        "csr_kernels": csr_kernels_available(),
         "build_ms": {
             "plan": build_ms,
             "wall": build_wall_s * 1e3,
@@ -202,7 +161,6 @@ def measure(name, scale):
             "naive": naive_s * 1e3,
             "int64": i64_s * 1e3,
             "int32": i32_s * 1e3,
-            "float32": f32_s * 1e3,
         },
         "sharded_ms": {
             "auto": auto_s * 1e3,
@@ -217,12 +175,9 @@ def measure(name, scale):
             "qps": BATCH_QUERIES / batch_s,
         },
         "batch_qps": BATCH_QUERIES / batch_s,
-        "backends": backends,
-        "backend_auto": backend_auto,
         "speedup": naive_s / i32_s,
         "int32_vs_int64": i64_s / i32_s,
         "agree": agree,
-        "agree_float32": agree_f32,
     }
 
 
@@ -238,33 +193,18 @@ def test_exec_plan_speedup(benchmark):
 
     table = format_table(
         ["matrix", "nnz", "naive ms", "i64 ms", "i32 ms",
-         "plan build ms", "auto ms", "batch q/s",
-         "backend", "agree"],
+         "plan build ms", "auto ms", "batch q/s", "agree"],
         [
             [r["matrix"], r["nnz"], r["spmv_ms"]["naive"],
              r["spmv_ms"]["int64"], r["spmv_ms"]["int32"],
              r["build_ms"]["plan"], r["sharded_ms"]["auto"],
-             r["batch_qps"], r["backend_auto"],
-             "yes" if r["agree"] else "NO"]
+             r["batch_qps"], "yes" if r["agree"] else "NO"]
             for r in results
         ],
         title="Extension: compiled plan v2 vs naive SpMV execution",
         precision=2,
     )
     publish("exec_plan", table)
-    backend_rows = [
-        [r["matrix"], name, b["spmv_ms"], b["batch_qps"],
-         "yes" if b["agree"] else "NO"]
-        for r in results
-        for name, b in r["backends"].items()
-    ]
-    publish("exec_backends", format_table(
-        ["matrix", "backend", "spmv ms", "batch q/s",
-         "agree vs gather"],
-        backend_rows,
-        title="Per-backend kernel sweep (bitwise-gated vs gather)",
-        precision=2,
-    ))
 
     RESULT_JSON.write_text(
         json.dumps(
@@ -281,20 +221,10 @@ def test_exec_plan_speedup(benchmark):
         encoding="utf-8",
     )
 
-    # Numeric divergence between engines fails the build outright —
-    # bitwise for every float64 engine, tolerance for float32.
+    # Numeric divergence from the naive engine fails the build
+    # outright.
     for r in results:
         assert r["agree"], f"{r['matrix']}: an engine diverges bitwise"
-        assert r["agree_float32"], (
-            f"{r['matrix']}: float32 outside tolerance"
-        )
-        # The divergence gate of the backend registry: every
-        # registered backend must reproduce gather bit for bit.
-        for name, b in r["backends"].items():
-            assert b["agree"], (
-                f"{r['matrix']}: backend {name!r} diverges bitwise "
-                "from the gather reference"
-            )
     # Timing gates apply at >=1e6 nnz (smoke runs stay noise-immune).
     for r in results:
         if r["nnz"] < 1_000_000:
@@ -303,11 +233,10 @@ def test_exec_plan_speedup(benchmark):
             f"{r['matrix']}: {r['speedup']:.2f}x < 5x at "
             f"{r['nnz']} nnz"
         )
-        if r["csr_kernels"]:
-            assert r["int32_vs_int64"] >= 1.3, (
-                f"{r['matrix']}: compact int32 only "
-                f"{r['int32_vs_int64']:.2f}x over int64 (< 1.3x)"
-            )
+        assert r["int32_vs_int64"] >= 1.3, (
+            f"{r['matrix']}: compact int32 only "
+            f"{r['int32_vs_int64']:.2f}x over int64 (< 1.3x)"
+        )
         if r["ttf_pr4_ms"]:
             assert r["ttf_ms"] <= 0.5 * r["ttf_pr4_ms"], (
                 f"{r['matrix']}: time-to-first-SpMV "

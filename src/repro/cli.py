@@ -11,7 +11,6 @@
     python -m repro verify --scale 0.2        # the whole synth suite
     python -m repro verify --self             # codebase determinism lint
     python -m repro run tmt_sym --engine plan # timed numeric SpMV runs
-    python -m repro backends                  # kernel-backend registry
 
 A positional ``matrix`` argument is either a Table II workload name or
 a path to a Matrix Market ``.mtx`` file; ``--scale`` grows/shrinks the
@@ -234,14 +233,10 @@ def cmd_run(args) -> int:
     execution); ``--engine plan`` compiles the
     :class:`~repro.exec.plan.ExecutionPlan` once and runs the cached
     compact-layout kernel, sharded over ``--jobs`` threads (``0`` =
-    the plan's own nnz heuristic) on the kernel backend named by
-    ``--backend`` (default ``auto`` negotiates; see
-    ``python -m repro backends``).  ``--batch N`` times N queries per
+    the plan's own nnz heuristic).  ``--batch N`` times N queries per
     call through the blocked SpMM engine and reports queries/s.
-    Float64 engines are checked **bitwise** against the naive
-    reference before timing; ``--precision float32`` opts into the
-    compact value layout and is checked to tolerance instead.  Any
-    divergence exits 1.
+    Every engine is checked **bitwise** against the naive reference
+    before timing; any divergence exits 1.
     """
     import json
     import time
@@ -258,22 +253,6 @@ def cmd_run(args) -> int:
         coo = reorder.matrix
     # --jobs 0 selects the plan's automatic shard heuristic.
     jobs = args.jobs if args.jobs > 0 else None
-    # --backend auto negotiates per plan layout (the default policy).
-    backend = (
-        None if getattr(args, "backend", "auto") == "auto"
-        else args.backend
-    )
-
-    if args.precision == "float32" and args.engine != "plan":
-        print("error: --precision float32 requires --engine plan "
-              "(the guarded and naive engines are float64-exact)",
-              file=sys.stderr)
-        return 1
-    if backend is not None and args.engine == "naive":
-        print("error: --backend requires --engine plan or guarded "
-              "(the naive engine has no kernel backend)",
-              file=sys.stderr)
-        return 1
 
     program = make_compiler(args).compile(coo)
     spasm = program.spasm
@@ -281,24 +260,10 @@ def cmd_run(args) -> int:
     rng = np.random.default_rng(args.seed)
     x = rng.random(spasm.shape[1])
 
-    precision = args.precision
-    if precision == "float32":
-        from repro.exec.plan import ExecutionPlan
-
-        plan = ExecutionPlan.build(spasm, precision=precision)
-    else:
-        plan = spasm.plan()
-
+    plan = spasm.plan()
     reference = spasm.spmv_naive(x)
-    got = plan.spmv(x, jobs=jobs, backend=backend)
-    if precision == "float32":
-        agree = bool(np.allclose(got, reference,
-                                 rtol=1e-5, atol=1e-8))
-        check_note = "within float32 tolerance of naive"
-    else:
-        agree = bool(np.array_equal(got, reference))
-        check_note = "bitwise equal to naive"
-    if not agree:
+    check_note = "bitwise equal to naive"
+    if not np.array_equal(plan.spmv(x, jobs=jobs), reference):
         print("error: plan and naive engines diverge",
               file=sys.stderr)
         return 1
@@ -307,7 +272,7 @@ def cmd_run(args) -> int:
     if args.engine == "guarded":
         from repro.resilience import ExecutionGuard
 
-        guard = ExecutionGuard(spasm, seed=args.seed, backend=backend)
+        guard = ExecutionGuard(spasm, seed=args.seed)
 
     if args.batch > 0:
         xs = np.ascontiguousarray(
@@ -316,7 +281,7 @@ def cmd_run(args) -> int:
         batch_ref = np.stack([spasm.spmv_naive(row) for row in xs])
         if args.engine == "plan":
             def step():
-                return plan.spmv_batch(xs, jobs=jobs, backend=backend)
+                return plan.spmv_batch(xs, jobs=jobs)
         elif args.engine == "guarded":
             def step():
                 return guard.spmv_batch(xs, jobs=jobs)
@@ -325,19 +290,13 @@ def cmd_run(args) -> int:
                 return np.stack(
                     [spasm.spmv_naive(row) for row in xs]
                 )
-        got_batch = step()
-        if precision == "float32":
-            batch_ok = bool(np.allclose(got_batch, batch_ref,
-                                        rtol=1e-5, atol=1e-8))
-        else:
-            batch_ok = bool(np.array_equal(got_batch, batch_ref))
-        if not batch_ok:
+        if not np.array_equal(step(), batch_ref):
             print("error: batched and per-query engines diverge",
                   file=sys.stderr)
             return 1
     elif args.engine == "plan":
         def step():
-            return plan.spmv(x, jobs=jobs, backend=backend)
+            return plan.spmv(x, jobs=jobs)
     elif args.engine == "guarded":
         def step():
             return guard.spmv(x, jobs=jobs)
@@ -356,26 +315,18 @@ def cmd_run(args) -> int:
     # The fully resolved configuration, auditable from scripts: what
     # actually executed after every auto heuristic had its say.
     if args.engine == "naive":
-        backend_name = None
         layout = "float64"
         jobs_eff = 1
     else:
-        from repro.exec import resolve_backend
-
-        backend_name = resolve_backend(backend, plan=plan,
-                                       op="spmv").name
         jobs_eff = jobs if jobs is not None else plan._auto_jobs()
         layout = f"{plan.cols.dtype.name}/{plan.vals.dtype.name}"
     resolved = {
         "engine": args.engine,
-        "backend": backend_name,
-        "backend_pinned": backend is not None,
         "layout": layout,
         "jobs": int(jobs_eff),
         "jobs_auto": jobs is None,
         "portfolio": program.portfolio.name,
         "tile_size": program.tile_size,
-        "precision": precision,
     }
 
     if args.json:
@@ -404,12 +355,7 @@ def cmd_run(args) -> int:
     jobs_note = f"auto({jobs_eff})" if jobs is None else str(jobs_eff)
     print(f"matrix:   {args.matrix} shape={spasm.shape} "
           f"nnz={spasm.source_nnz}")
-    if args.engine == "naive":
-        print(f"engine:   {args.engine} (jobs={jobs_note})")
-    else:
-        note = "negotiated" if backend is None else "explicit"
-        print(f"engine:   {args.engine} (jobs={jobs_note}, "
-              f"backend={backend_name}, {note})")
+    print(f"engine:   {args.engine} (jobs={jobs_note})")
     if reorder is not None:
         print(f"reorder:  {gain['before_bytes_per_nnz']:.2f} -> "
               f"{gain['after_bytes_per_nnz']:.2f} bytes/nnz "
@@ -433,60 +379,6 @@ def cmd_run(args) -> int:
         print(f"guard:    {incidents} incident(s) logged")
         if incidents:
             print(guard.log.render())
-    return 0
-
-
-def cmd_backends(args) -> int:
-    """List the registered kernel backends and their capabilities.
-
-    One row per backend in negotiation order (priority descending):
-    availability (with the missing requirement when soft-unavailable)
-    and the declared capability envelope — which index/value dtype
-    layouts and which of the three ops (``spmv``/``spmm``/
-    ``spmv_batch``) each backend claims.  ``auto`` dispatch picks the
-    first *available* backend in this order whose envelope covers the
-    plan's layout, so the table is the negotiation policy, printed.
-    """
-    import json
-
-    from repro.exec import available_backends, registered_backends
-
-    engines = registered_backends()
-    ready = {engine.name for engine in available_backends()}
-    if args.json:
-        payload = []
-        for engine in engines:
-            caps = engine.capabilities()
-            payload.append({
-                "name": engine.name,
-                "priority": engine.priority,
-                "available": engine.name in ready,
-                "requires": engine.requires(),
-                "capabilities": caps.as_dict(),
-            })
-        print(json.dumps(payload, indent=2))
-        return 0
-    rows = []
-    for engine in engines:
-        caps = engine.capabilities()
-        if engine.name in ready:
-            status = "available"
-        else:
-            status = f"unavailable (needs {engine.requires()})"
-        layouts = ", ".join(
-            f"{idx}x{val}"
-            for idx in caps.index_dtypes for val in caps.value_dtypes
-        )
-        rows.append([
-            engine.name, engine.priority, status,
-            layouts, ", ".join(caps.ops),
-        ])
-    print(format_table(
-        ["backend", "priority", "status", "index x value dtypes",
-         "ops"],
-        rows,
-        title="Registered kernel backends (auto negotiates top-down)",
-    ))
     return 0
 
 
@@ -937,17 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "SpMV (default); N>0 times N queries per "
                           "call through the blocked SpMM engine and "
                           "reports queries/s")
-    run.add_argument("--precision", default="float64",
-                     choices=["float64", "float32"],
-                     help="plan value precision: float64 is bitwise-"
-                          "checked against the naive engine "
-                          "(default); float32 opts into the compact "
-                          "layout, checked to tolerance")
-    run.add_argument("--backend", default="auto",
-                     help="kernel backend for the plan/guarded "
-                          "engines: 'auto' negotiates from the "
-                          "registry (default); or a registered name "
-                          "(see 'python -m repro backends')")
     run.add_argument("--seed", type=int, default=0,
                      help="seed for the random x vector")
     run.add_argument("--reorder", action="store_true",
@@ -961,16 +842,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", action="store_true",
                      help="emit one JSON payload with the timing and "
                           "a 'resolved' object echoing the fully "
-                          "resolved configuration (backend, layout, "
-                          "jobs, portfolio)")
-
-    backends = sub.add_parser(
-        "backends",
-        help="list the registered kernel backends, their availability "
-             "and capability envelopes",
-    )
-    backends.add_argument("--json", action="store_true",
-                          help="emit the backend table as JSON")
+                          "resolved configuration (layout, jobs, "
+                          "portfolio)")
 
     spmv = sub.add_parser(
         "spmv", help="run one simulated SpMV from a saved encoding"
@@ -1110,7 +983,6 @@ COMMANDS = {
     "compare": cmd_compare,
     "encode": cmd_encode,
     "run": cmd_run,
-    "backends": cmd_backends,
     "spmv": cmd_spmv,
     "verify": cmd_verify,
     "faults": cmd_faults,

@@ -317,27 +317,23 @@ class SpasmMatrix:
         return built
 
     def spmv(self, x: np.ndarray, y: Optional[np.ndarray] = None,
-             jobs: Optional[int] = None,
-             backend: Optional[str] = None) -> np.ndarray:
+             jobs: Optional[int] = None) -> np.ndarray:
         """Execution of the format: ``y = A @ x + y``.
 
         Delegates to the lazily cached :meth:`plan` — a gather plus a
         sorted segment reduction; repeated calls on the same matrix
         never re-expand the stream.  ``jobs=None`` lets the plan's
-        slots-per-worker heuristic choose; ``backend`` names the kernel
-        engine (``None`` negotiates); any combination is bitwise
+        slots-per-worker heuristic choose; every shard count is bitwise
         identical.  The un-compiled reference path survives as
         :meth:`spmv_naive`; the hardware functional simulator in
         :mod:`repro.hw` must agree with both (padding slots multiply by
         zero and vanish).
         """
-        return self.plan().spmv(x, y=y, jobs=jobs, backend=backend)
+        return self.plan().spmv(x, y=y, jobs=jobs)
 
     def spmm(self, x_block: np.ndarray,
              y_block: Optional[np.ndarray] = None,
-             jobs: Optional[int] = None,
-             backend: Optional[str] = None,
-             ) -> np.ndarray:
+             jobs: Optional[int] = None) -> np.ndarray:
         """Multi-vector execution ``Y = A @ X + Y`` via the plan.
 
         The sparse stream is gathered once per vector block — the
@@ -345,19 +341,16 @@ class SpasmMatrix:
         :func:`repro.hw.perf_model.perf_breakdown_spmm` models.  The
         un-compiled reference survives as :meth:`spmm_naive`.
         """
-        return self.plan().spmm(
-            x_block, y_block=y_block, jobs=jobs, backend=backend
-        )
+        return self.plan().spmm(x_block, y_block=y_block, jobs=jobs)
 
     def spmv_batch(self, xs: np.ndarray,
-                   jobs: Optional[int] = None,
-                   backend: Optional[str] = None) -> np.ndarray:
+                   jobs: Optional[int] = None) -> np.ndarray:
         """Batched SpMV over query rows via the plan's SpMM kernel.
 
         ``xs`` is ``(n_queries, ncols)``; row ``i`` of the result is
         bitwise identical to ``spmv(xs[i])``.
         """
-        return self.plan().spmv_batch(xs, jobs=jobs, backend=backend)
+        return self.plan().spmv_batch(xs, jobs=jobs)
 
     def spmv_naive(self, x: np.ndarray,
                    y: Optional[np.ndarray] = None) -> np.ndarray:

@@ -195,11 +195,6 @@ class SpasmCompiler:
         numeric :class:`~repro.exec.plan.ExecutionPlan`, available as
         :attr:`SpasmProgram.plan` and cached on the encoded matrix, so
         its first ``spmv`` builds nothing.
-    backend:
-        Kernel backend the compiled plan is intended to dispatch on
-        (``None`` = auto-negotiation).  Threaded into
-        :class:`~repro.pipeline.passes.PlanPass` (resolved at compile
-        time so an incapable pinning fails early).
     """
 
     PORTFOLIO_STRATEGIES = ("candidates", "greedy", "combined")
@@ -210,10 +205,8 @@ class SpasmCompiler:
                  portfolio_strategy: str = "candidates",
                  hazard_aware: bool = False,
                  cache_dir=None, verify: bool = False,
-                 build_plan: bool = False,
-                 backend: Optional[str] = None):
+                 build_plan: bool = False):
         self.k = k
-        self.backend = backend
         if portfolio_strategy not in self.PORTFOLIO_STRATEGIES:
             raise ValueError(
                 f"unknown portfolio strategy {portfolio_strategy!r}; "
@@ -273,7 +266,7 @@ class SpasmCompiler:
         if self.verify:
             passes.append(VerifyPass())
         if self.build_plan:
-            passes.append(PlanPass(backend=self.backend))
+            passes.append(PlanPass())
         return passes
 
     def compile(self, coo: COOMatrix,

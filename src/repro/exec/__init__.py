@@ -5,18 +5,15 @@ The format's reference execution (:meth:`repro.core.format.SpasmMatrix`
 call.  This package compiles a matrix-specific :class:`ExecutionPlan`
 *once* — padding slots dropped, coordinates decoded for the kept
 slots only, the stream sorted by output row, segment boundaries
-precomputed, arrays stored in the narrowest dtype that fits — so every
-subsequent SpMV is a pure gather + a sequential segment reduction, and
-a multi-RHS SpMM or ``spmv_batch`` reuses the same plan with one gather
-per vector block.
+precomputed, indices stored in the narrowest dtype that fits — so every
+subsequent SpMV is one pass of scipy's compiled CSR matvec over the
+plan arrays, and a multi-RHS SpMM or ``spmv_batch`` reuses the same
+plan with one ``csr_matvecs`` per vector block.
 
-Kernels live behind the pluggable backend registry
-(:mod:`repro.exec.backends`): ``gather`` is the always-available
-portable reference, ``csr`` promotes scipy's compiled compact-layout
-fast path, ``numba`` JITs the reduction when numba is installed — all
-bitwise identical on the float64 layouts they claim, negotiated per
-plan by :func:`resolve_backend` or pinned with ``backend="name"`` on
-every entry point.
+That routine is the one kernel (:mod:`repro.exec.backends`), for int32
+and int64 index plans alike, bitwise equal to ``spmv_naive``.  scipy
+is a hard dependency: importing this package without it raises
+``ImportError``.
 
 Plans are content-keyed (:func:`stream_digest`), cached lazily on the
 matrix, optionally persisted through the pipeline's artifact cache, and
@@ -27,20 +24,7 @@ extent rule and the plan invariants — is decided in one place,
 :mod:`repro.exec.policy`.
 """
 
-from repro.exec.backends import (
-    BackendCapabilities,
-    BackendCapabilityError,
-    BackendUnavailable,
-    ExecutionBackend,
-    available_backends,
-    csr_kernels_available,
-    get_backend,
-    numba_available,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-    unregister_backend,
-)
+from repro.exec.backends import get_backend
 from repro.exec.plan import (
     ExecutionPlan,
     PLAN_STAGE,
@@ -51,23 +35,12 @@ from repro.exec.plan import (
 from repro.exec.policy import index_dtype_for, plan_checksum
 
 __all__ = [
-    "BackendCapabilities",
-    "BackendCapabilityError",
-    "BackendUnavailable",
-    "ExecutionBackend",
     "ExecutionPlan",
     "PLAN_STAGE",
-    "available_backends",
-    "csr_kernels_available",
     "dispatch_overhead_s",
     "get_backend",
     "index_dtype_for",
-    "numba_available",
     "plan_checksum",
-    "register_backend",
-    "registered_backends",
-    "resolve_backend",
     "set_shard_fault_hook",
     "stream_digest",
-    "unregister_backend",
 ]

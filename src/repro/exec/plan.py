@@ -10,36 +10,29 @@ Build time (once per matrix)
       decode ``(row, col)`` coordinates for the kept slots only,
     * stable-sort the stream by output row,
     * record the segment boundary of each non-empty output row,
-    * store the arrays in the narrowest layout that can address them
-      (int32 indices whenever shape and slot count fit; float64 values
-      unless ``precision="float32"`` is requested explicitly).
+    * store the arrays in the narrowest index dtype that can address
+      them (int32 whenever shape and slot count fit, else int64) with
+      float64 values.
 
 Call time (every SpMV)
-    * resolve a kernel backend (:mod:`repro.exec.backends`):
-      ``backend=None`` negotiates the highest-priority registered
-      backend whose declared capabilities cover the plan's layout —
-      compact int32/float64 plans take scipy's compiled CSR kernels
-      (``csr``), everything else the portable take/bincount engine
-      (``gather``), with the optional ``numba`` JIT in between when
-      installed,
-    * dispatch each shard through that backend's segment-reduce
-      kernel.  Every backend accumulates each output-row segment
-      *sequentially* left-to-right, so every engine/dtype combination
-      (and the ``spmv_naive`` oracle) produces bitwise-identical
-      float64 output.
+    * dispatch each shard to the one kernel, scipy's compiled CSR
+      matvec (:mod:`repro.exec.backends`), over the plan arrays and a
+      row pointer derived once per plan.  It accumulates each
+      output-row segment *sequentially* left-to-right, so every index
+      width and shard grid (and the ``spmv_naive`` oracle) produces
+      bitwise-identical float64 output.
 
 This module holds **no kernel math at all** (machine-enforced by the
 ``exec.plan-kernel`` self-lint): only the plan data model — digests,
-checksums, caching, validation — and the backend-independent dispatch
-layer (shard grids, the shared pool, the fault hook).
+checksums, caching, validation — and the dispatch layer around the
+kernel (shard grids, the shared pool, the fault hook).
 
 Sharding splits the *segments* (output rows) into contiguous blocks of
 roughly equal slot count; shards write disjoint rows, and each segment
 is reduced by the same sequential sum regardless of the shard grid, so
 ``spmv(x, jobs=N)`` is bitwise identical for every ``N``.  With
 ``jobs=None`` a slots-per-worker heuristic decides whether threads can
-pay for themselves at all (they rarely can below several million slots
-— the kernels are GIL-bound).  See ``docs/EXEC.md`` for the full
+pay for themselves at all.  See ``docs/EXEC.md`` for the full
 layout and semantics.
 """
 
@@ -51,17 +44,11 @@ import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exec.backends.base import ExecutionBackend
-from repro.exec.backends.csr import counting_sort_rows
-from repro.exec.backends.registry import (
-    AUTO,
-    registry_generation,
-    resolve_backend,
-)
+from repro.exec import backends as kernel
 from repro.exec.policy import check_layout, plan_checksum, plan_findings
 
 #: Stage name used for persisted plan artifacts (``plan-<key>.npz``
@@ -73,10 +60,12 @@ PLAN_STAGE = "plan"
 MIN_SHARD_SLOTS = 16384
 
 #: Slots per worker the ``jobs=None`` auto heuristic demands before it
-#: engages threads at all.  The gather/reduce kernels hold the GIL for
-#: most of their runtime, so a second thread only pays for itself on
-#: very large plans; below the threshold auto mode stays serial (forced
-#: ``jobs=N`` still shards, for tests and fault campaigns).
+#: engages threads at all; below the threshold auto mode stays serial
+#: (forced ``jobs=N`` still shards, for tests and fault campaigns).
+#: Not calibrated for the csr kernel: it was set for the retired numpy
+#: gather kernel, and on csr ``jobs=2`` already measured faster from
+#: about 1.2M slots (1.25M slots: 3.94 -> 3.02 ms; 2.50M: 7.04 ->
+#: 5.21 ms; bitwise identical) while losing at 0.67M (1.74 -> 1.90 ms).
 AUTO_SHARD_SLOTS = 4 << 20
 
 #: Upper bound on ``slots x vectors`` elements materialized by one SpMM
@@ -92,7 +81,7 @@ SHARD_OVERHEAD_MARGIN = 8.0
 
 #: Rough serial kernel throughput (seconds per slot) used to estimate
 #: a shard's kernel time against the dispatch overhead.  Calibrated
-#: from the csr backend in BENCH_exec.json (~0.07 ms / 45k slots); it
+#: from the csr kernel in BENCH_exec.json (~0.07 ms / 45k slots); it
 #: only needs to be right to an order of magnitude — the margin above
 #: absorbs the rest.
 EST_SECONDS_PER_SLOT = 2e-9
@@ -241,18 +230,17 @@ def _stream_snapshot(spasm: Any) -> Any:
     })
 
 
-def _plan_cache_key(digest: str, index: Optional[str],
-                    precision: Optional[str]) -> str:
-    """Artifact key for one (stream, layout) combination.
+def _plan_cache_key(digest: str, index: Optional[str]) -> str:
+    """Artifact key for one (stream, index layout) combination.
 
-    The default layout (auto-narrowed indices, float64 values) keeps
-    the bare digest key; explicit layout overrides hash the layout into
-    the key so differently-typed plans of one stream coexist in the
-    cache instead of thrashing a single entry.
+    The default layout (auto-narrowed indices) keeps the bare digest
+    key; an explicit ``index`` hashes into the key so differently-typed
+    plans of one stream coexist in the cache instead of thrashing a
+    single entry.
     """
-    if index is None and precision is None:
+    if index is None:
         return digest[:40]
-    tag = hashlib.sha256(f"{digest}|{index}|{precision}".encode())
+    tag = hashlib.sha256(f"{digest}|{index}".encode())
     return tag.hexdigest()[:40]
 
 
@@ -269,8 +257,7 @@ class ExecutionPlan:
         sorted by output row (the gather indices into ``x``); int32
         whenever the matrix and slot count fit, else int64.
     vals:
-        Matching slot values (float64, or float32 behind the explicit
-        ``precision=`` opt-in).
+        Matching slot values (float64).
     seg_starts:
         Offset into ``cols``/``vals`` where each output-row segment
         begins (``n_segments`` entries, strictly increasing); same
@@ -303,10 +290,9 @@ class ExecutionPlan:
     source_nnz: int
     checksum: str = ""
     build_ms: float = dataclasses.field(default=0.0, compare=False)
-    #: Lazily derived kernel state (per-slot rows, widened gather
-    #: indices, the CSR indptr) and the dispatch memo.  Never
-    #: persisted, never checksummed, rebuilt from the four executable
-    #: arrays on first use.
+    #: Lazily derived kernel state (the CSR row pointer) and the
+    #: auto-jobs pin.  Never persisted, never checksummed, rebuilt
+    #: from the four executable arrays on first use.
     _scratch: Dict[Any, Any] = dataclasses.field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -317,8 +303,7 @@ class ExecutionPlan:
 
     @classmethod
     def build(cls, spasm: Any, cache: Any = None,
-              index: Optional[str] = None,
-              precision: Optional[str] = None) -> "ExecutionPlan":
+              index: Optional[str] = None) -> "ExecutionPlan":
         """Compile a plan for a :class:`~repro.core.format.SpasmMatrix`.
 
         ``cache`` is an optional
@@ -326,9 +311,8 @@ class ExecutionPlan:
         persisted as a ``plan-<key>.npz`` artifact keyed on the stream
         digest (and the layout, when overridden), and a later build of
         an identical stream — in this or any other process — is served
-        from disk.  ``index``/``precision`` force a specific array
-        layout (``"int32"``/``"int64"``, ``"float32"``/``"float64"``);
-        by default indices auto-narrow and values stay float64.
+        from disk.  ``index`` forces an index dtype
+        (``"int32"``/``"int64"``); by default indices auto-narrow.
         """
         # Copy, then hash and compile the copy: the label is the digest
         # of exactly the bytes the plan was built from, so a concurrent
@@ -338,17 +322,16 @@ class ExecutionPlan:
         # ``plan.digest`` with the live stream to see such a mutation.
         snapshot = _stream_snapshot(spasm)
         digest = stream_digest(snapshot)
-        key = _plan_cache_key(digest, index, precision)
+        key = _plan_cache_key(digest, index)
         entry = None if cache is None else cache.load(PLAN_STAGE, key)
         if entry is not None:
             try:
                 return cls.from_entry(entry, digest, spasm.shape,
-                                      index=index, precision=precision)
+                                      index=index)
             except ValueError as exc:
                 # Quarantined with the reason: never consulted again.
                 cache.quarantine(PLAN_STAGE, key, reason=str(exc))
-        plan = cls._compile(snapshot, digest, index=index,
-                            precision=precision)
+        plan = cls._compile(snapshot, digest, index=index)
         if cache is not None:
             cache.store(PLAN_STAGE, key, *plan.to_entry())
         return plan
@@ -358,7 +341,6 @@ class ExecutionPlan:
                    cols: np.ndarray, vals: np.ndarray,
                    digest: str, source_nnz: int,
                    index: Optional[str] = None,
-                   precision: Optional[str] = None,
                    started: Optional[float] = None,
                    compacted: bool = False) -> "ExecutionPlan":
         """Finalize a plan from flat per-slot coordinates.
@@ -390,42 +372,38 @@ class ExecutionPlan:
             kept_vals = vals[keep]
         n_slots = int(kept_rows.size)
 
-        index_dt, value_dt = check_layout(index, precision, shape,
-                                          n_slots)
+        index_dt = check_layout(index, shape, n_slots)
 
-        # The row sort is a stable counting sort when SciPy is around:
-        # ``coo_tocsr`` (:func:`repro.exec.backends.csr
-        # .counting_sort_rows`) is one O(n_slots + nrows) C pass that
-        # emits the permuted cols/vals and the segment pointers
-        # directly — it walks the input in order, so ties keep stream
-        # order exactly like ``np.argsort(kind="stable")`` and the
-        # resulting plan is bitwise identical to the portable path
-        # below (asserted by the kernel-parity tests).  The helper
-        # declines (returns None) when ineligible — scipy absent,
-        # pathologically tall shapes, or out-of-range rows (a
-        # corrupted stream being recompiled must reach validate(),
-        # not scatter out of bounds) — and the stable argsort runs.
+        # The row sort is a stable counting sort: ``coo_tocsr``
+        # (:func:`repro.exec.backends.counting_sort_rows`) is one
+        # O(n_slots + nrows) C pass that emits the permuted cols/vals
+        # and the segment pointers directly — it walks the input in
+        # order, so ties keep stream order exactly like
+        # ``np.argsort(kind="stable")`` and the resulting plan is
+        # bitwise identical to the portable path below (asserted by
+        # the kernel-parity tests).  The helper declines (returns
+        # None) for pathologically tall shapes or out-of-range rows
+        # (a corrupted stream being recompiled must reach validate(),
+        # not scatter out of bounds), and the stable argsort runs.
         counted = (
-            counting_sort_rows(shape, kept_rows, kept_cols,
-                               kept_vals, index_dt)
+            kernel.counting_sort_rows(shape, kept_rows, kept_cols,
+                                      kept_vals, index_dt)
             if n_slots > 0 else None
         )
         if n_slots == 0:
             out_cols = np.zeros(0, dtype=index_dt)
-            out_vals = np.zeros(0, dtype=value_dt)
+            out_vals = np.zeros(0, dtype=np.float64)
             seg_starts = np.zeros(0, dtype=index_dt)
             seg_rows = np.zeros(0, dtype=index_dt)
         elif counted is not None:
-            out_cols, sorted_vals, seg_starts, seg_rows = counted
-            out_vals = np.ascontiguousarray(sorted_vals,
-                                            dtype=value_dt)
+            out_cols, out_vals, seg_starts, seg_rows = counted
         else:
             order = np.argsort(kept_rows, kind="stable")
             srows = kept_rows[order]
             out_cols = np.ascontiguousarray(kept_cols[order],
                                             dtype=index_dt)
             out_vals = np.ascontiguousarray(kept_vals[order],
-                                            dtype=value_dt)
+                                            dtype=np.float64)
             bounds = np.flatnonzero(srows[1:] != srows[:-1]) + 1
             starts64 = np.concatenate(
                 (np.zeros(1, dtype=np.int64), bounds)
@@ -449,8 +427,7 @@ class ExecutionPlan:
 
     @classmethod
     def _compile(cls, spasm: Any, digest: str,
-                 index: Optional[str] = None,
-                 precision: Optional[str] = None) -> "ExecutionPlan":
+                 index: Optional[str] = None) -> "ExecutionPlan":
         """The standalone build: decode the non-padding slots of the
         stream, then finalize."""
         started = time.perf_counter()
@@ -460,7 +437,6 @@ class ExecutionPlan:
             digest=digest,
             source_nnz=int(spasm.source_nnz),
             index=index,
-            precision=precision,
             started=started,
             compacted=True,
         )
@@ -490,13 +466,11 @@ class ExecutionPlan:
 
     @classmethod
     def from_entry(cls, entry: Any, digest: str, shape: Sequence[int],
-                   index: Optional[str] = None,
-                   precision: Optional[str] = None,
-                   ) -> "ExecutionPlan":
+                   index: Optional[str] = None) -> "ExecutionPlan":
         """Adopt a persisted entry for the stream ``digest``/``shape``.
 
         Arrays are adopted **as stored** — no dtype conversion, so an
-        int32/float32 plan round-trips bit-for-bit and copy-free.  The
+        int32 plan round-trips bit-for-bit and copy-free.  The
         byte payload is already checksummed by
         :class:`~repro.pipeline.cache.ArtifactCache`, but its metadata
         is not, so the entry must carry the plan checksum that binds
@@ -504,7 +478,7 @@ class ExecutionPlan:
         the reason when the entry is malformed (a missing field or
         checksum), stale (another stream or shape), laid out other
         than :func:`~repro.exec.policy.check_layout` resolves
-        ``index``/``precision`` to, or breaks the plan contract.
+        ``index`` to (values float64), or breaks the plan contract.
         """
         try:
             plan = cls(
@@ -525,7 +499,8 @@ class ExecutionPlan:
             raise ValueError("stale plan entry: stream digest mismatch")
         if plan.shape != (int(shape[0]), int(shape[1])):
             raise ValueError("stale plan entry: shape mismatch vs stream")
-        want = check_layout(index, precision, plan.shape, plan.n_slots)
+        want = (check_layout(index, plan.shape, plan.n_slots),
+                np.dtype(np.float64))
         have = (plan.cols.dtype, plan.vals.dtype)
         if have != want:
             raise ValueError(
@@ -563,13 +538,12 @@ class ExecutionPlan:
         )
 
     def release_scratch(self) -> None:
-        """Drop prepared backend scratch, the dispatch memo and pins.
+        """Drop the prepared row pointer and the auto-jobs pin.
 
         The serving layer's plan registry calls this when it evicts a
-        plan under memory pressure: backend ``prepare`` state (dense
-        row pointers, widened index copies) can rival the plan arrays
-        themselves, and a plan about to go cold must not keep it
-        resident.  The next dispatch transparently re-prepares.
+        plan under memory pressure: the dense row pointer is
+        ``nrows + 1`` indices, and a plan about to go cold must not
+        keep it resident.  The next dispatch transparently re-prepares.
         """
         self._scratch.clear()
 
@@ -595,55 +569,25 @@ class ExecutionPlan:
 
     def diagonal(self) -> np.ndarray:
         """The matrix diagonal (for Jacobi-style preconditioning)."""
-        from repro.exec.backends.gather import plan_diagonal
-
-        return plan_diagonal(self)
+        return kernel.plan_diagonal(self)
 
     # ------------------------------------------------------------------
-    # backend state (lazy, never persisted)
+    # kernel state (lazy, never persisted)
     # ------------------------------------------------------------------
 
-    def _backend_state(self, engine: ExecutionBackend) -> Any:
-        """The engine's prepared scratch for this plan, memoized.
+    def _indptr(self) -> np.ndarray:
+        """The kernel's CSR row pointer for this plan, prepared once.
 
-        One :meth:`~repro.exec.backends.base.ExecutionBackend.prepare`
-        per (plan, backend) pair — the software analogue of a device
-        upload — cached in the plan's non-persisted scratch dict, so
-        repeated dispatch through the same backend pays nothing.
+        Computed on first dispatch (the software analogue of a device
+        upload) and kept in the plan's non-persisted scratch dict.
+        ``setdefault``: racing first calls agree on one array, so a
+        fault flipped into it reaches every later dispatch.
         """
-        key = f"backend::{engine.name}"
-        state = self._scratch.get(key)
-        if state is None:
-            # setdefault: racing first calls agree on one state object,
-            # so a fault flipped into it reaches every later dispatch.
-            state = self._scratch.setdefault(key, engine.prepare(self))
-        return state
-
-    def _dispatch(self, backend: Union[None, str, ExecutionBackend],
-                  op: str) -> Tuple[ExecutionBackend, Any]:
-        """The engine ``backend`` resolves to for ``op``, and its state.
-
-        Negotiation sorts the registry and checks capabilities on
-        every call, which costs a sizeable share of a small kernel.
-        Its answer depends only on this plan's layout and the registry,
-        so it is memoized in scratch per (request, op) and re-resolved
-        once :func:`~repro.exec.backends.registry.registry_generation`
-        moves on (a backend was registered or unregistered) or
-        :meth:`release_scratch` cleared it.  The state is the same
-        object :meth:`_backend_state` hands out, so fault injection
-        through that path lands in what the next dispatch reads.
-        """
-        if backend == AUTO:
-            backend = None
-        key = ("dispatch", backend, op)
-        generation = registry_generation()
-        memo = self._scratch.get(key)
-        if memo is not None and memo[0] == generation:
-            return memo[1], memo[2]
-        engine = resolve_backend(backend, plan=self, op=op)
-        state = self._backend_state(engine)
-        self._scratch[key] = (generation, engine, state)
-        return engine, state
+        indptr = self._scratch.get("indptr")
+        if indptr is None:
+            indptr = self._scratch.setdefault("indptr",
+                                              kernel.prepare(self))
+        return indptr
 
     # ------------------------------------------------------------------
     # sharding
@@ -724,20 +668,16 @@ class ExecutionPlan:
     # ------------------------------------------------------------------
 
     def spmv(self, x: np.ndarray, y: Optional[np.ndarray] = None,
-             jobs: Optional[int] = None,
-             backend: Union[None, str, ExecutionBackend] = None,
-             ) -> np.ndarray:
+             jobs: Optional[int] = None) -> np.ndarray:
         """Execute ``y = A @ x + y`` through the compiled plan.
 
         ``jobs=None`` lets the slots-per-worker heuristic decide
         (serial below ~8M slots); ``jobs=N`` forces N row-block shards
-        on the shared thread pool.  ``backend`` names the kernel engine
-        (``None``/``"auto"`` negotiates the best capable one).  Every
-        choice is bitwise identical: shards write disjoint rows and
-        every float64-claiming backend accumulates each segment
-        left-to-right in the same order.
+        on the shared thread pool.  Every choice is bitwise identical:
+        shards write disjoint rows and the kernel accumulates each
+        segment left-to-right in the same order.
         """
-        engine, state = self._dispatch(backend, "spmv")
+        indptr = self._indptr()
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.shape[1],):
             raise ValueError(
@@ -747,14 +687,11 @@ class ExecutionPlan:
         jobs_eff = self._auto_jobs() if jobs is None else int(jobs)
         shards = self.shard_bounds(jobs_eff)
         if len(shards) == 1:
-            self._run_shard(engine, state, out, x, 0,
-                            self.n_segments)
+            self._run_shard(indptr, out, x, 0, self.n_segments)
         else:
             pool = _pool()
             _join_shards([
-                pool.submit(
-                    self._run_shard, engine, state, out, x, lo, hi
-                )
+                pool.submit(self._run_shard, indptr, out, x, lo, hi)
                 for lo, hi in shards
             ])
         if y is not None:
@@ -766,28 +703,25 @@ class ExecutionPlan:
             out += y
         return out
 
-    def _run_shard(self, engine: ExecutionBackend, state: Any,
-                   out: np.ndarray, x: np.ndarray, lo: int,
-                   hi: int) -> None:
-        """Dispatch segments ``[lo, hi)`` to the engine's spmv kernel.
+    def _run_shard(self, indptr: np.ndarray, out: np.ndarray,
+                   x: np.ndarray, lo: int, hi: int) -> None:
+        """Dispatch segments ``[lo, hi)`` to the kernel's spmv.
 
-        The backend-independent shard envelope: the fault hook fires
-        for every backend, empty shards return before any kernel runs,
-        and the engine sees only ``lo < hi``.
+        The shard envelope: the fault hook fires first, empty shards
+        return before the kernel runs, and the kernel sees only
+        ``lo < hi``.
         """
         hook = _SHARD_HOOK
         if hook is not None:
             hook(lo, hi)
         if lo >= hi:
             return
-        engine.spmv(self, state, x, out, lo, hi)
+        kernel.spmv(self, indptr, x, out, lo, hi)
 
     def spmm(self, x_block: np.ndarray,
              y_block: Optional[np.ndarray] = None,
              jobs: Optional[int] = None,
-             block_size: Optional[int] = None,
-             backend: Union[None, str, ExecutionBackend] = None,
-             ) -> np.ndarray:
+             block_size: Optional[int] = None) -> np.ndarray:
         """Execute ``Y = A @ X + Y`` reusing the plan across vectors.
 
         Vectors are processed in blocks (bounding scratch memory at
@@ -798,16 +732,14 @@ class ExecutionPlan:
         independent of ``jobs`` and bitwise column-equal to the
         unbatched engine.
         """
-        engine, state = self._dispatch(backend, "spmm")
+        indptr = self._indptr()
         x_block = np.ascontiguousarray(x_block, dtype=np.float64)
         if x_block.ndim != 2 or x_block.shape[0] != self.shape[1]:
             raise ValueError(
                 f"X of shape {x_block.shape} incompatible with "
                 f"{self.shape}"
             )
-        out = self._blocked_dispatch(
-            engine.spmm, state, x_block, jobs, block_size
-        )
+        out = self._blocked_dispatch(indptr, x_block, jobs, block_size)
         if y_block is not None:
             y_block = np.asarray(y_block, dtype=np.float64)
             if y_block.shape != out.shape:
@@ -818,7 +750,7 @@ class ExecutionPlan:
             out += y_block
         return out
 
-    def _blocked_dispatch(self, kernel: Any, state: Any,
+    def _blocked_dispatch(self, indptr: np.ndarray,
                           x_block: np.ndarray,
                           jobs: Optional[int],
                           block_size: Optional[int]) -> np.ndarray:
@@ -826,8 +758,7 @@ class ExecutionPlan:
 
         Slices the ``(ncols, n_vectors)`` input into contiguous vector
         blocks, shards each block on the segment grid, and routes every
-        (block, shard) pair through ``kernel`` — the resolved engine's
-        bound ``spmm`` or ``spmv_batch`` method — via the
+        (block, shard) pair to the kernel's ``spmm`` via the
         :meth:`_reduce_block` envelope (fault hook, empty-shard skip).
         """
         n_vectors = x_block.shape[1]
@@ -844,52 +775,46 @@ class ExecutionPlan:
             # Contiguity only: x_block's dtype was pinned at entry.
             xb = np.ascontiguousarray(x_block[:, j0:j1])  # lint: allow(exec.implicit-dtype)
             if len(shards) == 1:
-                self._reduce_block(kernel, state, out, xb, j0, j1,
+                self._reduce_block(indptr, out, xb, j0, j1,
                                    0, self.n_segments)
             else:
                 pool = _pool()
                 _join_shards([
                     pool.submit(
-                        self._reduce_block, kernel, state, out, xb,
+                        self._reduce_block, indptr, out, xb,
                         j0, j1, lo, hi
                     )
                     for lo, hi in shards
                 ])
         return out
 
-    def _reduce_block(self, kernel: Any, state: Any, out: np.ndarray,
+    def _reduce_block(self, indptr: np.ndarray, out: np.ndarray,
                       xb: np.ndarray, j0: int, j1: int, lo: int,
                       hi: int) -> None:
-        """Dispatch one (vector block, shard) pair to ``kernel``.
+        """Dispatch one (vector block, shard) pair to the kernel.
 
         ``xb`` is the contiguous ``(ncols, j1 - j0)`` slice of the
-        input block.  Same backend-independent envelope as
-        :meth:`_run_shard`: fault hook first, empty shards never reach
-        a kernel.
+        input block.  Same envelope as :meth:`_run_shard`: fault hook
+        first, empty shards never reach the kernel.
         """
         hook = _SHARD_HOOK
         if hook is not None:
             hook(lo, hi)
         if lo >= hi:
             return
-        kernel(self, state, xb, out, j0, j1, lo, hi)
+        kernel.spmm(self, indptr, xb, out, j0, j1, lo, hi)
 
     def spmv_batch(self, xs: np.ndarray,
                    jobs: Optional[int] = None,
-                   block_size: Optional[int] = None,
-                   backend: Union[None, str, ExecutionBackend] = None,
-                   ) -> np.ndarray:
+                   block_size: Optional[int] = None) -> np.ndarray:
         """Batched SpMV: ``(n_queries, ncols)`` → ``(n_queries, nrows)``.
 
         Coalesces the queries into the blocked multi-vector kernel so
         the plan arrays are streamed once per vector block instead of
         once per query; row ``i`` of the result is bitwise identical to
-        ``spmv(xs[i])``.  Backends may override
-        :meth:`~repro.exec.backends.base.ExecutionBackend.spmv_batch`
-        with a batch-specialized kernel (the default delegates to their
-        ``spmm``).
+        ``spmv(xs[i])``.
         """
-        engine, state = self._dispatch(backend, "spmv_batch")
+        indptr = self._indptr()
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.shape[1]:
             raise ValueError(
@@ -901,7 +826,7 @@ class ExecutionPlan:
         # Contiguity only on both transposes: the dispatch pins the
         # value dtype itself and yt already carries the output dtype.
         yt = self._blocked_dispatch(
-            engine.spmv_batch, state,
+            indptr,
             np.ascontiguousarray(xs.T),  # lint: allow(exec.implicit-dtype)
             jobs, block_size,
         )

@@ -1,11 +1,11 @@
 """The plan contract: what makes an :class:`ExecutionPlan` safe to dispatch.
 
 The compiled fast path trusts the plan arrays completely (scipy's
-unchecked ``csr_matvec`` and the gather kernels do no per-slot
-checks), so this module is the single owner of that decision.  The
-build, :meth:`ExecutionPlan.validate` (and through it the resilience
-guard and the plan caches) and the ``plan.index_width``/
-``plan.coverage`` rules of :mod:`repro.verify` all call into it.
+unchecked ``csr_matvec`` does no per-slot checks), so this module is
+the single owner of that decision.  The build,
+:meth:`ExecutionPlan.validate` (and through it the resilience guard
+and the plan caches) and the ``plan.index_width``/``plan.coverage``
+rules of :mod:`repro.verify` all call into it.
 :func:`plan_findings` checks four invariants, one rule each:
 
 ``index_width``
@@ -37,8 +37,8 @@ import numpy as np
 #: Index dtypes a plan may store (narrow whenever it fits).
 INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
-#: Value dtypes a plan may store (float32 only behind explicit opt-in).
-VALUE_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+#: Value dtypes a plan may store: float64, the bitwise contract.
+VALUE_DTYPES = (np.dtype(np.float64),)
 
 #: The invariants of the plan contract, check order.
 INVARIANTS = ("index_width", "coverage", "values", "checksum")
@@ -128,13 +128,13 @@ def index_dtype_for(shape: Tuple[int, int], n_slots: int) -> np.dtype:
     return INDEX_DTYPES[0] if cert.compact_sufficient else INDEX_DTYPES[1]
 
 
-def check_layout(index: Any, value: Any, shape: Tuple[int, int],
-                 n_slots: int) -> Tuple[np.dtype, np.dtype]:
-    """Resolve a requested ``(index, value)`` layout, or raise.
+def check_layout(index: Any, shape: Tuple[int, int],
+                 n_slots: int) -> np.dtype:
+    """Resolve a requested index dtype, or raise.
 
-    ``None`` picks the default: :func:`index_dtype_for` indices and
-    float64 values.  Raises :class:`ValueError` for a dtype outside
-    the policy tables or an index dtype too narrow for the extents.
+    ``None`` picks the default, :func:`index_dtype_for`.  Raises
+    :class:`ValueError` for a dtype outside :data:`INDEX_DTYPES` or
+    one too narrow for the extents.  Values are always float64.
     """
     index_dt = (index_dtype_for(shape, n_slots) if index is None
                 else np.dtype(index))
@@ -145,10 +145,7 @@ def check_layout(index: Any, value: Any, shape: Tuple[int, int],
             f"{index_dt.name} indices cannot address a "
             f"{shape[0]}x{shape[1]} plan with {n_slots} slots"
         )
-    value_dt = (VALUE_DTYPES[1] if value is None else np.dtype(value))
-    if value_dt not in VALUE_DTYPES:
-        raise ValueError(f"unsupported value dtype {value_dt}")
-    return index_dt, value_dt
+    return index_dt
 
 
 def plan_checksum(cols: np.ndarray, vals: np.ndarray,
@@ -226,7 +223,7 @@ def _index_width(plan: Any) -> Optional[Finding]:
         return Finding(
             oid,
             f"gather indices outside [0, {ncols}): the unchecked "
-            "gather would read out of bounds",
+            "kernel would read out of bounds",
             f"cols[{i}]", int(cols[i]),
         )
     return None

@@ -71,8 +71,7 @@ class SpasmAccelerator:
             y: Optional[np.ndarray] = None,
             engine: str = "event", verify: bool = False,
             jobs: Optional[int] = None,
-            guard: Optional[Any] = None,
-            backend: Optional[str] = None) -> SimResult:
+            guard: Optional[Any] = None) -> SimResult:
         """Simulate ``y = A @ x + y`` for a SPASM-encoded matrix.
 
         ``engine="event"`` walks every group through the opcode-decoded
@@ -86,10 +85,7 @@ class SpasmAccelerator:
         every violation before any cycle is simulated.  ``guard`` (an
         :class:`~repro.resilience.guard.ExecutionGuard` for this
         matrix) routes the fast engine's numeric execution through the
-        guarded layer; it requires ``engine="fast"``.  ``backend``
-        names the kernel engine the fast path dispatches on (``None``
-        negotiates; see :mod:`repro.exec.backends`) and likewise
-        requires ``engine="fast"``.
+        guarded layer; it requires ``engine="fast"``.
         """
         if verify:
             self._verify(spasm)
@@ -97,15 +93,10 @@ class SpasmAccelerator:
             from repro.hw.fast_sim import fast_run
 
             return fast_run(spasm, self.config, x, y, jobs=jobs,
-                            guard=guard, backend=backend)
+                            guard=guard)
         if guard is not None:
             raise ValueError(
                 "guarded execution requires engine='fast'"
-            )
-        if backend is not None:
-            raise ValueError(
-                "backend selection requires engine='fast' (the event "
-                "engine is the VALU datapath, not a kernel backend)"
             )
         if engine != "event":
             raise ValueError(
@@ -188,8 +179,7 @@ class SpasmAccelerator:
     def run_spmm(self, spasm: SpasmMatrix, x_block: np.ndarray,
                  y_block: Optional[np.ndarray] = None,
                  verify: bool = False, jobs: Optional[int] = None,
-                 guard: Optional[Any] = None,
-                 backend: Optional[str] = None) -> SimResult:
+                 guard: Optional[Any] = None) -> SimResult:
         """Simulate a multi-vector run ``Y = A @ X + Y`` (extension).
 
         Numeric output comes from the format's exact SpMM semantics
@@ -211,8 +201,7 @@ class SpasmAccelerator:
                 )
             y_out = guard.spmm(x_block, y_block, jobs=jobs)
         else:
-            y_out = spasm.spmm(x_block, y_block, jobs=jobs,
-                               backend=backend)
+            y_out = spasm.spmm(x_block, y_block, jobs=jobs)
         n_vectors = y_out.shape[1]
         breakdown = perf_breakdown_spmm(
             spasm.global_composition(), self.config, n_vectors,
@@ -244,8 +233,7 @@ class SpasmAccelerator:
 
     def run_batch(self, spasm: SpasmMatrix, xs: np.ndarray,
                   verify: bool = False, jobs: Optional[int] = None,
-                  guard: Optional[Any] = None,
-                  backend: Optional[str] = None) -> SimResult:
+                  guard: Optional[Any] = None) -> SimResult:
         """Simulate a batch of independent queries, one per row of
         ``xs``.
 
@@ -260,4 +248,4 @@ class SpasmAccelerator:
         from repro.hw.fast_sim import fast_run_batch
 
         return fast_run_batch(spasm, self.config, xs, jobs=jobs,
-                              guard=guard, backend=backend)
+                              guard=guard)

@@ -28,14 +28,12 @@ from repro.hw.perf_model import assign_tiles, perf_breakdown
 def fast_run(spasm: SpasmMatrix, config: HwConfig, x: np.ndarray,
              y: Optional[np.ndarray] = None,
              jobs: Optional[int] = None,
-             guard: Optional[Any] = None,
-             backend: Optional[str] = None):
+             guard: Optional[Any] = None):
     """Vectorized equivalent of :meth:`SpasmAccelerator.run`.
 
     The numeric result runs through the matrix's compiled
     :class:`~repro.exec.plan.ExecutionPlan` (built lazily, cached on
-    the matrix, ``jobs`` shards on a thread pool, ``backend`` naming
-    the kernel engine); repeated simulations of the same matrix never
+    the matrix, ``jobs`` shards on a thread pool); repeated simulations of the same matrix never
     re-expand the stream.  ``guard=True`` routes the call through a
     one-shot :func:`~repro.resilience.guard.guarded_spmv` (integrity
     validation, sampled divergence checks, automatic fallback); a
@@ -63,8 +61,7 @@ def fast_run(spasm: SpasmMatrix, config: HwConfig, x: np.ndarray,
     if guard is True:
         from repro.resilience.guard import guarded_spmv
 
-        y_out = guarded_spmv(spasm, x, y_out, jobs=jobs,
-                             backend=backend)
+        y_out = guarded_spmv(spasm, x, y_out, jobs=jobs)
     elif guard is not None:
         if guard.spasm is not spasm:
             raise ValueError(
@@ -72,8 +69,7 @@ def fast_run(spasm: SpasmMatrix, config: HwConfig, x: np.ndarray,
             )
         y_out = guard.spmv(x, y_out, jobs=jobs)
     else:
-        y_out = spasm.plan().spmv(x, y_out, jobs=jobs,
-                                  backend=backend)
+        y_out = spasm.plan().spmv(x, y_out, jobs=jobs)
 
     # Schedule and per-PE accounting, mirroring the event simulator.
     groups_per_tile = spasm.groups_per_tile()
@@ -103,13 +99,11 @@ def fast_run(spasm: SpasmMatrix, config: HwConfig, x: np.ndarray,
 
 def fast_run_batch(spasm: SpasmMatrix, config: HwConfig,
                    xs: np.ndarray, jobs: Optional[int] = None,
-                   guard: Optional[Any] = None,
-                   backend: Optional[str] = None):
+                   guard: Optional[Any] = None):
     """Vectorized batched simulation: one query per row of ``xs``.
 
     The numeric result runs through the plan's blocked SpMM engine
-    (:meth:`~repro.exec.plan.ExecutionPlan.spmv_batch`) on the chosen
-    ``backend``, bitwise equal to ``n_queries`` independent
+    (:meth:`~repro.exec.plan.ExecutionPlan.spmv_batch`), bitwise equal to ``n_queries`` independent
     :func:`fast_run` calls; with ``guard`` (a prebuilt
     :class:`~repro.resilience.guard.ExecutionGuard`, or ``True`` for a
     transient one) it goes through
@@ -131,9 +125,7 @@ def fast_run_batch(spasm: SpasmMatrix, config: HwConfig,
     if guard is True:
         from repro.resilience.guard import ExecutionGuard
 
-        ys = ExecutionGuard(
-            spasm, backend=backend
-        ).spmv_batch(xs, jobs=jobs)
+        ys = ExecutionGuard(spasm).spmv_batch(xs, jobs=jobs)
     elif guard is not None:
         if guard.spasm is not spasm:
             raise ValueError(
@@ -141,7 +133,7 @@ def fast_run_batch(spasm: SpasmMatrix, config: HwConfig,
             )
         ys = guard.spmv_batch(xs, jobs=jobs)
     else:
-        ys = spasm.spmv_batch(xs, jobs=jobs, backend=backend)
+        ys = spasm.spmv_batch(xs, jobs=jobs)
 
     n_queries = int(xs.shape[0])
     groups_per_tile = spasm.groups_per_tile()

@@ -526,14 +526,9 @@ class PlanPass(CompilerPass):
     Builds the encoded matrix's
     :class:`~repro.exec.plan.ExecutionPlan` (expand once, drop padding,
     sort by output row, precompute segment boundaries) so the program
-    ships ready for gather + segment-reduce execution.  ``backend``
-    pins the kernel engine the plan will dispatch on (``None``
-    negotiates); the pass resolves it against the built plan so an
-    incapable pinning fails at compile time, not first dispatch.
-    Cache entries are keyed through the normal chain key — which
-    includes the backend knob via :meth:`config_fingerprint` — and
-    additionally carry the stream digest; a stale entry (any stored
-    array changed) is rejected and recompiled.
+    ships ready for the CSR kernel.  Cache entries are keyed through
+    the normal chain key and additionally carry the stream digest; a
+    stale entry (any stored array changed) is rejected and recompiled.
     """
 
     name = "plan"
@@ -541,22 +536,13 @@ class PlanPass(CompilerPass):
     provides = ("plan",)
     cacheable = True
 
-    def __init__(self, backend: Optional[str] = None):
-        self.backend = backend
-
-    def config_fingerprint(self) -> str:
-        return fingerprint({"backend": self.backend})
-
     def run(self, store: ArtifactStore) -> str:
-        from repro.exec.backends import resolve_backend
-
         spasm = store.require("spasm")
         # Builds once and caches the plan on the matrix, so the first
         # ``spasm.spmv`` reuses it.
         plan = spasm.plan()
-        engine = resolve_backend(self.backend, plan=plan, op="spmv")
         store.put("plan", plan)
-        return f"{plan.describe()}, backend={engine.name}"
+        return plan.describe()
 
     def to_cache(self, store: ArtifactStore):
         return store.require("plan").to_entry()

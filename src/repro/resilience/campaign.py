@@ -533,7 +533,7 @@ class _ServerTarget:
             # Hit the entry the target's next warm reads, then evict
             # every idle plan so the burst re-warms from disk.
             key = _plan_cache_key(
-                stream_digest(self.pristine[target]), None, None
+                stream_digest(self.pristine[target]), None
             )
             record = inject.corrupt_cache_entry(
                 self.registry.cache, entry=f"{PLAN_STAGE}-{key}.npz"

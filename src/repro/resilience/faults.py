@@ -48,7 +48,7 @@ class FaultRecord:
     ----------
     surface:
         Which layer was hit: ``stream``, ``value``, ``plan``,
-        ``backend`` (a kernel backend's prepared scratch), ``cache``,
+        ``backend`` (the kernel's prepared row pointer), ``cache``,
         ``image`` or ``worker``.
     mode:
         The corruption applied (``bitflip``, ``truncate``, ``zero``,
@@ -132,9 +132,8 @@ class FaultInjector:
         """Flip one bit in one of the plan's executable arrays.
 
         Itemsize-aware: the array is viewed as raw bytes, so every bit
-        of a compact v2 layout (int32 indices, float32 values) is as
-        reachable as an int64/float64 word — no dtype is excluded from
-        the fault surface.
+        of a compact int32 index array is as reachable as an int64 or
+        float64 word — no dtype is excluded from the fault surface.
         """
         candidates = [
             name for name in ("cols", "vals", "seg_starts", "seg_rows")
@@ -156,44 +155,26 @@ class FaultInjector:
 
     # -- backend-state faults ------------------------------------------
 
-    def flip_backend_state(self, plan: Any,
-                           backend: str) -> Optional[FaultRecord]:
-        """Flip one bit in a backend's *prepared* scratch arrays.
+    def flip_backend_state(self, plan: Any) -> FaultRecord:
+        """Flip one bit in the kernel's *prepared* CSR row pointer.
 
-        Backends upload per-plan device state at
-        :meth:`~repro.exec.backends.base.ExecutionBackend.prepare`
-        time (the CSR backend's dense row pointer, the gather
-        backend's widened index copies); this hits that prepared
-        surface rather than the plan's own arrays, modeling corruption
-        of scratch the guard's checksum never covers.  The prepared
-        state is materialized through the plan's memo
-        (so the flip lands in exactly the arrays a later dispatch
-        consumes) and cleared by ``plan._scratch.clear()``.  Returns
-        ``None`` when the backend exposes no byte-addressable state.
+        The kernel derives a dense row pointer from the plan once, on
+        first dispatch; this hits that prepared surface rather than the
+        plan's own arrays, modeling corruption of scratch the guard's
+        checksum never covers.  The row pointer is materialized through
+        the plan (so the flip lands in exactly the array a later
+        dispatch consumes) and cleared by ``plan.release_scratch()``.
         """
-        from repro.exec.backends import resolve_backend
-
-        engine = resolve_backend(backend, plan=plan, op="spmv")
-        arrays = engine.prepared_arrays(
-            plan._backend_state(engine)
-        )
-        candidates = sorted(
-            name for name, arr in arrays.items() if arr.size
-        )
-        if not candidates:
-            return None
-        name = candidates[int(self.rng.integers(0, len(candidates)))]
-        arr = arrays[name]
+        arr = plan._indptr()
         flat = arr.reshape(-1).view(np.uint8)
         byte = int(self.rng.integers(0, flat.size))
         bit = int(self.rng.integers(0, 8))
         flat[byte] ^= np.uint8(1 << bit)
         return FaultRecord(
             surface="backend", mode="bitflip",
-            location=f"{engine.name}:{name} byte {byte} bit {bit} "
+            location=f"indptr byte {byte} bit {bit} "
                      f"({arr.dtype.name})",
-            details={"backend": engine.name, "array": name,
-                     "byte": byte, "bit": bit,
+            details={"array": "indptr", "byte": byte, "bit": bit,
                      "dtype": arr.dtype.name},
         )
 

@@ -79,9 +79,6 @@ class ResilienceEvent:
         ``fallback``, ``raise``, ``none``).
     attempt:
         1-based acquisition attempt the event occurred on.
-    backend:
-        Name of the kernel backend involved (``""`` when the incident
-        precedes backend resolution, e.g. stream/plan surfaces).
     """
 
     kind: str
@@ -89,16 +86,14 @@ class ResilienceEvent:
     detail: str
     action: str = "none"
     attempt: int = 0
-    backend: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
 
     def render(self) -> str:
         suffix = f" (attempt {self.attempt})" if self.attempt else ""
-        via = f" [{self.backend}]" if self.backend else ""
         return (f"{self.kind:10s} {self.surface:7s} -> "
-                f"{self.action}{suffix}{via}: {self.detail}")
+                f"{self.action}{suffix}: {self.detail}")
 
 
 class ResilienceLog:
@@ -280,10 +275,6 @@ class ExecutionGuard:
         otherwise (exposed as :attr:`log`).
     seed:
         Seed of the divergence guard's row sampler.
-    backend:
-        Kernel backend every guarded dispatch runs on (``None``
-        negotiates per plan); incidents on the worker/output surfaces
-        name the resolved backend in their events.
     pin:
         The stream digest to trust instead of hashing the live stream:
         the plan registry passes the digest of the plan it just built,
@@ -297,7 +288,6 @@ class ExecutionGuard:
                  cache: Any = None,
                  log: Optional[ResilienceLog] = None,
                  seed: int = 0,
-                 backend: Optional[str] = None,
                  pin: Optional[str] = None):
         from repro.exec.plan import stream_digest
 
@@ -305,7 +295,6 @@ class ExecutionGuard:
         self.config = config or GuardConfig()
         self.cache = cache
         self.log = log if log is not None else ResilienceLog()
-        self.backend = backend
         self.expected_digest = (
             stream_digest(spasm) if pin is None else pin
         )
@@ -318,19 +307,6 @@ class ExecutionGuard:
 
     def _due(self, interval: int) -> bool:
         return bool(interval) and self._calls % interval == 0
-
-    def _engine_name(self, plan: Any, op: str) -> str:
-        """Name of the backend a dispatch resolved (for event labels).
-
-        Falls back to the configured name when resolution itself fails
-        — the event should still say which engine was being asked for.
-        """
-        from repro.exec.backends import resolve_backend
-
-        try:
-            return resolve_backend(self.backend, plan=plan, op=op).name
-        except Exception:
-            return str(self.backend or "auto")
 
     def _oracle_rows(self) -> np.ndarray:
         nrows = int(self.spasm.shape[0])
@@ -408,7 +384,7 @@ class ExecutionGuard:
                         ) -> Optional[np.ndarray]:
         """Run the plan and cross-check sampled rows; ``None`` on a
         divergence (the plan is dropped for rebuild)."""
-        out = plan.spmv(x, jobs=jobs, backend=self.backend)
+        out = plan.spmv(x, jobs=jobs)
         if self._due(self.config.check_interval):
             if self._oracle is None:
                 self._oracle = RowOracle.build(
@@ -419,7 +395,6 @@ class ExecutionGuard:
                 self.log.record(ResilienceEvent(
                     kind="detect", surface="output", action="rebuild",
                     attempt=attempt,
-                    backend=self._engine_name(plan, "spmv"),
                     detail=(
                         f"sampled rows {bad} diverge from the naive "
                         "oracle"
@@ -449,10 +424,9 @@ class ExecutionGuard:
         """Guarded ``y = A @ x + y``.
 
         Semantics match :meth:`ExecutionPlan.spmv` exactly on the
-        clean path (bitwise, including sharding determinism; dispatch
-        runs on the guard's configured ``backend``).  On a detected
-        fault the call recovers through rebuild/retry, then the naive
-        engine; it raises :class:`IntegrityError` only when the pinned
+        clean path (bitwise, including sharding determinism).  On a
+        detected fault the call recovers through rebuild/retry, then
+        the naive engine; it raises :class:`IntegrityError` only when the pinned
         stream itself is corrupt.  ``deadline`` (any object with
         ``remaining() -> float``, e.g.
         :class:`repro.serve.Deadline`) clips every retry sleep and
@@ -495,7 +469,6 @@ class ExecutionGuard:
                 self.log.record(ResilienceEvent(
                     kind="detect", surface="worker", action="retry",
                     attempt=attempt,
-                    backend=self._engine_name(plan, "spmv"),
                     detail=f"{type(exc).__name__}: {exc}",
                 ))
                 continue
@@ -505,7 +478,6 @@ class ExecutionGuard:
         if not self.config.fallback:
             self.log.record(ResilienceEvent(
                 kind="detect", surface="plan", action="raise",
-                backend=str(self.backend or "auto"),
                 detail="plan engine exhausted attempts, fallback "
                        "disabled",
             ))
@@ -516,7 +488,6 @@ class ExecutionGuard:
             )
         self.log.record(ResilienceEvent(
             kind="fallback", surface="plan", action="fallback",
-            backend=str(self.backend or "auto"),
             detail=(
                 f"plan engine failed {self.config.max_attempts} "
                 "attempts; executing through spmv_naive"
@@ -553,8 +524,7 @@ class ExecutionGuard:
             if plan is None:
                 continue
             try:
-                return plan.spmm(x_block, y_block=y_block, jobs=jobs,
-                                 backend=self.backend)
+                return plan.spmm(x_block, y_block=y_block, jobs=jobs)
             except IntegrityError:
                 raise
             except ValueError:
@@ -563,7 +533,6 @@ class ExecutionGuard:
                 self.log.record(ResilienceEvent(
                     kind="detect", surface="worker", action="retry",
                     attempt=attempt,
-                    backend=self._engine_name(plan, "spmm"),
                     detail=f"{type(exc).__name__}: {exc}",
                 ))
                 self._invalidate()
@@ -575,7 +544,6 @@ class ExecutionGuard:
             )
         self.log.record(ResilienceEvent(
             kind="fallback", surface="plan", action="fallback",
-            backend=str(self.backend or "auto"),
             detail="executing SpMM through spmm_naive",
         ))
         return self.spasm.spmm_naive(x_block, y_block)
@@ -622,8 +590,7 @@ class ExecutionGuard:
             if plan is None:
                 continue
             try:
-                out = plan.spmv_batch(xs, jobs=jobs,
-                                      backend=self.backend)
+                out = plan.spmv_batch(xs, jobs=jobs)
             except IntegrityError:
                 raise
             except ValueError:
@@ -632,7 +599,6 @@ class ExecutionGuard:
                 self.log.record(ResilienceEvent(
                     kind="detect", surface="worker", action="retry",
                     attempt=attempt,
-                    backend=self._engine_name(plan, "spmv_batch"),
                     detail=f"{type(exc).__name__}: {exc}",
                 ))
                 self._invalidate()
@@ -647,7 +613,6 @@ class ExecutionGuard:
                     self.log.record(ResilienceEvent(
                         kind="detect", surface="output",
                         action="rebuild", attempt=attempt,
-                        backend=self._engine_name(plan, "spmv_batch"),
                         detail=(
                             f"sampled rows {bad} of batch query 0 "
                             "diverge from the naive oracle"
@@ -659,7 +624,6 @@ class ExecutionGuard:
         if not self.config.fallback:
             self.log.record(ResilienceEvent(
                 kind="detect", surface="plan", action="raise",
-                backend=str(self.backend or "auto"),
                 detail="plan engine exhausted attempts, fallback "
                        "disabled",
             ))
@@ -670,7 +634,6 @@ class ExecutionGuard:
             )
         self.log.record(ResilienceEvent(
             kind="fallback", surface="plan", action="fallback",
-            backend=str(self.backend or "auto"),
             detail=(
                 f"plan engine failed {self.config.max_attempts} "
                 "attempts; executing the batch through spmv_naive"
@@ -688,13 +651,12 @@ def guarded_spmv(spasm: Any, x: np.ndarray,
                  jobs: Optional[int] = None,
                  config: Optional[GuardConfig] = None,
                  cache: Any = None,
-                 log: Optional[ResilienceLog] = None,
-                 backend: Optional[str] = None) -> np.ndarray:
+                 log: Optional[ResilienceLog] = None) -> np.ndarray:
     """One-shot guarded SpMV (constructs a transient guard).
 
     Hot loops should hold an :class:`ExecutionGuard` instead — the
     guard's pinning and oracle construction amortize across calls.
     """
     return ExecutionGuard(
-        spasm, config=config, cache=cache, log=log, backend=backend
+        spasm, config=config, cache=cache, log=log
     ).spmv(x, y=y, jobs=jobs)

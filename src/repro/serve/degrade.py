@@ -10,7 +10,7 @@ rung at a time:
    (and deadline exposure) drops at the cost of peak throughput.
 3. ``naive``  — the guarded plan path is bypassed for the naive
    reference kernel: slowest, but verified by construction and
-   immune to plan/backend-state corruption — the rung of last resort
+   immune to plan and row-pointer corruption — the rung of last resort
    during a fault storm.
 
 Transitions are hysteretic: the ladder degrades the moment pressure

@@ -22,12 +22,12 @@ exec.implicit-dtype ``np.asarray``/``np.ascontiguousarray`` in
                     ``repro.exec`` must pin a dtype (no silent value
                     upcasts on hot paths)
 exec.raw-kernel     scipy's unchecked C kernels (``csr_matvec`` et
-                    al.) are reachable only from the ``csr`` backend
-                    (``repro/exec/backends/csr.py``) — everything else
+                    al.) are reachable only from the kernel module
+                    (``repro/exec/backends.py``) — everything else
                     goes through ``validate()``/the guard
 exec.plan-kernel    ``repro/exec/plan.py`` holds the plan model and
                     dispatch only — numpy kernel math (``np.take``,
-                    ``np.bincount``, …) lives in the backends package
+                    ``np.bincount``, …) lives in the kernel module
 api.unused-public   public module-level defs must be referenced by
                     the library or by a script that ships beside it
                     in ``benchmarks/``, ``examples/`` or
@@ -93,7 +93,7 @@ CONSUMER_DIRS = ("benchmarks", "examples", "perfbench")
 SHARED_POOL_HELPER = ("repro/exec/plan.py", "_pool")
 
 #: The one module allowed to touch scipy's unchecked C kernels.
-KERNEL_MODULE = "repro/exec/backends/csr.py"
+KERNEL_MODULE = "repro/exec/backends.py"
 
 #: Raw compiled-kernel surface (names whose mere reference outside the
 #: kernel module bypasses validate()/guard).
@@ -367,8 +367,7 @@ class _FileLinter(ast.NodeVisitor):
         self._report(
             "exec.plan-kernel", node,
             f"kernel math '{dotted}' in the plan module — plan.py is "
-            "model + dispatch only; kernels belong to a backend in "
-            "repro/exec/backends/",
+            f"model + dispatch only; kernels belong in {KERNEL_MODULE}",
         )
 
 

@@ -1,8 +1,7 @@
 """Execution-plan rules (the host counterpart of the trusted stream).
 
-The compiled fast path dispatches with no per-slot checks: the
-gather/segment-reduce kernels and scipy's unchecked C CSR routines
-trust the :class:`~repro.exec.plan.ExecutionPlan` arrays the way the
+The compiled fast path dispatches with no per-slot checks: scipy's
+unchecked C CSR routines trust the :class:`~repro.exec.plan.ExecutionPlan` arrays the way the
 paper's PEs trust the stream.  These rules check, without executing a
 single SpMV, what every dispatch relies on:
 
@@ -16,10 +15,9 @@ single SpMV, what every dispatch relies on:
     Row-block shard grids have disjoint write sets for every worker
     count of :data:`DEFAULT_JOBS_GRID` plus the plan's own auto pick,
     so ``spmv(jobs=N)`` is bitwise deterministic by construction.
-``plan.backend``
-    Auto dispatch of every op (``spmv``/``spmm``/``spmv_batch``)
-    resolves to a registered backend whose declared capabilities cover
-    the plan's stored layout.
+
+The one kernel takes every layout the contract admits (int32/int64
+indices, float64 values), so no rule checks kernel choice.
 """
 
 from __future__ import annotations
@@ -115,29 +113,3 @@ class ShardDisjointness(Rule):
                         jobs=jobs, shard=i, rows=[last_prev, first],
                     )
                     return
-
-
-@register
-class BackendCapability(Rule):
-    rule_id = "plan.backend"
-    kinds = (KIND_PLAN,)
-    title = ("auto dispatch of spmv/spmm/spmv_batch resolves to a "
-             "backend whose capabilities cover the plan layout")
-    paper = "host plan (capability-negotiated dispatch)"
-    requires = ("plan",)
-
-    def check(self, ctx: VerifyContext) -> Iterator[Diagnostic]:
-        from repro.exec import backends
-
-        plan = ctx.plan
-        for op in backends.BACKEND_OPS:
-            try:
-                backends.resolve_backend(None, plan=plan, op=op)
-            except backends.BackendCapabilityError as exc:
-                yield self.diag(
-                    f"op {op} on a {plan.cols.dtype.name}/"
-                    f"{plan.vals.dtype.name} plan has no capable "
-                    f"backend: {exc}",
-                    op=op, index_dtype=plan.cols.dtype.name,
-                    value_dtype=plan.vals.dtype.name,
-                )

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exec import (
-    BackendCapabilities,
-    ExecutionBackend,
-    register_backend,
-    unregister_backend,
-)
+from repro.exec import backends
 from repro.matrix.coo import COOMatrix
 
 
@@ -57,51 +52,13 @@ def random_structured_coo(rng, n=64, kind="mixed"):
     return COOMatrix.from_dense(dense)
 
 
-class FailingBackend(ExecutionBackend):
-    """Claims everything, executes nothing — proves the guard ladder
-    survives a backend whose kernels always blow up."""
+@pytest.fixture
+def failing_kernel(monkeypatch):
+    """The kernel's ``spmv``/``spmm`` raise for the test's duration —
+    proves the guard ladder survives a kernel that always blows up."""
 
-    name = "failing"
-    priority = 99
-
-    def capabilities(self):
-        return BackendCapabilities(
-            index_dtypes=("int32", "int64"),
-            value_dtypes=("float32", "float64"),
-        )
-
-    def prepare(self, plan):
-        return None
-
-    def spmv(self, plan, state, x, out, lo, hi):
+    def fail(*args, **kwargs):
         raise RuntimeError("injected kernel failure")
 
-    def spmm(self, plan, state, xb, out, j0, j1, lo, hi):
-        raise RuntimeError("injected kernel failure")
-
-
-class UnavailableBackend(FailingBackend):
-    """Registered, but its dependency is missing in this process."""
-
-    name = "unavailable"
-    priority = 0
-
-    def requires(self):
-        return "a-missing-package"
-
-
-@pytest.fixture
-def failing_backend():
-    """:class:`FailingBackend`, registered for the test's duration
-    (its priority makes auto negotiation pick it)."""
-    backend = register_backend(FailingBackend())
-    yield backend
-    unregister_backend(backend.name)
-
-
-@pytest.fixture
-def unavailable_backend():
-    """:class:`UnavailableBackend`, registered for the test."""
-    backend = register_backend(UnavailableBackend())
-    yield backend
-    unregister_backend(backend.name)
+    monkeypatch.setattr(backends, "spmv", fail)
+    monkeypatch.setattr(backends, "spmm", fail)

@@ -32,9 +32,7 @@ from tests.conftest import random_structured_coo
 
 INT32_MAX = int(np.iinfo(np.int32).max)
 
-PLAN_RULES = [
-    "plan.backend", "plan.coverage", "plan.index_width", "plan.shards",
-]
+PLAN_RULES = ["plan.coverage", "plan.index_width", "plan.shards"]
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +129,7 @@ class TestCleanProofs:
 
     def test_summary_and_render(self, clean_report, program):
         assert clean_report.summary() == (
-            "0 errors, 0 warnings (4 rules run)"
+            "0 errors, 0 warnings (3 rules run)"
         )
         plan = mutable_plan(program)
         FaultInjector(0).flip_plan_array(plan)
@@ -287,23 +285,6 @@ class TestFaultRefutation:
         )
         d = refutation(verify_plan(mixed), "plan.index_width")
         assert "disagree on width" in d.message
-
-    def test_no_capable_backend_refutes(self, program, monkeypatch):
-        """``plan.backend`` reports every op auto dispatch cannot
-        place, naming the op and the plan layout."""
-        from repro.exec import backends
-
-        def refuse(backend=None, plan=None, op="spmv"):
-            raise backends.BackendCapabilityError(f"no engine for {op}")
-
-        monkeypatch.setattr(backends, "resolve_backend", refuse)
-        report = verify_plan(program.plan)
-        found = [d for d in report.errors if d.rule_id == "plan.backend"]
-        assert [d.details["op"] for d in found] == [
-            "spmv", "spmm", "spmv_batch",
-        ]
-        assert found[0].details["index_dtype"] == "int32"
-        assert "no engine for spmv" in found[0].message
 
     def test_image_descriptor_drift_refutes(self, program):
         from repro.hw.memory_image import pack_images

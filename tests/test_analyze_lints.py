@@ -189,10 +189,10 @@ class TestRawKernel:
 
             def dispatch(args):
                 return _sparsetools.csr_matvec(*args)
-        """, relpath="repro/exec/backends/csr.py") == []
+        """, relpath="repro/exec/backends.py") == []
 
     def test_plan_module_no_longer_sanctioned(self):
-        """The backend split moved the kernel sanction off plan.py."""
+        """The kernel sanction lives on the kernel module, not plan.py."""
         findings = lint("""
             from scipy.sparse import _sparsetools
 
@@ -214,7 +214,7 @@ class TestPlanKernel:
                 return np.bincount(plan.rows, weights=gathered)
         """, relpath=self.PLAN)
         assert ids(findings) == ["exec.plan-kernel"] * 2
-        assert "belong to a backend" in findings[0].message
+        assert "repro/exec/backends.py" in findings[0].message
 
     def test_model_numpy_in_plan_module_clean(self):
         assert lint("""
@@ -231,7 +231,7 @@ class TestPlanKernel:
             def spmv(plan, x):
                 gathered = np.take(x, plan.cols)
                 return np.bincount(plan.rows, weights=gathered)
-        """, relpath="repro/exec/backends/gather.py") == []
+        """, relpath="repro/exec/backends.py") == []
 
 
 class TestSuppression:

@@ -112,7 +112,7 @@ class TestAnalyzeProofs:
     def test_single_matrix_proofs(self, capsys):
         assert main(["verify", "t2em", "--scale", "0.2"]) == 0
         out = capsys.readouterr().out
-        assert "0 errors, 0 warnings (31 rules run)" in out
+        assert "0 errors, 0 warnings (30 rules run)" in out
         assert "==" not in out  # one target: no per-matrix headers
 
     def test_proofs_json_has_six_obligations(self, capsys):
@@ -128,8 +128,7 @@ class TestAnalyzeProofs:
             "fmt", "opc", "pos", "plan", "mem",
         }
         assert [r for r in report["rules_run"] if r.startswith("plan.")] \
-            == ["plan.backend", "plan.coverage", "plan.index_width",
-                "plan.shards"]
+            == ["plan.coverage", "plan.index_width", "plan.shards"]
         assert report["diagnostics"] == []
 
     def test_suite_mode_proves_every_workload(self, capsys):
@@ -182,70 +181,14 @@ class TestRunReorder:
         assert "reorder:" not in capsys.readouterr().out
 
 
-class TestBackendsCommand:
-    def test_table_lists_every_registered_backend(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "Registered kernel backends" in out
-        for name in ("csr", "numba", "gather"):
-            assert name in out
-        assert "spmv, spmm, spmv_batch" in out
-
-    def test_json_payload_in_negotiation_order(self, capsys):
-        assert main(["backends", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert [b["name"] for b in payload] == [
-            "csr", "numba", "gather",
-        ]
-        gather = payload[-1]
-        assert gather["available"] is True
-        assert gather["requires"] is None
-        assert gather["capabilities"]["ops"] == [
-            "spmv", "spmm", "spmv_batch",
-        ]
-        for backend in payload:
-            if not backend["available"]:
-                assert backend["requires"]
-
-    def test_run_with_explicit_backend(self, capsys):
-        assert main([
-            "run", "t2em", "--scale", "0.2", "--repeat", "1",
-            "--backend", "gather",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "backend=gather, explicit" in out
-        assert "plan vs naive engines agree" in out
-
-    def test_run_auto_reports_resolved_backend(self, capsys):
-        assert main([
-            "run", "t2em", "--scale", "0.2", "--repeat", "1",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "backend=" in out and "explicit" not in out
-
-    def test_run_unknown_backend_exits_1(self, capsys):
-        assert main([
-            "run", "t2em", "--scale", "0.2", "--repeat", "1",
-            "--backend", "nope",
-        ]) == 1
-        assert "unknown execution backend" in capsys.readouterr().err
-
-    def test_run_naive_engine_rejects_backend(self, capsys):
-        assert main([
-            "run", "t2em", "--scale", "0.2", "--repeat", "1",
-            "--engine", "naive", "--backend", "gather",
-        ]) == 1
-        err = capsys.readouterr().err
-        assert "no kernel backend" in err
-
+class TestRunResolved:
     def test_run_json_resolved_object(self, capsys):
         assert main(["run", "raefsky3", "--scale", "0.02",
                      "--repeat", "1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         resolved = payload["resolved"]
         assert resolved["engine"] == "plan"
-        assert resolved["backend"]
-        assert "/" in resolved["layout"]
+        assert resolved["layout"] == "int32/float64"
         assert resolved["jobs"] >= 1
         assert resolved["portfolio"].startswith("portfolio")
         assert payload["check"]["agree"] is True

@@ -321,9 +321,9 @@ class TestFaultTolerance:
         assert np.array_equal(plan.spmv(x), expected)
         # Cached under the pristine key only.
         assert cache.load(
-            PLAN_STAGE, _plan_cache_key(pristine_digest, None, None)
+            PLAN_STAGE, _plan_cache_key(pristine_digest, None)
         ) is not None
-        mutated_key = _plan_cache_key(mutated_digest, None, None)
+        mutated_key = _plan_cache_key(mutated_digest, None)
         assert cache.load(PLAN_STAGE, mutated_key) is None
         # The next acquisition sees the live mutation and rebuilds.
         rebuilt = spasm.plan(cache=cache)

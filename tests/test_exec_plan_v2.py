@@ -22,11 +22,7 @@ from repro.core import (
     candidate_portfolios,
     encode_spasm,
 )
-from repro.exec import (
-    ExecutionPlan,
-    csr_kernels_available,
-    index_dtype_for,
-)
+from repro.exec import ExecutionPlan, backends, index_dtype_for
 from repro.matrix.coo import COOMatrix
 from repro.pipeline.cache import ArtifactCache
 from tests.conftest import random_structured_coo
@@ -221,24 +217,10 @@ class TestCompactLayouts:
         assert plan.cols.dtype == np.int64
         assert plan.validate() == []
 
-    def test_float32_opt_in(self, rng):
-        coo = random_structured_coo(rng, 64, "mixed")
-        spasm = encode(coo)
-        plan = ExecutionPlan.build(spasm, precision="float32")
-        assert plan.vals.dtype == np.float32
-        assert plan.validate() == []
-        x = rng.random(64)
-        assert np.allclose(
-            plan.spmv(x), spasm.spmv_naive(x),
-            rtol=1e-5, atol=1e-8,
-        )
-
     def test_unknown_layouts_rejected(self, rng):
         spasm = encode(integer_coo(rng, 32))
         with pytest.raises(ValueError):
             ExecutionPlan.build(spasm, index="int16")
-        with pytest.raises(ValueError):
-            ExecutionPlan.build(spasm, precision="float16")
 
     def test_out_of_range_rows_build_safely(self):
         # A corrupted stream can expand to coordinates outside the
@@ -259,38 +241,22 @@ class TestCompactLayouts:
                 "segment rows outside [0, 16)"
             ]
 
-    @pytest.mark.skipif(
-        not csr_kernels_available(),
-        reason="scipy CSR kernels not present",
-    )
-    def test_csr_and_portable_kernels_bitwise(self, rng):
-        # int32/float64 auto-negotiates to the scipy CSR backend;
-        # forcing the kernels away exercises the portable gather
-        # backend on the same plan.  Both must agree bitwise.
-        from repro.exec.backends import csr as csr_mod
-
-        coo = integer_coo(rng, 96, "mixed")
+    def test_csr_and_portable_kernels_bitwise(self, rng, monkeypatch):
+        # The build's row sort is coo_tocsr's counting sort; declining
+        # it exercises the portable stable argsort on the same stream.
+        # Both builds must give the same plan, and the same answers.
+        coo = random_structured_coo(rng, 96, "mixed")
         spasm = encode(coo)
-        x = rng.integers(0, 5, size=coo.shape[1]).astype(np.float64)
-        xs = rng.integers(
-            0, 5, size=(4, coo.shape[1])
-        ).astype(np.float64)
+        x = rng.random(coo.shape[1])
+        xs = rng.random((4, coo.shape[1]))
         csr_plan = ExecutionPlan.build(spasm)
         y_csr = csr_plan.spmv(x)
         ys_csr = csr_plan.spmv_batch(xs)
-        saved = csr_mod._csr_kernels
-        csr_mod._csr_kernels = None
-        try:
-            portable_plan = ExecutionPlan.build(spasm)
-            assert np.array_equal(portable_plan.spmv(x), y_csr)
-            assert np.array_equal(
-                portable_plan.spmv_batch(xs), ys_csr
-            )
-        finally:
-            csr_mod._csr_kernels = saved
-        # The build paths themselves must also agree bitwise: with
-        # scipy the row sort is coo_tocsr's counting sort, without it
-        # the portable stable argsort — same plan either way.
+        monkeypatch.setattr(backends, "counting_sort_rows",
+                            lambda *args: None)
+        portable_plan = ExecutionPlan.build(spasm)
+        assert np.array_equal(portable_plan.spmv(x), y_csr)
+        assert np.array_equal(portable_plan.spmv_batch(xs), ys_csr)
         assert portable_plan.checksum == csr_plan.checksum
         for field in ("cols", "vals", "seg_starts", "seg_rows"):
             a = getattr(csr_plan, field)
@@ -329,9 +295,6 @@ class TestDtypeCache:
         cache = ArtifactCache(str(tmp_path))
         default = ExecutionPlan.build(spasm, cache=cache)
         wide = ExecutionPlan.build(spasm, cache=cache, index="int64")
-        f32 = ExecutionPlan.build(
-            spasm, cache=cache, precision="float32"
-        )
         # Reloading each layout hits its own entry, dtypes intact.
         assert ExecutionPlan.build(
             spasm, cache=cache
@@ -339,11 +302,7 @@ class TestDtypeCache:
         assert ExecutionPlan.build(
             spasm, cache=cache, index="int64"
         ).cols.dtype == np.int64
-        assert ExecutionPlan.build(
-            spasm, cache=cache, precision="float32"
-        ).vals.dtype == np.float32
         assert default.checksum != wide.checksum
-        assert default.checksum != f32.checksum
 
     def test_pipeline_cache_roundtrip_keeps_dtypes(self, rng, tmp_path):
         coo = integer_coo(rng, 64, "blocks")
@@ -412,10 +371,8 @@ class TestSpmvBatch:
 
 
 class TestPlanArgumentRouting:
-    """``jobs=``/``block_size=``/``backend=``/``y=`` passed together
-    through the plan entry points change nothing numerically."""
-
-    BACKEND = "csr" if csr_kernels_available() else "gather"
+    """``jobs=``/``block_size=``/``y=`` passed together through the
+    plan entry points change nothing numerically."""
 
     @pytest.fixture
     def program(self, rng):
@@ -426,20 +383,18 @@ class TestPlanArgumentRouting:
         spasm, plan = program.spasm, program.plan
         xs = np.ascontiguousarray(rng.random((5, spasm.shape[1])))
         assert np.array_equal(
-            plan.spmv_batch(xs, jobs=1, block_size=8,
-                            backend=self.BACKEND),
+            plan.spmv_batch(xs, jobs=1, block_size=8),
             spasm.spmv_batch(xs))
         dense = np.ascontiguousarray(rng.random((spasm.shape[1], 3)))
         assert np.array_equal(
-            plan.spmm(dense, jobs=1, block_size=8,
-                      backend=self.BACKEND),
+            plan.spmm(dense, jobs=1, block_size=8),
             spasm.spmm(dense))
 
     def test_y_accumulation(self, program, rng):
         plan = program.plan
         x = rng.random(plan.shape[1])
         y = rng.random(plan.shape[0])
-        got = plan.spmv(x, y=y.copy(), jobs=1, backend=self.BACKEND)
+        got = plan.spmv(x, y=y.copy(), jobs=1)
         assert np.array_equal(got, plan.spmv(x) + y)
 
 

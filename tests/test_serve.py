@@ -685,7 +685,7 @@ class TestSpmvServer:
         assert health["hot_bytes"] > 0
 
     def test_guard_incidents_reach_server_stats(self, rng,
-                                                failing_backend):
+                                                failing_kernel):
         coo = random_structured_coo(rng, 64, "mixed")
         with serve_matrices({"m": coo}, workers=1) as server:
             entry = server.registry._entries["m"]
@@ -693,8 +693,8 @@ class TestSpmvServer:
             assert server.ladder.log is server.log
             x = rng.standard_normal(coo.shape[1])
             response = server.query("m", x)
-            # Auto negotiation picks the hostile backend; the guard
-            # falls back to the naive engine and says so.
+            # The kernel raises on every call; the guard falls back
+            # to the naive engine and says so.
             assert response.ok
             assert np.array_equal(response.y, entry.spasm.spmv_naive(x))
             counts = server.stats()["resilience"]
