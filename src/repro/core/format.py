@@ -320,8 +320,8 @@ class SpasmMatrix:
              jobs: Optional[int] = None) -> np.ndarray:
         """Execution of the format: ``y = A @ x + y``.
 
-        Delegates to the lazily cached :meth:`plan` — a gather plus a
-        sorted segment reduction; repeated calls on the same matrix
+        Delegates to the lazily cached :meth:`plan` — one CSR matvec
+        over the plan arrays; repeated calls on the same matrix
         never re-expand the stream.  ``jobs=None`` lets the plan's
         slots-per-worker heuristic choose; every shard count is bitwise
         identical.  The un-compiled reference path survives as

@@ -4,10 +4,10 @@ The format's reference execution (:meth:`repro.core.format.SpasmMatrix`
 ``.spmv``) re-expands the stream into per-slot coordinates on every
 call.  This package compiles a matrix-specific :class:`ExecutionPlan`
 *once* — padding slots dropped, coordinates decoded for the kept
-slots only, the stream sorted by output row, segment boundaries
-precomputed, indices stored in the narrowest dtype that fits — so every
-subsequent SpMV is one pass of scipy's compiled CSR matvec over the
-plan arrays, and a multi-RHS SpMM or ``spmv_batch`` reuses the same
+slots only, the stream sorted by output row into CSR (``cols``,
+``vals`` and the row pointer ``indptr``), indices stored in the
+narrowest dtype that fits — so every subsequent SpMV is one pass of
+scipy's compiled CSR matvec over the plan arrays as stored, and a multi-RHS SpMM or ``spmv_batch`` reuses the same
 plan with one ``csr_matvecs`` per vector block.
 
 That routine is the one kernel (:mod:`repro.exec.backends`), for int32

@@ -2,24 +2,25 @@
 
 An :class:`ExecutionPlan` is the software analogue of AlphaSparse's
 matrix-specific kernel artifact: everything about executing ``y = A @ x``
-that depends only on the *matrix* is computed once at build time, so the
-per-call work is the minimum the memory system allows.
+that depends only on the *matrix* is computed once at build time and
+stored in the form the kernel reads, so the per-call work is the
+minimum the memory system allows.
 
 Build time (once per matrix)
     * drop padding slots (``value == 0`` contributes nothing), then
       decode ``(row, col)`` coordinates for the kept slots only,
-    * stable-sort the stream by output row,
-    * record the segment boundary of each non-empty output row,
-    * store the arrays in the narrowest index dtype that can address
-      them (int32 whenever shape and slot count fit, else int64) with
+    * stable-sort the stream by output row into CSR: ``cols``,
+      ``vals`` and the dense row pointer ``indptr``,
+    * store the indices in the narrowest dtype that can address them
+      (int32 whenever shape and slot count fit, else int64) with
       float64 values.
 
 Call time (every SpMV)
     * dispatch each shard to the one kernel, scipy's compiled CSR
-      matvec (:mod:`repro.exec.backends`), over the plan arrays and a
-      row pointer derived once per plan.  It accumulates each
-      output-row segment *sequentially* left-to-right, so every index
-      width and shard grid (and the ``spmv_naive`` oracle) produces
+      matvec (:mod:`repro.exec.backends`), over the three plan arrays
+      as stored.  It accumulates each output row *sequentially*
+      left-to-right, starting from ``y``, so every index width and
+      shard grid (and the ``spmv_naive`` oracle) produces
       bitwise-identical float64 output.
 
 This module holds **no kernel math at all** (machine-enforced by the
@@ -27,13 +28,13 @@ This module holds **no kernel math at all** (machine-enforced by the
 checksums, caching, validation — and the dispatch layer around the
 kernel (shard grids, the shared pool, the fault hook).
 
-Sharding splits the *segments* (output rows) into contiguous blocks of
-roughly equal slot count; shards write disjoint rows, and each segment
-is reduced by the same sequential sum regardless of the shard grid, so
-``spmv(x, jobs=N)`` is bitwise identical for every ``N``.  With
-``jobs=None`` a slots-per-worker heuristic decides whether threads can
-pay for themselves at all.  See ``docs/EXEC.md`` for the full
-layout and semantics.
+Sharding splits the rows into contiguous ranges of roughly equal slot
+count; shards write disjoint rows, and each row is reduced by the same
+sequential sum regardless of the shard grid, so ``spmv(x, jobs=N)`` is
+bitwise identical for every ``N``.  With ``jobs=None`` a
+slots-per-worker heuristic decides whether threads can pay for
+themselves at all.  See ``docs/EXEC.md`` for the full layout and
+semantics.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ MIN_SHARD_SLOTS = 16384
 #: 5.21 ms; bitwise identical) while losing at 0.67M (1.74 -> 1.90 ms).
 AUTO_SHARD_SLOTS = 4 << 20
 
-#: Upper bound on ``slots x vectors`` elements materialized by one SpMM
-#: gather block (8M float64 elements = 64 MiB scratch).
+#: Upper bound on ``slots x vectors`` multiply-adds in one SpMM vector
+#: block (8M), so each block streams the plan arrays once.
 SPMM_BLOCK_ELEMS = 1 << 23
 
 #: How many times larger than one measured pool dispatch a shard's
@@ -246,7 +247,7 @@ def _plan_cache_key(digest: str, index: Optional[str]) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class ExecutionPlan:
-    """A compiled gather/segment-reduce schedule for one matrix.
+    """A matrix compiled to the CSR arrays the kernel reads.
 
     Attributes
     ----------
@@ -258,14 +259,11 @@ class ExecutionPlan:
         whenever the matrix and slot count fit, else int64.
     vals:
         Matching slot values (float64).
-    seg_starts:
-        Offset into ``cols``/``vals`` where each output-row segment
-        begins (``n_segments`` entries, strictly increasing); same
-        dtype as ``cols``.
-    seg_rows:
-        Output row of each segment (strictly increasing, all within
-        the matrix — padding never carries values past the edge); same
-        dtype as ``cols``.
+    indptr:
+        The dense CSR row pointer (``nrows + 1`` entries, same dtype
+        as ``cols``): row ``r`` owns slots
+        ``[indptr[r], indptr[r + 1])``, ``indptr[0] == 0`` and
+        ``indptr[-1] == n_slots``.
     digest:
         :func:`stream_digest` of the source stream; the cache key and
         the invalidation token of lazily cached plans.
@@ -284,15 +282,13 @@ class ExecutionPlan:
     shape: Tuple[int, int]
     cols: np.ndarray
     vals: np.ndarray
-    seg_starts: np.ndarray
-    seg_rows: np.ndarray
+    indptr: np.ndarray
     digest: str = dataclasses.field(repr=False)
     source_nnz: int
     checksum: str = ""
     build_ms: float = dataclasses.field(default=0.0, compare=False)
-    #: Lazily derived kernel state (the CSR row pointer) and the
-    #: auto-jobs pin.  Never persisted, never checksummed, rebuilt
-    #: from the four executable arrays on first use.
+    #: The auto-jobs pin (:meth:`override_auto_jobs`): runtime state,
+    #: never persisted, never checksummed.
     _scratch: Dict[Any, Any] = dataclasses.field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -374,54 +370,26 @@ class ExecutionPlan:
 
         index_dt = check_layout(index, shape, n_slots)
 
-        # The row sort is a stable counting sort: ``coo_tocsr``
-        # (:func:`repro.exec.backends.counting_sort_rows`) is one
-        # O(n_slots + nrows) C pass that emits the permuted cols/vals
-        # and the segment pointers directly — it walks the input in
-        # order, so ties keep stream order exactly like
-        # ``np.argsort(kind="stable")`` and the resulting plan is
-        # bitwise identical to the portable path below (asserted by
-        # the kernel-parity tests).  The helper declines (returns
-        # None) for pathologically tall shapes or out-of-range rows
-        # (a corrupted stream being recompiled must reach validate(),
-        # not scatter out of bounds), and the stable argsort runs.
-        counted = (
-            kernel.counting_sort_rows(shape, kept_rows, kept_cols,
-                                      kept_vals, index_dt)
-            if n_slots > 0 else None
-        )
-        if n_slots == 0:
-            out_cols = np.zeros(0, dtype=index_dt)
-            out_vals = np.zeros(0, dtype=np.float64)
-            seg_starts = np.zeros(0, dtype=index_dt)
-            seg_rows = np.zeros(0, dtype=index_dt)
-        elif counted is not None:
-            out_cols, out_vals, seg_starts, seg_rows = counted
-        else:
-            order = np.argsort(kept_rows, kind="stable")
-            srows = kept_rows[order]
-            out_cols = np.ascontiguousarray(kept_cols[order],
-                                            dtype=index_dt)
-            out_vals = np.ascontiguousarray(kept_vals[order],
-                                            dtype=np.float64)
-            bounds = np.flatnonzero(srows[1:] != srows[:-1]) + 1
-            starts64 = np.concatenate(
-                (np.zeros(1, dtype=np.int64), bounds)
-            )
-            seg_rows = np.ascontiguousarray(srows[starts64],
-                                            dtype=index_dt)
-            seg_starts = np.ascontiguousarray(starts64, dtype=index_dt)
-        checksum = plan_checksum(out_cols, out_vals, seg_starts,
-                                 seg_rows, shape)
+        # The row sort is coo_tocsr's stable counting sort; it
+        # declines a row outside the matrix (a corrupted stream being
+        # recompiled), which the portable stable argsort then places
+        # outside every row's range, so validate() refuses the plan
+        # and the kernel never reads it.  Both sorts give bitwise
+        # identical plans (asserted by the kernel-parity tests).
+        sorted_rows = kernel.counting_sort_rows(
+            shape, kept_rows, kept_cols, kept_vals, index_dt)
+        if sorted_rows is None:
+            sorted_rows = kernel.stable_sort_rows(
+                shape, kept_rows, kept_cols, kept_vals, index_dt)
+        out_cols, out_vals, indptr = sorted_rows
         return cls(
             shape=shape,
             cols=out_cols,
             vals=out_vals,
-            seg_starts=seg_starts,
-            seg_rows=seg_rows,
+            indptr=indptr,
             digest=digest,
             source_nnz=int(source_nnz),
-            checksum=checksum,
+            checksum=plan_checksum(out_cols, out_vals, indptr, shape),
             build_ms=(time.perf_counter() - t0) * 1e3,
         )
 
@@ -452,8 +420,7 @@ class ExecutionPlan:
             {
                 "cols": self.cols,
                 "vals": self.vals,
-                "seg_starts": self.seg_starts,
-                "seg_rows": self.seg_rows,
+                "indptr": self.indptr,
             },
             {
                 "digest": self.digest,
@@ -485,8 +452,7 @@ class ExecutionPlan:
                 shape=(int(entry.meta["nrows"]), int(entry.meta["ncols"])),
                 cols=entry.arrays["cols"],
                 vals=entry.arrays["vals"],
-                seg_starts=entry.arrays["seg_starts"],
-                seg_rows=entry.arrays["seg_rows"],
+                indptr=entry.arrays["indptr"],
                 digest=str(entry.meta["digest"]),
                 source_nnz=int(entry.meta["source_nnz"]),
                 checksum=str(entry.meta["plan_checksum"]),
@@ -524,34 +490,23 @@ class ExecutionPlan:
 
     @property
     def n_segments(self) -> int:
-        """Non-empty output rows (segment count)."""
-        return int(self.seg_rows.size)
+        """Rows the kernel walks (``nrows``): the ``hi`` of a
+        whole-plan kernel call, which perfbench's bare-kernel timing
+        passes as ``backends.spmv(plan, indptr, x, out, 0,
+        plan.n_segments)``."""
+        return int(self.shape[0])
 
     @property
     def nbytes(self) -> int:
         """Resident size of the plan arrays."""
-        return int(
-            self.cols.nbytes
-            + self.vals.nbytes
-            + self.seg_starts.nbytes
-            + self.seg_rows.nbytes
-        )
-
-    def release_scratch(self) -> None:
-        """Drop the prepared row pointer and the auto-jobs pin.
-
-        The serving layer's plan registry calls this when it evicts a
-        plan under memory pressure: the dense row pointer is
-        ``nrows + 1`` indices, and a plan about to go cold must not
-        keep it resident.  The next dispatch transparently re-prepares.
-        """
-        self._scratch.clear()
+        return int(self.cols.nbytes + self.vals.nbytes
+                   + self.indptr.nbytes)
 
     def describe(self) -> str:
         """One-line summary for traces and CLI output."""
         return (
             f"plan[{self.shape[0]}x{self.shape[1]}]: "
-            f"{self.n_slots} slots over {self.n_segments} row segments, "
+            f"{self.n_slots} slots over {self.shape[0]} rows, "
             f"{self.cols.dtype.name}/{self.vals.dtype.name} layout, "
             f"{self.nbytes / 1e6:.1f} MB"
         )
@@ -570,24 +525,6 @@ class ExecutionPlan:
     def diagonal(self) -> np.ndarray:
         """The matrix diagonal (for Jacobi-style preconditioning)."""
         return kernel.plan_diagonal(self)
-
-    # ------------------------------------------------------------------
-    # kernel state (lazy, never persisted)
-    # ------------------------------------------------------------------
-
-    def _indptr(self) -> np.ndarray:
-        """The kernel's CSR row pointer for this plan, prepared once.
-
-        Computed on first dispatch (the software analogue of a device
-        upload) and kept in the plan's non-persisted scratch dict.
-        ``setdefault``: racing first calls agree on one array, so a
-        fault flipped into it reaches every later dispatch.
-        """
-        indptr = self._scratch.get("indptr")
-        if indptr is None:
-            indptr = self._scratch.setdefault("indptr",
-                                              kernel.prepare(self))
-        return indptr
 
     # ------------------------------------------------------------------
     # sharding
@@ -637,27 +574,23 @@ class ExecutionPlan:
         self._scratch["pinned_jobs"] = int(jobs)
 
     def shard_bounds(self, jobs: int) -> List[Tuple[int, int]]:
-        """Contiguous segment ranges of roughly equal slot count.
+        """Contiguous row ranges of roughly equal slot count.
 
-        The grid is a pure function of the plan and ``jobs``; tiny
-        plans collapse to one shard so thread dispatch never costs more
-        than it saves.
+        The grid is a pure function of the plan and ``jobs``: cuts
+        fall at the rows where ``indptr`` reaches each equal share of
+        the slots.  Tiny plans collapse to one shard so thread
+        dispatch never costs more than it saves.
         """
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if (
-            jobs == 1
-            or self.n_segments < 2
-            or self.n_slots < 2 * MIN_SHARD_SLOTS
-        ):
-            return [(0, self.n_segments)]
+        nrows = self.shape[0]
+        if jobs == 1 or nrows < 2 or self.n_slots < 2 * MIN_SHARD_SLOTS:
+            return [(0, nrows)]
         targets = (
             self.n_slots * np.arange(1, jobs, dtype=np.float64) / jobs
         )
-        cuts = np.searchsorted(self.seg_starts, targets)
-        bounds = np.unique(
-            np.concatenate(([0], cuts, [self.n_segments]))
-        )
+        cuts = np.searchsorted(self.indptr, targets)
+        bounds = np.unique(np.concatenate(([0], cuts, [nrows])))
         return [
             (int(bounds[i]), int(bounds[i + 1]))
             for i in range(bounds.size - 1)
@@ -667,45 +600,53 @@ class ExecutionPlan:
     # execution
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def _output(y: Optional[np.ndarray], shape: Tuple[int, ...],
+                name: str) -> np.ndarray:
+        """The kernel's output buffer: zeros, or a C-contiguous float64
+        copy of ``y`` that the kernel accumulates each row into."""
+        if y is None:
+            return np.zeros(shape, dtype=np.float64)
+        out = np.array(y, dtype=np.float64, order="C")
+        if out.shape != shape:
+            raise ValueError(
+                f"{name} of shape {out.shape} incompatible with {shape}"
+            )
+        return out
+
     def spmv(self, x: np.ndarray, y: Optional[np.ndarray] = None,
              jobs: Optional[int] = None) -> np.ndarray:
         """Execute ``y = A @ x + y`` through the compiled plan.
 
+        The kernel starts each row's sum from ``y[row]`` and adds the
+        row's terms left to right, the order of ``spmv_naive(x, y)``.
         ``jobs=None`` lets the slots-per-worker heuristic decide
-        (serial below ~8M slots); ``jobs=N`` forces N row-block shards
+        (serial below ~8M slots); ``jobs=N`` forces N row-range shards
         on the shared thread pool.  Every choice is bitwise identical:
-        shards write disjoint rows and the kernel accumulates each
-        segment left-to-right in the same order.
+        shards write disjoint rows and each row accumulates in the
+        same order.
         """
-        indptr = self._indptr()
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.shape[1],):
             raise ValueError(
                 f"x of shape {x.shape} incompatible with {self.shape}"
             )
-        out = np.zeros(self.shape[0], dtype=np.float64)
+        out = self._output(y, (self.shape[0],), "y")
         jobs_eff = self._auto_jobs() if jobs is None else int(jobs)
         shards = self.shard_bounds(jobs_eff)
         if len(shards) == 1:
-            self._run_shard(indptr, out, x, 0, self.n_segments)
+            self._run_shard(out, x, 0, self.shape[0])
         else:
             pool = _pool()
             _join_shards([
-                pool.submit(self._run_shard, indptr, out, x, lo, hi)
+                pool.submit(self._run_shard, out, x, lo, hi)
                 for lo, hi in shards
             ])
-        if y is not None:
-            y = np.asarray(y, dtype=np.float64)
-            if y.shape != out.shape:
-                raise ValueError(
-                    f"y of shape {y.shape} incompatible with {self.shape}"
-                )
-            out += y
         return out
 
-    def _run_shard(self, indptr: np.ndarray, out: np.ndarray,
-                   x: np.ndarray, lo: int, hi: int) -> None:
-        """Dispatch segments ``[lo, hi)`` to the kernel's spmv.
+    def _run_shard(self, out: np.ndarray, x: np.ndarray,
+                   lo: int, hi: int) -> None:
+        """Dispatch rows ``[lo, hi)`` to the kernel's spmv.
 
         The shard envelope: the fault hook fires first, empty shards
         return before the kernel runs, and the kernel sees only
@@ -716,7 +657,7 @@ class ExecutionPlan:
             hook(lo, hi)
         if lo >= hi:
             return
-        kernel.spmv(self, indptr, x, out, lo, hi)
+        kernel.spmv(self, self.indptr, x, out, lo, hi)
 
     def spmm(self, x_block: np.ndarray,
              y_block: Optional[np.ndarray] = None,
@@ -724,45 +665,37 @@ class ExecutionPlan:
              block_size: Optional[int] = None) -> np.ndarray:
         """Execute ``Y = A @ X + Y`` reusing the plan across vectors.
 
-        Vectors are processed in blocks (bounding scratch memory at
-        roughly ``SPMM_BLOCK_ELEMS`` float64 elements); within each
-        block the segment reduction is sharded exactly like
-        :meth:`spmv`, and every column accumulates in the same order as
-        a standalone :meth:`spmv` of that vector, so the result is
-        independent of ``jobs`` and bitwise column-equal to the
-        unbatched engine.
+        Vectors are processed in blocks (bounding each block's
+        ``slots x vectors`` work at roughly ``SPMM_BLOCK_ELEMS``);
+        within each block the rows are sharded exactly like
+        :meth:`spmv`, and every column accumulates from ``Y`` in the
+        same order as a standalone :meth:`spmv` of that vector, so the
+        result is independent of ``jobs`` and bitwise column-equal to
+        the unbatched engine and to ``spmm_naive``.
         """
-        indptr = self._indptr()
         x_block = np.ascontiguousarray(x_block, dtype=np.float64)
         if x_block.ndim != 2 or x_block.shape[0] != self.shape[1]:
             raise ValueError(
                 f"X of shape {x_block.shape} incompatible with "
                 f"{self.shape}"
             )
-        out = self._blocked_dispatch(indptr, x_block, jobs, block_size)
-        if y_block is not None:
-            y_block = np.asarray(y_block, dtype=np.float64)
-            if y_block.shape != out.shape:
-                raise ValueError(
-                    f"Y of shape {y_block.shape} incompatible with "
-                    f"{out.shape}"
-                )
-            out += y_block
+        out = self._output(y_block, (self.shape[0], x_block.shape[1]),
+                           "Y")
+        self._blocked_dispatch(out, x_block, jobs, block_size)
         return out
 
-    def _blocked_dispatch(self, indptr: np.ndarray,
-                          x_block: np.ndarray,
+    def _blocked_dispatch(self, out: np.ndarray, x_block: np.ndarray,
                           jobs: Optional[int],
-                          block_size: Optional[int]) -> np.ndarray:
+                          block_size: Optional[int]) -> None:
         """Shared block/shard driver for the multi-vector entry points.
 
         Slices the ``(ncols, n_vectors)`` input into contiguous vector
-        blocks, shards each block on the segment grid, and routes every
+        blocks, shards each block on the row grid, and routes every
         (block, shard) pair to the kernel's ``spmm`` via the
-        :meth:`_reduce_block` envelope (fault hook, empty-shard skip).
+        :meth:`_reduce_block` envelope (fault hook, empty-shard skip),
+        accumulating into ``out``.
         """
         n_vectors = x_block.shape[1]
-        out = np.zeros((self.shape[0], n_vectors), dtype=np.float64)
         if block_size is None:
             block_size = max(
                 1, SPMM_BLOCK_ELEMS // max(self.n_slots, 1)
@@ -775,22 +708,17 @@ class ExecutionPlan:
             # Contiguity only: x_block's dtype was pinned at entry.
             xb = np.ascontiguousarray(x_block[:, j0:j1])  # lint: allow(exec.implicit-dtype)
             if len(shards) == 1:
-                self._reduce_block(indptr, out, xb, j0, j1,
-                                   0, self.n_segments)
+                self._reduce_block(out, xb, j0, j1, 0, self.shape[0])
             else:
                 pool = _pool()
                 _join_shards([
-                    pool.submit(
-                        self._reduce_block, indptr, out, xb,
-                        j0, j1, lo, hi
-                    )
+                    pool.submit(self._reduce_block, out, xb, j0, j1,
+                                lo, hi)
                     for lo, hi in shards
                 ])
-        return out
 
-    def _reduce_block(self, indptr: np.ndarray, out: np.ndarray,
-                      xb: np.ndarray, j0: int, j1: int, lo: int,
-                      hi: int) -> None:
+    def _reduce_block(self, out: np.ndarray, xb: np.ndarray, j0: int,
+                      j1: int, lo: int, hi: int) -> None:
         """Dispatch one (vector block, shard) pair to the kernel.
 
         ``xb`` is the contiguous ``(ncols, j1 - j0)`` slice of the
@@ -802,7 +730,7 @@ class ExecutionPlan:
             hook(lo, hi)
         if lo >= hi:
             return
-        kernel.spmm(self, indptr, xb, out, j0, j1, lo, hi)
+        kernel.spmm(self, self.indptr, xb, out, j0, j1, lo, hi)
 
     def spmv_batch(self, xs: np.ndarray,
                    jobs: Optional[int] = None,
@@ -814,7 +742,6 @@ class ExecutionPlan:
         once per query; row ``i`` of the result is bitwise identical to
         ``spmv(xs[i])``.
         """
-        indptr = self._indptr()
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2 or xs.shape[1] != self.shape[1]:
             raise ValueError(
@@ -823,10 +750,11 @@ class ExecutionPlan:
             )
         if xs.shape[0] == 0:
             return np.zeros((0, self.shape[0]), dtype=np.float64)
+        yt = np.zeros((self.shape[0], xs.shape[0]), dtype=np.float64)
         # Contiguity only on both transposes: the dispatch pins the
         # value dtype itself and yt already carries the output dtype.
-        yt = self._blocked_dispatch(
-            indptr,
+        self._blocked_dispatch(
+            yt,
             np.ascontiguousarray(xs.T),  # lint: allow(exec.implicit-dtype)
             jobs, block_size,
         )

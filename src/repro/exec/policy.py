@@ -9,18 +9,20 @@ rules of :mod:`repro.verify` all call into it.
 :func:`plan_findings` checks four invariants, one rule each:
 
 ``index_width``
-    One supported index dtype across ``cols``/``seg_starts``/
-    ``seg_rows`` whose certificate covers the plan's extent, and every
-    gather index inside ``[0, ncols)``.
+    One supported index dtype across ``cols``/``indptr`` whose
+    certificate covers the plan's extent, and every gather index
+    inside ``[0, ncols)``.
 ``coverage``
-    Segments partition the slot stream into non-empty runs over
-    strictly increasing rows inside ``[0, nrows)``.
+    The row pointer partitions the slot stream into the matrix's
+    rows: ``nrows + 1`` entries, ``indptr[0] == 0``, non-decreasing,
+    ``indptr[-1] == n_slots`` — so every slot is reduced into exactly
+    one row and the kernel reads no slot past the arrays.
 ``values``
     A supported value dtype, one value per gather index, all finite.
 ``checksum``
     :func:`plan_checksum` still equals the build-time checksum.
 
-Witnesses (``cols[i]``, ``seg_rows[i]``) are located only after a rule
+Witnesses (``cols[i]``, ``indptr[i]``) are located only after a rule
 found a violation; the clean path is a min/max, a ``diff`` or a sum
 per array plus the checksum.
 """
@@ -61,8 +63,8 @@ class IndexWidthCertificate:
     capacity:
         Largest value the dtype represents.
     extent:
-        ``max(nrows, ncols, n_slots)`` — ``seg_starts`` holds offsets
-        up to ``n_slots``, so the slot count competes with the shape.
+        ``max(nrows, ncols, n_slots)`` — ``indptr`` holds offsets up
+        to ``n_slots``, so the slot count competes with the shape.
     safe:
         Whether every derivable index fits the dtype.
     headroom:
@@ -149,13 +151,12 @@ def check_layout(index: Any, shape: Tuple[int, int],
 
 
 def plan_checksum(cols: np.ndarray, vals: np.ndarray,
-                  seg_starts: np.ndarray, seg_rows: np.ndarray,
-                  shape: Tuple[int, int]) -> str:
+                  indptr: np.ndarray, shape: Tuple[int, int]) -> str:
     """SHA-256 over a plan's executable arrays *and their dtypes*.
 
     Computed once at build time and carried on the plan; re-computing
     it (the ``checksum`` invariant) catches any post-build corruption
-    of the gather indices, values or segment pointers.  The dtype tags
+    of the gather indices, values or row pointer.  The dtype tags
     make an int32 plan and an int64 plan of the same stream distinct
     artifacts — a cache load can never silently up- or down-cast
     without tripping validation.
@@ -165,12 +166,11 @@ def plan_checksum(cols: np.ndarray, vals: np.ndarray,
         repr(
             (
                 (int(shape[0]), int(shape[1])),
-                (cols.dtype.str, vals.dtype.str,
-                 seg_starts.dtype.str, seg_rows.dtype.str),
+                (cols.dtype.str, vals.dtype.str, indptr.dtype.str),
             )
         ).encode()
     )
-    for arr in (cols, vals, seg_starts, seg_rows):
+    for arr in (cols, vals, indptr):
         # Hash through the buffer protocol — same bytes as tobytes()
         # for a C-contiguous array, without materializing a copy.  The
         # checksum must hash each array in its own dtype.
@@ -183,7 +183,7 @@ class Finding:
     """One violated invariant of the plan contract.
 
     ``invariant`` is one of :data:`INVARIANTS`; ``witness`` names the
-    culprit (``"cols[17]"``, ``"seg_rows[3]"``, or ``"dtype"``/
+    culprit (``"cols[17]"``, ``"indptr[3]"``, or ``"dtype"``/
     ``"shape"`` for a whole array) and ``value`` the offending entry.
     """
 
@@ -199,14 +199,11 @@ def _index_width(plan: Any) -> Optional[Finding]:
     if cols.dtype not in INDEX_DTYPES:
         return Finding(oid, f"unsupported index dtype {cols.dtype.name}",
                        "dtype")
-    if plan.seg_starts.dtype != cols.dtype or (
-        plan.seg_rows.dtype != cols.dtype
-    ):
+    if plan.indptr.dtype != cols.dtype:
         return Finding(
             oid,
             f"index arrays disagree on width: cols={cols.dtype.name}, "
-            f"seg_starts={plan.seg_starts.dtype.name}, "
-            f"seg_rows={plan.seg_rows.dtype.name}",
+            f"indptr={plan.indptr.dtype.name}",
             "dtype",
         )
     cert = certify_index_width(plan.shape, plan.n_slots, cols.dtype)
@@ -231,65 +228,39 @@ def _index_width(plan: Any) -> Optional[Finding]:
 
 def _coverage(plan: Any) -> Optional[Finding]:
     oid = "coverage"
-    starts = plan.seg_starts
-    rows = plan.seg_rows
+    indptr = plan.indptr
     n_slots = plan.n_slots
     nrows = int(plan.shape[0])
-    if starts.ndim != 1 or starts.shape != rows.shape:
+    if indptr.shape != (nrows + 1,):
         return Finding(
             oid,
-            f"seg_starts/seg_rows shape mismatch: {starts.shape} vs "
-            f"{rows.shape}",
+            f"row pointer of shape {indptr.shape}, expected "
+            f"({nrows + 1},) for {nrows} rows",
             "shape",
         )
-    n_segments = int(starts.size)
-    if n_segments == 0:
-        if n_slots:
-            return Finding(
-                oid,
-                f"{n_slots} slots but no segments to reduce them",
-                "seg_starts",
-            )
-        return None
-    if int(starts[0]) != 0:
+    if int(indptr[0]) != 0:
         return Finding(
             oid,
-            f"first segment starts at {int(starts[0])}, expected 0: "
+            f"row pointer starts at {int(indptr[0])}, expected 0: "
             "slots before it would never be reduced",
-            "seg_starts[0]", int(starts[0]),
+            "indptr[0]", int(indptr[0]),
         )
-    if n_segments > 1:
-        steps = np.diff(starts)
-        if int(steps.min()) <= 0:
-            i = int(np.flatnonzero(steps <= 0)[0]) + 1
+    if nrows > 1:
+        steps = np.diff(indptr)
+        if int(steps.min()) < 0:
+            i = int(np.flatnonzero(steps < 0)[0]) + 1
             return Finding(
                 oid,
-                "segment pointers not strictly increasing: segments "
-                "overlap or run empty",
-                f"seg_starts[{i}]", int(starts[i]),
+                "row pointer decreases: rows overlap or run backwards",
+                f"indptr[{i}]", int(indptr[i]),
             )
-    if int(starts[-1]) >= n_slots:
+    if int(indptr[-1]) != n_slots:
         return Finding(
             oid,
-            f"last segment starts at {int(starts[-1])}, past the "
-            f"{n_slots}-slot stream (empty segment)",
-            f"seg_starts[{n_segments - 1}]", int(starts[-1]),
-        )
-    if n_segments > 1:
-        steps = np.diff(rows)
-        if int(steps.min()) <= 0:
-            i = int(np.flatnonzero(steps <= 0)[0]) + 1
-            return Finding(
-                oid,
-                "segment rows not strictly increasing: a row would be "
-                "written twice (or rows out of order)",
-                f"seg_rows[{i}]", int(rows[i]),
-            )
-    if int(rows[0]) < 0 or int(rows[-1]) >= nrows:
-        i = 0 if int(rows[0]) < 0 else n_segments - 1
-        return Finding(
-            oid, f"segment rows outside [0, {nrows})",
-            f"seg_rows[{i}]", int(rows[i]),
+            f"row pointer ends at {int(indptr[-1])}, expected the "
+            f"{n_slots}-slot stream: slots would be skipped or read "
+            "past the arrays",
+            f"indptr[{nrows}]", int(indptr[-1]),
         )
     return None
 
@@ -320,7 +291,7 @@ def _values(plan: Any) -> Optional[Finding]:
 
 def _checksum(plan: Any) -> Optional[Finding]:
     if plan.checksum and plan.checksum != plan_checksum(
-        plan.cols, plan.vals, plan.seg_starts, plan.seg_rows, plan.shape
+        plan.cols, plan.vals, plan.indptr, plan.shape
     ):
         return Finding(
             "checksum",

@@ -525,7 +525,7 @@ class PlanPass(CompilerPass):
 
     Builds the encoded matrix's
     :class:`~repro.exec.plan.ExecutionPlan` (expand once, drop padding,
-    sort by output row, precompute segment boundaries) so the program
+    sort by output row into CSR) so the program
     ships ready for the CSR kernel.  Cache entries are keyed through
     the normal chain key and additionally carry the stream digest; a
     stale entry (any stored array changed) is rejected and recompiled.

@@ -48,8 +48,7 @@ class FaultRecord:
     ----------
     surface:
         Which layer was hit: ``stream``, ``value``, ``plan``,
-        ``backend`` (the kernel's prepared row pointer), ``cache``,
-        ``image`` or ``worker``.
+        ``cache``, ``image`` or ``worker``.
     mode:
         The corruption applied (``bitflip``, ``truncate``, ``zero``,
         ``garbage``, ``kill``, ``stall``, ``delay``).
@@ -129,14 +128,16 @@ class FaultInjector:
     # -- plan faults ---------------------------------------------------
 
     def flip_plan_array(self, plan: Any) -> FaultRecord:
-        """Flip one bit in one of the plan's executable arrays.
+        """Flip one bit in one of the arrays the kernel reads.
 
-        Itemsize-aware: the array is viewed as raw bytes, so every bit
-        of a compact int32 index array is as reachable as an int64 or
-        float64 word — no dtype is excluded from the fault surface.
+        The pick is among ``cols``, ``vals`` and the row pointer
+        ``indptr``.  Itemsize-aware: the array is viewed as raw bytes,
+        so every bit of a compact int32 index array is as reachable as
+        an int64 or float64 word — no dtype is excluded from the fault
+        surface.
         """
         candidates = [
-            name for name in ("cols", "vals", "seg_starts", "seg_rows")
+            name for name in ("cols", "vals", "indptr")
             if getattr(plan, name).size
         ]
         name = candidates[int(self.rng.integers(0, len(candidates)))]
@@ -150,31 +151,6 @@ class FaultInjector:
             location=f"{name} byte {byte} bit {bit} "
                      f"({arr.dtype.name})",
             details={"array": name, "byte": byte, "bit": bit,
-                     "dtype": arr.dtype.name},
-        )
-
-    # -- backend-state faults ------------------------------------------
-
-    def flip_backend_state(self, plan: Any) -> FaultRecord:
-        """Flip one bit in the kernel's *prepared* CSR row pointer.
-
-        The kernel derives a dense row pointer from the plan once, on
-        first dispatch; this hits that prepared surface rather than the
-        plan's own arrays, modeling corruption of scratch the guard's
-        checksum never covers.  The row pointer is materialized through
-        the plan (so the flip lands in exactly the array a later
-        dispatch consumes) and cleared by ``plan.release_scratch()``.
-        """
-        arr = plan._indptr()
-        flat = arr.reshape(-1).view(np.uint8)
-        byte = int(self.rng.integers(0, flat.size))
-        bit = int(self.rng.integers(0, 8))
-        flat[byte] ^= np.uint8(1 << bit)
-        return FaultRecord(
-            surface="backend", mode="bitflip",
-            location=f"indptr byte {byte} bit {bit} "
-                     f"({arr.dtype.name})",
-            details={"array": "indptr", "byte": byte, "bit": bit,
                      "dtype": arr.dtype.name},
         )
 

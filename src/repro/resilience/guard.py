@@ -134,8 +134,8 @@ class GuardConfig:
     """
 
     #: Validate a newly acquired plan before its first dispatch (the
-    #: plan contract of :mod:`repro.exec.policy`: index width, segment
-    #: coverage, finite values, checksum).
+    #: plan contract of :mod:`repro.exec.policy`: index width,
+    #: row-pointer coverage, finite values, checksum).
     validate_plan: bool = True
     #: Re-pin the stream digest every N-th call (0 = only at guard
     #: creation and on rebuilds; digesting the stream is O(stream)).
@@ -218,8 +218,8 @@ class RowOracle:
     Built once per guard from the stream's expansion — the same path
     :meth:`~repro.core.format.SpasmMatrix.spmv_naive` executes — and
     therefore independent of every plan array.  ``mismatches`` checks
-    a computed output vector against ``sum(vals * x[cols])`` per
-    sampled row.
+    a computed output vector against ``sum(vals * x[cols]) + y[row]``
+    per sampled row.
     """
 
     def __init__(self, rows: np.ndarray,
@@ -242,13 +242,16 @@ class RowOracle:
             slices.append((exp_cols[sel], exp_vals[sel]))
         return cls(rows=rows, slices=slices)
 
-    def mismatches(self, x: np.ndarray,
-                   y: np.ndarray) -> List[int]:
-        """Sampled rows where ``y`` diverges from the reference."""
+    def mismatches(self, x: np.ndarray, out: np.ndarray,
+                   y: Optional[np.ndarray] = None) -> List[int]:
+        """Sampled rows where ``out`` diverges from the reference
+        ``A @ x + y``."""
         bad: List[int] = []
         for row, (cols, vals) in zip(self.rows, self.slices):
             expected = float(np.dot(vals, x[cols]))
-            if not np.isclose(y[row], expected,
+            if y is not None:
+                expected += float(y[row])
+            if not np.isclose(out[row], expected,
                               rtol=1e-9, atol=1e-12):
                 bad.append(int(row))
         return bad
@@ -380,17 +383,17 @@ class ExecutionGuard:
         return plan
 
     def _checked_output(self, plan: Any, x: np.ndarray,
-                        jobs: Optional[int], attempt: int,
-                        ) -> Optional[np.ndarray]:
+                        y: Optional[np.ndarray], jobs: Optional[int],
+                        attempt: int) -> Optional[np.ndarray]:
         """Run the plan and cross-check sampled rows; ``None`` on a
         divergence (the plan is dropped for rebuild)."""
-        out = plan.spmv(x, jobs=jobs)
+        out = plan.spmv(x, y=y, jobs=jobs)
         if self._due(self.config.check_interval):
             if self._oracle is None:
                 self._oracle = RowOracle.build(
                     self.spasm, self._oracle_rows()
                 )
-            bad = self._oracle.mismatches(x, out)
+            bad = self._oracle.mismatches(x, out, y)
             if bad:
                 self.log.record(ResilienceEvent(
                     kind="detect", surface="output", action="rebuild",
@@ -404,18 +407,6 @@ class ExecutionGuard:
                 return None
         return out
 
-    def _add_y(self, out: np.ndarray,
-               y: Optional[np.ndarray]) -> np.ndarray:
-        if y is None:
-            return out
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != out.shape:
-            raise ValueError(
-                f"y of shape {y.shape} incompatible with "
-                f"{self.spasm.shape}"
-            )
-        return out + y
-
     # -- public API ----------------------------------------------------
 
     def spmv(self, x: np.ndarray, y: Optional[np.ndarray] = None,
@@ -424,7 +415,9 @@ class ExecutionGuard:
         """Guarded ``y = A @ x + y``.
 
         Semantics match :meth:`ExecutionPlan.spmv` exactly on the
-        clean path (bitwise, including sharding determinism).  On a
+        clean path (bitwise, including sharding determinism), and the
+        naive fallback answers with the same bits: both accumulate
+        each row's terms into ``y`` in stream order.  On a
         detected fault the call recovers through rebuild/retry, then
         the naive engine; it raises :class:`IntegrityError` only when the pinned
         stream itself is corrupt.  ``deadline`` (any object with
@@ -439,6 +432,13 @@ class ExecutionGuard:
                 f"x of shape {x.shape} incompatible with "
                 f"{self.spasm.shape}"
             )
+        if y is not None:
+            y = np.asarray(y, dtype=np.float64)
+            if y.shape != (self.spasm.shape[0],):
+                raise ValueError(
+                    f"y of shape {y.shape} incompatible with "
+                    f"{self.spasm.shape}"
+                )
         self._calls += 1
         budget = _RetryBudget(self.config.backoff_s,
                               self.config.max_retry_wall_s, deadline)
@@ -462,7 +462,7 @@ class ExecutionGuard:
             if plan is None:
                 continue
             try:
-                out = self._checked_output(plan, x, jobs, attempt)
+                out = self._checked_output(plan, x, y, jobs, attempt)
             except IntegrityError:
                 raise
             except Exception as exc:
@@ -473,7 +473,7 @@ class ExecutionGuard:
                 ))
                 continue
             if out is not None:
-                return self._add_y(out, y)
+                return out
         # Out of attempts: the plan engine cannot be trusted.
         if not self.config.fallback:
             self.log.record(ResilienceEvent(

@@ -302,9 +302,6 @@ class PlanRegistry:
 
     def _make_cold(self, entry: PlanEntry) -> None:
         """Drop an entry's resident execution state."""
-        plan = entry.spasm.__dict__.get("_plan")
-        if plan is not None:
-            plan.release_scratch()
         entry.spasm._plan = None
         entry.guard = None
         entry.hot = False

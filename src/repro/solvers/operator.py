@@ -74,8 +74,8 @@ def as_operator(source, jobs: int = 1) -> LinearOperator:
     (COO/CSR/...), a :class:`SpasmMatrix`, a compiled
     :class:`ExecutionPlan`, a compiled :class:`SpasmProgram`, or a
     dense 2-D ndarray.  SPASM sources compile their execution plan
-    *once* here, so every solver iteration is a plain gather +
-    segment-reduce; ``jobs`` shards each matvec on a thread pool.
+    *once* here, so every solver iteration is one CSR matvec over the
+    plan arrays; ``jobs`` shards each matvec on a thread pool.
     """
     if isinstance(source, LinearOperator):
         return source

@@ -12,9 +12,10 @@ single SpMV, what every dispatch relies on:
     pre-dispatch check cannot disagree.  The certified index bound
     itself is :func:`repro.exec.policy.certify_index_width`.
 ``plan.shards``
-    Row-block shard grids have disjoint write sets for every worker
-    count of :data:`DEFAULT_JOBS_GRID` plus the plan's own auto pick,
-    so ``spmv(jobs=N)`` is bitwise deterministic by construction.
+    Shard grids are contiguous row ranges covering ``[0, nrows)``
+    exactly once for every worker count of :data:`DEFAULT_JOBS_GRID`
+    plus the plan's own auto pick, so shards have disjoint write sets
+    and ``spmv(jobs=N)`` is bitwise deterministic by construction.
 
 The one kernel takes every layout the contract admits (int32/int64
 indices, float64 values), so no rule checks kernel choice.
@@ -53,8 +54,8 @@ class _ContractRule(Rule):
 class IndexWidth(_ContractRule):
     rule_id = "plan.index_width"
     invariant = "index_width"
-    title = ("every gather/scatter index and segment offset fits the "
-             "plan's index dtype and stays in range")
+    title = ("every gather index and row offset fits the plan's "
+             "index dtype and stays in range")
     paper = "host plan (certified int32/int64 layout)"
 
 
@@ -62,8 +63,8 @@ class IndexWidth(_ContractRule):
 class Coverage(_ContractRule):
     rule_id = "plan.coverage"
     invariant = "coverage"
-    title = ("segments partition the slot stream into non-empty runs "
-             "over strictly increasing rows: each row written once")
+    title = ("the row pointer partitions the slot stream into the "
+             "matrix's rows: each slot reduced into exactly one row")
     paper = "host plan (write-exactly-once reduction)"
 
 
@@ -71,45 +72,38 @@ class Coverage(_ContractRule):
 class ShardDisjointness(Rule):
     rule_id = "plan.shards"
     kinds = (KIND_PLAN,)
-    title = ("row-block shards cover every segment once with disjoint "
-             "row intervals, for every worker count")
+    title = ("row-range shards are contiguous and cover every row "
+             "once, for every worker count")
     paper = "host plan (jobs=N bitwise determinism)"
     requires = ("plan",)
 
     def check(self, ctx: VerifyContext) -> Iterator[Diagnostic]:
         plan = ctx.plan
-        n_segments = plan.n_segments
-        rows = plan.seg_rows
+        nrows = int(plan.shape[0])
         for jobs in sorted(set(DEFAULT_JOBS_GRID) | {plan._auto_jobs()}):
             bounds = plan.shard_bounds(jobs)
-            if bounds[0][0] != 0 or bounds[-1][1] != n_segments:
+            if bounds[0][0] != 0 or bounds[-1][1] != nrows:
                 yield self.diag(
                     f"jobs={jobs}: shard grid {bounds[0][0]}.."
-                    f"{bounds[-1][1]} does not cover all {n_segments} "
-                    "segments",
+                    f"{bounds[-1][1]} does not cover all {nrows} rows",
                     jobs=jobs,
                 )
                 return
             for i in range(1, len(bounds)):
-                lo_prev, hi_prev = bounds[i - 1]
-                lo, hi = bounds[i]
-                if lo != hi_prev:
+                hi_prev = bounds[i - 1][1]
+                lo = bounds[i][0]
+                if lo < hi_prev:
                     yield self.diag(
-                        f"jobs={jobs}: shard {i} starts at segment {lo} "
-                        f"but shard {i - 1} ended at {hi_prev} (gap or "
-                        "overlap)",
-                        jobs=jobs, shard=i,
+                        f"jobs={jobs}: shard {i} starts at row {lo} "
+                        f"inside shard {i - 1} (ends at {hi_prev}): "
+                        "overlapping write sets race",
+                        jobs=jobs, shard=i, rows=[lo, hi_prev],
                     )
                     return
-                if hi_prev == lo_prev or lo == hi:
-                    continue  # an empty shard writes nothing
-                last_prev = int(rows[hi_prev - 1])
-                first = int(rows[lo])
-                if first <= last_prev:
+                if lo > hi_prev:
                     yield self.diag(
-                        f"jobs={jobs}: shard {i - 1} writes rows up to "
-                        f"{last_prev} while shard {i} starts at row "
-                        f"{first}: overlapping write sets race",
-                        jobs=jobs, shard=i, rows=[last_prev, first],
+                        f"jobs={jobs}: rows {hi_prev}..{lo} fall in a "
+                        f"gap between shards {i - 1} and {i}",
+                        jobs=jobs, shard=i, rows=[hi_prev, lo],
                     )
                     return

@@ -54,8 +54,7 @@ def mutable_plan(program):
         base,
         cols=base.cols.copy(),
         vals=base.vals.copy(),
-        seg_starts=base.seg_starts.copy(),
-        seg_rows=base.seg_rows.copy(),
+        indptr=base.indptr.copy(),
     )
 
 
@@ -68,8 +67,7 @@ def with_checksum(plan):
     return dataclasses.replace(
         plan,
         checksum=plan_checksum(
-            plan.cols, plan.vals, plan.seg_starts, plan.seg_rows,
-            plan.shape,
+            plan.cols, plan.vals, plan.indptr, plan.shape,
         ),
     )
 
@@ -109,8 +107,7 @@ class TestCleanProofs:
         asked = []
 
         class Recording:
-            n_segments = plan.n_segments
-            seg_rows = plan.seg_rows
+            shape = plan.shape
 
             def _auto_jobs(self):
                 return 5
@@ -202,17 +199,17 @@ class TestFaultRefutation:
     """Seeded bit flips produce refutations with pinpointed witnesses.
 
     The seeds are pinned: ``FaultInjector`` is deterministic, so seed 0
-    always lands in ``seg_rows`` (a coverage violation) and seed 11 in
+    always lands in ``indptr`` (a coverage violation) and seed 11 in
     ``cols`` (an out-of-range gather index) for this workload.
     """
 
     def test_seed0_refutes_coverage(self, program):
         plan = mutable_plan(program)
         record = FaultInjector(0).flip_plan_array(plan)
-        assert record.location.startswith("seg_rows")
+        assert record.location.startswith("indptr")
         report = verify_plan(with_checksum(plan))
         d = refutation(report, "plan.coverage")
-        assert re.search(r"seg_rows\[\d+\]", d.details["witness"])
+        assert re.search(r"indptr\[\d+\]", d.details["witness"])
         assert not report.ok
 
     def test_seed11_refutes_index_width(self, program):
@@ -237,11 +234,14 @@ class TestFaultRefutation:
         assert not report.ok
         assert refutation(report, "plan.coverage").details["witness"]
 
-    def test_constant_seg_rows_refute_coverage(self, program):
+    def test_constant_row_pointer_refutes_coverage(self, program):
+        """A row pointer stuck at 0 puts every slot outside every
+        row: the kernel would skip the whole stream."""
         plan = mutable_plan(program)
-        plan.seg_rows[:] = 0
+        plan.indptr[:] = 0
         d = refutation(verify_plan(with_checksum(plan)), "plan.coverage")
-        assert "written twice" in d.message
+        assert "slots would be skipped" in d.message
+        assert d.details["witness"] == f"indptr[{plan.shape[0]}]"
 
     def test_overlapping_shards_refute(self):
         """The shard rule catches write-set races per jobs count
@@ -249,15 +249,14 @@ class TestFaultRefutation:
         shard, which is trivially race-free)."""
 
         class Sharded:
-            n_segments = 4
-            seg_rows = np.array([0, 1, 1, 2])
+            shape = (4, 4)
 
             def _auto_jobs(self):
                 return 1
 
             def shard_bounds(self, jobs):
                 return (
-                    [(0, 4)] if jobs == 1 else [(0, 2), (2, 4)]
+                    [(0, 4)] if jobs == 1 else [(0, 3), (2, 4)]
                 )
 
         [d] = check_shards(Sharded())
@@ -266,8 +265,7 @@ class TestFaultRefutation:
 
     def test_shard_gap_refutes(self):
         class Gapped:
-            n_segments = 4
-            seg_rows = np.array([0, 1, 2, 3])
+            shape = (4, 4)
 
             def _auto_jobs(self):
                 return 2
@@ -276,12 +274,13 @@ class TestFaultRefutation:
                 return [(0, 4)] if jobs == 1 else [(0, 2), (3, 4)]
 
         [d] = check_shards(Gapped())
-        assert "gap or overlap" in d.message
+        assert "gap between shards 0 and 1" in d.message
+        assert d.details["rows"] == [2, 3]
 
     def test_mixed_index_dtypes_refute(self, program):
         base = program.plan
         mixed = dataclasses.replace(
-            base, seg_rows=base.seg_rows.astype(np.int64)
+            base, indptr=base.indptr.astype(np.int64)
         )
         d = refutation(verify_plan(mixed), "plan.index_width")
         assert "disagree on width" in d.message
@@ -313,7 +312,7 @@ def _set(name, index, value):
     return corrupt
 
 
-def _retype(dtype, names=("cols", "seg_starts", "seg_rows")):
+def _retype(dtype, names=("cols", "indptr")):
     def corrupt(plan):
         return dataclasses.replace(plan, **{
             name: getattr(plan, name).astype(dtype) for name in names
@@ -322,21 +321,24 @@ def _retype(dtype, names=("cols", "seg_starts", "seg_rows")):
 
 
 def _reverse_first_rows(plan):
-    rows = plan.seg_rows.copy()
-    rows[:2] = rows[:2][::-1]
-    return dataclasses.replace(plan, seg_rows=rows)
+    """Swap the first two distinct row offsets past row 0: the pointer
+    runs backwards there."""
+    indptr = plan.indptr.copy()
+    i = 1 + int(np.flatnonzero(np.diff(indptr[1:]) > 0)[0])
+    indptr[i], indptr[i + 1] = indptr[i + 1], indptr[i]
+    return dataclasses.replace(plan, indptr=indptr)
 
 
 def _empty_trailing_segment(plan):
-    """Drop the last segment's slots but keep the segment."""
-    cut = int(plan.seg_starts[-1])
+    """Drop the last non-empty row's slots but keep its offsets."""
+    cut = int(plan.indptr[np.flatnonzero(np.diff(plan.indptr))[-1]])
     return dataclasses.replace(plan, cols=plan.cols[:cut].copy(),
                                vals=plan.vals[:cut].copy())
 
 
 def _no_segments(plan):
-    return dataclasses.replace(plan, seg_starts=plan.seg_starts[:0],
-                               seg_rows=plan.seg_rows[:0])
+    """Slots, but a row pointer that gives no row any of them."""
+    return dataclasses.replace(plan, indptr=np.zeros_like(plan.indptr))
 
 
 def _stale_checksum(plan):
@@ -349,22 +351,22 @@ def _stale_checksum(plan):
 #: case but ``checksum`` is made checksum-consistent, so only the
 #: structural rules of the plan contract can reject it.
 CORRUPTIONS = [
-    ("mixed_index_dtypes", _retype(np.int64, ("seg_rows",)),
+    ("mixed_index_dtypes", _retype(np.int64, ("indptr",)),
      "index_width", r"dtype"),
     ("int16_indices", _retype(np.int16), "index_width", r"dtype"),
     ("cols_out_of_range", _set("cols", 5, lambda p: p.shape[1]),
      "index_width", r"cols\[5\]"),
-    ("first_start_nonzero", _set("seg_starts", 0, 1),
-     "coverage", r"seg_starts\[0\]"),
+    ("first_start_nonzero", _set("indptr", 0, 1),
+     "coverage", r"indptr\[0\]"),
     ("starts_not_increasing",
-     _set("seg_starts", 2, lambda p: p.seg_starts[1]),
-     "coverage", r"seg_starts\[2\]"),
-    ("reversed_rows", _reverse_first_rows, "coverage", r"seg_rows\[1\]"),
-    ("rows_past_nrows", _set("seg_rows", -1, lambda p: p.shape[0]),
-     "coverage", r"seg_rows\[\d+\]"),
+     _set("indptr", 2, lambda p: p.indptr[1] - 1),
+     "coverage", r"indptr\[2\]"),
+    ("reversed_rows", _reverse_first_rows, "coverage", r"indptr\[\d+\]"),
+    ("rows_past_nrows", _set("indptr", -1, lambda p: p.n_slots - 1),
+     "coverage", r"indptr\[\d+\]"),
     ("empty_trailing_segment", _empty_trailing_segment,
-     "coverage", r"seg_starts\[\d+\]"),
-    ("slots_without_segments", _no_segments, "coverage", r"seg_starts"),
+     "coverage", r"indptr\[\d+\]"),
+    ("slots_without_segments", _no_segments, "coverage", r"indptr\[\d+\]"),
     ("nan_value", _set("vals", 3, np.nan), "values", None),
     ("checksum_mismatch", _stale_checksum, "checksum", None),
 ]
@@ -420,15 +422,15 @@ class TestPlanContract:
         assert detections and problems[0] in detections[0].detail
 
     def test_zero_slot_segment_rejected_everywhere(self):
-        """One segment over zero slots is an empty segment: every
-        surface rejects it, while no slots and no segments is clean."""
+        """A row pointer that gives a row a slot the plan does not
+        hold makes the kernel read past the arrays: every surface
+        rejects it, while empty rows over no slots are clean."""
 
-        def plan_of(starts, rows):
+        def plan_of(indptr):
             empty = np.zeros(0, dtype=np.int32)
             arrays = dict(
                 cols=empty, vals=np.zeros(0),
-                seg_starts=np.array(starts, dtype=np.int32),
-                seg_rows=np.array(rows, dtype=np.int32),
+                indptr=np.array(indptr, dtype=np.int32),
             )
             return ExecutionPlan(
                 shape=(3, 3), digest="x" * 64, source_nnz=0,
@@ -436,11 +438,11 @@ class TestPlanContract:
                 **arrays,
             )
 
-        bad = plan_of([0], [1])
+        bad = plan_of([0, 0, 1, 1])
         assert bad.validate()
         assert refutation(verify_plan(bad), "plan.coverage")
 
-        empty = plan_of([], [])
+        empty = plan_of([0, 0, 0, 0])
         assert empty.validate() == []
         assert verify_plan(empty).diagnostics == []
 
@@ -450,4 +452,5 @@ class TestPlanContract:
             (3, 3), rows, rows, np.zeros(3), digest="x" * 64,
             source_nnz=0,
         )
-        assert zeros.n_segments == 0 and zeros.validate() == []
+        assert np.array_equal(zeros.indptr, np.zeros(4))
+        assert zeros.validate() == []

@@ -5,9 +5,12 @@ The acceptance gate: int32 and int64 index plans give ``spmv``/
 re-expansion engine, serial and sharded, with and without ``y``
 accumulation.  Dispatch really reaches the compiled kernel for both
 index widths; the guard's fallback ladder survives a kernel that
-always fails; and prepared-state fault injection reaches the row
-pointer the kernel reads.
+always fails, answering with the clean path's bits; and plan faults
+reach the row pointer the kernel reads, where ``validate()`` sees
+them before the kernel does.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ import repro.exec.plan as plan_mod
 from repro.core import candidate_portfolios, encode_spasm
 from repro.exec import ExecutionPlan, backends, get_backend
 from repro.resilience import (
+    CAMPAIGN_GUARD,
     ExecutionGuard,
     FaultInjector,
     GuardConfig,
@@ -43,6 +47,20 @@ def spy(monkeypatch, name):
     return calls
 
 
+def pointer_spy(monkeypatch):
+    """Wrap ``csr_matvec``, recording a copy of the row pointer each
+    call reads."""
+    seen = []
+    real = backends.csr_matvec
+
+    def wrapper(*args):
+        seen.append(args[2].copy())
+        return real(*args)
+
+    monkeypatch.setattr(backends, "csr_matvec", wrapper)
+    return seen
+
+
 # -- bitwise parity against the naive engine ---------------------------
 
 
@@ -68,13 +86,13 @@ class TestBitwiseParity:
 
             assert np.array_equal(plan.spmv(x, jobs=jobs),
                                   spasm.spmv_naive(x))
-            # The plan adds y after the row sums: (A @ x) + y.
+            # Each row's sum starts from y, as in the naive scatter.
             assert np.array_equal(plan.spmv(x, y=y, jobs=jobs),
-                                  spasm.spmv_naive(x) + y)
+                                  spasm.spmv_naive(x, y))
             assert np.array_equal(plan.spmm(xb, jobs=jobs),
                                   spasm.spmm_naive(xb))
             assert np.array_equal(plan.spmm(xb, yb, jobs=jobs),
-                                  spasm.spmm_naive(xb) + yb)
+                                  spasm.spmm_naive(xb, yb))
             assert np.array_equal(
                 plan.spmv_batch(xs, jobs=jobs),
                 np.stack([spasm.spmv_naive(row) for row in xs]),
@@ -146,6 +164,30 @@ class TestGuardWithFailingBackend:
         assert np.array_equal(out, expected)
         assert any(e.action == "fallback" for e in guard.log.events)
 
+    def test_fallback_with_y_matches_clean_path(self, rng,
+                                                monkeypatch):
+        """The naive fallback and the clean plan path accumulate y in
+        one order, so a guarded call answers with the same bits
+        whichever engine served it."""
+        spasm = encode(random_structured_coo(rng, 64))
+        nrows, ncols = spasm.shape
+        x, y = rng.random(ncols), rng.random(nrows)
+        xb, yb = rng.random((ncols, 3)), rng.random((nrows, 3))
+        clean = ExecutionGuard(spasm)
+        want, want_block = clean.spmv(x, y), clean.spmm(xb, yb)
+        assert len(clean.log) == 0
+
+        def fail(*args):
+            raise RuntimeError("injected kernel failure")
+
+        monkeypatch.setattr(backends, "spmv", fail)
+        monkeypatch.setattr(backends, "spmm", fail)
+        spasm._plan = None
+        guard = ExecutionGuard(spasm, config=GuardConfig(backoff_s=0.0))
+        assert np.array_equal(guard.spmv(x, y), want)
+        assert np.array_equal(guard.spmm(xb, yb), want_block)
+        assert sum(e.action == "fallback" for e in guard.log.events) == 2
+
     def test_clean_backend_logs_no_incidents(self, rng):
         spasm = encode(random_structured_coo(rng, 64))
         x = np.random.default_rng(9).random(spasm.shape[1])
@@ -155,54 +197,136 @@ class TestGuardWithFailingBackend:
         assert len(guard.log) == 0
 
 
-# -- prepared-state fault injection ------------------------------------
+# -- row-pointer faults -------------------------------------------------
+
+
+def flipped_copy(plan, seed):
+    """A copy of ``plan`` with one ``flip_plan_array`` flip applied."""
+    mutant = dataclasses.replace(plan, cols=plan.cols.copy(),
+                                 vals=plan.vals.copy(),
+                                 indptr=plan.indptr.copy())
+    return mutant, FaultInjector(seed=seed).flip_plan_array(mutant)
 
 
 class TestBackendStateFaults:
+    """The kernel's one piece of per-plan state is the plan's own
+    checksummed row pointer, so a flip in it is a ``plan`` fault."""
+
     def test_flip_lands_in_memoized_state(self, rng):
-        """The row pointer is prepared once; the flip hits exactly
-        that array, and releasing scratch re-prepares a clean one."""
+        """``prepare`` hands out ``plan.indptr`` itself; a plan flip
+        lands in exactly that array, ``validate()`` refuses the plan,
+        and a rebuild serves the clean answer."""
         spasm = encode(random_structured_coo(rng, 64))
         plan = spasm.plan()
+        assert backends.prepare(plan) is plan.indptr
         x = np.random.default_rng(13).random(plan.shape[1])
         clean = plan.spmv(x)
-        indptr = plan._scratch["indptr"]
-        plan.spmv(x)
-        assert plan._scratch["indptr"] is indptr
+        indptr = plan.indptr
 
-        record = FaultInjector(seed=21).flip_backend_state(plan)
-        assert record.surface == "backend"
+        # Seed 0 sends indptr[41] out of range: never run the kernel.
+        record = FaultInjector(seed=0).flip_plan_array(plan)
+        assert record.surface == "plan"
         assert record.details["array"] == "indptr"
-        assert plan._scratch["indptr"] is indptr
-        assert not np.array_equal(indptr, backends.prepare(plan))
+        assert plan.indptr is indptr
+        assert backends.prepare(plan) is indptr
+        assert plan.validate()
 
-        plan.release_scratch()
-        assert not plan._scratch
-        assert np.array_equal(plan.spmv(x), clean)
+        assert np.array_equal(ExecutionPlan.build(spasm).spmv(x), clean)
 
-    def test_flip_reaches_csr_row_pointer(self, rng):
+    def test_flip_reaches_csr_row_pointer(self, rng, monkeypatch):
+        """An in-range flip reaches the pointer csr_matvec reads."""
         spasm = encode(random_structured_coo(rng, 64))
-        plan = spasm.plan()
-        record = FaultInjector(seed=5).flip_backend_state(plan)
+        pristine = spasm.plan()
+        plan, record = flipped_copy(pristine, seed=2)
         assert record.details["array"] == "indptr"
         assert record.details["dtype"] == "int32"
-        indptr = plan._scratch["indptr"]
-        assert not np.array_equal(indptr, backends.prepare(plan))
+        assert not np.array_equal(plan.indptr, pristine.indptr)
+        seen = pointer_spy(monkeypatch)
+        plan.spmv(np.ones(plan.shape[1]))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], plan.indptr)
 
     def test_flip_on_int64_plan_changes_next_spmv(self, rng):
-        """The int64 plan's own row pointer takes the flip, and the
-        next unguarded spmv reads it."""
+        """The int64 plan's own row pointer takes the flip, the next
+        unguarded spmv reads it, and validate() sees it first."""
         spasm = encode(random_structured_coo(rng, 64))
         plan = ExecutionPlan.build(spasm, index="int64")
         x = np.random.default_rng(13).random(plan.shape[1])
         clean = plan.spmv(x)
 
-        # Seed 34 flips bit 0 of indptr[4]: in range, so the
+        # Seed 2 flips bit 0 of indptr[17]: in range, so the
         # unchecked kernel reads only plan memory.
-        record = FaultInjector(seed=34).flip_backend_state(plan)
-        assert record.details["dtype"] == "int64"
-        indptr = plan._scratch["indptr"]
-        assert indptr.dtype == np.int64
-        assert 0 <= indptr.min() and indptr.max() <= plan.n_slots
-        assert not np.array_equal(indptr, backends.prepare(plan))
+        record = FaultInjector(seed=2).flip_plan_array(plan)
+        assert record.details == {"array": "indptr", "byte": 136,
+                                  "bit": 0, "dtype": "int64"}
+        assert plan.indptr.dtype == np.int64
+        assert 0 <= plan.indptr.min()
+        assert plan.indptr.max() <= plan.n_slots
+        assert plan.validate()
         assert not np.array_equal(plan.spmv(x), clean)
+
+    def test_every_seeded_flip_is_refused(self):
+        """Seeds 0-39 on a 64x64 int64 plan: several land in
+        ``indptr`` (most of those out of range), and validate()
+        refuses every flipped plan before a kernel could read it."""
+        spasm = encode(random_structured_coo(np.random.default_rng(0),
+                                             64))
+        pristine = ExecutionPlan.build(spasm, index="int64")
+        hits = []
+        for seed in range(40):
+            plan, record = flipped_copy(pristine, seed)
+            assert plan.validate(), record.location
+            if record.details["array"] == "indptr":
+                hits.append(seed)
+        assert len(hits) >= 10
+
+    def test_guard_never_dispatches_flipped_pointer(self, rng,
+                                                   monkeypatch):
+        """Under CAMPAIGN_GUARD the guard revalidates before every
+        dispatch: csr_matvec never sees the flipped row pointer, and
+        the answer is the clean one bit for bit."""
+        spasm = encode(random_structured_coo(rng, 64))
+        x = np.random.default_rng(13).random(spasm.shape[1])
+        guard = ExecutionGuard(spasm, config=CAMPAIGN_GUARD)
+        clean = guard.spmv(x)
+        plan = spasm.plan()
+        pristine = plan.indptr.copy()
+        record = FaultInjector(seed=0).flip_plan_array(plan)
+        assert record.details["array"] == "indptr"
+        flipped = plan.indptr.copy()
+        seen = pointer_spy(monkeypatch)
+        assert np.array_equal(guard.spmv(x), clean)
+        assert seen
+        for pointer in seen:
+            assert not np.array_equal(pointer, flipped[-pointer.size:])
+            assert np.array_equal(pointer, pristine[-pointer.size:])
+        assert any(e.kind == "detect" for e in guard.log.events)
+
+
+def test_row_past_matrix_never_reaches_coo_tocsr(monkeypatch):
+    """A slot row ``>= nrows`` (a recompiled corrupt stream) builds a
+    plan that validate() refuses on coverage, and never reaches the
+    unchecked ``coo_tocsr`` scatter."""
+    from repro.exec.policy import plan_findings
+
+    calls = []
+    real = backends.coo_tocsr
+
+    def spy_tocsr(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(backends, "coo_tocsr", spy_tocsr)
+    rows = np.array([1, 16, 3], dtype=np.int64)
+    plan = ExecutionPlan.from_slots(
+        (16, 16), rows, np.array([0, 1, 2]), np.array([1.0, 2.0, 3.0]),
+        digest="x" * 64, source_nnz=3,
+    )
+    assert not calls
+    assert plan.indptr[-1] == 2 and plan.n_slots == 3
+    assert [f.invariant for f in plan_findings(plan)] == ["coverage"]
+    ExecutionPlan.from_slots(
+        (16, 16), np.array([1, 15, 3]), np.array([0, 1, 2]),
+        np.array([1.0, 2.0, 3.0]), digest="x" * 64, source_nnz=3,
+    )
+    assert len(calls) == 1

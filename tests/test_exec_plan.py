@@ -62,7 +62,7 @@ class TestPlanCorrectness:
         spasm = encode(COOMatrix.from_dense(dense), tile_size=32)
         x = rng.random(50)
         plan = spasm.plan()
-        assert plan.seg_rows.max() < 50
+        assert plan.indptr.shape == (51,) and plan.validate() == []
         assert plan.cols.max() < 50
         assert np.allclose(plan.spmv(x), dense @ x)
 
@@ -132,14 +132,15 @@ class TestSharding:
         )
         plan = encode(COOMatrix.from_dense(dense)).plan()
         bounds = plan.shard_bounds(4)
+        assert len(bounds) == 4
         assert bounds[0][0] == 0
-        assert bounds[-1][1] == plan.n_segments
+        assert bounds[-1][1] == plan.shape[0]
         for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
             assert hi == lo
 
     def test_small_plan_collapses_to_one_shard(self, small_coo):
         plan = encode(small_coo).plan()
-        assert plan.shard_bounds(8) == [(0, plan.n_segments)]
+        assert plan.shard_bounds(8) == [(0, plan.shape[0])]
 
     def test_jobs_validation(self, small_coo):
         plan = encode(small_coo).plan()
@@ -367,7 +368,7 @@ _FLIP_SPASM = encode(
     tile_size=16,
 )
 _FLIP_PLAN = _FLIP_SPASM.plan()
-_FLIP_ARRAYS = ("cols", "vals", "seg_starts", "seg_rows")
+_FLIP_ARRAYS = ("cols", "vals", "indptr")
 
 
 @settings(max_examples=40, deadline=None)
@@ -388,8 +389,7 @@ def test_any_plan_bit_flip_is_caught(which, pos, bit):
         _FLIP_PLAN,
         cols=_FLIP_PLAN.cols.copy(),
         vals=_FLIP_PLAN.vals.copy(),
-        seg_starts=_FLIP_PLAN.seg_starts.copy(),
-        seg_rows=_FLIP_PLAN.seg_rows.copy(),
+        indptr=_FLIP_PLAN.indptr.copy(),
     )
     arr = getattr(mutated, name).reshape(-1).view(np.uint8)
     idx = pos % arr.size

@@ -46,7 +46,7 @@ def assert_plans_identical(a, b):
     assert a.digest == b.digest
     assert a.checksum == b.checksum
     assert a.shape == b.shape
-    for name in ("cols", "vals", "seg_starts", "seg_rows"):
+    for name in ("cols", "vals", "indptr"):
         left, right = getattr(a, name), getattr(b, name)
         assert left.dtype == right.dtype, name
         assert np.array_equal(left, right), name
@@ -186,8 +186,7 @@ class TestCompactLayouts:
     def test_default_layout_is_compact(self, rng):
         plan = encode(integer_coo(rng, 64)).plan()
         assert plan.cols.dtype == np.int32
-        assert plan.seg_starts.dtype == np.int32
-        assert plan.seg_rows.dtype == np.int32
+        assert plan.indptr.dtype == np.int32
         assert plan.vals.dtype == np.float64
 
     def test_all_engines_bitwise_identical(self, rng):
@@ -228,18 +227,21 @@ class TestCompactLayouts:
         # the guard).  The build must never crash on them — the
         # counting-sort fast path scatters through the row pointer
         # unchecked, so bad rows must route to the tolerant sort path
-        # — and validate() must report the violation.
+        # — and validate() must report the violation: the bad slot
+        # lies outside every row's range of the row pointer.
         cols = np.array([0, 1, 2], dtype=np.int64)
         vals = np.array([1.0, 2.0, 3.0])
-        for bad in (40, -7):
+        for bad, problem in (
+            (40, "row pointer ends at 2, expected the 3-slot stream"),
+            (-7, "row pointer starts at 1, expected 0"),
+        ):
             rows = np.array([1, bad, 3], dtype=np.int64)
             plan = ExecutionPlan.from_slots(
                 (16, 16), rows, cols, vals,
                 digest="x" * 64, source_nnz=3,
             )
-            assert plan.validate() == [
-                "segment rows outside [0, 16)"
-            ]
+            [message] = plan.validate()
+            assert message.startswith(problem)
 
     def test_csr_and_portable_kernels_bitwise(self, rng, monkeypatch):
         # The build's row sort is coo_tocsr's counting sort; declining
@@ -258,7 +260,7 @@ class TestCompactLayouts:
         assert np.array_equal(portable_plan.spmv(x), y_csr)
         assert np.array_equal(portable_plan.spmv_batch(xs), ys_csr)
         assert portable_plan.checksum == csr_plan.checksum
-        for field in ("cols", "vals", "seg_starts", "seg_rows"):
+        for field in ("cols", "vals", "indptr"):
             a = getattr(csr_plan, field)
             b = getattr(portable_plan, field)
             assert a.dtype == b.dtype
@@ -269,7 +271,7 @@ class TestCompactLayouts:
 
         plan = encode(integer_coo(rng, 64)).plan()
         mutated = dataclasses.replace(
-            plan, seg_rows=plan.seg_rows.astype(np.int64)
+            plan, indptr=plan.indptr.astype(np.int64)
         )
         assert any(
             "index" in p or "dtype" in p for p in mutated.validate()
@@ -395,7 +397,7 @@ class TestPlanArgumentRouting:
         x = rng.random(plan.shape[1])
         y = rng.random(plan.shape[0])
         got = plan.spmv(x, y=y.copy(), jobs=1)
-        assert np.array_equal(got, plan.spmv(x) + y)
+        assert np.array_equal(got, program.spasm.spmv_naive(x, y))
 
 
 # -- guarded and simulated batching ------------------------------------

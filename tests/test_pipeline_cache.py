@@ -334,11 +334,51 @@ class TestQuarantine:
         key = built.digest[:40]
         entry = cache.load(PLAN_STAGE, key)
         arrays = dict(entry.arrays)
-        arrays["seg_starts"] = arrays["seg_starts"][::-1].copy()
+        arrays["indptr"] = arrays["indptr"][::-1].copy()
         cache.store(PLAN_STAGE, key, arrays, entry.meta)
         reloaded = ExecutionPlan.build(spasm, cache=cache)
         assert reloaded.validate() == []
         assert np.array_equal(reloaded.vals, built.vals)
+        assert len(cache.quarantined()) == 1
+
+    def test_segment_layout_plan_entry_quarantined_once(
+        self, tmp_path, coo
+    ):
+        """A plan persisted in the retired segment layout (the
+        ``seg_starts``/``seg_rows`` arrays instead of ``indptr``) is
+        quarantined once with its reason, never served, and rebuilt
+        correctly."""
+        from repro.core import candidate_portfolios, encode_spasm
+        from repro.exec import ExecutionPlan, PLAN_STAGE
+
+        events = []
+        spasm = encode_spasm(coo, candidate_portfolios()[0], 32)
+        cache = ArtifactCache(
+            tmp_path, on_event=lambda kind, info: events.append(
+                (kind, info))
+        )
+        built = ExecutionPlan.build(spasm, cache=cache)
+        key = built.digest[:40]
+        entry = cache.load(PLAN_STAGE, key)
+        nz = np.flatnonzero(np.diff(built.indptr))
+        old_form = {
+            "cols": entry.arrays["cols"],
+            "vals": entry.arrays["vals"],
+            "seg_starts": built.indptr[nz],
+            "seg_rows": nz.astype(built.indptr.dtype),
+        }
+        cache.store(PLAN_STAGE, key, old_form, entry.meta)
+        events.clear()
+
+        x = np.random.default_rng(3).random(spasm.shape[1])
+        for _ in range(2):
+            plan = ExecutionPlan.build(spasm, cache=cache)
+            assert plan.validate() == []
+            assert np.array_equal(plan.spmv(x), spasm.spmv_naive(x))
+        quarantines = [info for kind, info in events
+                       if kind == "quarantine"]
+        assert len(quarantines) == 1
+        assert "indptr" in quarantines[0]["reason"]
         assert len(cache.quarantined()) == 1
 
     def test_plan_entry_without_checksum_is_malformed(

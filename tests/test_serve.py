@@ -133,11 +133,11 @@ class TestGuardDeadline:
         state = {"left": fail_times}
         original = guard._checked_output
 
-        def flaky(plan, x, jobs, attempt):
+        def flaky(*args):
             if state["left"] > 0:
                 state["left"] -= 1
                 raise RuntimeError("injected kernel failure")
-            return original(plan, x, jobs, attempt)
+            return original(*args)
 
         guard._checked_output = flaky
         return spasm, guard

@@ -35,7 +35,7 @@ def expand_oracle(spasm, index=None):
 def assert_bitwise(plan, oracle):
     assert plan.shape == oracle.shape
     assert plan.checksum == oracle.checksum
-    for name in ("cols", "vals", "seg_starts", "seg_rows"):
+    for name in ("cols", "vals", "indptr"):
         got, want = getattr(plan, name), getattr(oracle, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
