@@ -125,7 +125,6 @@ def serving_phase(scale):
         "wall_s": report.wall_s,
         "wrong_ok_responses": wrong,
         "non_deadline_sheds": non_deadline_sheds,
-        "ladder_level": stats["ladder"]["level"],
         "hot_bytes": stats["registry"]["hot_bytes"],
         "shed": stats["admission"]["shed"],
     }

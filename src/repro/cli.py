@@ -555,9 +555,10 @@ def cmd_serve(args) -> int:
 
     There is no network listener — the server is the in-process query
     engine of :mod:`repro.serve`; this command exercises it end to
-    end (admission, batching, degradation ladder, per-request
-    deadlines) and reports sustained QPS, latency percentiles and the
-    full health/stats snapshot.  A ``failed`` response exits 1.
+    end (admission, batch coalescing, the guarded plan path,
+    per-request deadlines) and reports sustained QPS, latency
+    percentiles and the full health/stats snapshot.  A ``failed``
+    response exits 1.
     """
     import json
 
@@ -633,7 +634,6 @@ def cmd_query(args) -> int:
     payload = {
         "plan": plan_name,
         "status": response.status,
-        "level": response.level,
         "latency_ms": response.latency_s * 1e3,
         "detail": response.detail,
     }
@@ -646,8 +646,7 @@ def cmd_query(args) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         line = (f"{plan_name}: {response.status} "
-                f"(level={response.level}, "
-                f"{payload['latency_ms']:.2f} ms)")
+                f"({payload['latency_ms']:.2f} ms)")
         if response.ok:
             line += (f" l2={payload['l2_norm']:.6g} "
                      f"sha256={payload['sha256']}")

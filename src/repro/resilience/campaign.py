@@ -491,7 +491,7 @@ class _ServerTarget:
             yield (rec.response.status, rec.response.y,
                    self.refs[rec.tenant][rec.probe],
                    {"tenant": rec.tenant, "plan": rec.plan,
-                    "probe": rec.probe, "level": rec.response.level})
+                    "probe": rec.probe})
 
     def _burst(self, index: int) -> Any:
         load = self._load(self.spec["burst_requests"],

@@ -16,16 +16,23 @@ the integrity machinery the fast paths otherwise lack:
   small random row block of the output is cross-checked against
   reference slices captured through the naive expansion path
   (:class:`RowOracle`).
-* **retry with rebuild** — a plan that fails validation or execution
-  is dropped (and its persisted artifact quarantined through the
-  cache's own machinery), rebuilt from the stream, and retried up to
-  ``max_attempts`` times with doubling ``backoff_s`` sleeps in
-  between — every sleep clipped by the ``max_retry_wall_s`` cap and
-  the caller's per-request deadline (see :class:`_RetryBudget`), so
-  retries can never blow a request budget.
+* **retry with rebuild** — a plan that fails validation, raises in
+  the kernel or diverges from the oracle is dropped (and its
+  persisted artifact quarantined through the cache's own machinery),
+  rebuilt from the stream, and retried up to ``max_attempts`` times
+  with doubling ``backoff_s`` sleeps in between — every sleep clipped
+  by the ``max_retry_wall_s`` cap and the caller's per-request
+  deadline (see :class:`_RetryBudget`), so retries can never blow a
+  request budget.  A :class:`ValueError` from the plan is the
+  caller's error (a bad shape or ``jobs``) and propagates untouched.
 * **automatic fallback** — when the plan engine cannot produce a
-  trustworthy answer, execution falls back to
-  :meth:`~repro.core.format.SpasmMatrix.spmv_naive`.
+  trustworthy answer, execution falls back to the naive engine
+  (:meth:`~repro.core.format.SpasmMatrix.spmv_naive` /
+  ``spmm_naive``).
+
+``spmv``, ``spmm`` and ``spmv_batch`` share one attempt loop
+(:meth:`ExecutionGuard._run`), so the three ops detect, rebuild, log
+and fall back alike.
 
 Every incident is appended to a :class:`ResilienceLog` as a structured
 :class:`ResilienceEvent`; the clean path costs one identity check plus
@@ -38,7 +45,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,8 +74,7 @@ class ResilienceEvent:
         ``retry`` (execution re-attempted), ``fallback`` (switched to
         the naive engine), ``quarantine`` (cache entry pulled),
         ``deadline`` (retry budget exhausted before recovery
-        completed), ``degrade``/``restore`` (serving-layer ladder
-        transitions), ``evict`` (plan registry pressure eviction).
+        completed), ``evict`` (plan registry pressure eviction).
     surface:
         The layer involved: ``stream``, ``plan``, ``worker``,
         ``output`` or ``cache``.
@@ -170,7 +176,7 @@ class _RetryBudget:
     loop: every sleep is clipped to both the guard's
     :attr:`GuardConfig.max_retry_wall_s` cap and the request's own
     deadline (any object exposing ``remaining() -> float``), so a
-    retry ladder can never blow a request budget.  ``exhausted``
+    retry loop can never blow a request budget.  ``exhausted``
     flips once no retry time remains — the caller stops re-attempting
     and moves straight to its terminal action (fallback or raise).
     """
@@ -382,63 +388,35 @@ class ExecutionGuard:
         self._plan = plan
         return plan
 
-    def _checked_output(self, plan: Any, x: np.ndarray,
-                        y: Optional[np.ndarray], jobs: Optional[int],
-                        attempt: int) -> Optional[np.ndarray]:
-        """Run the plan and cross-check sampled rows; ``None`` on a
-        divergence (the plan is dropped for rebuild)."""
-        out = plan.spmv(x, y=y, jobs=jobs)
-        if self._due(self.config.check_interval):
-            if self._oracle is None:
-                self._oracle = RowOracle.build(
-                    self.spasm, self._oracle_rows()
-                )
-            bad = self._oracle.mismatches(x, out, y)
-            if bad:
-                self.log.record(ResilienceEvent(
-                    kind="detect", surface="output", action="rebuild",
-                    attempt=attempt,
-                    detail=(
-                        f"sampled rows {bad} diverge from the naive "
-                        "oracle"
-                    ),
-                ))
-                self._invalidate()
-                return None
-        return out
-
-    # -- public API ----------------------------------------------------
-
-    def spmv(self, x: np.ndarray, y: Optional[np.ndarray] = None,
-             jobs: Optional[int] = None,
-             deadline: Any = None) -> np.ndarray:
-        """Guarded ``y = A @ x + y``.
-
-        Semantics match :meth:`ExecutionPlan.spmv` exactly on the
-        clean path (bitwise, including sharding determinism), and the
-        naive fallback answers with the same bits: both accumulate
-        each row's terms into ``y`` in stream order.  On a
-        detected fault the call recovers through rebuild/retry, then
-        the naive engine; it raises :class:`IntegrityError` only when the pinned
-        stream itself is corrupt.  ``deadline`` (any object with
-        ``remaining() -> float``, e.g.
-        :class:`repro.serve.Deadline`) clips every retry sleep and
-        short-circuits remaining attempts once the budget is gone —
-        recovery then jumps straight to the terminal action.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.spasm.shape[1],):
+    def _shaped(self, name: str, arr: Any,
+                shape: Tuple[int, ...]) -> np.ndarray:
+        """``arr`` as float64, or :class:`ValueError` if it is not
+        ``shape`` (a caller error, refused before any attempt)."""
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.shape != shape:
             raise ValueError(
-                f"x of shape {x.shape} incompatible with "
+                f"{name} of shape {arr.shape} incompatible with "
                 f"{self.spasm.shape}"
             )
-        if y is not None:
-            y = np.asarray(y, dtype=np.float64)
-            if y.shape != (self.spasm.shape[0],):
-                raise ValueError(
-                    f"y of shape {y.shape} incompatible with "
-                    f"{self.spasm.shape}"
-                )
+        return arr
+
+    def _run(self, op: str, run: Callable[[Any], np.ndarray],
+             naive: Callable[[], np.ndarray], deadline: Any,
+             probe: Optional[Callable[..., Tuple[Any, ...]]] = None
+             ) -> np.ndarray:
+        """The one attempt loop behind :meth:`spmv`, :meth:`spmm` and
+        :meth:`spmv_batch`.
+
+        ``run(plan)`` executes the op on a validated plan.  A
+        :class:`ValueError` it raises is a caller error and propagates;
+        any other exception is a ``worker`` fault that drops the plan.
+        When the oracle is due, ``probe(out)`` names the ``(x, out, y)``
+        vectors to cross-check; a divergence drops the plan too.  Each
+        later attempt rebuilds and sleeps on the :class:`_RetryBudget`.
+        Out of attempts (or budget), the call answers through
+        ``naive()`` or, with fallback disabled, raises
+        :class:`IntegrityError`.
+        """
         self._calls += 1
         budget = _RetryBudget(self.config.backoff_s,
                               self.config.max_retry_wall_s, deadline)
@@ -447,7 +425,8 @@ class ExecutionGuard:
                 if budget.exhausted:
                     self.log.record(ResilienceEvent(
                         kind="deadline", surface="plan",
-                        action="fallback", attempt=attempt,
+                        action="fallback" if self.config.fallback
+                        else "raise", attempt=attempt,
                         detail="retry budget exhausted before "
                                "recovery completed",
                     ))
@@ -462,139 +441,9 @@ class ExecutionGuard:
             if plan is None:
                 continue
             try:
-                out = self._checked_output(plan, x, y, jobs, attempt)
-            except IntegrityError:
+                out = run(plan)
+            except (IntegrityError, ValueError):
                 raise
-            except Exception as exc:
-                self.log.record(ResilienceEvent(
-                    kind="detect", surface="worker", action="retry",
-                    attempt=attempt,
-                    detail=f"{type(exc).__name__}: {exc}",
-                ))
-                continue
-            if out is not None:
-                return out
-        # Out of attempts: the plan engine cannot be trusted.
-        if not self.config.fallback:
-            self.log.record(ResilienceEvent(
-                kind="detect", surface="plan", action="raise",
-                detail="plan engine exhausted attempts, fallback "
-                       "disabled",
-            ))
-            raise IntegrityError(
-                "plan engine failed every attempt and fallback is "
-                "disabled",
-                events=self.log.events,
-            )
-        self.log.record(ResilienceEvent(
-            kind="fallback", surface="plan", action="fallback",
-            detail=(
-                f"plan engine failed {self.config.max_attempts} "
-                "attempts; executing through spmv_naive"
-            ),
-        ))
-        return self.spasm.spmv_naive(x, y)
-
-    def spmm(self, x_block: np.ndarray,
-             y_block: Optional[np.ndarray] = None,
-             jobs: Optional[int] = None,
-             deadline: Any = None) -> np.ndarray:
-        """Guarded multi-vector execution (validation + fallback).
-
-        The per-row divergence oracle applies to SpMV only; SpMM gets
-        plan validation, worker containment and the naive fallback.
-        ``deadline`` short-circuits remaining attempts as in
-        :meth:`spmv`.
-        """
-        self._calls += 1
-        budget = _RetryBudget(self.config.backoff_s,
-                              self.config.max_retry_wall_s, deadline)
-        for attempt in range(1, self.config.max_attempts + 1):
-            if attempt > 1:
-                if budget.exhausted:
-                    self.log.record(ResilienceEvent(
-                        kind="deadline", surface="plan",
-                        action="fallback", attempt=attempt,
-                        detail="retry budget exhausted before "
-                               "recovery completed",
-                    ))
-                    break
-                budget.sleep()
-            plan = self._acquire(attempt)
-            if plan is None:
-                continue
-            try:
-                return plan.spmm(x_block, y_block=y_block, jobs=jobs)
-            except IntegrityError:
-                raise
-            except ValueError:
-                raise  # caller error (shape), not a fault
-            except Exception as exc:
-                self.log.record(ResilienceEvent(
-                    kind="detect", surface="worker", action="retry",
-                    attempt=attempt,
-                    detail=f"{type(exc).__name__}: {exc}",
-                ))
-                self._invalidate()
-        if not self.config.fallback:
-            raise IntegrityError(
-                "plan engine failed every attempt and fallback is "
-                "disabled",
-                events=self.log.events,
-            )
-        self.log.record(ResilienceEvent(
-            kind="fallback", surface="plan", action="fallback",
-            detail="executing SpMM through spmm_naive",
-        ))
-        return self.spasm.spmm_naive(x_block, y_block)
-
-    def spmv_batch(self, xs: np.ndarray,
-                   jobs: Optional[int] = None,
-                   deadline: Any = None) -> np.ndarray:
-        """Guarded batched SpMV: one ``(n_queries, ncols)`` row per query.
-
-        Executes through :meth:`ExecutionPlan.spmv_batch` (blocked
-        SpMM), so the clean path is bitwise-identical to stacking
-        guarded :meth:`spmv` calls.  The sampled divergence oracle
-        cross-checks the first query of the batch when due; recovery
-        follows the same rebuild/retry/fallback ladder as
-        :meth:`spmv`, with retries clipped by ``deadline``.
-        """
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2 or xs.shape[1] != self.spasm.shape[1]:
-            raise ValueError(
-                f"xs of shape {xs.shape} incompatible with "
-                f"{self.spasm.shape}; expected (n_queries, "
-                f"{self.spasm.shape[1]})"
-            )
-        self._calls += 1
-        budget = _RetryBudget(self.config.backoff_s,
-                              self.config.max_retry_wall_s, deadline)
-        for attempt in range(1, self.config.max_attempts + 1):
-            if attempt > 1:
-                if budget.exhausted:
-                    self.log.record(ResilienceEvent(
-                        kind="deadline", surface="plan",
-                        action="fallback", attempt=attempt,
-                        detail="retry budget exhausted before "
-                               "recovery completed",
-                    ))
-                    break
-                self.log.record(ResilienceEvent(
-                    kind="rebuild", surface="plan", action="retry",
-                    attempt=attempt,
-                    detail="recompiling the plan from the stream",
-                ))
-                budget.sleep()
-            plan = self._acquire(attempt)
-            if plan is None:
-                continue
-            try:
-                out = plan.spmv_batch(xs, jobs=jobs)
-            except IntegrityError:
-                raise
-            except ValueError:
-                raise  # caller error (shape), not a fault
             except Exception as exc:
                 self.log.record(ResilienceEvent(
                     kind="detect", surface="worker", action="retry",
@@ -603,18 +452,18 @@ class ExecutionGuard:
                 ))
                 self._invalidate()
                 continue
-            if xs.shape[0] and self._due(self.config.check_interval):
+            if probe is not None and self._due(self.config.check_interval):
                 if self._oracle is None:
                     self._oracle = RowOracle.build(
                         self.spasm, self._oracle_rows()
                     )
-                bad = self._oracle.mismatches(xs[0], out[0])
+                bad = self._oracle.mismatches(*probe(out))
                 if bad:
                     self.log.record(ResilienceEvent(
                         kind="detect", surface="output",
                         action="rebuild", attempt=attempt,
                         detail=(
-                            f"sampled rows {bad} of batch query 0 "
+                            f"sampled rows {bad} of the {op} output "
                             "diverge from the naive oracle"
                         ),
                     ))
@@ -634,15 +483,87 @@ class ExecutionGuard:
             )
         self.log.record(ResilienceEvent(
             kind="fallback", surface="plan", action="fallback",
-            detail=(
-                f"plan engine failed {self.config.max_attempts} "
-                "attempts; executing the batch through spmv_naive"
-            ),
+            detail=f"executing {op} through the naive engine",
         ))
-        if xs.shape[0] == 0:
-            return np.zeros((0, self.spasm.shape[0]), dtype=np.float64)
-        return np.stack(
-            [self.spasm.spmv_naive(x) for x in xs]
+        return naive()
+
+    # -- public API ----------------------------------------------------
+
+    def spmv(self, x: np.ndarray, y: Optional[np.ndarray] = None,
+             jobs: Optional[int] = None,
+             deadline: Any = None) -> np.ndarray:
+        """Guarded ``y = A @ x + y``.
+
+        Semantics match :meth:`ExecutionPlan.spmv` exactly on the
+        clean path (bitwise, including sharding determinism), and the
+        naive fallback answers with the same bits: both accumulate
+        each row's terms into ``y`` in stream order.  On a detected
+        fault the call recovers through rebuild/retry, then the naive
+        engine; it raises :class:`IntegrityError` only when the pinned
+        stream itself is corrupt.  ``deadline`` (any object with
+        ``remaining() -> float``, e.g.
+        :class:`repro.serve.Deadline`) clips every retry sleep and
+        short-circuits remaining attempts once the budget is gone —
+        recovery then jumps straight to the terminal action.
+        """
+        nrows, ncols = self.spasm.shape
+        x = self._shaped("x", x, (ncols,))
+        if y is not None:
+            y = self._shaped("y", y, (nrows,))
+        return self._run(
+            "spmv", lambda plan: plan.spmv(x, y=y, jobs=jobs),
+            lambda: self.spasm.spmv_naive(x, y), deadline,
+            probe=lambda out: (x, out, y),
+        )
+
+    def spmm(self, x_block: np.ndarray,
+             y_block: Optional[np.ndarray] = None,
+             jobs: Optional[int] = None,
+             deadline: Any = None) -> np.ndarray:
+        """Guarded multi-vector execution (validation + fallback).
+
+        The per-row divergence oracle applies to SpMV only; SpMM gets
+        plan validation, worker containment and the naive fallback.
+        ``deadline`` short-circuits remaining attempts as in
+        :meth:`spmv`.
+        """
+        nrows, ncols = self.spasm.shape
+        x_block = np.asarray(x_block, dtype=np.float64)
+        k = x_block.shape[1] if x_block.ndim == 2 else -1
+        x_block = self._shaped("X", x_block, (ncols, k))
+        if y_block is not None:
+            y_block = self._shaped("Y", y_block, (nrows, k))
+        return self._run(
+            "spmm",
+            lambda plan: plan.spmm(x_block, y_block=y_block, jobs=jobs),
+            lambda: self.spasm.spmm_naive(x_block, y_block), deadline,
+        )
+
+    def spmv_batch(self, xs: np.ndarray,
+                   jobs: Optional[int] = None,
+                   deadline: Any = None) -> np.ndarray:
+        """Guarded batched SpMV: one ``(n_queries, ncols)`` row per query.
+
+        Executes through :meth:`ExecutionPlan.spmv_batch` (blocked
+        SpMM), so the clean path is bitwise-identical to stacking
+        guarded :meth:`spmv` calls.  The sampled divergence oracle
+        cross-checks the first query of the batch when due; recovery
+        is the same attempt loop as :meth:`spmv`.
+        """
+        nrows, ncols = self.spasm.shape
+        xs = np.asarray(xs, dtype=np.float64)
+        xs = self._shaped("xs", xs, (len(xs) if xs.ndim == 2 else -1,
+                                     ncols))
+
+        def naive() -> np.ndarray:
+            if xs.shape[0] == 0:
+                return np.zeros((0, nrows), dtype=np.float64)
+            return np.stack([self.spasm.spmv_naive(x) for x in xs])
+
+        return self._run(
+            "spmv_batch", lambda plan: plan.spmv_batch(xs, jobs=jobs),
+            naive, deadline,
+            probe=(lambda out: (xs[0], out[0], None)) if len(xs) else None,
         )
 
 

@@ -1,8 +1,9 @@
 """SpMV-as-a-service: the robust long-lived query engine.
 
 This package turns the batch pipeline into a serving layer for many
-matrices and many tenants, built so that overload and injected faults
-degrade service predictably instead of corrupting it:
+matrices and many tenants, built so that overload is shed and injected
+faults are contained instead of corrupting answers.  Every request
+runs one path, the guarded plan.  The parts:
 
 * :class:`Deadline` — a monotonic per-request time budget, threaded
   through guard retry/backoff so recovery never blows the caller's
@@ -13,11 +14,8 @@ degrade service predictably instead of corrupting it:
 * :class:`AdmissionController` — bounded per-plan queues with load
   shedding (structured ``queue_full`` / ``overload`` / ``deadline``
   reasons) and round-robin fairness;
-* :class:`DegradationLadder` — full-batch → narrow-batch → naive
-  (rungs ``tuned`` → ``narrow`` → ``naive``),
-  hysteretic, every transition a structured
-  :class:`~repro.resilience.guard.ResilienceEvent`;
 * :class:`SpmvServer` — worker threads executing coalesced batches
+  (up to :data:`~repro.serve.server.MAX_BATCH` same-plan requests)
   through each matrix's guard; never returns an unverified result;
 * :func:`run_load` — seeded mixed-tenant traffic with verifiable
   probe vectors (the substrate of the campaign's ``server`` target in
@@ -36,7 +34,6 @@ from repro.serve.admission import (
     RequestShed,
 )
 from repro.serve.deadline import Deadline, DeadlineExceeded
-from repro.serve.degrade import LEVELS, DegradationLadder, ServiceLevel
 from repro.serve.loadgen import (
     LoadRecord,
     LoadReport,
@@ -63,7 +60,6 @@ from repro.serve.server import (
 )
 
 __all__ = [
-    "LEVELS",
     "SERVE_GUARD",
     "SHED_CLOSED",
     "SHED_DEADLINE",
@@ -76,7 +72,6 @@ __all__ = [
     "AdmissionController",
     "Deadline",
     "DeadlineExceeded",
-    "DegradationLadder",
     "Lease",
     "LoadRecord",
     "LoadReport",
@@ -85,7 +80,6 @@ __all__ = [
     "RequestShed",
     "ServeRequest",
     "ServeResponse",
-    "ServiceLevel",
     "SpmvServer",
     "TenantSpec",
     "UnknownMatrixError",

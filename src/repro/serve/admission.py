@@ -118,6 +118,12 @@ class AdmissionController:
         self.shed[reason] += 1
         raise RequestShed(reason, detail)
 
+    def count_shed(self, reason: str) -> None:
+        """Count one request shed after admission (a worker found its
+        deadline spent), under the same lock as the door's sheds."""
+        with self._lock:
+            self.shed[reason] += 1
+
     # -- consumer side --------------------------------------------------
 
     def take(self, timeout: Optional[float] = None) -> Optional[Any]:
@@ -176,8 +182,8 @@ class AdmissionController:
     def pressure(self) -> float:
         """Queue occupancy in ``[0, 1+]`` against the global bound.
 
-        The degradation ladder keys off this: 0 when idle, 1.0 when
-        the overload bound is about to shed.
+        An operator gauge (:meth:`SpmvServer.health`): 0 when idle,
+        1.0 when the overload bound is about to shed.
         """
         if self.config.max_total <= 0:
             return 0.0

@@ -124,7 +124,7 @@ def run_load(server: SpmvServer, tenants: List[TenantSpec],
 
     Requests are submitted open-loop (optionally paced) and all
     futures are then awaited, so queue pressure — and therefore
-    admission shedding and ladder movement — is real.  Fully seeded:
+    admission shedding and batch coalescing — is real.  Fully seeded:
     the tenant sequence and probe choices reproduce bit-for-bit.
     """
     if not tenants:

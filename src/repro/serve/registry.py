@@ -33,7 +33,7 @@ from repro.resilience.guard import (
 #: Guard knobs of the serving layer: plans are validated on (re)warm
 #: and the sampled oracle runs frequently enough that a corrupted plan
 #: is confronted within a handful of requests, while the clean path
-#: stays cheap.  ``backoff_s`` is non-zero so retry ladders are real
+#: stays cheap.  ``backoff_s`` is non-zero so retry loops are real
 #: (and therefore must be deadline-clipped).
 SERVE_GUARD = GuardConfig(
     validate_plan=True,
@@ -89,8 +89,8 @@ class Lease:
     """A consistent snapshot of one entry's execution handles.
 
     Taken under the registry lock at :meth:`PlanRegistry.acquire`
-    time; the holder executes through :attr:`guard` (or
-    :attr:`spasm` for the naive ladder rung) and must
+    time; the holder executes through :attr:`guard` (:attr:`spasm` is
+    the stream that guard pinned) and must
     :meth:`PlanRegistry.release` when done.  Because the snapshot is
     immutable, a concurrent evict/replace of the entry can never
     leave the holder with half-swapped state.

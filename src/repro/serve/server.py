@@ -2,29 +2,31 @@
 
 :class:`SpmvServer` composes the serving stack: a
 :class:`~repro.serve.registry.PlanRegistry` of hot plans, an
-:class:`~repro.serve.admission.AdmissionController` at the door, a
-:class:`~repro.serve.degrade.DegradationLadder` reacting to queue
-pressure, and a pool of plain worker threads executing through each
-matrix's :class:`~repro.resilience.guard.ExecutionGuard`.
+:class:`~repro.serve.admission.AdmissionController` at the door, and
+a pool of plain worker threads executing through each matrix's
+:class:`~repro.resilience.guard.ExecutionGuard`.  The guarded plan
+path is the only path: there is no run-time mode switch, and
+overload is met by admission shedding and deadlines.
 
 Correctness contract
 --------------------
 Every result returned with status ``ok`` went through the guarded
-engine (plan validation, sampled oracle, verified naive fallback) or
-the naive reference kernel itself — the server never returns an
-unverified result.  A request whose deadline expires before its
-result is ready is **shed** (status ``shed``, reason ``deadline``),
-never answered late with data the caller can no longer trust the
-provenance of; a fault the guard cannot recover from within the
-deadline surfaces as status ``failed`` with the detection detail.
+engine (plan validation, sampled oracle, verified naive fallback) —
+the server never returns an unverified result.  A request whose
+deadline expires before its result is ready is **shed** (status
+``shed``, reason ``deadline``), never answered late with data the
+caller can no longer trust the provenance of; a fault the guard
+cannot recover from within the deadline surfaces as status
+``failed`` with the detection detail.  Every request a worker takes
+is resolved, whatever goes wrong while it executes.
 
 Batching
 --------
-Workers coalesce queued same-plan requests up to the current service
-level's batch window and execute them as one
+Workers coalesce up to :data:`MAX_BATCH` queued same-plan requests
+and execute them as one
 :meth:`~repro.resilience.guard.ExecutionGuard.spmv_batch` call, which
-is bitwise identical to per-request execution — batching is a
-throughput knob, not a semantics knob.  Per-entry execution is
+is bitwise identical to per-request execution — batching changes
+throughput, never an answer.  Per-entry execution is
 serialized (kernels parallelize internally across shards); worker
 concurrency comes from running *different* plans side by side.
 """
@@ -46,7 +48,6 @@ from repro.serve.admission import (
     RequestShed,
 )
 from repro.serve.deadline import Deadline
-from repro.serve.degrade import DegradationLadder, ServiceLevel
 from repro.serve.registry import PlanRegistry, UnknownMatrixError
 
 from concurrent.futures import Future
@@ -54,6 +55,12 @@ from concurrent.futures import Future
 STATUS_OK = "ok"
 STATUS_SHED = "shed"
 STATUS_FAILED = "failed"
+
+#: Most same-plan requests one worker coalesces into a single
+#: ``spmv_batch`` call.  It stays because it measures: on perfbench's
+#: serve workload 32 beats a window of 1 on both qps and p50
+#: (``docs/SERVE.md``).
+MAX_BATCH = 32
 
 
 @dataclasses.dataclass
@@ -81,11 +88,13 @@ class ServeResponse:
     y: Optional[np.ndarray]
     #: Shed reason or failure detail; empty on ``ok``.
     detail: str
-    #: Service-level name the request executed under.
-    level: str
     #: Number of requests coalesced into the executing batch.
     batched: int
     latency_s: float
+    #: Always ``"tuned"``: the server has one path.  Kept because
+    #: perfbench counts it (``serve.top_rung_frac``) until its next
+    #: benchmark revision.
+    level: str = "tuned"
 
     @property
     def ok(self) -> bool:
@@ -93,7 +102,7 @@ class ServeResponse:
 
 
 class SpmvServer:
-    """Admission → ladder → registry → guarded execution.
+    """Admission → registry → guarded execution.
 
     Parameters
     ----------
@@ -102,9 +111,6 @@ class SpmvServer:
         (matrices are registered on it, before or after start).
     admission:
         :class:`~repro.serve.admission.AdmissionConfig` bounds.
-    ladder:
-        A :class:`~repro.serve.degrade.DegradationLadder`; defaults to
-        one sharing the registry's resilience log.
     workers:
         Worker thread count.  Per-plan execution is serialized, so
         more workers than concurrently-queried matrices buys nothing.
@@ -112,12 +118,10 @@ class SpmvServer:
 
     def __init__(self, registry: PlanRegistry,
                  admission: Optional[AdmissionConfig] = None,
-                 ladder: Optional[DegradationLadder] = None,
                  workers: int = 2):
         self.registry = registry
         self.log = registry.log
         self.admission = AdmissionController(admission)
-        self.ladder = ladder or DegradationLadder(log=self.log)
         self.n_workers = max(1, int(workers))
         self._threads: List[threading.Thread] = []
         self._running = False
@@ -185,7 +189,7 @@ class SpmvServer:
         except RequestShed as shed:
             self._resolve(request, STATUS_SHED, None,
                           detail=f"{shed.reason}: {shed.detail}",
-                          level=self.ladder.level.name, batched=0)
+                          batched=0)
         return request.future
 
     def query(self, plan: str, x: np.ndarray,
@@ -207,17 +211,13 @@ class SpmvServer:
             "completed": completed,
             "registry": self.registry.stats(),
             "admission": self.admission.stats(),
-            "ladder": self.ladder.stats(),
             "resilience": self.log.counts(),
         }
 
     def health(self) -> Dict[str, Any]:
-        """Terse liveness view: status, rung, queue depth."""
-        level = self.ladder.level
+        """Terse liveness view: running, queue depth, hot bytes."""
         return {
-            "status": "ok" if level.name == "tuned" else "degraded",
             "running": self._running,
-            "level": level.name,
             "queued": self.admission.depth(),
             "pressure": round(self.admission.pressure(), 4),
             "hot_bytes": self.registry.hot_bytes(),
@@ -232,14 +232,12 @@ class SpmvServer:
                 if not self._running:
                     return
                 continue
-            level = self.ladder.observe(self.admission.pressure())
             batch = [request]
-            if level.batch_window > 1:
-                batch += self.admission.drain_matching(
-                    request.plan, level.batch_window - 1
-                )
             try:
-                self._execute_batch(batch, level)
+                batch += self.admission.drain_matching(
+                    request.plan, MAX_BATCH - 1
+                )
+                self._execute_batch(batch)
             except Exception as exc:  # noqa: BLE001 - worker firewall
                 # A worker must never die with futures pending; an
                 # unanticipated error fails the batch explicitly.
@@ -249,12 +247,16 @@ class SpmvServer:
                             req, STATUS_FAILED, None,
                             detail=f"worker error: "
                                    f"{type(exc).__name__}: {exc}",
-                            level=level.name, batched=len(batch),
+                            batched=len(batch),
                         )
 
-    def _execute_batch(self, batch: List[ServeRequest],
-                       level: ServiceLevel) -> None:
-        live = self._drop_expired(batch, level)
+    def _execute_batch(self, batch: List[ServeRequest]) -> None:
+        live = []
+        for req in batch:
+            if req.deadline is not None and req.deadline.expired:
+                self._shed_deadline(req, "expired while queued", 0)
+            else:
+                live.append(req)
         if not live:
             return
         name = live[0].plan
@@ -263,63 +265,33 @@ class SpmvServer:
         except (UnknownMatrixError, IntegrityError) as exc:
             for req in live:
                 self._resolve(req, STATUS_FAILED, None,
-                              detail=str(exc), level=level.name,
-                              batched=len(live))
+                              detail=str(exc), batched=len(live))
             return
         try:
-            self._run_lease(lease, live, level)
+            self._run_lease(lease, live)
         finally:
             self.registry.release(lease)
 
-    def _run_lease(self, lease: Any, live: List[ServeRequest],
-                   level: ServiceLevel) -> None:
+    def _run_lease(self, lease: Any, live: List[ServeRequest]) -> None:
         deadline = self._tightest_deadline(live)
-        exec_lock = self._exec_lock(live[0].plan)
         try:
-            with exec_lock:
-                if level.naive:
-                    ys = self._run_naive(lease, live)
-                else:
-                    ys = self._run_guarded(lease, live, deadline)
+            with self._exec_lock(live[0].plan):
+                ys = self._run_guarded(lease, live, deadline)
         except IntegrityError as exc:
             for req in live:
                 self._resolve(req, STATUS_FAILED, None,
                               detail=f"integrity: {exc}",
-                              level=level.name, batched=len(live))
+                              batched=len(live))
             return
         # Results are verified, but a request whose deadline lapsed
         # during execution is shed rather than answered late.
         for req, y in zip(live, ys):
             if req.deadline is not None and req.deadline.expired:
-                self._resolve(req, STATUS_SHED, None,
-                              detail=f"{SHED_DEADLINE}: result ready "
-                                     "after deadline",
-                              level=level.name, batched=len(live))
+                self._shed_deadline(req, "result ready after deadline",
+                                    len(live))
             else:
                 self._resolve(req, STATUS_OK, y, detail="",
-                              level=level.name, batched=len(live))
-
-    @staticmethod
-    def _run_naive(lease: Any,
-                   live: List[ServeRequest]) -> List[np.ndarray]:
-        """The ladder's last rung: the naive reference kernel.
-
-        Naive execution bypasses the guard, so the one thing it cannot
-        survive silently is a corrupted stream — re-pin the digest
-        against the guard's trusted pin first and refuse to answer on
-        a mismatch.  (The digest walk costs the same order as the
-        naive kernel itself, so this rung stays verified without
-        changing its complexity.)
-        """
-        from repro.exec.plan import stream_digest
-
-        if stream_digest(lease.spasm) != lease.guard.expected_digest:
-            raise IntegrityError(
-                "stream digest changed since the guard pinned it; "
-                "refusing to serve naive results from an untrusted "
-                "stream"
-            )
-        return [lease.spasm.spmv_naive(req.x) for req in live]
+                              batched=len(live))
 
     @staticmethod
     def _run_guarded(lease: Any, live: List[ServeRequest],
@@ -334,19 +306,12 @@ class SpmvServer:
 
     # -- helpers --------------------------------------------------------
 
-    def _drop_expired(self, batch: List[ServeRequest],
-                      level: ServiceLevel) -> List[ServeRequest]:
-        live = []
-        for req in batch:
-            if req.deadline is not None and req.deadline.expired:
-                self.admission.shed[SHED_DEADLINE] += 1
-                self._resolve(req, STATUS_SHED, None,
-                              detail=f"{SHED_DEADLINE}: expired while "
-                                     "queued",
-                              level=level.name, batched=0)
-            else:
-                live.append(req)
-        return live
+    def _shed_deadline(self, request: ServeRequest, why: str,
+                       batched: int) -> None:
+        """Shed a taken request whose deadline lapsed, counted once."""
+        self.admission.count_shed(SHED_DEADLINE)
+        self._resolve(request, STATUS_SHED, None,
+                      detail=f"{SHED_DEADLINE}: {why}", batched=batched)
 
     @staticmethod
     def _tightest_deadline(live: List[ServeRequest]
@@ -368,12 +333,11 @@ class SpmvServer:
             return lock
 
     def _resolve(self, request: ServeRequest, status: str,
-                 y: Optional[np.ndarray], detail: str, level: str,
+                 y: Optional[np.ndarray], detail: str,
                  batched: int) -> None:
         response = ServeResponse(
             rid=request.rid, plan=request.plan, tenant=request.tenant,
-            status=status, y=y, detail=detail, level=level,
-            batched=batched,
+            status=status, y=y, detail=detail, batched=batched,
             latency_s=time.monotonic() - request.t_submit,
         )
         with self._lock:

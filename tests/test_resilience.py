@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.core import candidate_portfolios, encode_spasm
-from repro.exec.plan import set_shard_fault_hook
+from repro.exec import backends
+from repro.exec.plan import ExecutionPlan, set_shard_fault_hook
 from repro.matrix.coo import COOMatrix
 from repro.pipeline.cache import ArtifactCache
 from repro.resilience import (
@@ -142,6 +143,70 @@ class TestGuardCleanPath:
         assert np.array_equal(
             guard.spmm(x_block), spasm.plan().spmm(x_block)
         )
+
+
+#: The guarded ops; they share one attempt loop.
+GUARD_OPS = ("spmv", "spmm", "spmv_batch")
+
+
+def op_input(op, spasm, rng):
+    """One valid input for the guarded ``op`` on ``spasm``."""
+    nrows, ncols = spasm.shape
+    if op == "spmv":
+        return rng.random(ncols)
+    if op == "spmm":
+        return rng.random((ncols, 3))
+    return rng.random((3, ncols))
+
+
+class TestGuardParity:
+    """Each recovery rule holds alike for spmv, spmm and spmv_batch."""
+
+    @pytest.mark.parametrize("op", GUARD_OPS)
+    def test_jobs_zero_is_a_caller_error(self, op, spasm, rng):
+        guard = ExecutionGuard(spasm)
+        with pytest.raises(ValueError):
+            getattr(guard, op)(op_input(op, spasm, rng), jobs=0)
+        assert guard.log.events == []
+
+    @pytest.mark.parametrize("op", GUARD_OPS)
+    def test_one_kernel_failure_rebuilds_once(self, op, spasm, rng,
+                                              monkeypatch):
+        arg = op_input(op, spasm, rng)
+        guard = ExecutionGuard(spasm)
+        clean = getattr(guard, op)(arg)
+        fails = {"left": 1}
+        for name in ("spmv", "spmm"):
+            real = getattr(backends, name)
+
+            def once(*args, _real=real):
+                if fails["left"]:
+                    fails["left"] -= 1
+                    raise RuntimeError("injected kernel failure")
+                return _real(*args)
+
+            monkeypatch.setattr(backends, name, once)
+        real_build = ExecutionPlan.build.__func__
+        builds = []
+
+        def spy(cls, *args, **kwargs):
+            builds.append(1)
+            return real_build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ExecutionPlan, "build", classmethod(spy))
+        out = getattr(guard, op)(arg)
+        assert np.array_equal(out, clean)
+        assert len(builds) == 1
+        assert [e.kind for e in guard.log.events] == ["detect", "rebuild"]
+
+    @pytest.mark.parametrize("op", GUARD_OPS)
+    def test_no_fallback_logs_raise(self, op, spasm, rng,
+                                    failing_kernel):
+        guard = ExecutionGuard(spasm, config=GuardConfig(fallback=False))
+        with pytest.raises(IntegrityError, match="fallback"):
+            getattr(guard, op)(op_input(op, spasm, rng))
+        last = guard.log.events[-1]
+        assert (last.kind, last.action) == ("detect", "raise")
 
 
 class TestGuardDetection:

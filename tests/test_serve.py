@@ -1,12 +1,11 @@
-"""Tests for the serving layer: deadlines, registry, admission,
-degradation ladder and the server end to end (the chaos-under-load
-campaign is tested with the other campaign targets in
-``tests/test_resilience.py``).
+"""Tests for the serving layer: deadlines, registry, admission and
+the server end to end (the chaos-under-load campaign is tested with
+the other campaign targets in ``tests/test_resilience.py``).
 
 The correctness contract under test everywhere: an ``ok`` response is
-bitwise-trustworthy (guarded plan path or verified naive rung), and a
-request that cannot be answered in time is shed — never answered late,
-never answered unverified.
+bitwise-trustworthy (the guarded plan path, the server's only path),
+and a request that cannot be answered in time is shed — never
+answered late, never answered unverified.
 """
 
 import threading
@@ -15,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import candidate_portfolios, encode_spasm
+from repro.exec import backends
 from repro.pipeline import ArtifactCache
 from repro.resilience import (
     FaultInjector,
@@ -23,12 +23,10 @@ from repro.resilience import (
 )
 from repro.resilience.guard import ExecutionGuard, GuardConfig, ResilienceLog
 from repro.serve import (
-    LEVELS,
     AdmissionConfig,
     AdmissionController,
     Deadline,
     DeadlineExceeded,
-    DegradationLadder,
     PlanRegistry,
     RequestShed,
     SpmvServer,
@@ -120,9 +118,11 @@ class TestDeadline:
 
 
 class TestGuardDeadline:
-    """The retry ladder must respect per-request deadlines."""
+    """The retry loop must respect per-request deadlines."""
 
-    def failing_guard(self, rng, fail_times):
+    def failing_guard(self, rng, monkeypatch, fail_times):
+        """A guard whose kernel raises on its first ``fail_times``
+        calls (the ``failing_kernel`` fixture's surface)."""
         spasm = make_spasm(rng)
         guard = ExecutionGuard(
             spasm,
@@ -131,7 +131,7 @@ class TestGuardDeadline:
             seed=7,
         )
         state = {"left": fail_times}
-        original = guard._checked_output
+        original = backends.spmv
 
         def flaky(*args):
             if state["left"] > 0:
@@ -139,11 +139,13 @@ class TestGuardDeadline:
                 raise RuntimeError("injected kernel failure")
             return original(*args)
 
-        guard._checked_output = flaky
+        monkeypatch.setattr(backends, "spmv", flaky)
         return spasm, guard
 
-    def test_expired_deadline_short_circuits_retries(self, rng):
-        spasm, guard = self.failing_guard(rng, fail_times=10)
+    def test_expired_deadline_short_circuits_retries(self, rng,
+                                                     monkeypatch):
+        spasm, guard = self.failing_guard(rng, monkeypatch,
+                                          fail_times=10)
         x = rng.standard_normal(spasm.shape[1])
         clock = FakeClock()
         y = guard.spmv(x, deadline=Deadline(0.0, clock=clock))
@@ -154,8 +156,9 @@ class TestGuardDeadline:
         assert "deadline" in kinds
         assert "fallback" in kinds
 
-    def test_generous_deadline_allows_recovery(self, rng):
-        spasm, guard = self.failing_guard(rng, fail_times=1)
+    def test_generous_deadline_allows_recovery(self, rng, monkeypatch):
+        spasm, guard = self.failing_guard(rng, monkeypatch,
+                                          fail_times=1)
         x = rng.standard_normal(spasm.shape[1])
         y = guard.spmv(x, deadline=Deadline(30.0))
         assert np.array_equal(y, spasm.spmv(x))
@@ -194,7 +197,6 @@ class TestPlanRegistry:
         registry.register("a", spasm=make_spasm(rng))
         assert registry.log is log
         assert registry._entries["a"].guard.log is log
-        assert DegradationLadder(log=log).log is log
 
     def test_explicit_evict_counted_and_logged(self, rng):
         registry = PlanRegistry()
@@ -322,8 +324,8 @@ class TestPlanRegistry:
     ):
         """The guard pins the digest of the bytes the plan was built
         from: a bit flipped in the live stream right after the build
-        fails the first answer, on the guard and on the server's
-        guarded and naive rungs, instead of being pinned as trusted."""
+        fails the first answer, on the guard and through the server,
+        instead of being pinned as trusted."""
         from repro.exec.plan import ExecutionPlan
 
         real_build = ExecutionPlan.build.__func__
@@ -350,18 +352,14 @@ class TestPlanRegistry:
         finally:
             registry.release(lease)
 
-        for rung in ("tuned", "naive"):
-            del flipped[:]
-            registry = PlanRegistry()
-            registry.register("a", spasm=clone_spasm(spasm))
-            assert flipped
-            ladder = DegradationLadder(log=registry.log, hold=10_000)
-            with SpmvServer(registry, ladder=ladder,
-                            workers=1) as server:
-                server.ladder.force(rung)
-                response = server.query("a", x)
-            assert response.status == "failed", rung
-            assert response.level == rung
+        del flipped[:]
+        registry = PlanRegistry()
+        registry.register("a", spasm=clone_spasm(spasm))
+        assert flipped
+        with SpmvServer(registry, workers=1) as server:
+            response = server.query("a", x)
+        assert response.status == "failed"
+        assert "integrity" in response.detail
 
     def test_warmup_warms_cold_entries_from_cache(self, rng, tmp_path):
         coo = random_structured_coo(rng, 96, "mixed")
@@ -530,65 +528,12 @@ class TestAdmission:
         assert AdmissionController().take(timeout=0.01) is None
 
 
-class TestDegradationLadder:
-    def test_degrades_one_rung_per_observation(self):
-        ladder = DegradationLadder()
-        names = [ladder.observe(1.0).name for _ in range(5)]
-        assert names == ["narrow", "naive", "naive", "naive", "naive"]
-        assert ladder.transitions == 2
-
-    def test_restore_needs_sustained_calm(self):
-        ladder = DegradationLadder(hold=3)
-        ladder.observe(1.0)
-        assert ladder.level.name == "narrow"
-        ladder.observe(0.0)
-        ladder.observe(0.0)
-        assert ladder.level.name == "narrow"  # hold not met yet
-        ladder.observe(0.0)
-        assert ladder.level.name == "tuned"
-
-    def test_mid_band_resets_calm(self):
-        ladder = DegradationLadder(hold=2, degrade_at=0.75,
-                                   restore_at=0.25)
-        ladder.observe(0.9)
-        ladder.observe(0.1)
-        ladder.observe(0.5)  # sawtooth back into the dead band
-        ladder.observe(0.1)
-        assert ladder.level.name == "narrow"  # calm streak was broken
-        ladder.observe(0.1)
-        assert ladder.level.name == "tuned"
-
-    def test_transitions_logged(self):
-        ladder = DegradationLadder()
-        ladder.observe(1.0)
-        kinds = [e.kind for e in ladder.log.events]
-        assert kinds == ["degrade"]
-
-    def test_force_and_unknown_level(self):
-        ladder = DegradationLadder()
-        assert ladder.force("naive").naive
-        assert ladder.force("tuned").name == "tuned"
-        with pytest.raises(ValueError, match="unknown service level"):
-            ladder.force("turbo")
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            DegradationLadder(degrade_at=0.2, restore_at=0.5)
-
-    def test_ladder_shape(self):
-        assert [lvl.name for lvl in LEVELS] == \
-            ["tuned", "narrow", "naive"]
-        assert not LEVELS[0].naive
-        assert LEVELS[-1].naive and LEVELS[-1].batch_window == 1
-
-
 @pytest.fixture
 def small_server(rng):
     spasm = make_spasm(rng)
     registry = PlanRegistry(seed=5)
     registry.register("m", spasm=spasm)
-    ladder = DegradationLadder(log=registry.log, hold=10_000)
-    server = SpmvServer(registry, ladder=ladder, workers=1)
+    server = SpmvServer(registry, workers=1)
     with server:
         yield server, spasm
 
@@ -644,33 +589,27 @@ class TestSpmvServer:
         for x, r in zip(xs, responses):
             assert np.array_equal(r.y, spasm.spmv(x))
 
-    def test_naive_rung_matches_reference(self, small_server, rng):
+    def test_deadline_lapsing_during_execution_is_shed_and_counted(
+        self, small_server, rng, monkeypatch
+    ):
+        """A result that is ready only after its deadline is shed, and
+        the shed is counted with the door's deadline sheds."""
         server, spasm = small_server
-        server.ladder.force("naive")
-        x = rng.standard_normal(spasm.shape[1])
-        response = server.query("m", x)
-        assert response.ok and response.level == "naive"
-        assert np.array_equal(response.y, spasm.spmv_naive(x))
+        clock = FakeClock()
+        guard = server.registry._entries["m"].guard
+        real_spmv = guard.spmv
 
-    def test_naive_rung_refuses_untrusted_stream(self, rng):
-        spasm = make_spasm(rng)
-        registry = PlanRegistry(seed=5)
-        registry.register("m", spasm=clone_spasm(spasm))
-        ladder = DegradationLadder(log=registry.log, hold=10_000)
-        with SpmvServer(registry, ladder=ladder, workers=1) as server:
-            server.ladder.force("naive")
-            lease = registry.acquire("m")
-            FaultInjector(seed=1).flip_value(lease.spasm)
-            registry.release(lease)
-            x = rng.standard_normal(spasm.shape[1])
-            response = server.query("m", x)
-            assert response.status == "failed"
-            assert "integrity" in response.detail
-            # Heal and the rung serves again.
-            registry.replace("m", clone_spasm(spasm))
-            healed = server.query("m", x)
-            assert healed.ok
-            assert np.array_equal(healed.y, spasm.spmv_naive(x))
+        def slow_spmv(*args, **kwargs):
+            clock.t += 2.0
+            return real_spmv(*args, **kwargs)
+
+        monkeypatch.setattr(guard, "spmv", slow_spmv)
+        x = rng.standard_normal(spasm.shape[1])
+        response = server.query("m", x, deadline=Deadline(1.0,
+                                                          clock=clock))
+        assert response.status == "shed"
+        assert "result ready after deadline" in response.detail
+        assert server.stats()["admission"]["shed"]["deadline"] == 1
 
     def test_stats_and_health(self, small_server, rng):
         server, spasm = small_server
@@ -680,8 +619,8 @@ class TestSpmvServer:
         assert stats["registry"]["entries"][0]["name"] == "m"
         assert "shed" in stats["admission"]
         health = server.health()
-        assert health["status"] == "ok"
-        assert health["level"] == "tuned"
+        assert health["running"]
+        assert health["queued"] == 0
         assert health["hot_bytes"] > 0
 
     def test_guard_incidents_reach_server_stats(self, rng,
@@ -690,7 +629,6 @@ class TestSpmvServer:
         with serve_matrices({"m": coo}, workers=1) as server:
             entry = server.registry._entries["m"]
             assert entry.guard.log is server.log
-            assert server.ladder.log is server.log
             x = rng.standard_normal(coo.shape[1])
             response = server.query("m", x)
             # The kernel raises on every call; the guard falls back
