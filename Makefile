@@ -45,13 +45,13 @@ bench-smoke:
 	python -m repro compile tmt_sym --scale 0.1 --json \
 	    --trace BENCH_pipeline.json > /dev/null
 	python -c "import json; t = json.load(open('BENCH_pipeline.json')); \
-	    print('\n'.join('%-14s %8.2f ms  cache=%s' % \
-	    (e['name'], e['wall_ms'], e['cache']) for e in t['events']))"
+	    print('\n'.join('%-14s %8.2f ms' % \
+	    (e['name'], e['wall_ms']) for e in t['events']))"
 	REPRO_BENCH_SCALE=0.04 pytest benchmarks/bench_exec_plan.py \
 	    --benchmark-disable -q
 
-# Seeded fault-injection campaign (smoke preset: 56 guarded calls
-# across stream/value/plan/cache/worker/image surfaces; plan flips are
+# Seeded fault-injection campaign (smoke preset: 46 guarded calls
+# across stream/value/plan/worker/image surfaces; plan flips are
 # byte-addressed, so compact int32 arrays are in the bit-flip
 # surface).  A single escaped fault — a silently wrong SpMV output —
 # or an injection that never fired exits nonzero and fails the build;
@@ -61,7 +61,7 @@ faults-smoke:
 	    --out BENCH_faults.json
 
 # Serving-layer smoke: the chaos-smoke campaign (stream/value/plan/
-# cache/worker faults fired at a live SpmvServer between mixed-tenant
+# worker faults fired at a live SpmvServer between mixed-tenant
 # bursts; an escaped fault — an ok response with a wrong result — or
 # an unfired injection exits nonzero), then the serving benchmark,
 # which records sustained QPS and clean-vs-chaos p50/p95/p99 into

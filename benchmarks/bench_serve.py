@@ -11,7 +11,7 @@ Two phases, one report (``BENCH_serve.json`` at the repo root):
 * **chaos** — the ``chaos-smoke`` preset of
   :mod:`repro.resilience.campaign`: the same serving stack hardened to
   :data:`~repro.resilience.campaign.CAMPAIGN_GUARD`, with
-  stream/value/plan/cache/worker faults fired at the live server
+  stream/value/plan/worker faults fired at the live server
   between bursts.  Its report carries clean-phase and
   chaos-phase percentiles measured under the *same* guard config, so
   the clean-vs-chaos comparison isolates the faults themselves.

@@ -7,8 +7,10 @@ paper's four selected matrices, then reports the amortization
 break-even versus Serpens_a24 (over the whole compile, encode
 included) — the paper's Chebyshev4 example needs ~298 iterations
 before preprocessing pays for itself.  Run alone, the first row's ②
-also pays for building the candidates' decomposition tables, which
-every later compile in the process shares.
+also pays for building the 10 candidates' weight-only decomposition
+tables, and each row's ③ pays for the subset table of its winning
+portfolio (the four matrices pick four different ones); every later
+compile in the process shares both.
 """
 
 from benchmarks.conftest import publish

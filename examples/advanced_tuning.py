@@ -1,13 +1,12 @@
-"""Advanced tuning: reordering + greedy portfolio + persistent encoding.
+"""Advanced tuning: greedy portfolio + persistent encoding.
 
-Chains the repository's extension features on a deliberately hostile
-input — a scattered matrix with latent structure — and shows each stage
-paying off:
+Chains the repository's extension features on a mixed input — row
+segments over diagonal stripes — and shows each stage at work:
 
-1. reordering recovers locality the row order had destroyed;
-2. a greedy-built custom portfolio beats every Table V candidate;
-3. the tuned encoding is persisted and reloaded for reuse;
-4. the fast simulation engine verifies the result at full speed.
+1. a greedy-built custom portfolio is scored against every Table V
+   candidate, and the cheaper one is kept;
+2. the tuned encoding is persisted and reloaded for reuse;
+3. the fast simulation engine verifies the result at full speed.
 
 Run with:  python examples/advanced_tuning.py
 """
@@ -20,7 +19,6 @@ from repro import SpasmAccelerator
 from repro.core import (
     GreedyPortfolioBuilder,
     analyze_local_patterns,
-    best_reordering,
     candidate_portfolios,
     encode_spasm,
     load_spasm,
@@ -32,37 +30,19 @@ from repro.hw.configs import SPASM_4_1
 from repro.synth import generators as g
 
 
-def build_hostile_matrix():
-    """Latent diagonal structure hidden behind a random row order."""
-    from repro.core.reorder import apply_permutation
-
-    base = g.overlay(
-        g.diagonal_stripes(2048, (0, 513), fill=0.95, seed=5),
-        g.random_uniform(2048, 2e-4, seed=6),
-    )
-    rng = np.random.default_rng(7)
-    scramble = rng.permutation(base.shape[0])
-    return apply_permutation(
-        base, scramble, np.arange(base.shape[1])
-    ).matrix
-
-
 def main():
-    coo = build_hostile_matrix()
+    coo = g.overlay(
+        g.row_segments(2048, seed=5),
+        g.diagonal_stripes(2048, (0, 513), fill=0.95, seed=5),
+    )
     print(f"input: {coo.shape}, nnz={coo.nnz}")
+    histogram = analyze_local_patterns(coo)
 
-    # 1. Reordering.
-    before = analyze_local_patterns(coo)
-    reordered = best_reordering(coo)
-    after = analyze_local_patterns(reordered.matrix)
-    print(f"reordering: {before.total} -> {after.total} non-empty "
-          f"submatrices (fewer is denser)")
-
-    # 2. Portfolio: Table V candidates vs greedy universe build.
-    selection = select_portfolio(after)
-    candidate_bytes = storage_bytes_estimate(after, selection.portfolio)
-    greedy = GreedyPortfolioBuilder().build(after)
-    greedy_bytes = storage_bytes_estimate(after, greedy.portfolio)
+    # 1. Portfolio: Table V candidates vs greedy universe build.
+    selection = select_portfolio(histogram)
+    candidate_bytes = storage_bytes_estimate(histogram, selection.portfolio)
+    greedy = GreedyPortfolioBuilder().build(histogram)
+    greedy_bytes = storage_bytes_estimate(histogram, greedy.portfolio)
     print(f"portfolio: best candidate {selection.portfolio.name} = "
           f"{candidate_bytes / coo.nnz:.2f} B/nnz, greedy custom = "
           f"{greedy_bytes / coo.nnz:.2f} B/nnz")
@@ -72,22 +52,18 @@ def main():
         else selection.portfolio
     )
 
-    # 3. Encode and persist.
-    spasm = encode_spasm(reordered.matrix, portfolio, tile_size=512)
+    # 2. Encode and persist.
+    spasm = encode_spasm(coo, portfolio, tile_size=512)
     with tempfile.NamedTemporaryFile(suffix=".npz") as handle:
         save_spasm(handle.name, spasm)
         reloaded = load_spasm(handle.name)
     print(f"persisted encoding: {spasm.storage_bytes()} bytes, "
           f"padding {spasm.padding_rate:.1%}")
 
-    # 4. Verify with the fast engine, in the original index space.
+    # 3. Verify with the fast engine.
     x = np.random.default_rng(8).random(coo.shape[1])
-    result = SpasmAccelerator(SPASM_4_1).run(
-        reloaded, x[reordered.col_perm], engine="fast"
-    )
-    y = np.empty_like(result.y)
-    y[reordered.row_perm] = result.y
-    assert np.allclose(y, coo.spmv(x)), "verification failed"
+    result = SpasmAccelerator(SPASM_4_1).run(reloaded, x, engine="fast")
+    assert np.allclose(result.y, coo.spmv(x)), "verification failed"
     print(f"fast-engine verification: exact "
           f"({result.gflops:.1f} GFLOP/s modeled, "
           f"bottleneck {result.bottleneck})")

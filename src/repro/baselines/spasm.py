@@ -25,11 +25,6 @@ class SpasmModel(AcceleratorModel):
     compiler:
         Optional pre-configured :class:`SpasmCompiler` (ablations pass
         compilers with stages disabled).
-    cache_dir:
-        When no ``compiler`` is given, build one with this
-        content-addressed artifact cache directory (see
-        :mod:`repro.pipeline.cache`); repeat compiles of an unchanged
-        matrix — including across processes — are served from disk.
     **compile_kwargs:
         ``fixed_portfolio`` / ``fixed_tile_size`` / ``fixed_hw_config``
         forwarded to every compile call.
@@ -37,9 +32,8 @@ class SpasmModel(AcceleratorModel):
 
     name = "SPASM"
 
-    def __init__(self, compiler: SpasmCompiler = None, cache_dir=None,
-                 **compile_kwargs):
-        self.compiler = compiler or SpasmCompiler(cache_dir=cache_dir)
+    def __init__(self, compiler: SpasmCompiler = None, **compile_kwargs):
+        self.compiler = compiler or SpasmCompiler()
         self.compile_kwargs = compile_kwargs
         self._cache = {}
 
@@ -75,7 +69,7 @@ class SpasmModel(AcceleratorModel):
 
     def trace(self, coo: COOMatrix):
         """Per-stage :class:`~repro.pipeline.trace.PipelineTrace` of the
-        (memoized) compile — stage timings, cache outcomes, notes."""
+        (memoized) compile — stage timings and notes."""
         return self.compile(coo).trace
 
     # The platform constants depend on the per-matrix selected bitstream,

@@ -77,10 +77,7 @@ def cmd_analyze(args) -> int:
 
 def make_compiler(args) -> SpasmCompiler:
     """A compiler configured from the shared pipeline CLI flags."""
-    return SpasmCompiler(
-        cache_dir=getattr(args, "cache_dir", None),
-        verify=getattr(args, "verify", False),
-    )
+    return SpasmCompiler(verify=getattr(args, "verify", False))
 
 
 def write_trace(args, program) -> None:
@@ -140,11 +137,6 @@ def cmd_compile(args) -> int:
           f"selection {program.report.selection_ms:.1f} ms, "
           f"decomposition {program.report.decomposition_ms:.1f} ms, "
           f"schedule {program.report.schedule_ms:.1f} ms")
-    if args.cache_dir:
-        hits = ", ".join(
-            f"{event.name}={event.cache}" for event in program.trace
-        )
-        print(f"cache:         {hits}")
     return 0
 
 
@@ -244,13 +236,6 @@ def cmd_run(args) -> int:
     import numpy as np
 
     coo = load_matrix(args.matrix, args.scale)
-    reorder = None
-    if args.reorder:
-        from repro.core.reorder import best_reordering, reorder_gain
-
-        reorder = best_reordering(coo)
-        gain = reorder_gain(coo, reorder)
-        coo = reorder.matrix
     # --jobs 0 selects the plan's automatic shard heuristic.
     jobs = args.jobs if args.jobs > 0 else None
 
@@ -345,8 +330,6 @@ def cmd_run(args) -> int:
         if args.batch > 0:
             payload["timing"]["batch_queries"] = args.batch
             payload["timing"]["qps"] = args.batch / best
-        if reorder is not None:
-            payload["reorder"] = gain
         if guard is not None:
             payload["guard_incidents"] = len(guard.log)
         print(json.dumps(payload, indent=2))
@@ -356,11 +339,6 @@ def cmd_run(args) -> int:
     print(f"matrix:   {args.matrix} shape={spasm.shape} "
           f"nnz={spasm.source_nnz}")
     print(f"engine:   {args.engine} (jobs={jobs_note})")
-    if reorder is not None:
-        print(f"reorder:  {gain['before_bytes_per_nnz']:.2f} -> "
-              f"{gain['after_bytes_per_nnz']:.2f} bytes/nnz "
-              f"({gain['gain']:.2f}x storage gain; outputs are in "
-              "the reordered index space)")
     if args.engine in ("plan", "guarded"):
         print(f"plan:     {plan.describe()} "
               f"(built in {plan.build_ms:.1f} ms)")
@@ -481,8 +459,8 @@ def cmd_faults(args) -> int:
     """Run a seeded fault-injection campaign (gate: zero escapes).
 
     The preset picks the target: ``smoke``/``full`` fire one fault per
-    guarded call across every surface (stream, value, plan, cache,
-    worker, image); ``chaos-smoke``/``chaos-full`` fire waves at a
+    guarded call across every surface (stream, value, plan, worker,
+    image); ``chaos-smoke``/``chaos-full`` fire waves at a
     live server under seeded mixed-tenant load.  Every answer is
     audited bitwise.  Any *escaped* fault — a silently wrong answer —
     or any injection that never fired exits 1.
@@ -496,8 +474,7 @@ def cmd_faults(args) -> int:
             print(f"  .. {line}", file=sys.stderr)
 
     report = run_campaign(
-        preset=args.campaign, seed=args.seed,
-        cache_dir=args.cache_dir, progress=progress,
+        preset=args.campaign, seed=args.seed, progress=progress,
     )
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -521,15 +498,12 @@ def cmd_faults(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _serve_setup(workloads: str, scale: float, cache_dir,
-                 byte_budget_mb, seed: int, admission=None,
-                 workers: int = 2):
+def _serve_setup(workloads: str, scale: float, byte_budget_mb,
+                 seed: int, admission=None, workers: int = 2):
     """Unstarted server + probe dims for the serve/query commands."""
-    from repro.pipeline.cache import ArtifactCache
     from repro.serve import serve_matrices
     from repro.synth import load_workload
 
-    cache = ArtifactCache(cache_dir) if cache_dir else None
     budget = (int(byte_budget_mb * (1 << 20))
               if byte_budget_mb else None)
     matrices = {}
@@ -540,7 +514,7 @@ def _serve_setup(workloads: str, scale: float, cache_dir,
             name, eff_scale
         )
     server = serve_matrices(
-        matrices, cache=cache, byte_budget=budget,
+        matrices, byte_budget=budget,
         admission=admission, workers=workers, seed=seed, start=False,
     )
     ncols = {
@@ -570,8 +544,7 @@ def cmd_serve(args) -> int:
     )
 
     server, ncols = _serve_setup(
-        args.workloads, args.scale, args.cache_dir,
-        args.plan_budget_mb, args.seed,
+        args.workloads, args.scale, args.plan_budget_mb, args.seed,
         admission=AdmissionConfig(max_queue_per_plan=args.queue,
                                   max_total=args.max_queued),
         workers=args.workers,
@@ -609,7 +582,7 @@ def cmd_serve(args) -> int:
 def cmd_query(args) -> int:
     """One guarded query through the serving engine.
 
-    Compiles (or cache-loads) the workload, serves a single seeded
+    Compiles the workload, serves a single seeded
     probe vector under the optional deadline, and prints the response
     status, latency and output checksum.  Non-``ok`` responses exit 1.
     """
@@ -621,8 +594,7 @@ def cmd_query(args) -> int:
     from repro.serve import Deadline
 
     server, ncols = _serve_setup(
-        args.workload, args.scale, args.cache_dir, None, args.seed,
-        workers=1,
+        args.workload, args.scale, None, args.seed, workers=1,
     )
     (plan_name,) = ncols
     rng = np.random.default_rng(args.seed)
@@ -677,7 +649,7 @@ def cmd_reproduce(args) -> int:
         (spec.name, coo)
         for spec, coo in load_suite(scale=args.scale, names=names)
     ]
-    spasm = SpasmModel(cache_dir=args.cache_dir)
+    spasm = SpasmModel()
     baselines = [
         HiSparseModel(), SERPENS_A16(), SERPENS_A24(),
         CuSparseRTX3090Model(),
@@ -762,13 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthetic workload scale factor")
         return p
 
-    def add_pipeline_flags(p):
-        p.add_argument("--cache-dir", default=None,
-                       help="content-addressed artifact cache directory "
-                            "(recompiles of unchanged workloads are "
-                            "served from disk)")
-        return p
-
     analyze = add_matrix_command(
         "analyze", "local pattern histogram and spy plot"
     )
@@ -782,7 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     compile_p = add_matrix_command(
         "compile", "run the full SPASM pipeline"
     )
-    add_pipeline_flags(compile_p)
     compile_p.add_argument("--json", action="store_true",
                            help="emit the full result (per-stage trace "
                                 "included) as JSON")
@@ -798,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     encode = add_matrix_command(
         "encode", "compile and persist a SPASM encoding"
     )
-    add_pipeline_flags(encode)
     encode.add_argument("--trace", default=None, metavar="FILE",
                         help="write the per-stage pipeline trace to "
                              "FILE as JSON")
@@ -811,7 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = add_matrix_command(
         "run", "timed numeric SpMV runs through a chosen engine"
     )
-    add_pipeline_flags(run)
     run.add_argument("--jobs", type=int_at_least(0), default=1,
                      help="execution shard count (default 1); 0 "
                           "selects the plan's nnz auto-heuristic")
@@ -830,11 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "reports queries/s")
     run.add_argument("--seed", type=int, default=0,
                      help="seed for the random x vector")
-    run.add_argument("--reorder", action="store_true",
-                     help="apply the best structural reordering "
-                          "(identity / block-signature / degree sort) "
-                          "before compiling and report the storage "
-                          "gain")
     run.add_argument("--trace", default=None, metavar="FILE",
                      help="write the per-stage pipeline trace to FILE "
                           "as JSON")
@@ -891,15 +848,12 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--campaign", default="smoke",
                         choices=["smoke", "full", "chaos-smoke",
                                  "chaos-full"],
-                        help="preset: 'smoke' (56 guarded calls, CI) or "
-                             "'full' (220); 'chaos-smoke'/'chaos-full' "
+                        help="preset: 'smoke' (46 guarded calls, CI) or "
+                             "'full' (180); 'chaos-smoke'/'chaos-full' "
                              "fire waves at a live server under load")
     faults.add_argument("--seed", type=int, default=0,
                         help="master seed; the campaign is a pure "
                              "function of it")
-    faults.add_argument("--cache-dir", default=None,
-                        help="cache directory to corrupt (default: a "
-                             "throwaway temp dir)")
     faults.add_argument("--json", action="store_true",
                         help="emit the full report as JSON on stdout")
     faults.add_argument("--out", default=None, metavar="FILE",
@@ -932,9 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--plan-budget-mb", type=float, default=None,
                        help="registry hot-plan byte budget (LRU "
                             "eviction above it)")
-    serve.add_argument("--cache-dir", default=None,
-                       help="artifact cache (plan artifacts warm "
-                            "from here)")
     serve.add_argument("--seed", type=int, default=0,
                        help="seed for probes and tenant traffic")
     serve.add_argument("--json", action="store_true",
@@ -953,8 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--deadline-ms", type=float, default=None,
                        help="request deadline; an expired request is "
                             "shed, never answered late")
-    query.add_argument("--cache-dir", default=None,
-                       help="artifact cache for plan warmup")
     query.add_argument("--json", action="store_true",
                        help="emit the response as JSON")
 
@@ -970,7 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--matrices", default=None,
         help="comma-separated workload subset (default: all 20)",
     )
-    add_pipeline_flags(reproduce)
     return parser
 
 

@@ -50,13 +50,6 @@ from repro.core.dynamic import (
     GreedyPortfolioBuilder,
     select_portfolio_dynamic,
 )
-from repro.core.reorder import (
-    ReorderResult,
-    apply_permutation,
-    best_reordering,
-    sort_rows_by_block_signature,
-    symmetric_degree_sort,
-)
 from repro.core.schedule import ScheduleResult, explore_schedule
 from repro.core.framework import (
     PreprocessReport,
@@ -105,11 +98,6 @@ __all__ = [
     "GreedyBuildResult",
     "GreedyPortfolioBuilder",
     "select_portfolio_dynamic",
-    "ReorderResult",
-    "apply_permutation",
-    "best_reordering",
-    "sort_rows_by_block_signature",
-    "symmetric_degree_sort",
     "ScheduleResult",
     "explore_schedule",
     "PreprocessReport",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -135,9 +135,13 @@ def find_best_decomp(pattern: int,  # lint: allow(api.unused-public)
 class DecompositionTable:
     """Exact decomposition of *every* k*k-bit pattern against a portfolio.
 
-    The table is built once per portfolio in O(2^n + k*k * 2^(k*k))
-    vectorized work (n = number of templates) and then answers
-    ``decompose(pattern)`` in O(1).
+    Construction runs a weight-only superset-min DP in O(2^n + k*k *
+    2^(k*k)) vectorized work (n = number of templates): enough to score
+    a portfolio (:meth:`cover_count_array`, :meth:`padding_array`,
+    :meth:`total_padding`).  The argmin subsets that
+    :meth:`subset_array` and :meth:`decompose` answer from are built by
+    the first such lookup, so scoring the Table V candidates never pays
+    for them; only the decomposed portfolio does.
 
     Parameters
     ----------
@@ -159,37 +163,63 @@ class DecompositionTable:
             raise DecompositionError("empty template set")
         self.k = k
         self.masks = tuple(int(m) for m in masks)
-        self._build()
+        self._big = np.iinfo(np.int16).max
+        self._cover_weight = self._weight_dp()
+        #: Cheapest covering subset per pattern; built on first lookup.
+        self._cover_subset: Optional[np.ndarray] = None
 
-    def _build(self) -> None:
-        n = len(self.masks)
-        cell_bits = self.k * self.k
-        nsubsets = 1 << n
-        npatterns = 1 << cell_bits
+    def _subset_unions(self, dtype) -> Tuple[np.ndarray, np.ndarray]:
+        """Union and weight of every template subset.
 
-        # Union and weight of every template subset, built incrementally:
-        # subsets of templates[0:t+1] with bit t set are subsets of
-        # templates[0:t] shifted up by 2^t.
+        Built incrementally: subsets of templates[0:t+1] with bit t set
+        are subsets of templates[0:t] shifted up by 2^t.
+        """
+        nsubsets = 1 << len(self.masks)
         union = np.zeros(nsubsets, dtype=np.uint32)
-        weight = np.zeros(nsubsets, dtype=np.int32)
+        weight = np.zeros(nsubsets, dtype=dtype)
         for t_id, tmask in enumerate(self.masks):
             m = 1 << t_id
             union[m : 2 * m] = union[:m] | np.uint32(tmask)
             weight[m : 2 * m] = weight[:m] + popcount(tmask)
+        return union, weight
+
+    def _weight_dp(self) -> np.ndarray:
+        """Cheapest cover weight of every pattern (``_big``: none)."""
+        union, weight = self._subset_unions(np.int16)
+        best = np.full(1 << (self.k * self.k), self._big, dtype=np.int16)
+        np.minimum.at(best, union, weight)
+        # Superset-min DP: a pattern is covered by any subset whose
+        # union is a superset of it.
+        for bit in range(self.k * self.k):
+            low = best.reshape(-1, 2, 1 << bit)
+            np.minimum(low[:, 0, :], low[:, 1, :], out=low[:, 0, :])
+        return best
+
+    def _subsets(self) -> np.ndarray:
+        """The argmin subset table, built by the joint DP on first use.
+
+        Built into a local and assigned once complete, so threads
+        sharing a :func:`cached_table` never see a half-built array
+        (two racing first lookups both build the same table).
+        """
+        subsets = self._cover_subset
+        if subsets is not None:
+            return subsets
+        cell_bits = self.k * self.k
+        nsubsets = 1 << len(self.masks)
+        union, weight = self._subset_unions(np.int32)
 
         # Cheapest subset achieving each union value.
         big = np.iinfo(np.int32).max
-        best_weight = np.full(npatterns, big, dtype=np.int32)
-        best_subset = np.zeros(npatterns, dtype=np.int64)
+        best_weight = np.full(1 << cell_bits, big, dtype=np.int32)
+        best_subset = np.zeros(1 << cell_bits, dtype=np.int64)
         # Process subsets from heaviest to lightest so the last write per
         # union is the lightest subset (stable tie-break: lowest subset id).
         order = np.lexsort((np.arange(nsubsets), weight))[::-1]
         best_weight[union[order]] = weight[order]
         best_subset[union[order]] = order
 
-        # Superset-min DP: propagate each union's cost to all its subsets
-        # (a pattern p is covered by any subset whose union is a superset
-        # of p).
+        # Superset-min DP carrying the argmin subset along.
         for bit in range(cell_bits):
             step = 1 << bit
             low = best_weight.reshape(-1, 2, step)
@@ -198,9 +228,12 @@ class DecompositionTable:
             low[:, 0, :] = np.where(improve, low[:, 1, :], low[:, 0, :])
             low_s[:, 0, :] = np.where(improve, low_s[:, 1, :], low_s[:, 0, :])
 
-        self._cover_weight = best_weight
+        assert np.array_equal(
+            np.where(best_weight == big, self._big, best_weight),
+            self._cover_weight,
+        ), "joint DP weights diverge from the weight-only DP"
         self._cover_subset = best_subset
-        self._big = big
+        return best_subset
 
     @property
     def n_templates(self) -> int:
@@ -263,7 +296,7 @@ class DecompositionTable:
             raise DecompositionError(
                 f"pattern {bad:#x} is not coverable by this portfolio"
             )
-        return np.where(patterns == 0, 0, self._cover_subset[patterns])
+        return np.where(patterns == 0, 0, self._subsets()[patterns])
 
     def decompose(self, pattern: int) -> Decomposition:
         """Optimal decomposition of one pattern."""
@@ -315,8 +348,9 @@ def cached_table(portfolio, k: int = None) -> DecompositionTable:
     """A shared :class:`DecompositionTable` for this portfolio.
 
     Building a table costs O(k*k * 2^(k*k)) vectorized work — enough to
-    dominate small-matrix compiles when rebuilt per call.  Tables are
-    immutable after construction, so one instance per distinct
+    dominate small-matrix compiles when rebuilt per call.  A table's
+    weights are fixed at construction and its subset array is assigned
+    once, whole, by the first lookup, so one instance per distinct
     ``(k, template masks)`` pair serves the whole process; repeated
     compiles, selection sweeps and ``encode_spasm(table=None)`` calls
     all hit the same entry.

@@ -287,20 +287,17 @@ class SpasmMatrix:
         return COOMatrix(rows[keep], cols[keep], vals[keep], self.shape)
 
     def stream_digest(self) -> str:
-        """Content digest of the encoded stream (plan cache key)."""
+        """Content digest of the encoded stream (the plan's label)."""
         from repro.exec.plan import stream_digest
 
         return stream_digest(self)
 
-    def plan(self, cache=None) -> "ExecutionPlan":
+    def plan(self) -> "ExecutionPlan":
         """The compiled :class:`~repro.exec.plan.ExecutionPlan`.
 
         Built lazily and cached on the matrix, keyed on the stream
         content (:meth:`stream_digest`): mutating any stored array
-        invalidates the cached plan on the next call.  Passing an
-        :class:`~repro.pipeline.cache.ArtifactCache` additionally
-        persists the plan on disk, so rebuilding an identical stream —
-        in this or any other process — is a load, not a compile.
+        invalidates the cached plan on the next call.
 
         Revalidating a cached plan digests the whole stream, so hot
         loops should call ``plan()`` once and hold the result (the
@@ -312,7 +309,7 @@ class SpasmMatrix:
         cached = self.__dict__.get("_plan")
         if cached is not None and cached.digest == stream_digest(self):
             return cached
-        built = ExecutionPlan.build(self, cache=cache)
+        built = ExecutionPlan.build(self)
         self._plan = built
         return built
 

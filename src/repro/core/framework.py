@@ -9,10 +9,8 @@ execution (step ⑥, :mod:`repro.hw`).
 
 Every compile carries a structured
 :class:`~repro.pipeline.trace.PipelineTrace` (per-stage wall time,
-artifact sizes, cache hit/miss, bottleneck notes); the Table VIII style
-:class:`PreprocessReport` is a view over that trace.  Passing a
-``cache_dir`` turns on content-addressed caching of the analysis,
-selection, decomposition and schedule stages.
+artifact sizes, bottleneck notes); the Table VIII style
+:class:`PreprocessReport` is a view over that trace.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from repro.exec.plan import ExecutionPlan
 from repro.hw.configs import HwConfig
 from repro.matrix.coo import COOMatrix
 from repro.pipeline.artifacts import ArtifactStore
-from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.passes import (
     AnalysisPass,
     CompilerPass,
@@ -53,8 +50,8 @@ class PreprocessReport:
     ``schedule_ms`` ④⑤ (the paper reports the two jointly).
 
     This is a *view* over the pipeline trace — construct it with
-    :meth:`from_trace`; the full per-stage records (cache outcomes,
-    artifact sizes, notes) live on
+    :meth:`from_trace`; the full per-stage records (artifact sizes,
+    notes) live on
     :attr:`SpasmProgram.trace`.
     """
 
@@ -181,18 +178,14 @@ class SpasmCompiler:
     hazard_aware:
         Reorder each tile's group stream to space out partial-sum
         reuse (:func:`repro.hw.hazards.hazard_aware_reorder`).
-    cache_dir:
-        Directory for content-addressed caching of the analysis,
-        selection, decomposition and schedule artifacts; recompiling an
-        unchanged workload is then served from disk (``None`` disables).
     verify:
         Mount :mod:`repro.verify` as a final pipeline pass: each
         compile statically checks the encoded stream and raises
         :class:`~repro.core.format.FormatError` on any violation.
     build_plan:
         Append the :class:`~repro.pipeline.passes.PlanPass`: each
-        compile also builds (and, with ``cache_dir``, persists) the
-        numeric :class:`~repro.exec.plan.ExecutionPlan`, available as
+        compile also builds the numeric
+        :class:`~repro.exec.plan.ExecutionPlan`, available as
         :attr:`SpasmProgram.plan` and cached on the encoded matrix, so
         its first ``spmv`` builds nothing.
     """
@@ -204,7 +197,7 @@ class SpasmCompiler:
                  selection_coverage: float = 0.95, perf_model=None,
                  portfolio_strategy: str = "candidates",
                  hazard_aware: bool = False,
-                 cache_dir=None, verify: bool = False,
+                 verify: bool = False,
                  build_plan: bool = False):
         self.k = k
         if portfolio_strategy not in self.PORTFOLIO_STRATEGIES:
@@ -214,7 +207,6 @@ class SpasmCompiler:
             )
         self.portfolio_strategy = portfolio_strategy
         self.hazard_aware = hazard_aware
-        self.cache_dir = cache_dir
         self.verify = verify
         self.build_plan = build_plan
         self.candidates = (
@@ -285,13 +277,7 @@ class SpasmCompiler:
 
         store = ArtifactStore()
         store.put("coo", coo)
-        cache = (
-            ArtifactCache(self.cache_dir)
-            if self.cache_dir is not None
-            else None
-        )
-        runner = PipelineRunner(cache=cache)
-        trace = runner.run(
+        trace = PipelineRunner().run(
             self.build_passes(
                 fixed_portfolio=fixed_portfolio,
                 fixed_tile_size=fixed_tile_size,

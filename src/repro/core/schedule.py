@@ -11,7 +11,6 @@ cheapest (fewest estimated cycles) pair wins.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 from repro.core.tiling import GlobalComposition, TilingError
 
@@ -22,16 +21,12 @@ DEFAULT_TILE_SIZES = (256, 512, 1024, 2048, 4096, 8192)
 
 @dataclasses.dataclass(frozen=True)
 class SchedulePoint:
-    """One evaluated (tile size, hardware configuration) pair.
-
-    ``composition`` is ``None`` when the point was restored from the
-    artifact cache (the encoder never consumes it).
-    """
+    """One evaluated (tile size, hardware configuration) pair."""
 
     tile_size: int
     hw_config: object
     cycles: float
-    composition: Optional[GlobalComposition]
+    composition: GlobalComposition
 
     @property
     def label(self) -> str:

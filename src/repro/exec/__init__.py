@@ -16,8 +16,7 @@ is a hard dependency: importing this package without it raises
 ``ImportError``.
 
 Plans are content-keyed (:func:`stream_digest`), cached lazily on the
-matrix, optionally persisted through the pipeline's artifact cache, and
-executable on a thread pool in deterministic row-block shards
+matrix, and executable on a thread pool in deterministic row-block shards
 (``plan.spmv(x, jobs=N)`` is bitwise identical for every ``N``).
 What makes a plan safe to dispatch — the dtype tables, the int32
 extent rule and the plan invariants — is decided in one place,
@@ -27,7 +26,6 @@ extent rule and the plan invariants — is decided in one place,
 from repro.exec.backends import get_backend
 from repro.exec.plan import (
     ExecutionPlan,
-    PLAN_STAGE,
     dispatch_overhead_s,
     set_shard_fault_hook,
     stream_digest,
@@ -36,7 +34,6 @@ from repro.exec.policy import index_dtype_for, plan_checksum
 
 __all__ = [
     "ExecutionPlan",
-    "PLAN_STAGE",
     "dispatch_overhead_s",
     "get_backend",
     "index_dtype_for",

@@ -25,7 +25,7 @@ Call time (every SpMV)
 
 This module holds **no kernel math at all** (machine-enforced by the
 ``exec.plan-kernel`` self-lint): only the plan data model — digests,
-checksums, caching, validation — and the dispatch layer around the
+checksums, validation — and the dispatch layer around the
 kernel (shard grids, the shared pool, the fault hook).
 
 Sharding splits the rows into contiguous ranges of roughly equal slot
@@ -51,10 +51,6 @@ import numpy as np
 
 from repro.exec import backends as kernel
 from repro.exec.policy import check_layout, plan_checksum, plan_findings
-
-#: Stage name used for persisted plan artifacts (``plan-<key>.npz``
-#: entries in a :class:`repro.pipeline.cache.ArtifactCache`).
-PLAN_STAGE = "plan"
 
 #: A shard below this many slots is not worth a thread dispatch; small
 #: plans collapse to the serial path no matter what ``jobs`` says.
@@ -181,7 +177,7 @@ def _noop_dispatch() -> None:
 
 
 def stream_digest(spasm: Any) -> str:
-    """Content digest of an encoded stream (plan cache key).
+    """Content digest of an encoded stream (the plan's label).
 
     Covers everything the plan depends on: logical shape, pattern size,
     tile size, the portfolio's template masks, the tile directory and
@@ -231,20 +227,6 @@ def _stream_snapshot(spasm: Any) -> Any:
     })
 
 
-def _plan_cache_key(digest: str, index: Optional[str]) -> str:
-    """Artifact key for one (stream, index layout) combination.
-
-    The default layout (auto-narrowed indices) keeps the bare digest
-    key; an explicit ``index`` hashes into the key so differently-typed
-    plans of one stream coexist in the cache instead of thrashing a
-    single entry.
-    """
-    if index is None:
-        return digest[:40]
-    tag = hashlib.sha256(f"{digest}|{index}".encode())
-    return tag.hexdigest()[:40]
-
-
 @dataclasses.dataclass(frozen=True)
 class ExecutionPlan:
     """A matrix compiled to the CSR arrays the kernel reads.
@@ -265,8 +247,8 @@ class ExecutionPlan:
         ``[indptr[r], indptr[r + 1])``, ``indptr[0] == 0`` and
         ``indptr[-1] == n_slots``.
     digest:
-        :func:`stream_digest` of the source stream; the cache key and
-        the invalidation token of lazily cached plans.
+        :func:`stream_digest` of the source stream; the invalidation
+        token of lazily cached plans.
     source_nnz:
         Non-zero count of the source matrix (throughput accounting).
     checksum:
@@ -288,7 +270,7 @@ class ExecutionPlan:
     checksum: str = ""
     build_ms: float = dataclasses.field(default=0.0, compare=False)
     #: The auto-jobs pin (:meth:`override_auto_jobs`): runtime state,
-    #: never persisted, never checksummed.
+    #: never checksummed.
     _scratch: Dict[Any, Any] = dataclasses.field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -298,39 +280,21 @@ class ExecutionPlan:
     # ------------------------------------------------------------------
 
     @classmethod
-    def build(cls, spasm: Any, cache: Any = None,
+    def build(cls, spasm: Any,
               index: Optional[str] = None) -> "ExecutionPlan":
         """Compile a plan for a :class:`~repro.core.format.SpasmMatrix`.
 
-        ``cache`` is an optional
-        :class:`~repro.pipeline.cache.ArtifactCache`: the built plan is
-        persisted as a ``plan-<key>.npz`` artifact keyed on the stream
-        digest (and the layout, when overridden), and a later build of
-        an identical stream — in this or any other process — is served
-        from disk.  ``index`` forces an index dtype
-        (``"int32"``/``"int64"``); by default indices auto-narrow.
+        ``index`` forces an index dtype (``"int32"``/``"int64"``); by
+        default indices auto-narrow.
         """
         # Copy, then hash and compile the copy: the label is the digest
         # of exactly the bytes the plan was built from, so a concurrent
         # in-place mutation of the live stream (a fault striking a
-        # serving stream) can never label — or persist under the
-        # pristine key — a plan of other content.  Callers compare
-        # ``plan.digest`` with the live stream to see such a mutation.
+        # serving stream) can never label a plan of other content.
+        # Callers compare ``plan.digest`` with the live stream to see
+        # such a mutation.
         snapshot = _stream_snapshot(spasm)
-        digest = stream_digest(snapshot)
-        key = _plan_cache_key(digest, index)
-        entry = None if cache is None else cache.load(PLAN_STAGE, key)
-        if entry is not None:
-            try:
-                return cls.from_entry(entry, digest, spasm.shape,
-                                      index=index)
-            except ValueError as exc:
-                # Quarantined with the reason: never consulted again.
-                cache.quarantine(PLAN_STAGE, key, reason=str(exc))
-        plan = cls._compile(snapshot, digest, index=index)
-        if cache is not None:
-            cache.store(PLAN_STAGE, key, *plan.to_entry())
-        return plan
+        return cls._compile(snapshot, stream_digest(snapshot), index=index)
 
     @classmethod
     def from_slots(cls, shape: Tuple[int, int], rows: np.ndarray,
@@ -409,76 +373,6 @@ class ExecutionPlan:
             compacted=True,
         )
 
-    def to_entry(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-        """The persisted form of the plan: ``(arrays, meta)``.
-
-        The one plan-entry codec, shared by the plan cache
-        (:meth:`build`) and the pipeline's ``PlanPass``; the inverse
-        is :meth:`from_entry`.
-        """
-        return (
-            {
-                "cols": self.cols,
-                "vals": self.vals,
-                "indptr": self.indptr,
-            },
-            {
-                "digest": self.digest,
-                "nrows": self.shape[0],
-                "ncols": self.shape[1],
-                "source_nnz": self.source_nnz,
-                "plan_checksum": self.checksum,
-            },
-        )
-
-    @classmethod
-    def from_entry(cls, entry: Any, digest: str, shape: Sequence[int],
-                   index: Optional[str] = None) -> "ExecutionPlan":
-        """Adopt a persisted entry for the stream ``digest``/``shape``.
-
-        Arrays are adopted **as stored** — no dtype conversion, so an
-        int32 plan round-trips bit-for-bit and copy-free.  The
-        byte payload is already checksummed by
-        :class:`~repro.pipeline.cache.ArtifactCache`, but its metadata
-        is not, so the entry must carry the plan checksum that binds
-        the arrays to the shape.  Raises :class:`ValueError` naming
-        the reason when the entry is malformed (a missing field or
-        checksum), stale (another stream or shape), laid out other
-        than :func:`~repro.exec.policy.check_layout` resolves
-        ``index`` to (values float64), or breaks the plan contract.
-        """
-        try:
-            plan = cls(
-                shape=(int(entry.meta["nrows"]), int(entry.meta["ncols"])),
-                cols=entry.arrays["cols"],
-                vals=entry.arrays["vals"],
-                indptr=entry.arrays["indptr"],
-                digest=str(entry.meta["digest"]),
-                source_nnz=int(entry.meta["source_nnz"]),
-                checksum=str(entry.meta["plan_checksum"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed plan entry: {exc!r}") from None
-        if not plan.checksum:
-            raise ValueError("malformed plan entry: empty plan_checksum")
-        if plan.digest != digest:
-            raise ValueError("stale plan entry: stream digest mismatch")
-        if plan.shape != (int(shape[0]), int(shape[1])):
-            raise ValueError("stale plan entry: shape mismatch vs stream")
-        want = (check_layout(index, plan.shape, plan.n_slots),
-                np.dtype(np.float64))
-        have = (plan.cols.dtype, plan.vals.dtype)
-        if have != want:
-            raise ValueError(
-                f"plan entry layout mismatch: stored {have[0].name}/"
-                f"{have[1].name}, build wants {want[0].name}/"
-                f"{want[1].name}"
-            )
-        problems = plan.validate()
-        if problems:
-            raise ValueError("; ".join(problems))
-        return plan
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -517,8 +411,7 @@ class ExecutionPlan:
         The messages of :func:`repro.exec.policy.plan_findings`: the
         plan contract's index-width, coverage, values and checksum
         invariants.  An empty list means the plan is safe to dispatch.
-        Used by the resilience guard before execution and by the plan
-        caches before they serve an entry.
+        Used by the resilience guard before execution.
         """
         return [finding.message for finding in plan_findings(self)]
 
@@ -563,8 +456,8 @@ class ExecutionPlan:
         chaos campaign drives callers that pass no ``jobs`` onto the
         shard path.  ``None`` clears the override.  Explicit ``jobs=N``
         arguments still win, and every count remains bitwise
-        identical.  Stored in the non-persisted scratch dict, so cached
-        plan artifacts never bake in a machine-specific count.
+        identical.  Stored in the scratch dict, outside equality and
+        the checksum.
         """
         if jobs is None:
             self._scratch.pop("pinned_jobs", None)

@@ -3,9 +3,9 @@
 The compiled fast path trusts the plan arrays completely (scipy's
 unchecked ``csr_matvec`` does no per-slot checks), so this module is
 the single owner of that decision.  The build,
-:meth:`ExecutionPlan.validate` (and through it the resilience guard
-and the plan caches) and the ``plan.index_width``/``plan.coverage``
-rules of :mod:`repro.verify` all call into it.
+:meth:`ExecutionPlan.validate` (and through it the resilience guard)
+and the ``plan.index_width``/``plan.coverage`` rules of
+:mod:`repro.verify` all call into it.
 :func:`plan_findings` checks four invariants, one rule each:
 
 ``index_width``
@@ -157,9 +157,9 @@ def plan_checksum(cols: np.ndarray, vals: np.ndarray,
     Computed once at build time and carried on the plan; re-computing
     it (the ``checksum`` invariant) catches any post-build corruption
     of the gather indices, values or row pointer.  The dtype tags
-    make an int32 plan and an int64 plan of the same stream distinct
-    artifacts — a cache load can never silently up- or down-cast
-    without tripping validation.
+    make an int32 plan and an int64 plan of the same stream distinct:
+    no array can be silently up- or down-cast without tripping
+    validation.
     """
     h = hashlib.sha256()
     h.update(

@@ -2,8 +2,7 @@
 
 The monolithic preprocessing flow is decomposed into explicit passes
 exchanging typed artifacts, executed by a runner that records
-per-stage trace events and serves repeat compilations from a
-content-addressed cache:
+per-stage trace events:
 
 * :mod:`repro.pipeline.artifacts` — the typed :class:`ArtifactStore`;
 * :mod:`repro.pipeline.passes` — one :class:`CompilerPass` per paper
@@ -11,8 +10,8 @@ content-addressed cache:
 * :mod:`repro.pipeline.runner` — the :class:`PipelineRunner`;
 * :mod:`repro.pipeline.trace` — :class:`StageEvent` /
   :class:`PipelineTrace` observability records;
-* :mod:`repro.pipeline.cache` — matrix digests, config fingerprints
-  and the on-disk :class:`ArtifactCache`.
+* :mod:`repro.pipeline.cache` — :func:`matrix_digest`, the content
+  digest of a COO matrix.
 
 :class:`repro.core.framework.SpasmCompiler` is a thin facade over this
 package; see ``docs/PIPELINE.md`` for the architecture.
@@ -23,12 +22,7 @@ from repro.pipeline.artifacts import (
     ArtifactError,
     ArtifactStore,
 )
-from repro.pipeline.cache import (
-    ArtifactCache,
-    CacheEntry,
-    matrix_digest,
-    fingerprint,
-)
+from repro.pipeline.cache import matrix_digest
 from repro.pipeline.passes import (
     AnalysisPass,
     CompilerPass,
@@ -41,22 +35,13 @@ from repro.pipeline.passes import (
     VerifyPass,
 )
 from repro.pipeline.runner import PipelineRunner
-from repro.pipeline.trace import (
-    CACHE_HIT,
-    CACHE_MISS,
-    CACHE_OFF,
-    PipelineTrace,
-    StageEvent,
-)
+from repro.pipeline.trace import PipelineTrace, StageEvent
 
 __all__ = [
     "ARTIFACT_SCHEMA",
     "ArtifactError",
     "ArtifactStore",
-    "ArtifactCache",
-    "CacheEntry",
     "matrix_digest",
-    "fingerprint",
     "AnalysisPass",
     "CompilerPass",
     "DecompositionPass",
@@ -67,9 +52,6 @@ __all__ = [
     "SelectionPass",
     "VerifyPass",
     "PipelineRunner",
-    "CACHE_HIT",
-    "CACHE_MISS",
-    "CACHE_OFF",
     "PipelineTrace",
     "StageEvent",
 ]

@@ -1,70 +1,15 @@
-"""Content-addressed caching of pipeline artifacts.
+"""Content digest of a COO matrix.
 
-The paper's amortization argument (Table VIII) assumes preprocessing
-runs once and its outputs are reused; this module makes the reuse
-automatic.  Each cacheable pass derives a key from
-
-* the **matrix digest** — SHA-256 over the COO coordinate/value payload,
-* its own **config fingerprint** — the knobs that change its output
-  (k, candidate set, strategy, tile sweep, hardware list, perf model),
-* the **parent key** — the previous pass's cache key, so invalidation
-  chains: changing ``k`` re-keys analysis and thereby every downstream
-  stage.
-
-Entries are single ``.npz`` files named ``<stage>-<key>.npz`` inside the
-cache directory, written atomically (temp file + rename).  Every entry
-carries a SHA-256 checksum of its array payload; a corrupted, truncated
-or checksum-mismatching entry is treated as a miss, **moved into
-``<cache>/quarantine/``** so it can never be consulted again, and
-recomputed — the cache can never poison a compile, and one bad file can
-never poison subsequent runs.  See ``docs/RESILIENCE.md``.
-
-Long-lived processes (the serving layer) additionally need the cache
-to stay *bounded*: ``max_bytes`` arms LRU eviction (recency tracked
-through file mtimes, bumped on every hit) and ``quarantine_keep``
-caps how many corpses the quarantine directory retains — without
-either, a busy server eventually turns the cache directory into a
-disk-fill outage.  Eviction is safe under concurrency: a reader that
-loses the race to an evicted file simply sees a miss and recomputes.
+:func:`matrix_digest` names a matrix by its content, so a caller can
+tell whether two COO payloads are the same matrix without comparing
+them element by element.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import json
-import os
-import tempfile
-import zipfile
-from typing import Any, Callable, Dict, Optional, Tuple
 
-import numpy as np
-
-from repro.core.templates import Portfolio, Template
 from repro.matrix.coo import COOMatrix
-
-#: Format marker written into every cache entry; bump to invalidate
-#: every existing cache on an incompatible layout change.  v2 added the
-#: mandatory payload checksum (entries without one read as misses).
-CACHE_MAGIC = "spasm-cache-v2"
-
-#: Key length kept in file names (hex chars of the SHA-256).
-KEY_CHARS = 40
-
-#: Subdirectory corrupt entries are moved into (never read back).
-QUARANTINE_DIR = "quarantine"
-
-
-def payload_checksum(arrays: Dict[str, np.ndarray]) -> str:
-    """SHA-256 over an entry's array payload (names, dtypes, bytes)."""
-    h = hashlib.sha256()
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
-        h.update(name.encode())
-        h.update(str(arr.dtype).encode())
-        h.update(repr(arr.shape).encode())
-        h.update(arr.tobytes())
-    return h.hexdigest()
 
 
 def matrix_digest(coo: COOMatrix) -> str:
@@ -74,324 +19,3 @@ def matrix_digest(coo: COOMatrix) -> str:
     for arr in (coo.rows, coo.cols, coo.vals):
         h.update(arr.tobytes())
     return h.hexdigest()
-
-
-def fingerprint(payload: Any) -> str:
-    """Digest of a JSON-serializable configuration payload."""
-    blob = json.dumps(payload, sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def chain_key(matrix_key: str, stage: str, config_fp: str,
-              parent_key: Optional[str]) -> str:
-    """Cache key of a stage: matrix x config x upstream chain."""
-    return fingerprint(
-        {
-            "magic": CACHE_MAGIC,
-            "matrix": matrix_key,
-            "stage": stage,
-            "config": config_fp,
-            "parent": parent_key or "",
-        }
-    )[:KEY_CHARS]
-
-
-def callable_id(fn: Any) -> str:
-    """Stable identity of an injected callable (e.g. a perf model)."""
-    module = getattr(fn, "__module__", type(fn).__module__)
-    name = getattr(fn, "__qualname__", type(fn).__qualname__)
-    return f"{module}.{name}"
-
-
-def hw_config_state(hw_config: Any) -> Dict[str, Any]:
-    """Fingerprint payload of one hardware configuration."""
-    state = {"name": getattr(hw_config, "name", str(hw_config))}
-    for attr in ("num_pe_groups", "num_xvec_ch", "frequency_hz"):
-        if hasattr(hw_config, attr):
-            state[attr] = getattr(hw_config, attr)
-    return state
-
-
-def portfolio_state(portfolio: Portfolio) -> Dict[str, Any]:
-    """JSON-ready payload that round-trips a portfolio."""
-    return {
-        "k": portfolio.k,
-        "name": portfolio.name,
-        "description": portfolio.description,
-        "masks": [t.mask for t in portfolio.templates],
-        "names": [t.name for t in portfolio.templates],
-        "kinds": [t.kind for t in portfolio.templates],
-    }
-
-
-def portfolio_from_state(state: Dict[str, Any]) -> Portfolio:
-    """Rebuild a portfolio from :func:`portfolio_state` output."""
-    templates = tuple(
-        Template(int(mask), str(name), str(kind))
-        for mask, name, kind in zip(
-            state["masks"], state["names"], state["kinds"]
-        )
-    )
-    return Portfolio(
-        templates,
-        k=int(state["k"]),
-        name=str(state["name"]),
-        description=str(state["description"]),
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class CacheEntry:
-    """One loaded cache entry: array payload + JSON metadata."""
-
-    arrays: Dict[str, np.ndarray]
-    meta: Dict[str, Any]
-
-
-class ArtifactCache:
-    """Directory-backed content-addressed artifact cache.
-
-    ``on_event`` is an optional callback ``(kind, details)`` invoked on
-    cache incidents (``"quarantine"`` and ``"evict"``); the resilience
-    layer uses it to log
-    :class:`~repro.resilience.guard.ResilienceEvent` records without
-    this module depending on it.
-
-    ``max_bytes`` caps the total size of live entries: every
-    :meth:`store` prunes least-recently-used entries (mtime order;
-    :meth:`load` hits bump recency) until the cache fits, never
-    touching the entry just written.  ``None`` keeps the historical
-    unbounded behavior.  ``quarantine_keep`` bounds the quarantine
-    directory to the N most recent corpses (reason sidecars travel
-    with their entries); quarantined files exist for post-mortems,
-    not as an unbounded append-only log.
-    """
-
-    def __init__(self, cache_dir: Any,
-                 on_event: Optional[
-                     Callable[[str, Dict[str, Any]], None]
-                 ] = None,
-                 max_bytes: Optional[int] = None,
-                 quarantine_keep: int = 128):
-        self.cache_dir = os.fspath(cache_dir)
-        self.on_event = on_event
-        self.max_bytes = int(max_bytes) if max_bytes else None
-        self.quarantine_keep = int(quarantine_keep)
-        os.makedirs(self.cache_dir, exist_ok=True)
-
-    def path(self, stage: str, key: str) -> str:
-        """Entry file path of a (stage, key) pair."""
-        return os.path.join(self.cache_dir, f"{stage}-{key}.npz")
-
-    @property
-    def quarantine_dir(self) -> str:
-        """Directory corrupt entries are moved into."""
-        return os.path.join(self.cache_dir, QUARANTINE_DIR)
-
-    def load(self, stage: str, key: str) -> Optional[CacheEntry]:
-        """The cached entry, or ``None`` on miss *or* corruption.
-
-        A structurally broken or checksum-mismatching file is moved to
-        :attr:`quarantine_dir` before reporting the miss, so a bad
-        entry is consulted exactly once and never poisons later runs.
-        """
-        path = self.path(stage, key)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["__meta__"]))
-                if meta.get("magic") != CACHE_MAGIC:
-                    # Older/foreign layout: a plain miss (store() will
-                    # overwrite it with a current-format entry).
-                    return None
-                arrays = {
-                    name: data[name].copy()
-                    for name in data.files
-                    if name != "__meta__"
-                }
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, EOFError,
-                zipfile.BadZipFile) as exc:
-            # Corrupted or unreadable entry: contain it, recompute,
-            # then let the store() write a good one.
-            self.quarantine(stage, key,
-                            reason=f"{type(exc).__name__}: {exc}")
-            return None
-        recorded = meta.get("checksum")
-        if recorded != payload_checksum(arrays):
-            self.quarantine(stage, key, reason="checksum mismatch")
-            return None
-        try:
-            # Bump recency so LRU eviction keeps hot entries (a file
-            # evicted or quarantined concurrently is simply left be).
-            os.utime(path)
-        except OSError:
-            pass
-        return CacheEntry(arrays=arrays, meta=meta)
-
-    def quarantine(self, stage: str, key: str,
-                   reason: str = "") -> Optional[str]:
-        """Move an entry into ``quarantine/``; its quarantined path.
-
-        Best-effort and race-safe: a concurrently rewritten or already
-        removed entry is left alone (``None`` is returned).  A sidecar
-        ``.reason`` file records why the entry was pulled.
-        """
-        path = self.path(stage, key)
-        os.makedirs(self.quarantine_dir, exist_ok=True)
-        base = os.path.basename(path)
-        dest = os.path.join(self.quarantine_dir, base)
-        n = 0
-        while os.path.exists(dest):
-            n += 1
-            dest = os.path.join(self.quarantine_dir, f"{base}.{n}")
-        try:
-            os.replace(path, dest)
-        except FileNotFoundError:
-            return None
-        try:
-            with open(dest + ".reason", "w", encoding="utf-8") as fh:
-                fh.write(reason + "\n")
-        except OSError:
-            pass
-        self._prune_quarantine()
-        if self.on_event is not None:
-            self.on_event(
-                "quarantine",
-                {"stage": stage, "key": key, "path": dest,
-                 "reason": reason},
-            )
-        return dest
-
-    def _prune_quarantine(self) -> None:
-        """Drop the oldest quarantined corpses beyond the retention cap.
-
-        Best-effort under concurrency: files that vanish mid-walk are
-        simply skipped.  The ``.reason`` sidecar travels with its
-        entry.
-        """
-        if self.quarantine_keep <= 0:
-            return
-        try:
-            names = [
-                name for name in os.listdir(self.quarantine_dir)
-                if not name.endswith(".reason")
-            ]
-        except FileNotFoundError:
-            return
-        if len(names) <= self.quarantine_keep:
-            return
-        aged = []
-        for name in names:
-            path = os.path.join(self.quarantine_dir, name)
-            try:
-                aged.append((os.path.getmtime(path), name))
-            except OSError:
-                continue
-        aged.sort()
-        for _, name in aged[:max(0, len(aged) - self.quarantine_keep)]:
-            for victim in (name, name + ".reason"):
-                try:
-                    os.unlink(os.path.join(self.quarantine_dir,
-                                           victim))
-                except OSError:
-                    pass
-
-    def quarantined(self) -> Tuple[str, ...]:
-        """File names currently sitting in quarantine."""
-        try:
-            names = os.listdir(self.quarantine_dir)
-        except FileNotFoundError:
-            return ()
-        return tuple(sorted(
-            name for name in names if ".npz" in name
-            and not name.endswith(".reason")
-        ))
-
-    def store(self, stage: str, key: str,
-              arrays: Dict[str, np.ndarray],
-              meta: Dict[str, Any]) -> None:
-        """Persist an entry atomically (temp file + rename)."""
-        payload = dict(meta)
-        payload["magic"] = CACHE_MAGIC
-        payload["checksum"] = payload_checksum(arrays)
-        path = self.path(stage, key)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.cache_dir, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh,
-                    __meta__=np.array(json.dumps(payload)),
-                    **arrays,
-                )
-            os.replace(tmp_path, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        if self.max_bytes is not None:
-            self._enforce_budget(keep=os.path.basename(path))
-
-    def total_bytes(self) -> int:
-        """Total size of the live entries (quarantine excluded)."""
-        total = 0
-        for name in self.entries():
-            try:
-                total += os.path.getsize(
-                    os.path.join(self.cache_dir, name)
-                )
-            except OSError:
-                continue
-        return total
-
-    def _enforce_budget(self, keep: str = "") -> None:
-        """Evict least-recently-used entries until under ``max_bytes``.
-
-        ``keep`` names one entry exempt from eviction (the one just
-        written — a single oversized artifact must not evict itself
-        into a store/recompute loop).  Removal is plain ``unlink``:
-        a concurrent reader that loses the race sees a miss and
-        recomputes, which is the cache contract everywhere else.
-        """
-        if self.max_bytes is None:
-            return
-        aged = []
-        total = 0
-        for name in self.entries():
-            path = os.path.join(self.cache_dir, name)
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            total += stat.st_size
-            if name != keep:
-                aged.append((stat.st_mtime, name, stat.st_size))
-        aged.sort()
-        for _, name, size in aged:
-            if total <= self.max_bytes:
-                break
-            try:
-                os.unlink(os.path.join(self.cache_dir, name))
-            except OSError:
-                continue
-            total -= size
-            if self.on_event is not None:
-                self.on_event(
-                    "evict",
-                    {"entry": name, "bytes": size,
-                     "max_bytes": self.max_bytes},
-                )
-
-    def entries(self) -> Tuple[str, ...]:
-        """File names of every entry currently in the cache."""
-        return tuple(
-            sorted(
-                name
-                for name in os.listdir(self.cache_dir)
-                if name.endswith(".npz")
-            )
-        )

@@ -1,11 +1,9 @@
 """The compilation passes of the Figure 6 workflow, made first-class.
 
 Each pass declares the artifacts it ``requires`` and ``provides`` (see
-:mod:`repro.pipeline.artifacts`), runs one paper stage, and optionally
-participates in content-addressed caching by implementing the
-``to_cache`` / ``from_cache`` pair.  The :class:`PipelineRunner`
-executes them in order, records a :class:`~repro.pipeline.trace.StageEvent`
-per pass, and consults the cache.
+:mod:`repro.pipeline.artifacts`) and runs one paper stage.  The
+:class:`PipelineRunner` executes them in order and records a
+:class:`~repro.pipeline.trace.StageEvent` per pass.
 
 The default pipeline mirrors the paper:
 
@@ -25,9 +23,7 @@ plan            ⑥ prep  plan (opt-in)
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.format import encode_spasm, groups_per_submatrix
 from repro.core.decompose import cached_table
@@ -37,14 +33,6 @@ from repro.core.selection import select_portfolio
 from repro.core.templates import Portfolio
 from repro.core.tiling import global_compositions, validate_tile_size
 from repro.pipeline.artifacts import ArtifactStore
-from repro.pipeline.cache import (
-    CacheEntry,
-    callable_id,
-    fingerprint,
-    hw_config_state,
-    portfolio_from_state,
-    portfolio_state,
-)
 
 
 class PipelineError(RuntimeError):
@@ -55,8 +43,7 @@ class CompilerPass:
     """Base class of all pipeline passes.
 
     Subclasses declare ``name`` / ``requires`` / ``provides`` and
-    implement :meth:`run`.  Cacheable passes additionally set
-    ``cacheable`` and implement the serialization pair.
+    implement :meth:`run`.
     """
 
     name: str = ""
@@ -65,29 +52,9 @@ class CompilerPass:
     #: Provided artifacts that may legitimately be absent after a run
     #: (e.g. ``selection`` under a fixed portfolio).
     optional_provides: Tuple[str, ...] = ()
-    cacheable: bool = False
-
-    def config_fingerprint(self) -> str:
-        """Digest of the knobs that change this pass's output."""
-        return fingerprint({})
 
     def run(self, store: ArtifactStore) -> str:
         """Execute the pass against the store; returns a trace note."""
-        raise NotImplementedError
-
-    def to_cache(
-        self, store: ArtifactStore
-    ) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
-        """Serialize the produced artifacts to (arrays, JSON meta)."""
-        raise NotImplementedError
-
-    def from_cache(self, store: ArtifactStore,
-                   entry: CacheEntry) -> bool:
-        """Restore artifacts from a cache entry.
-
-        Returns ``False`` when the entry cannot be applied (the runner
-        then treats it as a miss and recomputes).
-        """
         raise NotImplementedError
 
 
@@ -106,7 +73,6 @@ class AnalysisPass(CompilerPass):
     #: The :func:`submatrix_masks` outputs, in its return order.
     _ARRAYS = ("masks", "sub_keys", "sub_nnz", "entry_order")
     provides = _ARRAYS + ("histogram",)
-    cacheable = True
 
     def __init__(self, k: int):
         if k <= 0:
@@ -116,9 +82,6 @@ class AnalysisPass(CompilerPass):
                 f"pattern size {k} exceeds the 32-bit mask budget"
             )
         self.k = k
-
-    def config_fingerprint(self) -> str:
-        return fingerprint({"k": self.k})
 
     def run(self, store: ArtifactStore) -> str:
         coo = store.require("coo")
@@ -131,23 +94,6 @@ class AnalysisPass(CompilerPass):
             f"{histogram.n_distinct} distinct patterns over "
             f"{int(arrays[0].size)} submatrices"
         )
-
-    def to_cache(self, store: ArtifactStore):
-        return (
-            {name: store.require(name) for name in self._ARRAYS},
-            {"k": self.k},
-        )
-
-    def from_cache(self, store: ArtifactStore,
-                   entry: CacheEntry) -> bool:
-        # An entry written before ``entry_order`` existed is a miss.
-        if any(name not in entry.arrays for name in self._ARRAYS):
-            return False
-        for name in self._ARRAYS:
-            store.put(name, entry.arrays[name].astype(np.int64))
-        store.put("histogram",
-                  histogram_from_masks(store.require("masks"), self.k))
-        return True
 
 
 class SelectionPass(CompilerPass):
@@ -171,24 +117,6 @@ class SelectionPass(CompilerPass):
         self.candidates = list(candidates)
         self.coverage = coverage
         self.fixed_portfolio = fixed_portfolio
-        self.cacheable = fixed_portfolio is None
-
-    def config_fingerprint(self) -> str:
-        return fingerprint(
-            {
-                "k": self.k,
-                "strategy": self.strategy,
-                "coverage": self.coverage,
-                "candidates": [
-                    portfolio_state(c) for c in self.candidates
-                ],
-                "fixed": (
-                    portfolio_state(self.fixed_portfolio)
-                    if self.fixed_portfolio is not None
-                    else None
-                ),
-            }
-        )
 
     def run(self, store: ArtifactStore) -> str:
         histogram = store.require("histogram")
@@ -228,49 +156,6 @@ class SelectionPass(CompilerPass):
         store.put("table", cached_table(portfolio))
         return f"{portfolio.name} built via {self.strategy} strategy"
 
-    def to_cache(self, store: ArtifactStore):
-        selection = store.get("selection")
-        meta: Dict[str, Any] = {
-            "portfolio": portfolio_state(store.require("portfolio")),
-            "selection": None,
-        }
-        if selection is not None:
-            meta["selection"] = {
-                "paddings": selection.paddings,
-                "scored_patterns": selection.scored_patterns,
-            }
-        return {}, meta
-
-    def from_cache(self, store: ArtifactStore,
-                   entry: CacheEntry) -> bool:
-        state = entry.meta.get("portfolio")
-        if not state:
-            return False
-        try:
-            portfolio = portfolio_from_state(state)
-        except (KeyError, ValueError, TypeError):
-            return False
-        table = cached_table(portfolio)
-        store.put("portfolio", portfolio)
-        store.put("table", table)
-        sel_meta = entry.meta.get("selection")
-        if sel_meta is not None:
-            from repro.core.selection import SelectionResult
-
-            store.put(
-                "selection",
-                SelectionResult(
-                    portfolio=portfolio,
-                    table=table,
-                    paddings={
-                        str(name): float(value)
-                        for name, value in sel_meta["paddings"].items()
-                    },
-                    scored_patterns=int(sel_meta["scored_patterns"]),
-                ),
-            )
-        return True
-
 
 class DecompositionPass(CompilerPass):
     """Step ③ — decompose every occurring pattern.
@@ -283,13 +168,9 @@ class DecompositionPass(CompilerPass):
     name = "decomposition"
     requires = ("coo", "table", "masks", "sub_keys")
     provides = ("group_counts",)
-    cacheable = True
 
     def __init__(self, k: int):
         self.k = k
-
-    def config_fingerprint(self) -> str:
-        return fingerprint({"k": self.k})
 
     def run(self, store: ArtifactStore) -> str:
         counts, __ = groups_per_submatrix(
@@ -302,19 +183,6 @@ class DecompositionPass(CompilerPass):
         store.put("group_counts", counts)
         return f"{int(counts.sum())} template groups"
 
-    def to_cache(self, store: ArtifactStore):
-        return {"group_counts": store.require("group_counts")}, {}
-
-    def from_cache(self, store: ArtifactStore,
-                   entry: CacheEntry) -> bool:
-        if "group_counts" not in entry.arrays:
-            return False
-        counts = entry.arrays["group_counts"].astype(np.int64)
-        if counts.shape != store.require("sub_keys").shape:
-            return False
-        store.put("group_counts", counts)
-        return True
-
 
 class SchedulePass(CompilerPass):
     """Steps ④+⑤ — global composition x schedule exploration.
@@ -322,11 +190,7 @@ class SchedulePass(CompilerPass):
     Builds every tile size's global composition in one nested
     aggregation of the per-submatrix group and entry counts, then sweeps
     (tile size, hardware config) with Algorithm 4, honoring the
-    ``fixed_*`` ablation knobs.  Cache entries persist the evaluated
-    grid (cycles per point) and the winning pair; on a hit the per-point
-    :class:`~repro.core.tiling.GlobalComposition` objects are *not*
-    re-materialized (``point.composition is None``) — the encoder never
-    needs them.
+    ``fixed_*`` ablation knobs.
     """
 
     name = "schedule"
@@ -344,10 +208,6 @@ class SchedulePass(CompilerPass):
         self.perf_model = perf_model
         self.fixed_tile_size = fixed_tile_size
         self.fixed_hw_config = fixed_hw_config
-        # A fully pinned point needs no exploration and no cache.
-        self.cacheable = not (
-            fixed_tile_size is not None and fixed_hw_config is not None
-        )
 
     def _sweep(self) -> Tuple[Tuple[int, ...], List[Any]]:
         """The effective (tile sizes, hardware configs) grid."""
@@ -362,17 +222,6 @@ class SchedulePass(CompilerPass):
             else self.tile_sizes
         )
         return tile_sweep, hw_sweep
-
-    def config_fingerprint(self) -> str:
-        tile_sweep, hw_sweep = self._sweep()
-        return fingerprint(
-            {
-                "k": self.k,
-                "tile_sizes": list(tile_sweep),
-                "hw": [hw_config_state(h) for h in hw_sweep],
-                "perf_model": callable_id(self.perf_model),
-            }
-        )
 
     def run(self, store: ArtifactStore) -> str:
         if (
@@ -414,73 +263,12 @@ class SchedulePass(CompilerPass):
             "evaluated points"
         )
 
-    def to_cache(self, store: ArtifactStore):
-        from repro.core.schedule import ScheduleResult
-
-        schedule: ScheduleResult = store.require("schedule")
-        points = schedule.points
-        best_index = points.index(schedule.best)
-        arrays = {
-            "point_tiles": np.array(
-                [p.tile_size for p in points], dtype=np.int64
-            ),
-            "point_cycles": np.array(
-                [p.cycles for p in points], dtype=np.float64
-            ),
-        }
-        meta = {
-            "point_hw": [
-                getattr(p.hw_config, "name", str(p.hw_config))
-                for p in points
-            ],
-            "best_index": best_index,
-        }
-        return arrays, meta
-
-    def from_cache(self, store: ArtifactStore,
-                   entry: CacheEntry) -> bool:
-        from repro.core.schedule import SchedulePoint, ScheduleResult
-
-        try:
-            tiles = entry.arrays["point_tiles"]
-            cycles = entry.arrays["point_cycles"]
-            hw_names = entry.meta["point_hw"]
-            best_index = int(entry.meta["best_index"])
-        except KeyError:
-            return False
-        __, hw_sweep = self._sweep()
-        by_name = {
-            getattr(h, "name", str(h)): h for h in hw_sweep
-        }
-        if (
-            tiles.shape != cycles.shape
-            or len(hw_names) != tiles.size
-            or not 0 <= best_index < tiles.size
-            or any(name not in by_name for name in hw_names)
-        ):
-            return False
-        points = tuple(
-            SchedulePoint(
-                tile_size=int(tiles[i]),
-                hw_config=by_name[hw_names[i]],
-                cycles=float(cycles[i]),
-                composition=None,
-            )
-            for i in range(tiles.size)
-        )
-        schedule = ScheduleResult(best=points[best_index], points=points)
-        store.put("schedule", schedule)
-        store.put("tile_size", int(schedule.best_tile_size))
-        store.put("hw_config", schedule.best_hw_config)
-        return True
-
 
 class EncodePass(CompilerPass):
     """Final encoding of the matrix at the selected configuration.
 
-    Not cacheable: persistence of the encoded artifact is the job of
-    :mod:`repro.core.serialize` (``save_spasm``/``load_spasm``), and the
-    hazard-aware reorder must see the freshly encoded stream.
+    Persistence of the encoded artifact is the job of
+    :mod:`repro.core.serialize` (``save_spasm``/``load_spasm``).
     """
 
     name = "encode"
@@ -492,9 +280,6 @@ class EncodePass(CompilerPass):
 
     def __init__(self, hazard_aware: bool = False):
         self.hazard_aware = hazard_aware
-
-    def config_fingerprint(self) -> str:
-        return fingerprint({"hazard_aware": self.hazard_aware})
 
     def run(self, store: ArtifactStore) -> str:
         spasm = encode_spasm(
@@ -526,15 +311,12 @@ class PlanPass(CompilerPass):
     Builds the encoded matrix's
     :class:`~repro.exec.plan.ExecutionPlan` (expand once, drop padding,
     sort by output row into CSR) so the program
-    ships ready for the CSR kernel.  Cache entries are keyed through
-    the normal chain key and additionally carry the stream digest; a
-    stale entry (any stored array changed) is rejected and recompiled.
+    ships ready for the CSR kernel.
     """
 
     name = "plan"
     requires = ("spasm",)
     provides = ("plan",)
-    cacheable = True
 
     def run(self, store: ArtifactStore) -> str:
         spasm = store.require("spasm")
@@ -543,25 +325,6 @@ class PlanPass(CompilerPass):
         plan = spasm.plan()
         store.put("plan", plan)
         return plan.describe()
-
-    def to_cache(self, store: ArtifactStore):
-        return store.require("plan").to_entry()
-
-    def from_cache(self, store: ArtifactStore,
-                   entry: CacheEntry) -> bool:
-        from repro.exec.plan import ExecutionPlan, stream_digest
-
-        spasm = store.require("spasm")
-        try:
-            plan = ExecutionPlan.from_entry(
-                entry, stream_digest(spasm), spasm.shape
-            )
-        except ValueError:
-            return False
-        # Cached on the matrix as run() does: the first spmv is free.
-        spasm._plan = plan
-        store.put("plan", plan)
-        return True
 
 
 class VerifyPass(CompilerPass):

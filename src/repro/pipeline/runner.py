@@ -1,67 +1,29 @@
-"""Pass executor: ordering checks, caching, and trace recording.
+"""Pass executor: ordering checks and trace recording.
 
 The :class:`PipelineRunner` walks an ordered list of
 :class:`~repro.pipeline.passes.CompilerPass` instances, validating that
-every declared input artifact exists before a pass runs, consulting the
-content-addressed cache for cacheable passes, and recording one
-:class:`~repro.pipeline.trace.StageEvent` per pass (wall time, artifact
-sizes, cache outcome, bottleneck note).
-
-Cache keys chain: every pass — cacheable or not — folds its config
-fingerprint into the running key, so a change anywhere upstream (a
-different ``k``, portfolio strategy, or a fixed ablation knob)
-invalidates everything downstream while leaving unrelated entries
-untouched.
+every declared input artifact exists before a pass runs, and recording
+one :class:`~repro.pipeline.trace.StageEvent` per pass (wall time,
+artifact sizes, bottleneck note).
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.matrix.coo import COOMatrix
 from repro.pipeline.artifacts import ArtifactStore
-from repro.pipeline.cache import ArtifactCache, chain_key, matrix_digest
 from repro.pipeline.passes import CompilerPass, PipelineError
-from repro.pipeline.trace import (
-    CACHE_HIT,
-    CACHE_MISS,
-    CACHE_OFF,
-    PipelineTrace,
-    StageEvent,
-)
+from repro.pipeline.trace import PipelineTrace, StageEvent
 
 
 class PipelineRunner:
-    """Executes compiler passes over an artifact store.
-
-    Parameters
-    ----------
-    cache:
-        Optional :class:`~repro.pipeline.cache.ArtifactCache`; when
-        absent every stage reports cache ``"off"``.
-    matrix_key:
-        Content digest of the matrix being compiled (see
-        :func:`~repro.pipeline.cache.matrix_digest`); derived from the
-        store's ``coo`` artifact when omitted.
-    """
-
-    def __init__(self, cache: Optional[ArtifactCache] = None,
-                 matrix_key: Optional[str] = None):
-        self.cache = cache
-        self.matrix_key = matrix_key
+    """Executes compiler passes over an artifact store."""
 
     def run(self, passes: Sequence[CompilerPass],
             store: ArtifactStore) -> PipelineTrace:
         """Run the passes in order and return the recorded trace."""
-        matrix_key = self.matrix_key
-        if matrix_key is None and self.cache is not None:
-            coo = store.get("coo")
-            if isinstance(coo, COOMatrix):
-                matrix_key = matrix_digest(coo)
-
         events: List[StageEvent] = []
-        parent_key: Optional[str] = None
         for compiler_pass in passes:
             missing = [
                 name
@@ -77,42 +39,7 @@ class PipelineRunner:
 
             t0 = time.perf_counter()
             inputs = store.summarize(compiler_pass.requires)
-            cache_state = CACHE_OFF
-            note = ""
-            key: Optional[str] = None
-            if self.cache is not None and matrix_key is not None:
-                key = chain_key(
-                    matrix_key,
-                    compiler_pass.name,
-                    compiler_pass.config_fingerprint(),
-                    parent_key,
-                )
-            if (
-                key is not None
-                and self.cache is not None
-                and compiler_pass.cacheable
-            ):
-                entry = self.cache.load(compiler_pass.name, key)
-                if entry is not None and compiler_pass.from_cache(
-                    store, entry
-                ):
-                    cache_state = CACHE_HIT
-                    note = str(entry.meta.get("note", ""))
-
-            if cache_state != CACHE_HIT:
-                note = compiler_pass.run(store)
-                if (
-                    key is not None
-                    and self.cache is not None
-                    and compiler_pass.cacheable
-                ):
-                    arrays, meta = compiler_pass.to_cache(store)
-                    meta = dict(meta)
-                    meta["note"] = note
-                    self.cache.store(
-                        compiler_pass.name, key, arrays, meta
-                    )
-                    cache_state = CACHE_MISS
+            note = compiler_pass.run(store)
 
             produced_missing = [
                 name
@@ -126,19 +53,14 @@ class PipelineRunner:
                     f"produce artifacts {produced_missing}"
                 )
 
-            wall_ms = (time.perf_counter() - t0) * 1e3
             events.append(
                 StageEvent(
                     name=compiler_pass.name,
-                    wall_ms=wall_ms,
-                    cache=cache_state,
+                    wall_ms=(time.perf_counter() - t0) * 1e3,
                     inputs=inputs,
                     outputs=store.summarize(compiler_pass.provides),
                     note=note,
                 )
             )
-            # Chain through *every* pass so downstream keys see the full
-            # upstream configuration, cacheable or not.
-            parent_key = key
 
         return PipelineTrace(events=tuple(events))

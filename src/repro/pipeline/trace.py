@@ -1,8 +1,8 @@
 """Structured per-stage trace records for the compilation pipeline.
 
 Every pass execution produces one :class:`StageEvent` — wall time, the
-sizes of the artifacts it consumed and produced, whether the
-content-addressed cache served it, and a free-form bottleneck note.
+sizes of the artifacts it consumed and produced, and a free-form
+bottleneck note.
 The ordered collection is a :class:`PipelineTrace`, the machine-readable
 replacement for the hand-rolled Table VIII stopwatch bookkeeping (the
 legacy :class:`~repro.core.framework.PreprocessReport` is now a view
@@ -15,13 +15,6 @@ import dataclasses
 import json
 from typing import Any, Dict, Iterator, Tuple
 
-#: Cache interaction outcomes a stage can report.
-CACHE_HIT = "hit"          #: artifacts restored from the cache
-CACHE_MISS = "miss"        #: computed, then persisted to the cache
-CACHE_OFF = "off"          #: no cache configured or stage not cacheable
-CACHE_STATES = (CACHE_HIT, CACHE_MISS, CACHE_OFF)
-
-
 @dataclasses.dataclass(frozen=True)
 class StageEvent:
     """One executed pipeline stage.
@@ -31,9 +24,7 @@ class StageEvent:
     name:
         Pass name (``"analysis"``, ``"selection"``, ...).
     wall_ms:
-        Wall-clock time of the stage, cache lookup included.
-    cache:
-        One of :data:`CACHE_STATES`.
+        Wall-clock time of the stage.
     inputs:
         Size summary of the consumed artifacts (scalars only).
     outputs:
@@ -44,7 +35,6 @@ class StageEvent:
 
     name: str
     wall_ms: float
-    cache: str = CACHE_OFF
     inputs: Dict[str, Any] = dataclasses.field(default_factory=dict)
     outputs: Dict[str, Any] = dataclasses.field(default_factory=dict)
     note: str = ""
@@ -54,7 +44,6 @@ class StageEvent:
         return {
             "name": self.name,
             "wall_ms": self.wall_ms,
-            "cache": self.cache,
             "inputs": dict(self.inputs),
             "outputs": dict(self.outputs),
             "note": self.note,
@@ -91,28 +80,15 @@ class PipelineTrace:
                 return event.wall_ms
         return 0.0
 
-    def cache_status(self, name: str) -> str:
-        """Cache outcome of the named stage (``"off"`` when absent)."""
-        for event in self.events:
-            if event.name == name:
-                return event.cache
-        return CACHE_OFF
-
     @property
     def total_ms(self) -> float:
         """Total wall time across all stages."""
         return sum(event.wall_ms for event in self.events)
 
-    @property
-    def cache_hits(self) -> int:
-        """Number of stages served from the cache."""
-        return sum(1 for e in self.events if e.cache == CACHE_HIT)
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready representation of the whole trace."""
         return {
             "total_ms": self.total_ms,
-            "cache_hits": self.cache_hits,
             "events": [event.to_dict() for event in self.events],
         }
 
@@ -122,11 +98,11 @@ class PipelineTrace:
 
     def render(self) -> str:
         """Human-readable multi-line summary."""
-        lines = [f"{'stage':<14s} {'ms':>9s} {'cache':<5s} note"]
+        lines = [f"{'stage':<14s} {'ms':>9s} note"]
         for event in self.events:
             lines.append(
                 f"{event.name:<14s} {event.wall_ms:9.2f} "
-                f"{event.cache:<5s} {event.note}".rstrip()
+                f"{event.note}".rstrip()
             )
         lines.append(f"{'total':<14s} {self.total_ms:9.2f}")
         return "\n".join(lines)

@@ -1,16 +1,15 @@
 """Deterministic fault injection and guarded execution.
 
-After the compiled-plan work (``repro.exec``) and the artifact cache
-(``repro.pipeline.cache``), an SpMV answer can reach the caller through
-three fast paths — a lazily cached in-memory plan, a persisted plan
-artifact, and a sharded thread-pool dispatch — each of which could, in
+After the compiled-plan work (``repro.exec``), an SpMV answer can
+reach the caller through two fast paths — a lazily cached in-memory
+plan and a sharded thread-pool dispatch — each of which could, in
 principle, corrupt or lose results silently.  This package makes those
 failure modes *injectable* and *survivable*:
 
 * :mod:`repro.resilience.faults` — a seeded
   :class:`FaultInjector` that flips bits in SPASM streams, value
-  arrays, plan arrays and packed memory images, corrupts artifact-cache
-  entries on disk, and kills/stalls shard workers deterministically;
+  arrays, plan arrays and packed memory images, and kills/stalls shard
+  workers deterministically;
 * :mod:`repro.resilience.guard` — :class:`ExecutionGuard`, a wrapper
   around plan execution that pins the stream digest, validates plan
   checksums before dispatch, cross-checks sampled rows against the

@@ -13,9 +13,8 @@ answer bitwise against references computed from pristine clones
 ``server``
     Waves of faults fired at a live :class:`~repro.serve.SpmvServer`
     between seeded mixed-tenant bursts — in-place stream/value/plan
-    flips on a hot entry, corruption of the target plan's own cache
-    entry followed by forced re-warms, shard-worker kills/stalls armed
-    across a whole burst.  After each wave the hit tenant is healed by
+    flips on a hot entry, shard-worker kills/stalls armed across a
+    whole burst.  After each wave the hit tenant is healed by
     swapping a pristine clone into the registry, so waves stay
     independent.  The report also carries the clean phase and the
     chaos-phase latency percentiles ``benchmarks/bench_serve.py``
@@ -36,8 +35,7 @@ Every answer is classified by :func:`classify`:
 =============  =====================================================
 
 Every injection must also prove it **fired**: a data flip fired when
-it returned a record, a cache fault when a quarantine of the corrupted
-entry was logged, a worker fault when its shard invocation ran.  An
+it returned a record, a worker fault when its shard invocation ran.  An
 escape or an unfired injection fails the campaign —
 ``python -m repro faults`` exits nonzero and CI goes red.
 
@@ -51,8 +49,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import os
-import tempfile
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from typing import Sequence, Tuple
 
@@ -100,7 +96,7 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
         "jobs": 2,
         "trials": {
             "stream": 10, "value": 10, "plan": 12,
-            "worker": 8, "image": 6, "cache": 10,
+            "worker": 8, "image": 6,
         },
     },
     "full": {
@@ -110,7 +106,7 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
         "jobs": 2,
         "trials": {
             "stream": 40, "value": 40, "plan": 50,
-            "worker": 30, "image": 20, "cache": 40,
+            "worker": 30, "image": 20,
         },
     },
     "chaos-smoke": {
@@ -127,7 +123,7 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
         "clean_requests": 60,
         "burst_requests": 24,
         "trials": {
-            "stream": 1, "value": 1, "plan": 1, "cache": 1, "worker": 1,
+            "stream": 1, "value": 1, "plan": 1, "worker": 1,
         },
     },
     "chaos-full": {
@@ -144,7 +140,7 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
         "clean_requests": 200,
         "burst_requests": 60,
         "trials": {
-            "stream": 3, "value": 3, "plan": 3, "cache": 3, "worker": 3,
+            "stream": 3, "value": 3, "plan": 3, "worker": 3,
         },
     },
 }
@@ -262,19 +258,6 @@ def _forced_shards() -> Iterator[None]:
         plan_mod.MIN_SHARD_SLOTS = saved
 
 
-def _quarantine_spy(cache_dir: str) -> Tuple[Any, List[str]]:
-    """An artifact cache that logs the entry name of every quarantine."""
-    from repro.pipeline.cache import ArtifactCache
-
-    quarantined: List[str] = []
-
-    def on_event(kind: str, details: Dict[str, Any]) -> None:
-        if kind == "quarantine":
-            quarantined.append(f"{details['stage']}-{details['key']}.npz")
-
-    return ArtifactCache(cache_dir, on_event=on_event), quarantined
-
-
 class _GuardTarget:
     """One guarded call per injection on a fresh clone of one workload."""
 
@@ -282,7 +265,7 @@ class _GuardTarget:
     clean_escapes: Sequence[Dict[str, Any]] = ()
 
     def __init__(self, spec: Dict[str, Any], seed: int,
-                 injector: FaultInjector, cache_dir: str,
+                 injector: FaultInjector,
                  progress: Callable[[str], None]):
         from repro.core import SpasmCompiler
         from repro.synth import load_workload
@@ -290,8 +273,6 @@ class _GuardTarget:
         self.spec = spec
         self.seed = seed
         self.injector = injector
-        self.cache_dir = cache_dir
-        os.makedirs(cache_dir, exist_ok=True)
         self.jobs = int(spec.get("jobs", 1))
         program = SpasmCompiler().compile(
             load_workload(spec["workload"], scale=spec["scale"])
@@ -322,11 +303,10 @@ class _GuardTarget:
             "jobs": self.jobs,
         }}
 
-    def _guard(self, spasm: Any, cache: Any = None) -> ExecutionGuard:
+    def _guard(self, spasm: Any) -> ExecutionGuard:
         self._guard_seq += 1
         return ExecutionGuard(
-            spasm, config=CAMPAIGN_GUARD, cache=cache,
-            seed=self.seed + self._guard_seq,
+            spasm, config=CAMPAIGN_GUARD, seed=self.seed + self._guard_seq,
         )
 
     def _call(self, guard: ExecutionGuard) -> Answer:
@@ -339,17 +319,6 @@ class _GuardTarget:
         inject = self.injector
         if surface == "image":
             return self._inject_image()
-        if surface == "cache":
-            with tempfile.TemporaryDirectory(dir=self.cache_dir) as tmp:
-                cache, quarantined = _quarantine_spy(tmp)
-                clone_spasm(self.pristine).plan(cache=cache)  # persist
-                record = inject.corrupt_cache_entry(cache)
-                answer = self._call(self._guard(
-                    clone_spasm(self.pristine), cache=cache
-                ))
-                fired = (record is not None
-                         and record.details["entry"] in quarantined)
-            return _injection(surface, record, fired, [answer])
         mutant = clone_spasm(self.pristine)
         guard = self._guard(mutant)
         if surface == "worker":
@@ -395,7 +364,7 @@ class _ServerTarget:
     """Waves of faults fired at a live server under seeded load."""
 
     def __init__(self, spec: Dict[str, Any], seed: int,
-                 injector: FaultInjector, cache_dir: str,
+                 injector: FaultInjector,
                  progress: Callable[[str], None]):
         from repro.serve import (
             AdmissionConfig,
@@ -409,10 +378,7 @@ class _ServerTarget:
         self.spec = spec
         self.seed = seed
         self.injector = injector
-        cache, self.quarantined = _quarantine_spy(cache_dir)
-        self.registry = PlanRegistry(
-            cache=cache, guard_config=CAMPAIGN_GUARD, seed=seed,
-        )
+        self.registry = PlanRegistry(guard_config=CAMPAIGN_GUARD, seed=seed)
         self.pristine: Dict[str, Any] = {}
         for workload, scale in spec["matrices"]:
             name = f"{workload}@{scale:g}"
@@ -501,12 +467,6 @@ class _ServerTarget:
         return load
 
     def inject(self, surface: str, index: int) -> Dict[str, Any]:
-        from repro.exec.plan import (
-            PLAN_STAGE,
-            _plan_cache_key,
-            stream_digest,
-        )
-
         inject = self.injector
         target = self.plan_names[
             int(inject.rng.integers(len(self.plan_names)))
@@ -529,20 +489,6 @@ class _ServerTarget:
             # re-ingesting the matrix would.
             self.registry.replace(target,
                                   clone_spasm(self.pristine[target]))
-        elif surface == "cache":
-            # Hit the entry the target's next warm reads, then evict
-            # every idle plan so the burst re-warms from disk.
-            key = _plan_cache_key(
-                stream_digest(self.pristine[target]), None
-            )
-            record = inject.corrupt_cache_entry(
-                self.registry.cache, entry=f"{PLAN_STAGE}-{key}.npz"
-            )
-            for name in self.plan_names:
-                self.registry.evict(name)
-            load = self._burst(index)
-            fired = (record is not None
-                     and record.details["entry"] in self.quarantined)
         elif surface == "worker":
             with _forced_shards():
                 # Callers pass no ``jobs``: pin the auto heuristic so
@@ -568,7 +514,6 @@ _TARGETS = {"guard": _GuardTarget, "server": _ServerTarget}
 
 
 def run_campaign(preset: Any = "smoke", seed: int = 0,
-                 cache_dir: Optional[str] = None,
                  progress: Optional[Callable[[str], None]] = None,
                  ) -> Dict[str, Any]:
     """Run a fault-injection campaign and return its JSON-able report.
@@ -581,34 +526,26 @@ def run_campaign(preset: Any = "smoke", seed: int = 0,
         ``target`` (``guard`` or ``server``) picks what the faults hit.
     seed:
         Master seed; the whole campaign is a pure function of it.
-    cache_dir:
-        Directory the cache surface corrupts entries in (a throwaway
-        temp dir by default).
     progress:
         Optional callback, one line per phase.
     """
     name, spec = _preset(preset)
     say = progress or (lambda line: None)
     injector = FaultInjector(seed)
-    with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
-        with _TARGETS[spec["target"]](
-            spec, int(seed), injector, cache_dir or tmp, say
-        ) as target:
-            injections: List[Dict[str, Any]] = []
-            for surface, count in spec["trials"].items():
-                for _ in range(int(count)):
-                    injections.append(
-                        target.inject(surface, len(injections))
-                    )
-                if count:
-                    say(f"{surface}: {count} injection(s) done")
-            report = {
-                "preset": name,
-                "target": spec["target"],
-                "seed": seed,
-                "guard_config": dataclasses.asdict(CAMPAIGN_GUARD),
-                **target.describe(),
-            }
+    with _TARGETS[spec["target"]](spec, int(seed), injector, say) as target:
+        injections: List[Dict[str, Any]] = []
+        for surface, count in spec["trials"].items():
+            for _ in range(int(count)):
+                injections.append(target.inject(surface, len(injections)))
+            if count:
+                say(f"{surface}: {count} injection(s) done")
+        report = {
+            "preset": name,
+            "target": spec["target"],
+            "seed": seed,
+            "guard_config": dataclasses.asdict(CAMPAIGN_GUARD),
+            **target.describe(),
+        }
     report.update(_tally(injections, target.clean_escapes))
     return report
 

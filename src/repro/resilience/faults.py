@@ -6,8 +6,7 @@ its seed alone.  Faults come in two flavors:
 
 * **data faults** mutate an artifact *in place* — a bit flipped in the
   position-word stream, the value payload or a compiled plan array, a
-  truncated/zeroed/garbage-filled artifact-cache file, a flipped bit in
-  a packed HBM channel image.  In-place mutation matters: it models
+  flipped bit in a packed HBM channel image.  In-place mutation matters: it models
   corruption happening *after* the guard pinned its trust anchors, the
   scenario integrity machinery exists for.
 * **worker faults** hook the shard dispatch inside
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 import threading
 import time
 from typing import Any, Dict, Iterator, Optional, Tuple
@@ -48,10 +46,10 @@ class FaultRecord:
     ----------
     surface:
         Which layer was hit: ``stream``, ``value``, ``plan``,
-        ``cache``, ``image`` or ``worker``.
+        ``image`` or ``worker``.
     mode:
-        The corruption applied (``bitflip``, ``truncate``, ``zero``,
-        ``garbage``, ``kill``, ``stall``, ``delay``).
+        The corruption applied (``bitflip``, ``kill``, ``stall``,
+        ``delay``).
     location:
         Human-readable coordinates of the hit.
     details:
@@ -152,53 +150,6 @@ class FaultInjector:
                      f"({arr.dtype.name})",
             details={"array": name, "byte": byte, "bit": bit,
                      "dtype": arr.dtype.name},
-        )
-
-    # -- cache faults --------------------------------------------------
-
-    def corrupt_cache_entry(self, cache: Any,
-                            mode: Optional[str] = None,
-                            entry: Optional[str] = None,
-                            ) -> Optional[FaultRecord]:
-        """Truncate, zero or garbage one on-disk ``.npz`` cache entry.
-
-        ``entry`` names the file to hit (default: a seeded pick among
-        all entries).  Returns ``None`` when there is nothing to
-        corrupt: the cache is empty or holds no such entry.
-        """
-        entries = cache.entries()
-        if entry is None and entries:
-            entry = entries[int(self.rng.integers(0, len(entries)))]
-        if entry not in entries:
-            return None
-        name = entry
-        path = os.path.join(cache.cache_dir, name)
-        if mode is None:
-            mode = ("truncate", "zero", "garbage")[
-                int(self.rng.integers(0, 3))
-            ]
-        blob = bytearray(open(path, "rb").read())
-        size = len(blob)
-        if mode == "truncate":
-            keep = int(self.rng.integers(0, max(size, 1)))
-            blob = blob[:keep]
-            detail: Dict[str, Any] = {"kept_bytes": keep,
-                                      "orig_bytes": size}
-        elif mode == "zero":
-            lo = int(self.rng.integers(0, max(size, 1)))
-            hi = min(size, lo + int(self.rng.integers(1, 64)))
-            blob[lo:hi] = bytes(hi - lo)
-            detail = {"zeroed": [lo, hi]}
-        else:  # garbage
-            lo = int(self.rng.integers(0, max(size, 1)))
-            hi = min(size, lo + int(self.rng.integers(1, 64)))
-            blob[lo:hi] = self.rng.bytes(hi - lo)
-            detail = {"garbled": [lo, hi]}
-        with open(path, "wb") as fh:
-            fh.write(bytes(blob))
-        detail["entry"] = name
-        return FaultRecord(
-            surface="cache", mode=mode, location=name, details=detail,
         )
 
     # -- memory-image faults -------------------------------------------

@@ -17,9 +17,8 @@ the integrity machinery the fast paths otherwise lack:
   reference slices captured through the naive expansion path
   (:class:`RowOracle`).
 * **retry with rebuild** — a plan that fails validation, raises in
-  the kernel or diverges from the oracle is dropped (and its
-  persisted artifact quarantined through the cache's own machinery),
-  rebuilt from the stream, and retried up to ``max_attempts`` times
+  the kernel or diverges from the oracle is dropped, rebuilt from the
+  stream, and retried up to ``max_attempts`` times
   with doubling ``backoff_s`` sleeps in between — every sleep clipped
   by the ``max_retry_wall_s`` cap and the caller's per-request
   deadline (see :class:`_RetryBudget`), so retries can never blow a
@@ -72,12 +71,11 @@ class ResilienceEvent:
     kind:
         ``detect`` (corruption found), ``rebuild`` (plan recompiled),
         ``retry`` (execution re-attempted), ``fallback`` (switched to
-        the naive engine), ``quarantine`` (cache entry pulled),
-        ``deadline`` (retry budget exhausted before recovery
+        the naive engine), ``deadline`` (retry budget exhausted before recovery
         completed), ``evict`` (plan registry pressure eviction).
     surface:
-        The layer involved: ``stream``, ``plan``, ``worker``,
-        ``output`` or ``cache``.
+        The layer involved: ``stream``, ``plan``, ``worker`` or
+        ``output``.
     detail:
         Human-readable description.
     action:
@@ -275,10 +273,6 @@ class ExecutionGuard:
         unless ``pin`` supplies it.
     config:
         :class:`GuardConfig` knobs (defaults are production-lean).
-    cache:
-        Optional :class:`~repro.pipeline.cache.ArtifactCache` used for
-        plan persistence; corrupt entries quarantine themselves on
-        load.
     log:
         Optional shared :class:`ResilienceLog`; a fresh one is created
         otherwise (exposed as :attr:`log`).
@@ -294,7 +288,6 @@ class ExecutionGuard:
 
     def __init__(self, spasm: Any,
                  config: Optional[GuardConfig] = None,
-                 cache: Any = None,
                  log: Optional[ResilienceLog] = None,
                  seed: int = 0,
                  pin: Optional[str] = None):
@@ -302,7 +295,6 @@ class ExecutionGuard:
 
         self.spasm = spasm
         self.config = config or GuardConfig()
-        self.cache = cache
         self.log = log if log is not None else ResilienceLog()
         self.expected_digest = (
             stream_digest(spasm) if pin is None else pin
@@ -337,11 +329,11 @@ class ExecutionGuard:
         fresh = plan is None
         try:
             if fresh:
-                plan = self.spasm.plan(cache=self.cache)
+                plan = self.spasm.plan()
             elif self._due(self.config.repin_interval):
                 # Re-acquire through the matrix: recomputes the stream
                 # digest and rebuilds the plan if the stream changed.
-                plan = self.spasm.plan(cache=self.cache)
+                plan = self.spasm.plan()
                 fresh = plan is not self._plan
         except IntegrityError:
             raise
@@ -571,13 +563,12 @@ def guarded_spmv(spasm: Any, x: np.ndarray,
                  y: Optional[np.ndarray] = None,
                  jobs: Optional[int] = None,
                  config: Optional[GuardConfig] = None,
-                 cache: Any = None,
                  log: Optional[ResilienceLog] = None) -> np.ndarray:
     """One-shot guarded SpMV (constructs a transient guard).
 
     Hot loops should hold an :class:`ExecutionGuard` instead — the
     guard's pinning and oracle construction amortize across calls.
     """
-    return ExecutionGuard(
-        spasm, config=config, cache=cache, log=log
-    ).spmv(x, y=y, jobs=jobs)
+    return ExecutionGuard(spasm, config=config, log=log).spmv(
+        x, y=y, jobs=jobs
+    )

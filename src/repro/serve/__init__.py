@@ -9,8 +9,7 @@ runs one path, the guarded plan.  The parts:
   through guard retry/backoff so recovery never blows the caller's
   budget;
 * :class:`PlanRegistry` — hot compiled plans under an LRU byte
-  budget, warmed from the :class:`~repro.pipeline.cache.ArtifactCache`,
-  safe to evict or heal while requests execute;
+  budget, safe to evict or heal while requests execute;
 * :class:`AdmissionController` — bounded per-plan queues with load
   shedding (structured ``queue_full`` / ``overload`` / ``deadline``
   reasons) and round-robin fairness;

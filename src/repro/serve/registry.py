@@ -3,9 +3,8 @@
 The serving layer keeps one :class:`PlanEntry` per registered matrix.
 An entry is *hot* when its compiled :class:`~repro.exec.plan.ExecutionPlan`
 and :class:`~repro.resilience.guard.ExecutionGuard` are resident, and
-*cold* when only the encoded stream remains — warming a cold entry is
-a cache load (the plan artifact persists in the
-:class:`~repro.pipeline.cache.ArtifactCache`), not a recompile.
+*cold* when only the encoded stream remains — warming a cold entry
+rebuilds the plan from the stream, not a recompile.
 
 Hot bytes are bounded by ``byte_budget``: acquiring a plan that would
 blow the budget evicts the least-recently-used hot entries first.
@@ -106,9 +105,6 @@ class PlanRegistry:
 
     Parameters
     ----------
-    cache:
-        Optional :class:`~repro.pipeline.cache.ArtifactCache`; plans
-        persist into it on first build (so re-warming is a load).
     byte_budget:
         Cap on the summed ``plan.nbytes`` of hot entries; ``None`` is
         unbounded.  The budget is enforced on every acquire; entries
@@ -124,12 +120,10 @@ class PlanRegistry:
         Base seed; entry guards derive their oracle seeds from it.
     """
 
-    def __init__(self, cache: Any = None,
-                 byte_budget: Optional[int] = None,
+    def __init__(self, byte_budget: Optional[int] = None,
                  guard_config: Optional[GuardConfig] = None,
                  log: Optional[ResilienceLog] = None,
                  seed: int = 0):
-        self.cache = cache
         self.byte_budget = int(byte_budget) if byte_budget else None
         self.guard_config = guard_config or SERVE_GUARD
         self.log = log if log is not None else ResilienceLog()
@@ -147,8 +141,7 @@ class PlanRegistry:
         """Register a matrix under ``name`` (idempotent per name).
 
         Pass either a COO matrix (compiled through
-        :class:`~repro.core.framework.SpasmCompiler`, pipeline stages
-        cached) or a pre-encoded ``spasm`` stream.  ``warm=True``
+        :class:`~repro.core.framework.SpasmCompiler`) or a pre-encoded ``spasm`` stream.  ``warm=True``
         builds the plan and guard immediately; ``warm=False`` defers
         to the first acquire (cold registration).
         """
@@ -159,13 +152,7 @@ class PlanRegistry:
         if coo is not None:
             from repro.core import SpasmCompiler
 
-            cache_dir = (
-                self.cache.cache_dir if self.cache is not None
-                else None
-            )
-            spasm = SpasmCompiler(cache_dir=cache_dir).compile(
-                coo
-            ).spasm
+            spasm = SpasmCompiler().compile(coo).spasm
         with self._lock:
             entry = PlanEntry(name, spasm)
             self._entries[name] = entry
@@ -194,7 +181,7 @@ class PlanRegistry:
             return list(self._entries)
 
     def warmup(self) -> Dict[str, Any]:
-        """Warm every cold entry (plans load from the cache).
+        """Warm every cold entry (plans rebuilt from their streams).
 
         Returns a summary: names warmed, hot bytes.
         """
@@ -283,18 +270,17 @@ class PlanRegistry:
             ) from None
 
     def _warm(self, entry: PlanEntry) -> None:
-        """Build/load the plan and guard for an entry.
+        """Build the plan and guard for an entry.
 
         The guard pins the digest of the plan just built rather than
         hashing the live stream again; the first answer still compares
         that pin with the live stream.
         """
-        plan = entry.spasm.plan(cache=self.cache)
+        plan = entry.spasm.plan()
         entry.plan_nbytes = int(plan.nbytes)
         self._guard_seq += 1
         entry.guard = ExecutionGuard(
-            entry.spasm, config=self.guard_config, cache=self.cache,
-            log=self.log, seed=self.seed + self._guard_seq,
+            entry.spasm, config=self.guard_config, log=self.log, seed=self.seed + self._guard_seq,
             pin=plan.digest,
         )
         entry.hot = True

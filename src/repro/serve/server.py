@@ -345,7 +345,7 @@ class SpmvServer:
         request.future.set_result(response)
 
 
-def serve_matrices(matrices: Dict[str, Any], cache: Any = None,
+def serve_matrices(matrices: Dict[str, Any],
                    byte_budget: Optional[int] = None,
                    admission: Optional[AdmissionConfig] = None,
                    workers: int = 2, seed: int = 0,
@@ -354,11 +354,10 @@ def serve_matrices(matrices: Dict[str, Any], cache: Any = None,
 
     ``matrices`` maps registry names to
     :class:`~repro.core.io.COOMatrix` instances; each is compiled
-    through the cached pipeline (stages and plans cached in ``cache``
-    when present), and the server is started unless ``start=False``.
+    through the pipeline, and the server is started unless
+    ``start=False``.
     """
-    registry = PlanRegistry(cache=cache, byte_budget=byte_budget,
-                            seed=seed)
+    registry = PlanRegistry(byte_budget=byte_budget, seed=seed)
     for name, coo in matrices.items():
         registry.register(name, coo=coo)
     server = SpmvServer(registry, admission=admission, workers=workers)

@@ -5,7 +5,7 @@ that multiply the *same* matrix thousands of times — Krylov solvers in
 scientific computing, QP iterations in finance, power iterations in
 graph analytics.  This package provides conjugate gradients as library
 code so any SpMV backend (a plain matrix, a compiled
-:class:`SpasmProgram`, a reordered pipeline) plugs in through one
+:class:`SpasmProgram`) plugs in through one
 operator interface.
 """
 

@@ -14,7 +14,6 @@ from repro.synth.generators import (
     anti_diagonal_stripes,
     fem_mesh,
     mycielskian_graph,
-    power_law_graph,
     random_uniform,
     row_segments,
     staircase,
@@ -36,7 +35,6 @@ __all__ = [
     "anti_diagonal_stripes",
     "fem_mesh",
     "mycielskian_graph",
-    "power_law_graph",
     "random_uniform",
     "row_segments",
     "staircase",

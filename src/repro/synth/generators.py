@@ -193,25 +193,6 @@ def mycielskian_graph(order: int, seed: int = 0) -> COOMatrix:
     return _coo(rows, cols, rng, (n, n))
 
 
-# The input of the symmetric_degree_sort tests (tests/test_reorder.py).
-def power_law_graph(n: int,  # lint: allow(api.unused-public)
-                    avg_degree: int = 8, exponent: float = 2.1,
-                    seed: int = 0) -> COOMatrix:
-    """Scale-free graph adjacency (preferential-attachment flavour)."""
-    rng = np.random.default_rng(seed)
-    # Degree-proportional endpoint sampling via a Zipf-like weight.
-    weights = 1.0 / np.power(np.arange(1, n + 1), exponent - 1.0)
-    weights /= weights.sum()
-    m = n * avg_degree // 2
-    src = rng.choice(n, size=m, p=weights)
-    dst = rng.choice(n, size=m, p=weights)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
-    rows = np.concatenate([src, dst])
-    cols = np.concatenate([dst, src])
-    return _coo(rows, cols, rng, (n, n))
-
-
 def random_uniform(n: int, density: float, seed: int = 0,
                    ncols: int = None) -> COOMatrix:
     """Uniformly scattered non-zeros (the pattern-less worst case)."""

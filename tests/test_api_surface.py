@@ -92,7 +92,7 @@ def test_submodule_functions_documented():
         "repro.core.encoding", "repro.core.format",
         "repro.core.tiling", "repro.core.schedule",
         "repro.core.selection", "repro.core.framework",
-        "repro.core.dynamic", "repro.core.reorder",
+        "repro.core.dynamic",
         "repro.core.serialize",
         "repro.pipeline.artifacts", "repro.pipeline.cache",
         "repro.pipeline.passes", "repro.pipeline.runner",

@@ -75,18 +75,22 @@ class TestCommands:
         capsys.readouterr()
         trace = json.loads(trace_file.read_text())
         assert trace["total_ms"] > 0
-        assert {e["cache"] for e in trace["events"]} == {"off"}
-
-    def test_compile_cache_dir_cold_then_warm(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache")
-        argv = [
-            "compile", "t2em", "--scale", "0.2", "--cache-dir", cache,
+        assert [e["name"] for e in trace["events"]] == [
+            "analysis", "selection", "decomposition", "schedule",
+            "encode",
         ]
-        assert main(argv) == 0
-        assert "analysis=miss" in capsys.readouterr().out
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "analysis=hit" in out and "schedule=hit" in out
+
+    @pytest.mark.parametrize("command", [
+        "compile", "encode", "run", "faults", "serve", "query",
+        "reproduce",
+    ])
+    def test_no_cache_dir_flag(self, command, capsys):
+        argv = [command] + (["t2em"] if command in (
+            "compile", "encode", "run", "query") else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cache-dir", "x"])
+        assert exc.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
 
     def test_compile_jobs_and_verify(self, capsys):
         assert main([
@@ -163,24 +167,6 @@ class TestAnalyzeProofs:
         assert payload == {"ok": False, "findings": [finding.as_dict()]}
 
 
-class TestRunReorder:
-    def test_run_with_reorder_reports_gain(self, capsys):
-        assert main([
-            "run", "stormG2_1000", "--scale", "0.5", "--reorder",
-            "--repeat", "1",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "reorder:" in out and "bytes/nnz" in out
-        assert "storage gain" in out
-        assert "plan vs naive engines agree" in out
-
-    def test_run_without_reorder_stays_quiet(self, capsys):
-        assert main([
-            "run", "stormG2_1000", "--scale", "0.5", "--repeat", "1",
-        ]) == 0
-        assert "reorder:" not in capsys.readouterr().out
-
-
 class TestRunResolved:
     def test_run_json_resolved_object(self, capsys):
         assert main(["run", "raefsky3", "--scale", "0.02",
@@ -212,24 +198,18 @@ class TestEncodeSpmv:
         assert main(["spmv", out, "--hardware", "SPASM_3_2"]) == 0
         assert "SPASM_3_2" in capsys.readouterr().out
 
-    def test_encode_with_cache_and_trace(self, capsys, tmp_path):
+    def test_encode_with_trace(self, capsys, tmp_path):
         out = str(tmp_path / "m.npz")
         trace_file = tmp_path / "trace.json"
-        cache = str(tmp_path / "cache")
         assert main([
             "encode", "t2em", "--scale", "0.2", "-o", out,
-            "--cache-dir", cache, "--trace", str(trace_file),
+            "--trace", str(trace_file),
         ]) == 0
         assert "wrote" in capsys.readouterr().out
         trace = json.loads(trace_file.read_text())
-        cached = {
-            e["name"]: e["cache"]
-            for e in trace["events"]
-            if e["name"] in (
-                "analysis", "selection", "decomposition", "schedule"
-            )
+        assert {e["name"] for e in trace["events"]} >= {
+            "analysis", "selection", "decomposition", "schedule",
         }
-        assert set(cached.values()) == {"miss"}
         assert main(["spmv", out]) == 0
         assert "exact" in capsys.readouterr().out
 
@@ -340,7 +320,7 @@ class TestFaults:
         "jobs": 2,
         "trials": {
             "stream": 1, "value": 1, "plan": 1,
-            "worker": 1, "image": 1, "cache": 1,
+            "worker": 1, "image": 1,
         },
     }
     TINY_SERVER = {
@@ -353,7 +333,7 @@ class TestFaults:
         "max_total": 32,
         "clean_requests": 8,
         "burst_requests": 4,
-        "trials": {"value": 1, "cache": 1},
+        "trials": {"value": 1, "plan": 1},
     }
 
     def test_faults_smoke_json_and_report_file(
@@ -370,11 +350,11 @@ class TestFaults:
         ]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["zero_escapes"] is True
-        assert report["totals"]["injections"] == 6
+        assert report["totals"]["injections"] == 5
         archived = json.loads(out_file.read_text())
         assert archived["totals"] == report["totals"]
 
-    def test_faults_server_target(self, capsys, tmp_path, monkeypatch):
+    def test_faults_server_target(self, capsys, monkeypatch):
         from repro.resilience import campaign
 
         monkeypatch.setitem(
@@ -382,19 +362,17 @@ class TestFaults:
         )
         assert main([
             "faults", "--campaign", "chaos-smoke", "--quiet", "--json",
-            "--cache-dir", str(tmp_path),
         ]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["target"] == "server"
         assert report["passed"] is True
-        assert set(report["surfaces"]) == {"value", "cache"}
+        assert set(report["surfaces"]) == {"value", "plan"}
         assert report["clean"]["audit"]["escaped"] == 0
 
     def test_faults_escape_exits_nonzero(
         self, capsys, monkeypatch
     ):
-        def rigged(preset="smoke", seed=0, cache_dir=None,
-                   progress=None):
+        def rigged(preset="smoke", seed=0, progress=None):
             return {
                 "preset": "smoke", "target": "guard", "seed": seed,
                 "workload": {"name": "x", "nnz": 1},
@@ -416,20 +394,20 @@ class TestFaults:
     def test_faults_unfired_exits_nonzero_naming_surface(
         self, capsys, monkeypatch
     ):
-        from repro.pipeline.cache import ArtifactCache
-        from repro.resilience import campaign
+        from repro.resilience import campaign, faults
 
-        # Nothing persisted: the cache surface has nothing to corrupt.
-        monkeypatch.setattr(ArtifactCache, "store",
-                            lambda self, stage, key, arrays, meta: None)
+        # The shard fault hook is never installed: the worker fault
+        # cannot fire.
+        monkeypatch.setattr(faults, "set_shard_fault_hook",
+                            lambda hook: None)
         monkeypatch.setitem(
             campaign.CAMPAIGN_PRESETS, "smoke",
-            dict(self.TINY, trials={"value": 1, "cache": 1}),
+            dict(self.TINY, trials={"value": 1, "worker": 1}),
         )
         assert main(["faults", "--quiet"]) == 1
         captured = capsys.readouterr()
-        assert "never fired on surface(s): cache" in captured.err
-        assert "UNFIRED on cache" in captured.out
+        assert "never fired on surface(s): worker" in captured.err
+        assert "UNFIRED on worker" in captured.out
 
     def test_faults_text_render(self, capsys, monkeypatch):
         from repro.resilience import campaign
@@ -440,7 +418,7 @@ class TestFaults:
         assert main(["faults", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "ZERO ESCAPES" in out
-        assert "stream" in out and "cache" in out
+        assert "stream" in out and "image" in out
 
 
 class TestLoadMatrix:

@@ -156,6 +156,139 @@ class TestTableSolver:
             assert pads[i] == table0.padding(int(patterns[i]))
 
 
+def eager_joint_dp(masks, k):
+    """The eager table build: one joint DP carrying the argmin subset.
+
+    The reference the lazily built subset table must reproduce:
+    ``(weights, subsets)`` over every ``2^(k*k)`` pattern, with
+    ``int32`` max marking uncoverable patterns.
+    """
+    nsubsets = 1 << len(masks)
+    union = np.zeros(nsubsets, dtype=np.uint32)
+    weight = np.zeros(nsubsets, dtype=np.int32)
+    for t_id, tmask in enumerate(masks):
+        m = 1 << t_id
+        union[m : 2 * m] = union[:m] | np.uint32(tmask)
+        weight[m : 2 * m] = weight[:m] + bin(tmask).count("1")
+    big = np.iinfo(np.int32).max
+    best_weight = np.full(1 << (k * k), big, dtype=np.int32)
+    best_subset = np.zeros(1 << (k * k), dtype=np.int64)
+    order = np.lexsort((np.arange(nsubsets), weight))[::-1]
+    best_weight[union[order]] = weight[order]
+    best_subset[union[order]] = order
+    for bit in range(k * k):
+        low = best_weight.reshape(-1, 2, 1 << bit)
+        low_s = best_subset.reshape(-1, 2, 1 << bit)
+        improve = low[:, 1, :] < low[:, 0, :]
+        low[:, 0, :] = np.where(improve, low[:, 1, :], low[:, 0, :])
+        low_s[:, 0, :] = np.where(improve, low_s[:, 1, :], low_s[:, 0, :])
+    return best_weight, best_subset
+
+
+def greedy_portfolio():
+    from repro.core.dynamic import GreedyPortfolioBuilder
+    from repro.core.patterns import analyze_local_patterns
+    from repro.synth import load_workload
+
+    histogram = analyze_local_patterns(load_workload("tmt_sym", 0.1))
+    return GreedyPortfolioBuilder().build(histogram).portfolio
+
+
+class TestLazySubsets:
+    """Construction builds weights only; subsets wait for a lookup."""
+
+    def test_scoring_builds_no_subset_array(self, monkeypatch):
+        import repro.core.decompose as decompose_mod
+        from repro.core.patterns import analyze_local_patterns
+        from repro.core.selection import select_portfolio
+        from repro.synth import load_workload
+
+        monkeypatch.setattr(decompose_mod, "_TABLE_CACHE", {})
+
+        def no_subsets(self):
+            raise AssertionError("scoring built a subset array")
+
+        monkeypatch.setattr(DecompositionTable, "_subsets", no_subsets)
+        histogram = analyze_local_patterns(load_workload("tmt_sym", 0.1))
+        selection = select_portfolio(histogram)
+        assert len(selection.paddings) == 10
+        for portfolio in candidate_portfolios():
+            table = decompose_mod.cached_table(portfolio)
+            table.cover_count_array()
+            table.total_padding(histogram)
+        tables = list(decompose_mod._TABLE_CACHE.values())
+        assert len(tables) == 10
+        assert all(t._cover_subset is None for t in tables)
+
+    @pytest.mark.parametrize("idx", range(10))
+    def test_subset_weights_equal_weight_table(self, idx):
+        portfolio = candidate_portfolios()[idx]
+        weights_only = DecompositionTable(portfolio)
+        table = DecompositionTable(portfolio)
+        table.decompose(0b1)
+        subsets = table._cover_subset
+        assert subsets is not None and weights_only._cover_subset is None
+        assert np.array_equal(table._cover_weight,
+                              weights_only._cover_weight)
+        # Each chosen subset weighs exactly its pattern's cover weight.
+        covered = weights_only._cover_weight != weights_only._big
+        chosen = np.zeros(subsets.size, dtype=np.int64)
+        for t_id, mask in enumerate(portfolio.masks):
+            chosen += ((subsets >> t_id) & 1) * bin(mask).count("1")
+        assert np.array_equal(chosen[covered],
+                              weights_only._cover_weight[covered])
+
+    def test_concurrent_first_lookups_agree(self):
+        """Threads racing the first lookup of one shared table all read
+        a whole subset array equal to the eager build's."""
+        import sys
+        import threading
+
+        portfolio = candidate_portfolios()[3]
+        weights, subsets = eager_joint_dp(portfolio.masks, portfolio.k)
+        patterns = np.flatnonzero(weights != np.iinfo(np.int32).max)
+        expected = np.where(patterns == 0, 0, subsets[patterns])
+        table = DecompositionTable(portfolio)
+        results = []
+        barrier = threading.Barrier(6)
+
+        def lookup():
+            barrier.wait(timeout=30)
+            results.append(table.subset_array(patterns))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lookup) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 6
+        assert all(np.array_equal(r, expected) for r in results)
+
+    @pytest.mark.parametrize("idx", range(11))
+    def test_matches_eager_joint_dp(self, idx):
+        """The 10 Table V candidates, then one greedy portfolio."""
+        portfolio = (candidate_portfolios()[idx] if idx < 10
+                     else greedy_portfolio())
+        k = portfolio.k
+        weights, subsets = eager_joint_dp(portfolio.masks, k)
+        big = np.iinfo(np.int32).max
+        table = DecompositionTable(portfolio)
+        sentinel = k * k + 1
+        counts = np.where(weights == big, sentinel, weights // k)
+        counts[0] = 0
+        assert np.array_equal(table.cover_count_array(), counts)
+        patterns = np.flatnonzero(weights != big)
+        assert np.array_equal(table.subset_array(patterns),
+                              np.where(patterns == 0, 0,
+                                       subsets[patterns]))
+
+
 class TestDecompositionDataclass:
     def test_subset_bitmask(self):
         decomp = Decomposition(0b1, (0, 2), 3)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import candidate_portfolios, encode_spasm
-from repro.exec import ExecutionPlan, PLAN_STAGE, stream_digest
+from repro.exec import ExecutionPlan, stream_digest
 from repro.matrix.coo import COOMatrix
-from repro.pipeline.cache import ArtifactCache
 from tests.conftest import random_structured_coo
 
 
@@ -170,39 +169,17 @@ class TestPlanCache:
         spasm.words[0] += 1
         assert stream_digest(spasm) != d0
 
-    def test_persisted_plan_roundtrip(self, tmp_path, small_coo):
-        spasm = encode(small_coo)
-        cache = ArtifactCache(tmp_path)
-        built = ExecutionPlan.build(spasm, cache=cache)
-        assert cache.load(PLAN_STAGE, built.digest[:40]) is not None
-        loaded = ExecutionPlan.build(spasm, cache=cache)
-        assert loaded.digest == built.digest
-        assert np.array_equal(loaded.vals, built.vals)
-        assert np.array_equal(loaded.cols, built.cols)
-
-    def test_stale_persisted_entry_rejected(self, tmp_path, small_coo):
-        spasm = encode(small_coo)
-        cache = ArtifactCache(tmp_path)
-        built = ExecutionPlan.build(spasm, cache=cache)
-        spasm.values[0, 0] += 1.0
-        rebuilt = ExecutionPlan.build(spasm, cache=cache)
-        assert rebuilt.digest != built.digest
-
-    def test_plan_pass_in_compiler(self, tmp_path, small_coo):
+    def test_plan_pass_in_compiler(self, small_coo):
         from repro.core.framework import SpasmCompiler
 
-        compiler = SpasmCompiler(
-            build_plan=True, cache_dir=tmp_path
-        )
-        program = compiler.compile(small_coo)
+        program = SpasmCompiler(build_plan=True).compile(small_coo)
         assert program.plan is not None
-        stages = {e.name: e.cache for e in program.trace.events}
-        assert stages["plan"] == "miss"
-        again = SpasmCompiler(
-            build_plan=True, cache_dir=tmp_path
-        ).compile(small_coo)
-        stages = {e.name: e.cache for e in again.trace.events}
-        assert stages["plan"] == "hit"
+        assert program.trace.has_stage("plan")
+        # The pass caches its plan on the matrix: the first spmv
+        # builds nothing.
+        assert program.spasm.plan() is program.plan
+        again = SpasmCompiler(build_plan=True).compile(small_coo)
+        assert again.plan.checksum == program.plan.checksum
         assert np.array_equal(again.plan.vals, program.plan.vals)
 
 
@@ -282,19 +259,14 @@ class TestFaultTolerance:
         coo = integer_coo(rng, 96, "mixed")
         assert encode(coo).plan().validate() == []
 
-    def test_torn_build_keeps_pristine_label(
-        self, rng, tmp_path, monkeypatch
-    ):
+    def test_torn_build_keeps_pristine_label(self, rng, monkeypatch):
         """A live-stream mutation landing while the plan compiles must
         not reach a plan labeled pristine: the build hashes and compiles
         its own copy, so the plan computes the pristine matrix under the
-        pristine digest, is cached only under the pristine key, and the
-        next ``plan()`` sees the mutation and rebuilds."""
-        from repro.exec.plan import _plan_cache_key
-
+        pristine digest, and the next ``plan()`` sees the mutation and
+        rebuilds."""
         spasm = encode(integer_coo(rng, n=64))
         pristine_digest = stream_digest(spasm)
-        cache = ArtifactCache(tmp_path)
         x = rng.random(spasm.shape[1])
         expected = spasm.spmv_naive(x)
 
@@ -310,7 +282,7 @@ class TestFaultTolerance:
         monkeypatch.setattr(
             ExecutionPlan, "_compile", classmethod(torn_compile)
         )
-        plan = spasm.plan(cache=cache)
+        plan = spasm.plan()
         monkeypatch.setattr(
             ExecutionPlan, "_compile", classmethod(real_compile)
         )
@@ -320,14 +292,8 @@ class TestFaultTolerance:
         # The plan's label describes the matrix it computes.
         assert plan.digest == pristine_digest
         assert np.array_equal(plan.spmv(x), expected)
-        # Cached under the pristine key only.
-        assert cache.load(
-            PLAN_STAGE, _plan_cache_key(pristine_digest, None)
-        ) is not None
-        mutated_key = _plan_cache_key(mutated_digest, None)
-        assert cache.load(PLAN_STAGE, mutated_key) is None
         # The next acquisition sees the live mutation and rebuilds.
-        rebuilt = spasm.plan(cache=cache)
+        rebuilt = spasm.plan()
         assert rebuilt is not plan
         assert rebuilt.digest == mutated_digest
         assert np.array_equal(rebuilt.spmv(x), spasm.spmv_naive(x))
@@ -380,7 +346,7 @@ _FLIP_ARRAYS = ("cols", "vals", "indptr")
 def test_any_plan_bit_flip_is_caught(which, pos, bit):
     """Every single-bit corruption of every executable plan array is
     flagged by validate() (checksum + invariants), the check the guard
-    and the plan caches run.  The flip is byte-addressed so compact
+    runs.  The flip is byte-addressed so compact
     int32 arrays are covered bit for bit."""
     import dataclasses
 

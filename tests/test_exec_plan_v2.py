@@ -1,6 +1,6 @@
 """Tests for the v2 execution-plan features: plan builds, compact
 dtype-aware layouts, batched multi-query SpMV, the shard
-auto-heuristic and the guarded/cached integrations.
+auto-heuristic and the guarded integrations.
 
 The non-negotiable invariant throughout: every float64 engine —
 naive, compiled (int32 or int64 indices), sharded, batched, guarded —
@@ -8,7 +8,6 @@ produces **bitwise identical** results.
 """
 
 import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from repro.core import (
 )
 from repro.exec import ExecutionPlan, backends, index_dtype_for
 from repro.matrix.coo import COOMatrix
-from repro.pipeline.cache import ArtifactCache
 from tests.conftest import random_structured_coo
 
 
@@ -119,18 +117,6 @@ class TestPlanBuild:
             program.spasm.spmv(x), program.spasm.spmv_naive(x)
         )
 
-    def test_cache_hit_compile_caches_plan_on_matrix(self, rng,
-                                                      tmp_path):
-        coo = integer_coo(rng, 64, "blocks")
-        compiler = SpasmCompiler(build_plan=True, cache_dir=tmp_path)
-        cold = compiler.compile(coo)
-        warm = compiler.compile(coo)
-        assert next(
-            e.cache for e in warm.trace if e.name == "plan"
-        ) == "hit"
-        assert warm.plan is warm.spasm.__dict__.get("_plan")
-        assert_plans_identical(warm.plan, cold.plan)
-
     def test_hazard_aware_compile_still_plans_correctly(self, rng):
         # The hazard-aware reorder rewrites the stream after encode;
         # the PlanPass compile must still agree with the naive engine
@@ -152,11 +138,11 @@ class TestPlanBuild:
         portfolio_idx=st.integers(0, 2),
         tile_size=st.sampled_from([16, 32]),
     )
-    def test_build_cache_roundtrip_identical(
+    def test_lazy_plan_matches_build(
         self, seed, n, kind, portfolio_idx, tile_size
     ):
-        """Property: lazy plan ≡ standalone build ≡ cache roundtrip,
-        bitwise, for random matrices, portfolios and tile sizes."""
+        """Property: lazy plan ≡ standalone build, bitwise, for random
+        matrices, portfolios and tile sizes."""
         rng = np.random.default_rng(seed)
         coo = integer_coo(rng, n, kind)
         spasm = encode(
@@ -164,12 +150,6 @@ class TestPlanBuild:
         )
         lazy = spasm.plan()
         assert_plans_identical(lazy, ExecutionPlan.build(spasm))
-        with tempfile.TemporaryDirectory() as tmp:
-            cache = ArtifactCache(tmp)
-            stored = ExecutionPlan.build(spasm, cache=cache)
-            loaded = ExecutionPlan.build(spasm, cache=cache)
-            assert_plans_identical(stored, loaded)
-            assert_plans_identical(lazy, loaded)
 
 
 # -- compact dtype-aware layouts ---------------------------------------
@@ -215,6 +195,8 @@ class TestCompactLayouts:
         plan = ExecutionPlan.build(spasm, index="int64")
         assert plan.cols.dtype == np.int64
         assert plan.validate() == []
+        # The checksum covers the dtypes: the two layouts differ.
+        assert plan.checksum != spasm.plan().checksum
 
     def test_unknown_layouts_rejected(self, rng):
         spasm = encode(integer_coo(rng, 32))
@@ -278,47 +260,20 @@ class TestCompactLayouts:
         )
 
 
-# -- dtype-preserving cache --------------------------------------------
-
-
 class TestDtypeCache:
-    def test_cache_preserves_compact_dtypes(self, rng, tmp_path):
+    def test_cache_layouts_coexist(self, rng):
         spasm = encode(integer_coo(rng, 64))
-        cache = ArtifactCache(str(tmp_path))
-        stored = ExecutionPlan.build(spasm, cache=cache)
-        assert stored.cols.dtype == np.int32
-        loaded = ExecutionPlan.build(spasm, cache=cache)
-        assert_plans_identical(stored, loaded)
-        # A clean roundtrip must not quarantine anything.
-        assert cache.entries()
-
-    def test_cache_layouts_coexist(self, rng, tmp_path):
-        spasm = encode(integer_coo(rng, 64))
-        cache = ArtifactCache(str(tmp_path))
-        default = ExecutionPlan.build(spasm, cache=cache)
-        wide = ExecutionPlan.build(spasm, cache=cache, index="int64")
-        # Reloading each layout hits its own entry, dtypes intact.
-        assert ExecutionPlan.build(
-            spasm, cache=cache
-        ).cols.dtype == np.int32
-        assert ExecutionPlan.build(
-            spasm, cache=cache, index="int64"
-        ).cols.dtype == np.int64
+        default = spasm.plan()
+        wide = ExecutionPlan.build(spasm, index="int64")
+        # An explicit wide build leaves the matrix's cached compact
+        # plan in place, and each layout keeps its dtypes.
+        assert spasm.plan() is default
+        assert default.cols.dtype == np.int32
+        assert wide.cols.dtype == np.int64
+        assert ExecutionPlan.build(spasm).cols.dtype == np.int32
         assert default.checksum != wide.checksum
-
-    def test_pipeline_cache_roundtrip_keeps_dtypes(self, rng, tmp_path):
-        coo = integer_coo(rng, 64, "blocks")
-        compiler = SpasmCompiler(
-            build_plan=True, cache_dir=str(tmp_path)
-        )
-        first = compiler.compile(coo)
-        second = compiler.compile(coo)
-        stages = {
-            e.name: e.cache for e in second.trace if e.cache
-        }
-        assert stages.get("plan") == "hit"
-        assert_plans_identical(first.plan, second.plan)
-        assert second.plan.cols.dtype == np.int32
+        x = rng.standard_normal(spasm.shape[1])
+        np.testing.assert_array_equal(default.spmv(x), wide.spmv(x))
 
 
 # -- batched multi-query SpMV ------------------------------------------

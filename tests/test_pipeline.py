@@ -18,6 +18,7 @@ from repro.pipeline import (
     PipelineRunner,
     PipelineTrace,
     StageEvent,
+    matrix_digest,
 )
 from tests.conftest import random_structured_coo
 
@@ -116,7 +117,6 @@ class TestTrace:
             "encode",
         ]
         assert all(e.wall_ms >= 0 for e in trace)
-        assert all(e.cache == "off" for e in trace)
 
     def test_stage_summaries(self, program):
         analysis = program.trace.event("analysis")
@@ -131,7 +131,6 @@ class TestTrace:
         trace = program.trace
         assert not trace.has_stage("verify")
         assert trace.stage_ms("verify") == 0.0
-        assert trace.cache_status("verify") == "off"
         with pytest.raises(KeyError):
             trace.event("verify")
 
@@ -145,7 +144,6 @@ class TestTrace:
             e.name for e in trace
         ]
         assert payload["total_ms"] == pytest.approx(trace.total_ms)
-        assert payload["cache_hits"] == 0
 
     def test_render_lists_stages(self, program):
         text = program.trace.render()
@@ -164,10 +162,10 @@ class TestTrace:
         event = StageEvent(name="x", wall_ms=1.5, note="n")
         d = event.to_dict()
         assert d == {
-            "name": "x", "wall_ms": 1.5, "cache": "off",
+            "name": "x", "wall_ms": 1.5,
             "inputs": {}, "outputs": {}, "note": "n",
         }
-        assert PipelineTrace(events=(event,)).cache_hits == 0
+        assert PipelineTrace(events=(event,)).to_dict()["events"] == [d]
 
 
 class TestArtifactReuse:
@@ -266,3 +264,12 @@ class TestFacadeBehavior:
     def test_trace_attached_to_program(self, program):
         assert isinstance(program.trace, PipelineTrace)
         assert len(program.trace) == 5
+
+
+class TestMatrixDigest:
+    def test_matrix_digest_content_addressed(self, rng):
+        coo = random_structured_coo(rng, 64, "mixed")
+        clone = type(coo).from_dense(coo.to_dense())
+        assert matrix_digest(coo) == matrix_digest(clone)
+        other = random_structured_coo(rng, 64, "mixed")
+        assert matrix_digest(coo) != matrix_digest(other)

@@ -10,7 +10,6 @@ from repro.core import candidate_portfolios, encode_spasm
 from repro.exec import backends
 from repro.exec.plan import ExecutionPlan, set_shard_fault_hook
 from repro.matrix.coo import COOMatrix
-from repro.pipeline.cache import ArtifactCache
 from repro.resilience import (
     ExecutionGuard,
     FaultInjector,
@@ -90,19 +89,6 @@ class TestFaultInjector:
         assert plan.validate() == []
         FaultInjector(3).flip_plan_array(plan)
         assert plan.validate() != []
-
-    @pytest.mark.parametrize("mode", ["truncate", "zero", "garbage"])
-    def test_cache_corruption_modes(self, tmp_path, spasm, mode):
-        cache = ArtifactCache(tmp_path)
-        cache.store("analysis", "a" * 40,
-                    {"v": np.arange(64, dtype=np.int64)}, {})
-        record = FaultInjector(4).corrupt_cache_entry(cache, mode=mode)
-        assert record is not None and record.mode == mode
-
-    def test_cache_corruption_empty_cache(self, tmp_path):
-        assert FaultInjector(0).corrupt_cache_entry(
-            ArtifactCache(tmp_path)
-        ) is None
 
     def test_worker_hook_restored_on_exit(self, spasm, x):
         inj = FaultInjector(5)
@@ -287,23 +273,6 @@ class TestGuardDetection:
             set_shard_fault_hook(previous)
         assert np.allclose(out, spasm.spmm_naive(x_block))
 
-    def test_quarantines_corrupt_persisted_plan(
-        self, tmp_path, spasm, x, reference
-    ):
-        incidents = []
-        cache = ArtifactCache(
-            tmp_path, on_event=lambda kind, d: incidents.append(kind)
-        )
-        seeded = clone_spasm(spasm)
-        seeded.plan(cache=cache)
-        assert cache.entries()
-        FaultInjector(11).corrupt_cache_entry(cache, mode="garbage")
-        guard = ExecutionGuard(
-            clone_spasm(spasm), config=STRICT, cache=cache
-        )
-        assert np.array_equal(guard.spmv(x), reference)
-
-
 class TestRowOracle:
     def test_clean_output_passes(self, spasm, x):
         oracle = RowOracle.build(
@@ -346,7 +315,7 @@ TINY_PRESETS = {
         "jobs": 2,
         "trials": {
             "stream": 2, "value": 2, "plan": 2,
-            "worker": 2, "image": 1, "cache": 2,
+            "worker": 2, "image": 1,
         },
     },
     "server": {
@@ -360,7 +329,7 @@ TINY_PRESETS = {
         "clean_requests": 10,
         "burst_requests": 6,
         "trials": {
-            "stream": 1, "value": 1, "plan": 1, "cache": 1, "worker": 1,
+            "stream": 1, "value": 1, "plan": 1, "worker": 1,
         },
     },
 }
@@ -379,17 +348,19 @@ def outcomes(report):
     return report
 
 
-def no_cache_store(monkeypatch):
-    """Persist nothing, so the cache surface has nothing to corrupt."""
-    monkeypatch.setattr(ArtifactCache, "store",
-                        lambda self, stage, key, arrays, meta: None)
+def unwired_shard_hook(monkeypatch):
+    """Never install the shard fault hook, so a worker fault cannot
+    fire."""
+    from repro.resilience import faults
+
+    monkeypatch.setattr(faults, "set_shard_fault_hook", lambda hook: None)
 
 
 class TestCampaign:
     @pytest.mark.parametrize("target", sorted(TINY_PRESETS))
-    def test_tiny_campaign_zero_escapes(self, target, tmp_path):
+    def test_tiny_campaign_zero_escapes(self, target):
         preset = TINY_PRESETS[target]
-        report = run_campaign(preset, seed=3, cache_dir=str(tmp_path))
+        report = run_campaign(preset, seed=3)
         assert report["passed"] and report["zero_escapes"]
         assert report["escapes"] == [] and report["unfired"] == []
         assert all(row["fired"] for row in report["injections"])
@@ -405,39 +376,21 @@ class TestCampaign:
         assert "ZERO ESCAPES" in render_report(report)
 
     @pytest.mark.parametrize("target", sorted(TINY_PRESETS))
-    def test_campaign_reproducible_from_seed(self, target, tmp_path):
-        a = run_campaign(TINY_PRESETS[target], seed=5,
-                         cache_dir=str(tmp_path / "a"))
-        b = run_campaign(TINY_PRESETS[target], seed=5,
-                         cache_dir=str(tmp_path / "b"))
+    def test_campaign_reproducible_from_seed(self, target):
+        a = run_campaign(TINY_PRESETS[target], seed=5)
+        b = run_campaign(TINY_PRESETS[target], seed=5)
         assert outcomes(a) == outcomes(b)
 
     @pytest.mark.parametrize("target", sorted(TINY_PRESETS))
-    def test_unfired_injection_fails_campaign(self, target, tmp_path,
-                                              monkeypatch):
-        no_cache_store(monkeypatch)
-        preset = dict(TINY_PRESETS[target], trials={"cache": 1})
-        report = run_campaign(preset, seed=0, cache_dir=str(tmp_path))
+    def test_unfired_injection_fails_campaign(self, target, monkeypatch):
+        unwired_shard_hook(monkeypatch)
+        preset = dict(TINY_PRESETS[target], trials={"worker": 1})
+        report = run_campaign(preset, seed=0)
         assert report["zero_escapes"]
-        assert report["unfired"] == ["cache"]
+        assert report["unfired"] == ["worker"]
         assert report["totals"]["unfired"] == 1
         assert not report["passed"]
-        assert "UNFIRED on cache" in render_report(report)
-
-    def test_server_cache_wave_quarantines_target_plan(self, tmp_path):
-        preset = dict(TINY_PRESETS["server"], trials={"cache": 1})
-        report = run_campaign(preset, seed=0, cache_dir=str(tmp_path))
-        (row,) = report["injections"]
-        entry = row["fault"]["details"]["entry"]
-        assert entry.startswith("plan-")
-        assert row["fired"]
-        assert entry in ArtifactCache(tmp_path).quarantined()
-        # Every ok response of the re-warming burst is bitwise equal
-        # to a pristine reference.
-        assert row["escaped"] == 0
-        assert row["contained"] + row["detected"] + row["shed"] == (
-            row["requests"]
-        )
+        assert "UNFIRED on worker" in render_report(report)
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):

@@ -15,7 +15,6 @@ import pytest
 
 from repro.core import candidate_portfolios, encode_spasm
 from repro.exec import backends
-from repro.pipeline import ArtifactCache
 from repro.resilience import (
     FaultInjector,
     IntegrityError,
@@ -361,11 +360,9 @@ class TestPlanRegistry:
         assert response.status == "failed"
         assert "integrity" in response.detail
 
-    def test_warmup_warms_cold_entries_from_cache(self, rng, tmp_path):
+    def test_warmup_warms_cold_entries(self, rng):
         coo = random_structured_coo(rng, 96, "mixed")
-        cache = ArtifactCache(tmp_path)
-        PlanRegistry(cache=cache).register("a", coo=coo)
-        registry = PlanRegistry(cache=cache)
+        registry = PlanRegistry()
         cold = registry.register("a", coo=coo, warm=False)
         assert not cold.hot
         summary = registry.warmup()
@@ -639,11 +636,9 @@ class TestSpmvServer:
             assert counts.get("fallback", 0) >= 1
             assert counts.get("detect", 0) >= 1
 
-    def test_serve_matrices_one_call_setup(self, rng, tmp_path):
+    def test_serve_matrices_one_call_setup(self, rng):
         coo = random_structured_coo(rng, 64, "mixed")
-        server = serve_matrices(
-            {"m": coo}, cache=ArtifactCache(tmp_path), workers=1,
-        )
+        server = serve_matrices({"m": coo}, workers=1)
         with server:
             x = rng.standard_normal(coo.shape[1])
             response = server.query("m", x)

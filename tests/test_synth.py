@@ -81,11 +81,6 @@ class TestGenerators:
         with pytest.raises(ValueError):
             g.mycielskian_graph(1)
 
-    def test_power_law_symmetric(self):
-        coo = g.power_law_graph(128, avg_degree=6, seed=0)
-        dense = coo.to_dense() != 0
-        assert np.array_equal(dense, dense.T)
-
     def test_random_uniform_density(self):
         coo = g.random_uniform(256, 0.01, seed=0)
         assert coo.density == pytest.approx(0.01, rel=0.2)
