@@ -37,7 +37,7 @@ def main():
     program = compiler.compile(coo)
     print(f"portfolio={program.portfolio.name}, "
           f"tile={program.tile_size}, hw={program.hw_config.name}")
-    print(f"preprocessing: {program.report.total_ms:.1f} ms")
+    print(f"preprocessing: {program.trace.total_ms:.1f} ms")
 
     rng = np.random.default_rng(0)
     b = rng.random(coo.shape[0])
@@ -59,7 +59,7 @@ def main():
     print(f"modeled SpMV time: SPASM {spasm_ms:.3f} ms, "
           f"Serpens_a24 {serpens_ms:.3f} ms")
     if serpens_ms > spasm_ms:
-        breakeven = program.report.total_ms / (serpens_ms - spasm_ms)
+        breakeven = program.trace.total_ms / (serpens_ms - spasm_ms)
         print(f"preprocessing amortized after {breakeven:.0f} SpMV calls "
               f"({breakeven / iters:.1f} CG solves of this size)")
     else:

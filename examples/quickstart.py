@@ -42,7 +42,7 @@ def main():
     print(f"padding rate:         {program.spasm.padding_rate:.2%}")
     print(f"storage cost:         {program.spasm.bytes_per_nnz():.2f} "
           f"bytes/nnz (COO needs 12)")
-    print(f"preprocessing time:   {program.report.total_ms:.1f} ms")
+    print(f"preprocessing time:   {program.trace.total_ms:.1f} ms")
 
     # Static verification: check the encoding (and its opcode table)
     # against the format invariants before touching the simulator.

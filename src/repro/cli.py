@@ -95,8 +95,9 @@ def cmd_compile(args) -> int:
     program = make_compiler(args).compile(coo)
     breakdown = program.estimate()
     write_trace(args, program)
+    stage_ms = {stage: program.trace.stage_ms(stage) for stage in (
+        "analysis", "selection", "decomposition", "schedule")}
     if args.json:
-        report = program.report
         payload = {
             "matrix": args.matrix,
             "shape": list(coo.shape),
@@ -110,13 +111,7 @@ def cmd_compile(args) -> int:
             "est_cycles": breakdown.total_cycles,
             "bottleneck": breakdown.bottleneck,
             "est_gflops": program.estimated_gflops(),
-            "report_ms": {
-                "analysis": report.analysis_ms,
-                "selection": report.selection_ms,
-                "decomposition": report.decomposition_ms,
-                "schedule": report.schedule_ms,
-                "total": report.total_ms,
-            },
+            "report_ms": {**stage_ms, "total": sum(stage_ms.values())},
             "trace": program.trace.to_dict(),
         }
         print(json.dumps(payload, indent=2))
@@ -132,11 +127,8 @@ def cmd_compile(args) -> int:
     print(f"est. cycles:   {breakdown.total_cycles:.0f} "
           f"(bottleneck: {breakdown.bottleneck})")
     print(f"est. speed:    {program.estimated_gflops():.2f} GFLOP/s")
-    print("preprocessing: "
-          f"analysis {program.report.analysis_ms:.1f} ms, "
-          f"selection {program.report.selection_ms:.1f} ms, "
-          f"decomposition {program.report.decomposition_ms:.1f} ms, "
-          f"schedule {program.report.schedule_ms:.1f} ms")
+    print("preprocessing: " + ", ".join(
+        f"{stage} {ms:.1f} ms" for stage, ms in stage_ms.items()))
     return 0
 
 
@@ -754,8 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="write the per-stage pipeline trace to "
                                 "FILE as JSON")
     compile_p.add_argument("--verify", action="store_true",
-                           help="mount the static verifier as a final "
-                                "pipeline pass")
+                           help="run the static verifier as a final "
+                                "compile stage")
     add_matrix_command("storage", "compare storage formats")
     add_matrix_command("compare", "compare modeled platforms")
 
@@ -766,8 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the per-stage pipeline trace to "
                              "FILE as JSON")
     encode.add_argument("--verify", action="store_true",
-                        help="mount the static verifier as a final "
-                             "pipeline pass")
+                        help="run the static verifier as a final "
+                             "compile stage")
     encode.add_argument("-o", "--output", default="matrix.spasm.npz",
                         help="output .npz path")
 

@@ -51,11 +51,7 @@ from repro.core.dynamic import (
     select_portfolio_dynamic,
 )
 from repro.core.schedule import ScheduleResult, explore_schedule
-from repro.core.framework import (
-    PreprocessReport,
-    SpasmCompiler,
-    SpasmProgram,
-)
+from repro.core.framework import SpasmCompiler, SpasmProgram
 from repro.core.serialize import load_spasm, save_spasm
 
 __all__ = [
@@ -100,7 +96,6 @@ __all__ = [
     "select_portfolio_dynamic",
     "ScheduleResult",
     "explore_schedule",
-    "PreprocessReport",
     "SpasmCompiler",
     "SpasmProgram",
     "load_spasm",

@@ -1,91 +1,49 @@
 """The end-to-end SPASM framework (paper Figure 6).
 
-:class:`SpasmCompiler` is a thin facade over the pass-based pipeline in
-:mod:`repro.pipeline`: ① local pattern analysis, ② template pattern
-selection, ③ local pattern decomposition, ④ global composition analysis
-and ⑤ workload schedule exploration run as explicit passes exchanging
-typed artifacts, producing a :class:`SpasmProgram` ready for hardware
-execution (step ⑥, :mod:`repro.hw`).
+:meth:`SpasmCompiler.compile` runs the workflow's stages in their fixed
+order as direct calls: ① local pattern analysis, ② template pattern
+selection, ③ local pattern decomposition, ④⑤ global composition
+analysis and workload schedule exploration, then the encoder, producing
+a :class:`SpasmProgram` ready for hardware execution (step ⑥,
+:mod:`repro.hw`).
 
 Every compile carries a structured
-:class:`~repro.pipeline.trace.PipelineTrace` (per-stage wall time,
-artifact sizes, bottleneck notes); the Table VIII style
-:class:`PreprocessReport` is a view over that trace.
+:class:`~repro.pipeline.trace.PipelineTrace`: one
+:class:`~repro.pipeline.trace.StageEvent` (wall time and a summary
+note) per stage, which is where Table VIII's per-stage times come from
+(``trace.stage_ms(name)``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+import time
+from typing import List, Optional, Tuple
 
-from repro.core.format import SpasmMatrix
-from repro.core.patterns import PatternHistogram
-from repro.core.schedule import DEFAULT_TILE_SIZES, ScheduleResult
-from repro.core.selection import SelectionResult
+from repro.core.decompose import DecompositionTable, cached_table
+from repro.core.format import (
+    FormatError,
+    SpasmMatrix,
+    encode_spasm,
+    groups_per_submatrix,
+)
+from repro.core.patterns import (
+    PatternHistogram,
+    histogram_from_masks,
+    submatrix_masks,
+)
+from repro.core.schedule import (
+    DEFAULT_TILE_SIZES,
+    ScheduleResult,
+    explore_schedule,
+)
+from repro.core.selection import SelectionResult, select_portfolio
 from repro.core.templates import Portfolio, candidate_portfolios
+from repro.core.tiling import global_compositions, validate_tile_size
 from repro.exec.plan import ExecutionPlan
 from repro.hw.configs import HwConfig
 from repro.matrix.coo import COOMatrix
-from repro.pipeline.artifacts import ArtifactStore
-from repro.pipeline.passes import (
-    AnalysisPass,
-    CompilerPass,
-    DecompositionPass,
-    EncodePass,
-    PlanPass,
-    SchedulePass,
-    SelectionPass,
-    VerifyPass,
-)
-from repro.pipeline.runner import PipelineRunner
-from repro.pipeline.trace import PipelineTrace
-
-
-@dataclasses.dataclass(frozen=True)
-class PreprocessReport:
-    """Per-stage preprocessing wall time, Table VIII style.
-
-    Attributes map to the paper's circled stages (milliseconds):
-    ``analysis_ms`` ①, ``selection_ms`` ②, ``decomposition_ms`` ③,
-    ``schedule_ms`` ④⑤ (the paper reports the two jointly).
-
-    This is a *view* over the pipeline trace — construct it with
-    :meth:`from_trace`; the full per-stage records (artifact sizes,
-    notes) live on
-    :attr:`SpasmProgram.trace`.
-    """
-
-    analysis_ms: float
-    selection_ms: float
-    decomposition_ms: float
-    schedule_ms: float
-
-    @classmethod
-    def from_trace(cls, trace: PipelineTrace) -> "PreprocessReport":
-        """Project a pipeline trace onto the four Table VIII columns."""
-        return cls(
-            analysis_ms=trace.stage_ms("analysis"),
-            selection_ms=trace.stage_ms("selection"),
-            decomposition_ms=trace.stage_ms("decomposition"),
-            schedule_ms=trace.stage_ms("schedule"),
-        )
-
-    @property
-    def total_ms(self) -> float:
-        """Total preprocessing time."""
-        return (
-            self.analysis_ms
-            + self.selection_ms
-            + self.decomposition_ms
-            + self.schedule_ms
-        )
-
-    def row(self, name: str) -> str:
-        """One formatted Table VIII row."""
-        return (
-            f"{name:<14s} {self.analysis_ms:9.1f} {self.selection_ms:9.1f} "
-            f"{self.decomposition_ms:9.1f} {self.schedule_ms:9.1f}"
-        )
+from repro.pipeline.trace import PipelineTrace, StageEvent
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,13 +59,12 @@ class SpasmProgram:
     histogram:
         Step ① output.
     selection:
-        Step ② output (``None`` when a fixed portfolio was forced).
+        Step ② output (``None`` when a fixed portfolio was forced or a
+        greedy/combined strategy built the portfolio).
     schedule:
         Step ⑤ output (``None`` when tile size and config were forced).
-    report:
-        Stage timing report (a view over :attr:`trace`).
     trace:
-        The full per-stage pipeline trace of this compile.
+        The per-stage trace of this compile.
     plan:
         The compiled :class:`~repro.exec.plan.ExecutionPlan`
         (``None`` unless the compiler was built with
@@ -120,8 +77,7 @@ class SpasmProgram:
     histogram: PatternHistogram
     selection: Optional[SelectionResult]
     schedule: Optional[ScheduleResult]
-    report: PreprocessReport
-    trace: Optional[PipelineTrace] = None
+    trace: PipelineTrace
     plan: Optional[ExecutionPlan] = None
 
     @property
@@ -153,6 +109,15 @@ class SpasmProgram:
         return flops / time_s / 1e9 if time_s else 0.0
 
 
+def _lap(events: List[StageEvent], name: str, started: float,
+         note: str) -> float:
+    """Record the stage that ran since ``started``; returns the time
+    the next stage starts at."""
+    now = time.perf_counter()
+    events.append(StageEvent(name, (now - started) * 1e3, note))
+    return now
+
+
 class SpasmCompiler:
     """Drives the full preprocessing workflow of Figure 6.
 
@@ -179,15 +144,14 @@ class SpasmCompiler:
         Reorder each tile's group stream to space out partial-sum
         reuse (:func:`repro.hw.hazards.hazard_aware_reorder`).
     verify:
-        Mount :mod:`repro.verify` as a final pipeline pass: each
-        compile statically checks the encoded stream and raises
-        :class:`~repro.core.format.FormatError` on any violation.
+        End each compile with :mod:`repro.verify`: the encoded stream
+        is statically checked and any violation raises
+        :class:`~repro.core.format.FormatError` (a ``verify`` stage).
     build_plan:
-        Append the :class:`~repro.pipeline.passes.PlanPass`: each
-        compile also builds the numeric
-        :class:`~repro.exec.plan.ExecutionPlan`, available as
-        :attr:`SpasmProgram.plan` and cached on the encoded matrix, so
-        its first ``spmv`` builds nothing.
+        End each compile by building the numeric
+        :class:`~repro.exec.plan.ExecutionPlan` (a ``plan`` stage),
+        available as :attr:`SpasmProgram.plan` and cached on the
+        encoded matrix, so its first ``spmv`` builds nothing.
     """
 
     PORTFOLIO_STRATEGIES = ("candidates", "greedy", "combined")
@@ -226,41 +190,6 @@ class SpasmCompiler:
             perf_model = default_model
         self.perf_model = perf_model
 
-    def build_passes(self, fixed_portfolio: Optional[Portfolio] = None,
-                     fixed_tile_size: Optional[int] = None,
-                     fixed_hw_config: Optional[HwConfig] = None,
-                     ) -> List[CompilerPass]:
-        """The pass sequence one compile executes.
-
-        Exposed so callers can inspect, extend or re-run the pipeline
-        directly through :class:`~repro.pipeline.runner.PipelineRunner`.
-        """
-        passes: List[CompilerPass] = [
-            AnalysisPass(self.k),
-            SelectionPass(
-                self.k,
-                self.portfolio_strategy,
-                self.candidates,
-                self.selection_coverage,
-                fixed_portfolio=fixed_portfolio,
-            ),
-            DecompositionPass(self.k),
-            SchedulePass(
-                self.k,
-                self.tile_sizes,
-                self.hw_configs,
-                self.perf_model,
-                fixed_tile_size=fixed_tile_size,
-                fixed_hw_config=fixed_hw_config,
-            ),
-            EncodePass(hazard_aware=self.hazard_aware),
-        ]
-        if self.verify:
-            passes.append(VerifyPass())
-        if self.build_plan:
-            passes.append(PlanPass())
-        return passes
-
     def compile(self, coo: COOMatrix,
                 fixed_portfolio: Optional[Portfolio] = None,
                 fixed_tile_size: Optional[int] = None,
@@ -270,28 +199,153 @@ class SpasmCompiler:
 
         The ``fixed_*`` arguments disable individual optimization stages
         for the Figure 14 ablation: a fixed portfolio skips step ②, and a
-        fixed tile size plus hardware config skips step ⑤.
+        fixed tile size plus hardware config skips step ⑤.  The step ①
+        scan runs once; its masks, keys, counts and entry order feed the
+        decomposition, the schedule and the encoder.  ``coo`` must hold
+        each coordinate at most once (a duplicate raises ``ValueError``
+        naming it).
         """
         if not isinstance(coo, COOMatrix):
             raise TypeError("SpasmCompiler.compile expects a COOMatrix")
+        k = self.k
+        if k <= 0:
+            raise ValueError(f"pattern size must be positive, got {k}")
+        if k * k > 32:
+            raise ValueError(
+                f"pattern size {k} exceeds the 32-bit mask budget"
+            )
+        events: List[StageEvent] = []
+        t = time.perf_counter()
 
-        store = ArtifactStore()
-        store.put("coo", coo)
-        trace = PipelineRunner().run(
-            self.build_passes(
-                fixed_portfolio=fixed_portfolio,
-                fixed_tile_size=fixed_tile_size,
-                fixed_hw_config=fixed_hw_config,
-            ),
-            store,
+        masks, sub_keys, sub_nnz, entry_order = submatrix_masks(coo, k)
+        histogram = histogram_from_masks(masks, k)
+        t = _lap(events, "analysis", t,
+                 f"{histogram.n_distinct} distinct patterns over "
+                 f"{int(masks.size)} submatrices")
+
+        portfolio, table, selection, note = self._select(
+            histogram, fixed_portfolio)
+        t = _lap(events, "selection", t, note)
+
+        group_counts, __ = groups_per_submatrix(
+            coo, table, k, masks=masks, sub_keys=sub_keys)
+        t = _lap(events, "decomposition", t,
+                 f"{int(group_counts.sum())} template groups")
+
+        if fixed_tile_size is not None and fixed_hw_config is not None:
+            tile_size, hw_config = int(fixed_tile_size), fixed_hw_config
+            schedule = None
+            note = "fixed tile size and hardware config (ablation)"
+        else:
+            schedule = self._explore(
+                coo.shape, group_counts, sub_keys, sub_nnz,
+                fixed_tile_size, fixed_hw_config)
+            tile_size = int(schedule.best_tile_size)
+            hw_config = schedule.best_hw_config
+            note = (f"best {schedule.best.label} of "
+                    f"{len(schedule.points)} evaluated points")
+        t = _lap(events, "schedule", t, note)
+
+        spasm = encode_spasm(
+            coo, portfolio, tile_size, table, masks=masks,
+            sub_keys=sub_keys, sub_nnz=sub_nnz, entry_order=entry_order,
         )
+        reordered = ""
+        if self.hazard_aware:
+            from repro.hw.hazards import hazard_aware_reorder
+
+            spasm = hazard_aware_reorder(spasm)
+            reordered = ", hazard-aware reorder applied"
+        t = _lap(events, "encode", t,
+                 f"{spasm.n_groups} groups, padding rate "
+                 f"{spasm.padding_rate:.2%}{reordered}")
+
+        if self.verify:
+            from repro.verify.runner import verify_spasm
+
+            report = verify_spasm(spasm, source=coo)
+            report.raise_if_errors(FormatError)
+            t = _lap(events, "verify", t,
+                     f"{len(report.diagnostics)} diagnostics, "
+                     f"{len(report.warnings)} warnings, 0 errors")
+
+        plan = None
+        if self.build_plan:
+            # Builds once and caches the plan on the matrix, so the
+            # first ``spasm.spmv`` reuses it.
+            plan = spasm.plan()
+            _lap(events, "plan", t, plan.describe())
+
         return SpasmProgram(
-            spasm=store.require("spasm"),
-            hw_config=store.require("hw_config"),
-            histogram=store.require("histogram"),
-            selection=store.get("selection"),
-            schedule=store.get("schedule"),
-            report=PreprocessReport.from_trace(trace),
-            trace=trace,
-            plan=store.get("plan"),
+            spasm=spasm,
+            hw_config=hw_config,
+            histogram=histogram,
+            selection=selection,
+            schedule=schedule,
+            trace=PipelineTrace(events=tuple(events)),
+            plan=plan,
         )
+
+    def _select(self, histogram: PatternHistogram,
+                fixed_portfolio: Optional[Portfolio],
+                ) -> Tuple[Portfolio, DecompositionTable,
+                           Optional[SelectionResult], str]:
+        """Step ② (Algorithm 3, a greedy/combined build, or the fixed
+        ablation portfolio): ``(portfolio, table, selection, note)``."""
+        if fixed_portfolio is not None:
+            return (fixed_portfolio, cached_table(fixed_portfolio), None,
+                    f"fixed portfolio {fixed_portfolio.name} (ablation)")
+        if self.portfolio_strategy == "candidates":
+            selection = select_portfolio(
+                histogram,
+                candidates=self.candidates,
+                coverage=self.selection_coverage,
+            )
+            return (selection.portfolio, selection.table, selection,
+                    f"{selection.portfolio.name} won over "
+                    f"{len(self.candidates)} candidates "
+                    f"({selection.scored_patterns} patterns scored)")
+        from repro.core.dynamic import (
+            GreedyPortfolioBuilder,
+            select_portfolio_dynamic,
+        )
+
+        if self.portfolio_strategy == "greedy":
+            portfolio = GreedyPortfolioBuilder(k=self.k).build(
+                histogram
+            ).portfolio
+        else:  # combined
+            portfolio = select_portfolio_dynamic(
+                histogram, candidates=self.candidates
+            )
+        return (portfolio, cached_table(portfolio), None,
+                f"{portfolio.name} built via {self.portfolio_strategy} "
+                "strategy")
+
+    def _explore(self, shape, group_counts, sub_keys, sub_nnz,
+                 fixed_tile_size: Optional[int],
+                 fixed_hw_config: Optional[HwConfig]) -> ScheduleResult:
+        """Steps ④+⑤: every tile size's global composition in one
+        nested aggregation of the per-submatrix counts, then the
+        Algorithm 4 sweep over (tile size, hardware config), either of
+        which a ``fixed_*`` knob may pin."""
+        hw_sweep = (
+            [fixed_hw_config] if fixed_hw_config is not None
+            else self.hw_configs
+        )
+        tile_sweep = (
+            (fixed_tile_size,) if fixed_tile_size is not None
+            else self.tile_sizes
+        )
+        compositions = global_compositions(
+            shape, group_counts, sub_keys, sub_nnz, tile_sweep, self.k)
+
+        def composition_factory(tile_size: int):
+            # Only sizes validate_tile_size rejects are absent: re-raise
+            # its TilingError so Algorithm 4 skips them.
+            if tile_size not in compositions:
+                validate_tile_size(tile_size, self.k)
+            return compositions[tile_size]
+
+        return explore_schedule(
+            composition_factory, hw_sweep, self.perf_model, tile_sweep)

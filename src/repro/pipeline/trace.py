@@ -1,12 +1,9 @@
 """Structured per-stage trace records for the compilation pipeline.
 
-Every pass execution produces one :class:`StageEvent` — wall time, the
-sizes of the artifacts it consumed and produced, and a free-form
-bottleneck note.
-The ordered collection is a :class:`PipelineTrace`, the machine-readable
-replacement for the hand-rolled Table VIII stopwatch bookkeeping (the
-legacy :class:`~repro.core.framework.PreprocessReport` is now a view
-over it).
+Every compile stage produces one :class:`StageEvent` — its wall time
+and a free-form summary note.  The ordered collection is a
+:class:`PipelineTrace`; Table VIII's per-stage times are
+``trace.stage_ms(name)``.
 """
 
 from __future__ import annotations
@@ -15,6 +12,7 @@ import dataclasses
 import json
 from typing import Any, Dict, Iterator, Tuple
 
+
 @dataclasses.dataclass(frozen=True)
 class StageEvent:
     """One executed pipeline stage.
@@ -22,21 +20,15 @@ class StageEvent:
     Attributes
     ----------
     name:
-        Pass name (``"analysis"``, ``"selection"``, ...).
+        Stage name (``"analysis"``, ``"selection"``, ...).
     wall_ms:
         Wall-clock time of the stage.
-    inputs:
-        Size summary of the consumed artifacts (scalars only).
-    outputs:
-        Size summary of the produced artifacts (scalars only).
     note:
         Free-form bottleneck / provenance note.
     """
 
     name: str
     wall_ms: float
-    inputs: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    outputs: Dict[str, Any] = dataclasses.field(default_factory=dict)
     note: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
@@ -44,8 +36,6 @@ class StageEvent:
         return {
             "name": self.name,
             "wall_ms": self.wall_ms,
-            "inputs": dict(self.inputs),
-            "outputs": dict(self.outputs),
             "note": self.note,
         }
 

@@ -4,17 +4,18 @@
 the integrity machinery the fast paths otherwise lack:
 
 * **digest pinning** — the stream digest is recorded when the guard is
-  created (the moment the artifact is trusted); any later corruption
-  of the position words or values re-keys the stream and is caught
-  before dispatch.  Unrecoverable by construction — the naive engine
-  would chew the same corrupt stream — so it raises
+  created (the moment the artifact is trusted: the digest of the plan
+  already cached on the matrix, else a hash of the live stream); any
+  later corruption of the position words or values re-keys the stream
+  and is caught before dispatch.  Unrecoverable by construction — the
+  naive engine would chew the same corrupt stream — so it raises
   :class:`IntegrityError` rather than "recovering" to a wrong answer.
 * **plan validation** — every newly acquired plan is checked with
   :meth:`~repro.exec.plan.ExecutionPlan.validate` (structural
   invariants + build-time checksum) before its arrays are dispatched.
 * **sampled divergence guard** — every ``check_interval``-th call, a
-  small random row block of the output is cross-checked against
-  reference slices captured through the naive expansion path
+  small random row block of the output is compared bit for bit with
+  a reference computed from the stream's own expansion
   (:class:`RowOracle`).
 * **retry with rebuild** — a plan that fails validation, raises in
   the kernel or diverges from the oracle is dropped, rebuilt from the
@@ -147,8 +148,8 @@ class GuardConfig:
     #: Re-run full plan validation (checksum recompute) every N-th
     #: call (0 = only on acquisition).
     revalidate_interval: int = 0
-    #: Cross-check sampled rows against the naive oracle every N-th
-    #: call (0 = off).
+    #: Compare sampled rows bitwise with the :class:`RowOracle` every
+    #: N-th call (0 = off).
     check_interval: int = 16
     #: Rows sampled by the divergence guard.
     check_rows: int = 4
@@ -217,48 +218,56 @@ class _RetryBudget:
 
 
 class RowOracle:
-    """Reference slices for a sampled row block, built the naive way.
+    """Reference answers for a sampled row block, computed bitwise.
 
-    Built once per guard from the stream's expansion — the same path
-    :meth:`~repro.core.format.SpasmMatrix.spmv_naive` executes — and
-    therefore independent of every plan array.  ``mismatches`` checks
-    a computed output vector against ``sum(vals * x[cols]) + y[row]``
-    per sampled row.
+    Built once per guard from the stream's expansion — the slots
+    :meth:`~repro.core.format.SpasmMatrix.spmv_naive` reads — and
+    therefore independent of every array of the plan it checks.  The
+    sampled rows' kept slots, in stream order, form a small plan of
+    their own that runs through the same kernel, seeded with
+    ``y[rows]``, so a clean output matches it bit for bit and
+    ``mismatches`` compares the bits.
     """
 
-    def __init__(self, rows: np.ndarray,
-                 slices: List[Tuple[np.ndarray, np.ndarray]]):
+    def __init__(self, rows: np.ndarray, plan: Any):
         self.rows = rows
-        self.slices = slices
+        self.plan = plan
 
     @classmethod
     def build(cls, spasm: Any, rows: np.ndarray) -> "RowOracle":
+        from repro.exec.plan import ExecutionPlan
+
         rows = np.unique(np.asarray(rows, dtype=np.int64))
         rows = rows[(rows >= 0) & (rows < spasm.shape[0])]
         exp_rows, exp_cols, exp_vals = spasm._expand()
-        keep = exp_vals != 0.0
-        exp_rows = exp_rows[keep]
-        exp_cols = exp_cols[keep]
-        exp_vals = exp_vals[keep]
-        slices = []
-        for row in rows:
-            sel = exp_rows == row
-            slices.append((exp_cols[sel], exp_vals[sel]))
-        return cls(rows=rows, slices=slices)
+        # The kept slots of the sampled rows, in stream order.  (The
+        # padded expansion peaks lower than ``_expand_kept``'s.)
+        sampled = (exp_vals != 0.0) & np.isin(exp_rows, rows)
+        plan = ExecutionPlan.from_slots(
+            (rows.size, spasm.shape[1]),
+            np.searchsorted(rows, exp_rows[sampled]),
+            exp_cols[sampled], exp_vals[sampled],
+            digest="", source_nnz=int(np.count_nonzero(sampled)),
+            compacted=True,
+        )
+        return cls(rows=rows, plan=plan)
 
     def mismatches(self, x: np.ndarray, out: np.ndarray,
                    y: Optional[np.ndarray] = None) -> List[int]:
-        """Sampled rows where ``out`` diverges from the reference
-        ``A @ x + y``."""
-        bad: List[int] = []
-        for row, (cols, vals) in zip(self.rows, self.slices):
-            expected = float(np.dot(vals, x[cols]))
-            if y is not None:
-                expected += float(y[row])
-            if not np.isclose(out[row], expected,
-                              rtol=1e-9, atol=1e-12):
-                bad.append(int(row))
-        return bad
+        """Sampled rows where ``out`` differs in any bit from the
+        reference ``A @ x + y``."""
+        from repro.exec import backends
+
+        expected = (np.zeros(self.rows.size, dtype=np.float64) if y is None
+                    else np.asarray(y, dtype=np.float64)[self.rows])
+        # The bare kernel, not plan.spmv: the shard envelope's fault
+        # hook belongs to the answer being checked.
+        backends.spmv(self.plan, self.plan.indptr,
+                      np.ascontiguousarray(x, dtype=np.float64),
+                      expected, 0, self.rows.size)
+        got = np.asarray(out, dtype=np.float64)[self.rows]
+        bad = expected.view(np.uint64) != got.view(np.uint64)
+        return [int(row) for row in self.rows[bad]]
 
 
 class ExecutionGuard:
@@ -269,8 +278,10 @@ class ExecutionGuard:
     spasm:
         The :class:`~repro.core.format.SpasmMatrix` to execute.  The
         stream digest is pinned **now** — the guard treats the stream
-        as trusted at construction time — by hashing the live stream,
-        unless ``pin`` supplies it.
+        as trusted at construction time: the digest of the plan cached
+        on the matrix when there is one (the bytes that plan was built
+        from, so a mutation between ``spasm.plan()`` and the guard is
+        refused at the first answer), else a hash of the live stream.
     config:
         :class:`GuardConfig` knobs (defaults are production-lean).
     log:
@@ -278,26 +289,20 @@ class ExecutionGuard:
         otherwise (exposed as :attr:`log`).
     seed:
         Seed of the divergence guard's row sampler.
-    pin:
-        The stream digest to trust instead of hashing the live stream:
-        the plan registry passes the digest of the plan it just built,
-        so the pin names exactly the bytes that plan was built from
-        and a mutation between build and pin is refused at the first
-        answer rather than pinned.
     """
 
     def __init__(self, spasm: Any,
                  config: Optional[GuardConfig] = None,
                  log: Optional[ResilienceLog] = None,
-                 seed: int = 0,
-                 pin: Optional[str] = None):
+                 seed: int = 0):
         from repro.exec.plan import stream_digest
 
         self.spasm = spasm
         self.config = config or GuardConfig()
         self.log = log if log is not None else ResilienceLog()
+        cached = getattr(spasm, "_plan", None)
         self.expected_digest = (
-            stream_digest(spasm) if pin is None else pin
+            stream_digest(spasm) if cached is None else cached.digest
         )
         self._rng = np.random.default_rng(seed)
         self._oracle: Optional[RowOracle] = None

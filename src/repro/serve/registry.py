@@ -272,16 +272,17 @@ class PlanRegistry:
     def _warm(self, entry: PlanEntry) -> None:
         """Build the plan and guard for an entry.
 
-        The guard pins the digest of the plan just built rather than
-        hashing the live stream again; the first answer still compares
-        that pin with the live stream.
+        The guard pins the digest of the plan just built (the plan it
+        finds cached on the matrix) rather than hashing the live stream
+        again; the first answer still compares that pin with the live
+        stream.
         """
         plan = entry.spasm.plan()
         entry.plan_nbytes = int(plan.nbytes)
         self._guard_seq += 1
         entry.guard = ExecutionGuard(
-            entry.spasm, config=self.guard_config, log=self.log, seed=self.seed + self._guard_seq,
-            pin=plan.digest,
+            entry.spasm, config=self.guard_config, log=self.log,
+            seed=self.seed + self._guard_seq,
         )
         entry.hot = True
         entry.warms += 1

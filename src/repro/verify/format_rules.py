@@ -9,8 +9,7 @@ matrix is available — exact decode round-trip equality.
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Iterator, Tuple
+from typing import Iterator
 
 import numpy as np
 
@@ -23,14 +22,6 @@ from repro.verify.rules import (
     VerifyContext,
     register,
 )
-
-
-@functools.lru_cache(maxsize=16)
-def _cached_table(masks: Tuple[int, ...], k: int) -> Any:
-    """Per-portfolio decomposition table, cached across verify calls."""
-    from repro.core.decompose import DecompositionTable
-
-    return DecompositionTable(list(masks), k=k)
 
 
 @register
@@ -319,6 +310,7 @@ class CanonicalDecomposition(Rule):
 
     def check(self, ctx: VerifyContext) -> Iterator[Diagnostic]:
         from repro.core.bitmask import DEFAULT_K, popcount_array
+        from repro.core.decompose import cached_table
         from repro.core.format import _template_cell_arrays
 
         spasm = ctx.spasm
@@ -329,7 +321,9 @@ class CanonicalDecomposition(Rule):
             return
         fields = ctx.fields
         portfolio = spasm.portfolio
-        table = _cached_table(tuple(portfolio.masks), spasm.k)
+        # The process-wide table cache the compile's decomposition
+        # stage filled: no second table, no second subset build.
+        table = cached_table(portfolio.masks, spasm.k)
         k = spasm.k
         cell_r, cell_c = _template_cell_arrays(portfolio, k)
         cell_bit = (cell_r * k + cell_c).astype(np.int64)

@@ -94,9 +94,7 @@ def test_submodule_functions_documented():
         "repro.core.selection", "repro.core.framework",
         "repro.core.dynamic",
         "repro.core.serialize",
-        "repro.pipeline.artifacts", "repro.pipeline.cache",
-        "repro.pipeline.passes", "repro.pipeline.runner",
-        "repro.pipeline.trace",
+        "repro.pipeline.cache", "repro.pipeline.trace",
         "repro.hw.opcode", "repro.hw.valu", "repro.hw.pe",
         "repro.hw.perf_model", "repro.hw.hazards",
         "repro.hw.fast_sim", "repro.hw.memory_image",

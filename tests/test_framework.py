@@ -91,22 +91,19 @@ class TestAblationKnobs:
 class TestReport:
     def test_stage_times_recorded(self, rng, compiler):
         coo = random_structured_coo(rng, 64, "mixed")
-        report = compiler.compile(coo).report
-        assert report.analysis_ms >= 0
-        assert report.selection_ms >= 0
-        assert report.decomposition_ms >= 0
-        assert report.schedule_ms >= 0
-        assert report.total_ms == pytest.approx(
-            report.analysis_ms
-            + report.selection_ms
-            + report.decomposition_ms
-            + report.schedule_ms
+        trace = compiler.compile(coo).trace
+        stages = ("analysis", "selection", "decomposition", "schedule",
+                  "encode")
+        assert all(trace.stage_ms(stage) >= 0 for stage in stages)
+        assert trace.total_ms == pytest.approx(
+            sum(trace.stage_ms(stage) for stage in stages)
         )
 
     def test_row_rendering(self, rng, compiler):
         coo = random_structured_coo(rng, 64, "mixed")
-        row = compiler.compile(coo).report.row("test")
-        assert row.startswith("test")
+        lines = compiler.compile(coo).trace.render().splitlines()
+        assert lines[1].startswith("analysis")
+        assert lines[-1].startswith("total")
 
     def test_estimated_gflops_positive(self, rng, compiler):
         coo = random_structured_coo(rng, 64, "mixed")

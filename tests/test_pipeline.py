@@ -1,4 +1,5 @@
-"""Tests for the pass-based compilation pipeline (repro.pipeline)."""
+"""Tests for the compile function's stages and their trace
+(repro.core.framework, repro.pipeline)."""
 
 import json
 
@@ -6,23 +7,13 @@ import numpy as np
 import pytest
 
 from repro.core import SpasmCompiler, candidate_portfolios
-from repro.core.framework import PreprocessReport
 from repro.hw import SPASM_3_4, SPASM_4_1
 from repro.matrix import COOMatrix
-from repro.pipeline import (
-    ArtifactError,
-    ArtifactStore,
-    CompilerPass,
-    DecompositionPass,
-    PipelineError,
-    PipelineRunner,
-    PipelineTrace,
-    StageEvent,
-    matrix_digest,
-)
+from repro.pipeline import PipelineTrace, StageEvent, matrix_digest
 from tests.conftest import random_structured_coo
 
 TILE_SIZES = (16, 32, 64)
+STAGES = ["analysis", "selection", "decomposition", "schedule", "encode"]
 
 
 @pytest.fixture(scope="module")
@@ -36,96 +27,57 @@ def program(compiler):
     return compiler.compile(random_structured_coo(rng, 96, "mixed"))
 
 
-class TestArtifactStore:
-    def test_put_get_roundtrip(self, small_coo):
-        store = ArtifactStore()
-        store.put("coo", small_coo)
-        assert store.get("coo") is small_coo
-        assert store.require("coo") is small_coo
-        assert store.has("coo")
-        assert store.names() == ("coo",)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ArtifactError, match="unknown artifact"):
-            ArtifactStore().put("nonsense", 1)
-
-    def test_type_mismatch_rejected(self):
-        with pytest.raises(ArtifactError, match="expects"):
-            ArtifactStore().put("tile_size", "sixteen")
-
-    def test_require_missing(self):
-        with pytest.raises(ArtifactError, match="not been produced"):
-            ArtifactStore().require("histogram")
-
-    def test_summarize_is_scalar_sized(self, small_coo):
-        store = ArtifactStore()
-        store.put("coo", small_coo)
-        store.put("masks", np.arange(5))
-        store.put("tile_size", 32)
-        summary = store.summarize(("coo", "masks", "tile_size", "spasm"))
-        assert summary["coo"] == {
-            "shape": list(small_coo.shape), "nnz": small_coo.nnz
-        }
-        assert summary["masks"] == 5
-        assert summary["tile_size"] == 32
-        assert "spasm" not in summary  # absent artifacts are skipped
-
-
 class TestRunnerContracts:
-    def test_missing_requires_raises(self, small_coo):
-        store = ArtifactStore()
-        store.put("coo", small_coo)
-        with pytest.raises(PipelineError, match="requires artifacts"):
-            PipelineRunner().run([DecompositionPass(4)], store)
+    """The stages each compile runs, in order, read off its trace."""
 
-    def test_undelivered_provides_raises(self, small_coo):
-        class LazyPass(CompilerPass):
-            name = "analysis"
-            requires = ("coo",)
-            provides = ("masks",)
+    def test_build_passes_default_sequence(self, rng, compiler):
+        """Fixed ablation knobs replace a stage's work, not the stage."""
+        coo = random_structured_coo(rng, 64, "mixed")
+        fixed = compiler.compile(
+            coo, fixed_portfolio=candidate_portfolios()[0],
+            fixed_tile_size=32, fixed_hw_config=SPASM_4_1)
+        assert [e.name for e in fixed.trace] == STAGES
+        for stage in ("selection", "schedule"):
+            assert "(ablation)" in fixed.trace.event(stage).note
 
-            def run(self, store):
-                return "forgot to produce masks"
+    def test_verify_pass_mounted(self, rng):
+        coo = random_structured_coo(rng, 64, "mixed")
+        verified = SpasmCompiler(tile_sizes=TILE_SIZES, verify=True)
+        assert [e.name for e in verified.compile(coo).trace] == \
+            STAGES + ["verify"]
+        both = SpasmCompiler(tile_sizes=TILE_SIZES, verify=True,
+                             build_plan=True).compile(coo)
+        assert [e.name for e in both.trace] == STAGES + ["verify", "plan"]
+        planned = SpasmCompiler(tile_sizes=TILE_SIZES,
+                                build_plan=True).compile(coo)
+        assert [e.name for e in planned.trace] == STAGES + ["plan"]
+        assert planned.plan is planned.spasm._plan
+        assert planned.trace.event("plan").note == planned.plan.describe()
 
-        store = ArtifactStore()
-        store.put("coo", small_coo)
-        with pytest.raises(PipelineError, match="did not produce"):
-            PipelineRunner().run([LazyPass()], store)
-
-    def test_build_passes_default_sequence(self, compiler):
-        names = [p.name for p in compiler.build_passes()]
-        assert names == [
-            "analysis", "selection", "decomposition", "schedule",
-            "encode",
-        ]
-
-    def test_verify_pass_mounted(self):
-        names = [
-            p.name
-            for p in SpasmCompiler(
-                tile_sizes=TILE_SIZES, verify=True
-            ).build_passes()
-        ]
-        assert names[-1] == "verify"
+    def test_pattern_size_checked_before_any_stage(self, small_coo):
+        with pytest.raises(ValueError, match="positive"):
+            SpasmCompiler(k=0).compile(small_coo)
+        with pytest.raises(ValueError, match="32-bit"):
+            SpasmCompiler(k=6).compile(small_coo)
 
 
 class TestTrace:
     def test_every_stage_traced(self, program):
         trace = program.trace
-        assert [e.name for e in trace] == [
-            "analysis", "selection", "decomposition", "schedule",
-            "encode",
-        ]
+        assert [e.name for e in trace] == STAGES
         assert all(e.wall_ms >= 0 for e in trace)
 
     def test_stage_summaries(self, program):
-        analysis = program.trace.event("analysis")
-        assert analysis.inputs["coo"]["nnz"] > 0
-        assert analysis.outputs["masks"] > 0
-        assert "patterns" in analysis.note
-        encode = program.trace.event("encode")
-        assert encode.outputs["spasm"]["groups"] == \
-            program.spasm.n_groups
+        histogram = program.histogram
+        assert program.trace.event("analysis").note == (
+            f"{histogram.n_distinct} distinct patterns over "
+            f"{histogram.total} submatrices"
+        )
+        spasm = program.spasm
+        assert program.trace.event("encode").note == (
+            f"{spasm.n_groups} groups, padding rate "
+            f"{spasm.padding_rate:.2%}"
+        )
 
     def test_missing_stage_helpers(self, program):
         trace = program.trace
@@ -151,20 +103,17 @@ class TestTrace:
             assert stage in text
 
     def test_report_is_view_over_trace(self, program):
-        report = PreprocessReport.from_trace(program.trace)
-        assert report == program.report
-        assert report.analysis_ms == program.trace.stage_ms("analysis")
-        assert report.schedule_ms == program.trace.stage_ms("schedule")
-        # encode time is traced but not part of the Table VIII columns
-        assert report.total_ms <= program.trace.total_ms
+        """Table VIII's four columns are stage times of the trace."""
+        trace = program.trace
+        table08 = sum(trace.stage_ms(stage) for stage in STAGES[:4])
+        assert table08 == pytest.approx(
+            trace.total_ms - trace.stage_ms("encode"))
+        assert table08 <= trace.total_ms
 
     def test_trace_event_to_dict(self):
         event = StageEvent(name="x", wall_ms=1.5, note="n")
         d = event.to_dict()
-        assert d == {
-            "name": "x", "wall_ms": 1.5,
-            "inputs": {}, "outputs": {}, "note": "n",
-        }
+        assert d == {"name": "x", "wall_ms": 1.5, "note": "n"}
         assert PipelineTrace(events=(event,)).to_dict()["events"] == [d]
 
 
@@ -172,8 +121,8 @@ class TestArtifactReuse:
     def test_masks_computed_exactly_once(self, rng, monkeypatch):
         """Step ①'s submatrix scan must be the only one per compile."""
         import repro.core.format as format_mod
+        import repro.core.framework as framework_mod
         import repro.core.patterns as patterns_mod
-        import repro.pipeline.passes as passes_mod
 
         real = patterns_mod.submatrix_masks
         calls = []
@@ -182,7 +131,7 @@ class TestArtifactReuse:
             calls.append(args)
             return real(*args, **kwargs)
 
-        for mod in (patterns_mod, format_mod, passes_mod):
+        for mod in (patterns_mod, format_mod, framework_mod):
             monkeypatch.setattr(mod, "submatrix_masks", counting)
 
         coo = random_structured_coo(rng, 96, "mixed")
@@ -193,8 +142,8 @@ class TestArtifactReuse:
 
     def test_masks_once_even_with_ablations(self, rng, monkeypatch):
         import repro.core.format as format_mod
+        import repro.core.framework as framework_mod
         import repro.core.patterns as patterns_mod
-        import repro.pipeline.passes as passes_mod
 
         real = patterns_mod.submatrix_masks
         calls = []
@@ -203,7 +152,7 @@ class TestArtifactReuse:
             calls.append(args)
             return real(*args, **kwargs)
 
-        for mod in (patterns_mod, format_mod, passes_mod):
+        for mod in (patterns_mod, format_mod, framework_mod):
             monkeypatch.setattr(mod, "submatrix_masks", counting)
 
         coo = random_structured_coo(rng, 64, "mixed")

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import candidate_portfolios, encode_spasm
+from repro.core import SpasmCompiler, candidate_portfolios, encode_spasm
 from repro.exec import backends
 from repro.exec.plan import ExecutionPlan, set_shard_fault_hook
 from repro.matrix.coo import COOMatrix
@@ -24,6 +24,7 @@ from repro.resilience import (
     render_report,
     run_campaign,
 )
+from repro.synth import WORKLOAD_SUITE, load_workload
 from tests.conftest import random_structured_coo
 
 #: Guard knobs that confront a fault on the very next call.
@@ -222,6 +223,23 @@ class TestGuardDetection:
         with pytest.raises(IntegrityError):
             guard.spmv(x)
 
+    def test_stream_mutated_after_plan_refused(self, spasm, x):
+        """The guard pins the cached plan's digest, not the live
+        stream: a stream mutated between ``plan()`` and the guard is
+        refused at the first answer instead of being trusted."""
+        mutant = clone_spasm(spasm)
+        pristine = mutant.plan().digest
+        FaultInjector(9).flip_value(mutant)
+        guard = ExecutionGuard(mutant)
+        assert guard.expected_digest == pristine
+        with pytest.raises(IntegrityError, match="after the guard pinned"):
+            guard.spmv(x)
+
+    def test_pin_hashes_live_stream_without_plan(self, spasm):
+        mutant = clone_spasm(spasm)
+        assert ExecutionGuard(mutant).expected_digest == \
+            mutant.stream_digest()
+
     def test_worker_kill_retried(self, spasm, x, reference):
         mutant = clone_spasm(spasm)
         guard = ExecutionGuard(mutant, config=STRICT)
@@ -287,6 +305,68 @@ class TestRowOracle:
         victim = int(rows[0])
         bad[victim] += 1.0
         assert victim in oracle.mismatches(x, bad)
+
+    def test_one_ulp_flagged(self, rng, spasm, x):
+        """The comparison is bitwise: a last-bit change is a mismatch,
+        with or without ``y``."""
+        rows = np.arange(spasm.shape[0])
+        oracle = RowOracle.build(spasm, rows)
+        y0 = rng.random(spasm.shape[0])
+        for y in (None, y0):
+            out = spasm.plan().spmv(x, y=y)
+            assert oracle.mismatches(x, out, y) == []
+            victim = int(np.flatnonzero(out)[0])
+            out[victim] = np.nextafter(out[victim], np.inf)
+            assert oracle.mismatches(x, out, y) == [victim]
+
+    def test_low_mantissa_value_flip_detected(self, spasm, x, reference):
+        """A bit-0 flip of a plan value moves a sampled row by an ulp
+        or so — far inside any tolerance — and is still refused: the
+        plan is rebuilt and the answer is the clean one."""
+        guard = ExecutionGuard(
+            spasm, config=GuardConfig(check_interval=1, check_rows=16))
+        assert np.array_equal(guard.spmv(x), reference)
+        plan, rows = guard._plan, guard._oracle.rows
+        bits = plan.vals.view(np.uint64)
+        flipped = None
+        for slot in range(int(plan.indptr[rows[0]]),
+                          int(plan.indptr[rows[-1] + 1])):
+            bits[slot] ^= np.uint64(1)
+            moved = plan.spmv(x) != reference
+            if moved[rows].any():
+                flipped = moved
+                break
+            bits[slot] ^= np.uint64(1)
+        assert flipped is not None
+        # A tolerance of 1e-9 sees nothing.
+        assert np.allclose(plan.spmv(x), reference, rtol=1e-9, atol=0)
+        assert np.array_equal(guard.spmv(x), reference)
+        detect = [e for e in guard.log.events if e.kind == "detect"]
+        assert [e.surface for e in detect] == ["output"]
+        assert guard._plan is not plan
+
+    @pytest.mark.parametrize("name", [s.name for s in WORKLOAD_SUITE])
+    def test_no_false_flags_on_suite(self, name):
+        """Every row of every suite matrix, through spmv, spmv(y=) and
+        spmv_batch, matches the oracle bit for bit."""
+        spasm = SpasmCompiler().compile(load_workload(name, 0.1)).spasm
+        nrows, ncols = spasm.shape
+        oracle = RowOracle.build(spasm, np.arange(nrows))
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal(ncols), rng.standard_normal(nrows)
+        xs = rng.standard_normal((3, ncols))
+        plan = spasm.plan()
+        assert oracle.mismatches(x, plan.spmv(x)) == []
+        assert oracle.mismatches(x, plan.spmv(x, y=y), y) == []
+        for xq, out in zip(xs, plan.spmv_batch(xs)):
+            assert oracle.mismatches(xq, out) == []
+        guard = ExecutionGuard(
+            spasm, config=GuardConfig(check_interval=1, check_rows=64))
+        for _ in range(3):
+            guard.spmv(x)
+            guard.spmv(x, y=y)
+            guard.spmv_batch(xs)
+        assert guard.log.events == []
 
 
 class TestResilienceLog:

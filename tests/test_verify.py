@@ -341,6 +341,26 @@ class TestValidateIntegration:
             load_spasm(path, verify=True)
 
 
+class TestTableCache:
+    def test_compile_verify_shares_table(self, coo, monkeypatch):
+        """``fmt.decomposition`` reads the table the compile's
+        decomposition stage used: one table, one subset build."""
+        import repro.core.decompose as decompose
+        from repro.core import SpasmCompiler
+
+        real = decompose.cached_table
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(decompose, "cached_table", spy)
+        program = SpasmCompiler(tile_sizes=(16, 32), verify=True).compile(coo)
+        assert "0 errors" in program.trace.event("verify").note
+        assert seen and seen[-1] is program.selection.table
+
+
 class TestReportAPI:
     def test_json_roundtrip(self, spasm):
         spasm.words[0] ^= np.uint32(1) << np.uint32(26)
